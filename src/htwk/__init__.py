@@ -13,9 +13,9 @@ from .errors import (BudgetError, DivergenceError, HorizonError, HtwkError,
 from .distspec import DistExpr, SourceSpan, format_spec, parse_spec, spec_to_model
 from .tailmath import (GridConfig, GridDistribution, IncrementModel,
                        RenewalMeasure, TruncatedMean, conv_tail, criterion_K,
-                       grid_conv_power, grid_discretize, integrated_tail,
-                       integrated_tail_curve, mu_plus, renewal_integrated_tail,
-                       self_conv_tail, sstar_integral, truncated_neg_mean)
+                       integrated_tail, integrated_tail_curve, mu_plus,
+                       renewal_integrated_tail, self_conv_tail, sstar_integral,
+                       truncated_neg_mean)
 from .classlab import (KINDS, PROBES_DEFAULT, ProbeSchedule, RatioDiagnostic,
                        StoppedSumModel, convolution_closure_check,
                        majorant_check, measure_equivalence_check,
@@ -42,10 +42,9 @@ __all__ = [
     "PreconditionError", "SpecSyntaxError", "SpecValidationError",
     "DistExpr", "SourceSpan", "format_spec", "parse_spec", "spec_to_model",
     "GridConfig", "GridDistribution", "IncrementModel", "RenewalMeasure",
-    "TruncatedMean", "conv_tail", "criterion_K", "grid_conv_power",
-    "grid_discretize", "integrated_tail", "integrated_tail_curve", "mu_plus",
-    "renewal_integrated_tail", "self_conv_tail", "sstar_integral",
-    "truncated_neg_mean",
+    "TruncatedMean", "conv_tail", "criterion_K", "integrated_tail",
+    "integrated_tail_curve", "mu_plus", "renewal_integrated_tail",
+    "self_conv_tail", "sstar_integral", "truncated_neg_mean",
     "KINDS", "PROBES_DEFAULT", "ProbeSchedule", "RatioDiagnostic",
     "StoppedSumModel", "convolution_closure_check", "majorant_check",
     "measure_equivalence_check", "membership_curve",

@@ -19,6 +19,7 @@ from pathlib import Path
 import click
 import numpy as np
 
+from . import __version__
 from . import verify as vf
 from . import walksim as ws
 from .classlab import KINDS, PROBES_DEFAULT, membership_curve
@@ -124,7 +125,7 @@ def _guarded(fn):
 
 
 @click.group()
-@click.version_option(package_name="htwk", prog_name="htwk")
+@click.version_option(version=__version__, prog_name="htwk")
 def main() -> None:
     """Numerical laboratory for heavy-tailed random walk cycles."""
 

@@ -800,7 +800,6 @@ class GridConfig:
     x_max: float = 1e6
     points_per_decade: int = 64
     x_min: float = 1e-3
-    conv_refine: int = 4
     probe_refine: int = 8
     defect_bound: float = 1e-6
 
@@ -832,7 +831,6 @@ class GridDistribution:
     atom_locs: np.ndarray = field(default_factory=lambda: np.empty(0))
     atom_masses: np.ndarray = field(default_factory=lambda: np.empty(0))
     mass_beyond: float = 0.0
-    interp: str = "loglinear"
 
     def __post_init__(self):
         k = np.asarray(self.knots, dtype=float)
@@ -1123,7 +1121,7 @@ class GridDistribution:
         tail_cont = np.minimum.accumulate(np.maximum(tail_at - resolved_tail, 0.0))
         return GridDistribution(knots=knots, tail_cont=tail_cont,
                                 atom_locs=new_locs, atom_masses=new_masses,
-                                mass_beyond=beyond, interp=self.interp)
+                                mass_beyond=beyond)
 
     def power(self, n: int, refine: int = 4, defect_bound: float = 1e-6) -> "GridDistribution":
         return self.powers(n, refine=refine, defect_bound=defect_bound)[n]
@@ -1149,17 +1147,6 @@ class GridDistribution:
 # ----------------------------------------------------------------------
 # grid-level operations
 # ----------------------------------------------------------------------
-
-def grid_discretize(tail_fn: Callable, x_max: float = 1e6, ppd: int = 64,
-                    x_min: float = 1e-3) -> GridDistribution:
-    """Grid snapshot of a nonincreasing tail callable on [0, x_max]."""
-    return GridDistribution.from_tail(tail_fn, x_max=x_max, ppd=ppd, x_min=x_min)
-
-
-def grid_conv_power(grid: GridDistribution, n: int, refine: int = 4,
-                    defect_bound: float = 1e-6) -> GridDistribution:
-    return grid.power(n, refine=refine, defect_bound=defect_bound)
-
 
 def conv_tail(grid: GridDistribution, model: IncrementModel, x: float,
               refine: int = 8) -> float:

@@ -6,9 +6,15 @@ a fixed (seed, worker count, configuration) triple.  Workers receive
 the model's canonical spec text and rebuild it locally; results are
 reduced in stream-index order regardless of scheduling.
 
-Kernels keep a compact active set: finished replications are written
-to their original slots and dropped from the working arrays, so memory
-tracks the surviving population, not the step count.
+One stepper, `_walk`, moves every batch of walks: it steps them in
+lockstep and stops each at the first step where the kernel's stop rule
+holds (a first descent for cycles, a fall of `barrier` below the
+running maximum for sup, a strict ascent or a fall to -barrier for
+ladder).  It keeps a compact active set: finished walks are written to
+their original slots and dropped from the working arrays, so memory
+tracks the surviving population, not the step count.  A cycle shard
+consumes its stream CHUNK cycles at a time and returns aggregates, plus
+raw columns only on request.
 """
 
 from __future__ import annotations
@@ -26,6 +32,8 @@ from .tailmath import IncrementModel
 CYCLES, SUP, LADDER, RENEWAL, NU = range(5)
 
 STEP_BUDGET_DEFAULT = 10 ** 9
+# cycles a shard simulates per kernel call; part of each shard's stream layout
+CHUNK = 1 << 20
 BARRIER_DEFAULT = 1e4
 ESCAPE_FLAG_LEVEL = 1e-4
 
@@ -201,94 +209,91 @@ class RenewalEstimate:
 # batch kernels (single stream)
 # ----------------------------------------------------------------------
 
-def _budget_guard(steps: int, budget: int) -> None:
-    if steps > budget:
-        raise BudgetError(
-            f"step budget {budget:g} exceeded at {steps:g} increments; "
-            "the model may not drift to -infinity")
+def _walk(model: IncrementModel, gen: np.random.Generator, n: int, stop,
+          step_budget: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """Step n walks from 0 in lockstep; each stops at the first step
+    where stop(S, M) holds for its position S and running maximum M.
+
+    Returns (S, M, T) of every walk at its stopping step, in start
+    order, and the number of increments drawn.
+    """
+    S_end = np.empty(n)
+    M_end = np.empty(n)
+    T_end = np.empty(n, dtype=np.int64)
+    S = np.zeros(n)
+    Mx = np.zeros(n)
+    idx = np.arange(n)
+    steps = 0
+    t = 0  # walks move in lockstep, so every live walk has taken t steps
+    while idx.size:
+        draws = model.sample(gen, idx.size)
+        steps += idx.size
+        if steps > step_budget:
+            raise BudgetError(
+                f"step budget {step_budget:g} exceeded at {steps:g} "
+                "increments; the model may not drift to -infinity")
+        S += draws
+        t += 1
+        np.maximum(Mx, S, out=Mx)
+        done = stop(S, Mx)
+        if np.any(done):
+            d = idx[done]
+            S_end[d] = S[done]
+            M_end[d] = Mx[done]
+            T_end[d] = t
+            keep = ~done
+            S, Mx, idx = S[keep], Mx[keep], idx[keep]
+    return S_end, M_end, T_end, steps
 
 
 def _cycles_kernel(model: IncrementModel, gen: np.random.Generator, n: int,
                    step_budget: int = STEP_BUDGET_DEFAULT
                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
     """Simulate n independent cycles; returns (tau, m_tau, chi, steps)."""
-    tau = np.empty(n, dtype=np.int64)
-    m_tau = np.empty(n)
-    chi = np.empty(n)
-    S = np.zeros(n)
-    Mx = np.zeros(n)
-    T = np.zeros(n, dtype=np.int64)
-    idx = np.arange(n)
-    steps = 0
-    while idx.size:
-        draws = model.sample(gen, idx.size)
-        steps += idx.size
-        _budget_guard(steps, step_budget)
-        S += draws
-        T += 1
-        np.maximum(Mx, S, out=Mx)
-        done = S < 0.0
-        if np.any(done):
-            d = idx[done]
-            tau[d] = T[done]
-            m_tau[d] = Mx[done]
-            chi[d] = -S[done]
-            keep = ~done
-            S, Mx, T, idx = S[keep], Mx[keep], T[keep], idx[keep]
-    return tau, m_tau, chi, steps
+    S, M, T, steps = _walk(model, gen, n, lambda S, M: S < 0.0, step_budget)
+    return T, M, -S, steps
+
+
+def _cycles_shard(model: IncrementModel, gen: np.random.Generator, n: int,
+                  probes: tuple[float, ...] = (), keep_raw: bool = False,
+                  step_budget: int = STEP_BUDGET_DEFAULT
+                  ) -> tuple[CycleStats, list]:
+    """n cycles from one stream, CHUNK at a time, under one step budget.
+
+    Returns the aggregates and, when keep_raw is set, the raw
+    (tau, m_tau, chi) columns of each chunk.
+    """
+    stats = CycleStats(probe_xs=probes,
+                       probe_hits=np.zeros(len(probes), dtype=np.int64))
+    raws = []
+    for start in range(0, n, CHUNK):
+        tau, m_tau, chi, used = _cycles_kernel(model, gen,
+                                               min(CHUNK, n - start),
+                                               step_budget - stats.steps)
+        stats.absorb(tau, m_tau, chi, used)
+        if keep_raw:
+            raws.append((tau, m_tau, chi))
+    return stats, raws
 
 
 def _sup_kernel(model: IncrementModel, gen: np.random.Generator, n: int,
                 barrier: float, step_budget: int = STEP_BUDGET_DEFAULT
                 ) -> tuple[np.ndarray, int]:
     """Running maxima stopped once the walk falls `barrier` below them."""
-    m_values = np.empty(n)
-    S = np.zeros(n)
-    Mx = np.zeros(n)
-    idx = np.arange(n)
-    steps = 0
-    while idx.size:
-        draws = model.sample(gen, idx.size)
-        steps += idx.size
-        _budget_guard(steps, step_budget)
-        S += draws
-        np.maximum(Mx, S, out=Mx)
-        done = S <= Mx - barrier
-        if np.any(done):
-            m_values[idx[done]] = Mx[done]
-            keep = ~done
-            S, Mx, idx = S[keep], Mx[keep], idx[keep]
-    return m_values, steps
+    _, M, _, steps = _walk(model, gen, n, lambda S, M: S <= M - barrier,
+                           step_budget)
+    return M, steps
 
 
 def _ladder_kernel(model: IncrementModel, gen: np.random.Generator, n: int,
                    barrier: float, step_budget: int = STEP_BUDGET_DEFAULT
                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
     """First strict ascent (psi, eta) or censoring at -barrier."""
-    psi = np.zeros(n)
-    eta = np.zeros(n, dtype=np.int64)
-    censored = np.zeros(n, dtype=bool)
-    S = np.zeros(n)
-    T = np.zeros(n, dtype=np.int64)
-    idx = np.arange(n)
-    steps = 0
-    while idx.size:
-        draws = model.sample(gen, idx.size)
-        steps += idx.size
-        _budget_guard(steps, step_budget)
-        S += draws
-        T += 1
-        up = S > 0.0
-        down = (~up) & (S <= -barrier)
-        done = up | down
-        if np.any(done):
-            d = idx[done]
-            psi[d] = np.where(up[done], S[done], 0.0)
-            eta[d] = T[done]
-            censored[d] = down[done]
-            keep = ~done
-            S, T, idx = S[keep], T[keep], idx[keep]
-    return psi, eta, censored, steps
+    S, _, T, steps = _walk(model, gen, n,
+                           lambda S, M: (S > 0.0) | (S <= -barrier),
+                           step_budget)
+    up = S > 0.0
+    return np.where(up, S, 0.0), T, ~up, steps
 
 
 def _renewal_kernel(model: IncrementModel, gen: np.random.Generator, reps: int,
@@ -344,25 +349,10 @@ def run_cycle(model: IncrementModel, rng,
               step_budget: int = STEP_BUDGET_DEFAULT) -> CycleOutcome:
     """One cycle: walk until the first strictly negative partial sum."""
     _require_negative_part(model)
-    gen = _as_generator(rng)
-    S = 0.0
-    mx = 0.0
-    t = 0
-    batch = 64
-    while True:
-        draws = model.sample(gen, batch)
-        cs = S + np.cumsum(draws)
-        neg = np.nonzero(cs < 0.0)[0]
-        if neg.size:
-            k = int(neg[0])
-            mx = max(mx, float(cs[:k + 1].max()))
-            t += k + 1
-            _budget_guard(t, step_budget)
-            return CycleOutcome(tau=t, m_tau=mx, chi=float(-cs[k]), steps=t)
-        mx = max(mx, float(cs.max()))
-        S = float(cs[-1])
-        t += batch
-        _budget_guard(t, step_budget)
+    tau, m_tau, chi, steps = _cycles_kernel(model, _as_generator(rng), 1,
+                                            step_budget)
+    return CycleOutcome(tau=int(tau[0]), m_tau=float(m_tau[0]),
+                        chi=float(chi[0]), steps=steps)
 
 
 def estimate_sup(model: IncrementModel, barrier: float, rng,
@@ -398,14 +388,15 @@ def _shard_sizes(total: int, workers: int) -> list[int]:
     return [base + (1 if i < extra else 0) for i in range(workers)]
 
 
+_KERNELS = {"cycles": _cycles_shard, "sup": _sup_kernel,
+            "ladder": _ladder_kernel, "renewal": _renewal_kernel}
+
+
 def _worker_entry(job: str, spec_text: str, seed: int, purpose: int,
                   index: int, size: int, kwargs: dict):
     from .distspec import spec_to_model
-    model = spec_to_model(spec_text)
     gen = RngStream(seed, purpose, index).generator()
-    kernel = {"cycles": _cycles_kernel, "sup": _sup_kernel,
-              "ladder": _ladder_kernel, "renewal": _renewal_kernel}[job]
-    return kernel(model, gen, size, **kwargs)
+    return _KERNELS[job](spec_to_model(spec_text), gen, size, **kwargs)
 
 
 def _run_sharded(job: str, model: IncrementModel, total: int, seed: int,
@@ -417,9 +408,7 @@ def _run_sharded(job: str, model: IncrementModel, total: int, seed: int,
     sizes = _shard_sizes(total, min(workers, total))
     if len(sizes) == 1:
         gen = RngStream(seed, purpose, 0).generator()
-        kernel = {"cycles": _cycles_kernel, "sup": _sup_kernel,
-                  "ladder": _ladder_kernel, "renewal": _renewal_kernel}[job]
-        return [kernel(model, gen, sizes[0], **kwargs)]
+        return [_KERNELS[job](model, gen, sizes[0], **kwargs)]
     if not model.spec_text:
         raise PreconditionError("parallel runs need a model built from spec text")
     with ProcessPoolExecutor(max_workers=len(sizes)) as pool:
@@ -431,55 +420,26 @@ def _run_sharded(job: str, model: IncrementModel, total: int, seed: int,
 
 def simulate_cycles(model: IncrementModel, cycles: int, seed: int,
                     workers: int = 1, probes=(), keep_raw: bool = False,
-                    step_budget: int = STEP_BUDGET_DEFAULT,
-                    chunk: int = 1 << 20) -> CycleResult:
+                    step_budget: int = STEP_BUDGET_DEFAULT) -> CycleResult:
     """Cycle ensemble with streaming aggregates.
 
     Raw per-cycle arrays are returned only when keep_raw is set (memory
     is 24 bytes per cycle); aggregates and probe exceedance counts are
-    always collected.
+    always collected.  The step budget applies to each shard.
     """
     _require_negative_part(model)
     probes = tuple(float(x) for x in probes)
-    workers = max(1, int(workers))
-    shard_results = []
-    if workers == 1:
-        gen = RngStream(seed, CYCLES, 0).generator()
-        stats = CycleStats(probe_xs=probes,
-                           probe_hits=np.zeros(len(probes), dtype=np.int64))
-        raws = []
-        remaining = cycles
-        while remaining > 0:
-            take = min(chunk, remaining)
-            tau, m_tau, chi, used = _cycles_kernel(model, gen, take,
-                                                   step_budget - stats.steps)
-            stats.absorb(tau, m_tau, chi, used)
-            if keep_raw:
-                raws.append((tau, m_tau, chi))
-            remaining -= take
-        if keep_raw:
-            return CycleResult(
-                stats=stats,
-                tau=np.concatenate([r[0] for r in raws]),
-                m_tau=np.concatenate([r[1] for r in raws]),
-                chi=np.concatenate([r[2] for r in raws]))
+    shards = _run_sharded("cycles", model, cycles, seed, CYCLES, workers,
+                          probes=probes, keep_raw=keep_raw,
+                          step_budget=step_budget)
+    stats = shards[0][0]
+    for other, _ in shards[1:]:
+        stats.merge(other)
+    if not keep_raw:
         return CycleResult(stats=stats)
-
-    results = _run_sharded("cycles", model, cycles, seed, CYCLES, workers,
-                           step_budget=step_budget)
-    stats = CycleStats(probe_xs=probes,
-                       probe_hits=np.zeros(len(probes), dtype=np.int64))
-    for tau, m_tau, chi, used in results:
-        stats.absorb(tau, m_tau, chi, used)
-        if keep_raw:
-            shard_results.append((tau, m_tau, chi))
-    if keep_raw:
-        return CycleResult(
-            stats=stats,
-            tau=np.concatenate([r[0] for r in shard_results]),
-            m_tau=np.concatenate([r[1] for r in shard_results]),
-            chi=np.concatenate([r[2] for r in shard_results]))
-    return CycleResult(stats=stats)
+    chunks = [c for _, raws in shards for c in raws]
+    tau, m_tau, chi = (np.concatenate(col) for col in zip(*chunks))
+    return CycleResult(stats=stats, tau=tau, m_tau=m_tau, chi=chi)
 
 
 def estimate_sup_many(model: IncrementModel, reps: int, seed: int,

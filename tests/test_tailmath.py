@@ -15,7 +15,6 @@ from htwk.tailmath import (
     conv_tail,
     criterion_K,
     geometric_knots,
-    grid_conv_power,
     integrated_tail,
     integrated_tail_curve,
     mu_plus,
@@ -357,7 +356,7 @@ def test_identity_is_convolution_neutral():
 
 
 def test_point_mass_power_is_a_point_mass():
-    cubed = grid_conv_power(GridDistribution.from_point(0.25), 3)
+    cubed = GridDistribution.from_point(0.25).power(3)
     assert list(cubed.atom_locs) == [0.75]
     assert cubed.atom_masses[0] == pytest.approx(1.0, abs=1e-15)
 

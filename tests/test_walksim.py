@@ -8,7 +8,7 @@ import scipy.stats
 from hypothesis import given
 from hypothesis import strategies as st
 
-from htwk import spec_to_model
+from htwk import spec_to_model, walksim
 from htwk.errors import BudgetError, PreconditionError, SpecValidationError
 from htwk.serialize import read_cycles, write_cycles
 from htwk.walksim import (
@@ -119,20 +119,56 @@ def test_replication_count_must_be_positive(default_model):
 # cycle ensembles
 # ----------------------------------------------------------------------
 
-def test_cycle_aggregates_and_raw_columns_agree(default_model):
-    res = simulate_cycles(default_model, 20000, seed=7, probes=(2.0, 10.0),
-                          keep_raw=True)
+def _assert_stats_match_raw(res, n, probes):
     st_ = res.stats
-    assert st_.cycles == 20000
+    assert st_.cycles == n
     assert st_.steps == int(res.tau.sum()) == st_.tau_sum
     assert st_.tau_max == int(res.tau.max())
     assert np.isclose(st_.chi_sum, res.chi.sum())
     assert st_.m_tau_max == res.m_tau.max()
     assert st_.zero_m_tau == int(np.count_nonzero(res.m_tau == 0.0))
-    hits = [(res.m_tau > x).sum() for x in (2.0, 10.0)]
+    hits = [(res.m_tau > x).sum() for x in probes]
     assert list(st_.probe_hits) == hits
-    assert st_.tau_mean == st_.tau_sum / 20000
+    assert st_.tau_mean == st_.tau_sum / n
     assert st_.tau_se > 0.0
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_cycle_aggregates_and_raw_columns_agree(default_model, workers):
+    res = simulate_cycles(default_model, 20000, seed=7, workers=workers,
+                          probes=(2.0, 10.0), keep_raw=True)
+    _assert_stats_match_raw(res, 20000, (2.0, 10.0))
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_chunked_shards_keep_stats_stream_and_budget(default_model,
+                                                     monkeypatch, workers):
+    monkeypatch.setattr(walksim, "CHUNK", 4096)
+    res = simulate_cycles(default_model, 10000, seed=7, workers=workers,
+                          probes=(2.0, 10.0), keep_raw=True)
+    _assert_stats_match_raw(res, 10000, (2.0, 10.0))
+    # the first chunk of shard 0 is a standalone run of CHUNK cycles
+    head = simulate_cycles(default_model, 4096, seed=7, keep_raw=True)
+    assert np.array_equal(res.tau[:4096], head.tau)
+    assert np.array_equal(res.m_tau[:4096], head.m_tau)
+    # the budget covers a whole shard, across its chunks
+    bounds = np.cumsum(_shard_sizes(10000, workers))[:-1]
+    need = max(int(t.sum()) for t in np.split(res.tau, bounds))
+    again = simulate_cycles(default_model, 10000, seed=7, workers=workers,
+                            step_budget=need)
+    assert again.stats.steps == res.stats.steps
+    with pytest.raises(BudgetError):
+        simulate_cycles(default_model, 10000, seed=7, workers=workers,
+                        step_budget=need - 1)
+
+
+def test_run_cycle_is_row_zero_of_a_one_cycle_ensemble(default_model):
+    for s in range(20):
+        out = run_cycle(default_model, RngStream(s, CYCLES, 0))
+        res = simulate_cycles(default_model, 1, seed=s, keep_raw=True)
+        assert (out.tau, out.m_tau, out.chi) == (res.tau[0], res.m_tau[0],
+                                                 res.chi[0])
+        assert out.steps == res.stats.steps
 
 
 def test_cycle_runs_are_bit_identical(default_model):
