@@ -14,8 +14,8 @@ from .distspec import DistExpr, SourceSpan, format_spec, parse_spec, spec_to_mod
 from .tailmath import (GridConfig, GridDistribution, IncrementModel,
                        RenewalMeasure, TruncatedMean, conv_tail, criterion_K,
                        integrated_tail, integrated_tail_curve, mu_plus,
-                       renewal_integrated_tail, self_conv_tail, sstar_integral,
-                       truncated_neg_mean)
+                       renewal_integrated_tail, renewal_integrated_tail_curve,
+                       self_conv_tail, sstar_integral, truncated_neg_mean)
 from .classlab import (KINDS, PROBES_DEFAULT, ProbeSchedule, RatioDiagnostic,
                        StoppedSumModel, convolution_closure_check,
                        majorant_check, measure_equivalence_check,
@@ -44,7 +44,8 @@ __all__ = [
     "GridConfig", "GridDistribution", "IncrementModel", "RenewalMeasure",
     "TruncatedMean", "conv_tail", "criterion_K", "integrated_tail",
     "integrated_tail_curve", "mu_plus", "renewal_integrated_tail",
-    "self_conv_tail", "sstar_integral", "truncated_neg_mean",
+    "renewal_integrated_tail_curve", "self_conv_tail", "sstar_integral",
+    "truncated_neg_mean",
     "KINDS", "PROBES_DEFAULT", "ProbeSchedule", "RatioDiagnostic",
     "StoppedSumModel", "convolution_closure_check", "majorant_check",
     "measure_equivalence_check", "membership_curve",

@@ -86,6 +86,21 @@ SMALL_RUN = 3
 FLAT_RUN = 8
 
 
+def geometric_tail(prev, last):
+    """Remainder past the last panel of a geometric panel ladder.
+
+    With r = last/prev, the panels beyond are assumed to keep shrinking by
+    r: the remainder is last * r/(1 - r) where both panels are positive
+    and 0 < r < 0.95, and 0 elsewhere.  Vectorized over arrays.
+    """
+    prev = np.asarray(prev, dtype=float)
+    last = np.asarray(last, dtype=float)
+    pos = (prev > 0.0) & (last > 0.0)
+    r = np.where(pos, last / np.where(pos, prev, 1.0), 0.0)
+    geo = (r > 0.0) & (r < 0.95)
+    return np.where(geo, last * r / np.where(geo, 1.0 - r, 1.0), 0.0)
+
+
 def _improper_drive(panel_value, a: float, rel_tol: float, x0: float,
                     ratio: float, max_panels: int) -> ImproperResult:
     acc = 0.0
@@ -110,11 +125,8 @@ def _improper_drive(panel_value, a: float, rel_tol: float, x0: float,
         else:
             flat = 0
         if small >= SMALL_RUN:
-            tail = 0.0
-            if len(contribs) >= 2 and contribs[-2] > 0.0 and contribs[-1] > 0.0:
-                r = contribs[-1] / contribs[-2]
-                if 0.0 < r < 0.95:
-                    tail = contribs[-1] * r / (1.0 - r)
+            tail = float(geometric_tail(contribs[-2], contribs[-1])) \
+                if len(contribs) >= 2 else 0.0
             return ImproperResult(acc + tail, True, k + 1, tail)
         if flat >= FLAT_RUN:
             return ImproperResult(acc, False, k + 1, 0.0)

@@ -21,16 +21,21 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BudgetError, PreconditionError
+from .errors import BudgetError, DivergenceError, PreconditionError
 from .tailmath import (GridConfig, GridDistribution, IncrementModel,
-                       RenewalMeasure, conv_tail, mu_plus, self_conv_tail,
-                       sstar_integral, truncated_neg_mean)
+                       RenewalMeasure, conv_tail, geometric_knots, mu_plus,
+                       renewal_integrated_tail, renewal_integrated_tail_curve,
+                       self_conv_tail, sstar_integral, truncated_neg_mean)
 
 PROBES_DEFAULT = (1e2, 10 ** 2.5, 1e3, 10 ** 3.5, 1e4)
 
 KINDS = ("L", "D", "S", "Sstar", "SF")
 
 _TREND_SLACK = 1e-12
+
+# relative gap allowed between the measure-equivalence grid's curve and
+# the pointwise two-route value at the middle probe
+_SPOT_TOL = 1e-7
 
 
 @dataclass(frozen=True)
@@ -366,8 +371,6 @@ def measure_equivalence_check(F: IncrementModel, H1: RenewalMeasure,
     probes (growth by more than `ratio_bound` across the grid fails).
     Emits the SF curve and the unit-increment curve for each measure.
     """
-    from .tailmath import renewal_integrated_tail, renewal_integrated_tail_forms
-
     xs = tuple(float(x) for x in xs)
     arr = np.asarray(xs)
     q = np.asarray(H1(arr), dtype=float) / np.asarray(H2(arr), dtype=float)
@@ -380,25 +383,21 @@ def measure_equivalence_check(F: IncrementModel, H1: RenewalMeasure,
             f"(bound {ratio_bound:g}); comparability hypothesis fails")
 
     x_max = max(grid_cfg.x_max, 10.0 * xs[-1])
+    knots = geometric_knots(x_max, grid_cfg.points_per_decade, grid_cfg.x_min)
+    mid = xs[len(xs) // 2]
     out: dict[str, RatioDiagnostic] = {}
     fbar = _tail_pos_at(F, xs)
     for tag, H in (("h1", H1), ("h2", H2)):
+        # route A on the knots, plus the middle probe for the spot check
+        route_a = renewal_integrated_tail_curve(F, H, np.append(knots, mid))
         # normalize by the x=0 mass so a defective integrated law (total
         # below 1, e.g. an empirical renewal measure) becomes the proper
         # conditional law the membership test expects
-        i0 = renewal_integrated_tail_forms(F, H, 0.0)[0]
+        i0 = route_a[0]
         if not i0 > 0.0:
             raise PreconditionError(f"integrated tail under {H.label} vanishes")
-
-        def tail_fn(y, _H=H, _i0=i0):
-            y = np.atleast_1d(np.asarray(y, dtype=float))
-            vals = [min(1.0, renewal_integrated_tail_forms(F, _H, float(t))[0]
-                        / _i0) for t in y]
-            return np.asarray(vals)
-
-        grid = GridDistribution.from_tail(tail_fn, x_max=x_max,
-                                          ppd=grid_cfg.points_per_decade,
-                                          x_min=grid_cfg.x_min)
+        grid = GridDistribution(knots=knots,
+                                tail_cont=np.minimum(1.0, route_a[:-1] / i0))
         sf = membership_curve("SF", F, G=grid, xs=xs, tol=tol,
                               grid_cfg=grid_cfg)
         small = (np.asarray(grid.tail(arr - 1.0), dtype=float)
@@ -406,9 +405,14 @@ def measure_equivalence_check(F: IncrementModel, H1: RenewalMeasure,
         out[f"sf_{tag}"] = sf
         out[f"small_{tag}"] = _diagnostic(f"unit-increment-{tag}", xs, small,
                                           0.0, tol)
-        # spot dual-form agreement at the middle probe
-        mid = xs[len(xs) // 2]
-        renewal_integrated_tail(F, H, mid)
+        # the grid's curve against the pointwise two-route value, which
+        # itself requires routes A and B to agree
+        spot = renewal_integrated_tail(F, H, mid)
+        on_grid = min(1.0, float(route_a[-1]))
+        if abs(on_grid - spot) > _SPOT_TOL * max(abs(spot), 1e-300):
+            raise DivergenceError(
+                f"curve under {H.label} leaves the pointwise route at x={mid:g}: "
+                f"{on_grid!r} vs {spot!r}", on_grid)
 
     agree = out["sf_h1"].verdict == out["sf_h2"].verdict
     for key in ("sf_h1", "sf_h2"):

@@ -231,75 +231,8 @@ class _Parser:
 def parse_spec(text: str) -> DistExpr:
     """Parse and validate a distribution expression."""
     expr = _Parser(text).parse()
-    validate_expr(expr)
+    _to_law(expr)
     return expr
-
-
-def validate_expr(expr: DistExpr) -> None:
-    """Semantic checks beyond the grammar; raises SpecValidationError."""
-    span = (expr.span.start, expr.span.end) if expr.span.start >= 0 else None
-    if expr.kind == "pareto":
-        if expr.param("alpha") <= 0 or expr.param("kappa") <= 0:
-            raise SpecValidationError("pareto requires alpha > 0 and kappa > 0", span)
-    elif expr.kind == "lognormal":
-        if expr.param("sigma") <= 0:
-            raise SpecValidationError("lognormal requires sigma > 0", span)
-    elif expr.kind == "weibull":
-        if expr.param("shape") <= 0 or expr.param("scale") <= 0:
-            raise SpecValidationError("weibull requires shape > 0 and scale > 0", span)
-    elif expr.kind == "exponential":
-        if expr.param("rate") <= 0:
-            raise SpecValidationError("exponential requires rate > 0", span)
-    elif expr.kind == "point":
-        pass
-    elif expr.kind == "neg":
-        child = expr.children[0]
-        validate_expr(child)
-        if _support_min(child) < 0:
-            raise SpecValidationError(
-                "neg requires a child supported on [0, infinity)", span)
-    elif expr.kind == "shift":
-        validate_expr(expr.children[0])
-    elif expr.kind == "mix":
-        if len(expr.children) < 2:
-            raise SpecValidationError("mix requires at least two components", span)
-        if any(w <= 0 for w in expr.weights):
-            raise SpecValidationError("mixture weights must be positive", span)
-        if abs(sum(expr.weights) - 1.0) > 1e-12:
-            raise SpecValidationError(
-                f"mixture weights sum to {sum(expr.weights)!r}, not 1", span)
-        for child in expr.children:
-            validate_expr(child)
-    else:
-        raise SpecValidationError(f"unknown distribution {expr.kind!r}", span)
-
-
-def _support_min(expr: DistExpr) -> float:
-    if expr.kind in ("pareto", "lognormal", "weibull", "exponential"):
-        return 0.0
-    if expr.kind == "point":
-        return expr.param("c")
-    if expr.kind == "shift":
-        return expr.param("c") + _support_min(expr.children[0])
-    if expr.kind == "neg":
-        return -_support_max(expr.children[0])
-    if expr.kind == "mix":
-        return min(_support_min(ch) for ch in expr.children)
-    raise SpecValidationError(f"unknown distribution {expr.kind!r}")
-
-
-def _support_max(expr: DistExpr) -> float:
-    if expr.kind in ("pareto", "lognormal", "weibull", "exponential"):
-        return float("inf")
-    if expr.kind == "point":
-        return expr.param("c")
-    if expr.kind == "shift":
-        return expr.param("c") + _support_max(expr.children[0])
-    if expr.kind == "neg":
-        return -_support_min(expr.children[0])
-    if expr.kind == "mix":
-        return max(_support_max(ch) for ch in expr.children)
-    raise SpecValidationError(f"unknown distribution {expr.kind!r}")
 
 
 def format_float(v: float) -> str:
@@ -323,33 +256,41 @@ def format_spec(expr: DistExpr) -> str:
 
 
 def _to_law(expr: DistExpr) -> tailmath.Law:
-    if expr.kind == "pareto":
-        return tailmath.Pareto(alpha=expr.param("alpha"), kappa=expr.param("kappa"))
-    if expr.kind == "lognormal":
-        return tailmath.Lognormal(mu=expr.param("mu"), sigma=expr.param("sigma"))
-    if expr.kind == "weibull":
-        return tailmath.Weibull(shape=expr.param("shape"), scale=expr.param("scale"))
-    if expr.kind == "exponential":
-        return tailmath.Exponential(rate=expr.param("rate"))
-    if expr.kind == "point":
-        return tailmath.PointMass(c=expr.param("c"))
-    if expr.kind == "neg":
-        return tailmath.Neg(child=_to_law(expr.children[0]))
-    if expr.kind == "shift":
-        return tailmath.Shift(c=expr.param("c"), child=_to_law(expr.children[0]))
-    if expr.kind == "mix":
-        return tailmath.Mixture(weights=expr.weights,
-                                children=tuple(_to_law(ch) for ch in expr.children))
-    raise SpecValidationError(f"unknown distribution {expr.kind!r}")
+    """The law of an expression node.
+
+    The law constructors are the one validation site: a constructor's
+    SpecValidationError is re-raised with the node's source span.
+    Children are built first, so the innermost offending node reports.
+    """
+    children = tuple(_to_law(ch) for ch in expr.children)
+    try:
+        if expr.kind == "pareto":
+            return tailmath.Pareto(alpha=expr.param("alpha"), kappa=expr.param("kappa"))
+        if expr.kind == "lognormal":
+            return tailmath.Lognormal(mu=expr.param("mu"), sigma=expr.param("sigma"))
+        if expr.kind == "weibull":
+            return tailmath.Weibull(shape=expr.param("shape"), scale=expr.param("scale"))
+        if expr.kind == "exponential":
+            return tailmath.Exponential(rate=expr.param("rate"))
+        if expr.kind == "point":
+            return tailmath.PointMass(c=expr.param("c"))
+        if expr.kind == "neg":
+            return tailmath.Neg(child=children[0])
+        if expr.kind == "shift":
+            return tailmath.Shift(c=expr.param("c"), child=children[0])
+        if expr.kind == "mix":
+            return tailmath.Mixture(weights=expr.weights, children=children)
+        raise SpecValidationError(f"unknown distribution {expr.kind!r}")
+    except SpecValidationError as err:
+        span = (expr.span.start, expr.span.end) if expr.span.start >= 0 else None
+        raise SpecValidationError(str(err), span) from None
 
 
 def spec_to_model(spec: str | DistExpr) -> tailmath.IncrementModel:
     """Build the increment model for an expression (text or parsed).
 
-    The law constructors revalidate their parameters, so a hand-built
-    DistExpr cannot smuggle an invalid law past the parser.
+    A hand-built DistExpr goes through the same law constructors as
+    parsed text, so it cannot smuggle an invalid law past validation.
     """
-    expr = parse_spec(spec) if isinstance(spec, str) else spec
-    if not isinstance(spec, str):
-        validate_expr(expr)
+    expr = _Parser(spec).parse() if isinstance(spec, str) else spec
     return tailmath.IncrementModel(law=_to_law(expr), spec_text=format_spec(expr))

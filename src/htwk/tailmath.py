@@ -284,11 +284,13 @@ class Mixture(Law):
 
     def __post_init__(self):
         if len(self.weights) != len(self.children) or len(self.children) < 2:
-            raise SpecValidationError("mix requires two or more weighted components")
+            raise SpecValidationError(
+                "mix requires at least two components, one weight each")
         if any(w <= 0 for w in self.weights):
             raise SpecValidationError("mixture weights must be positive")
         if abs(sum(self.weights) - 1.0) > 1e-12:
-            raise SpecValidationError("mixture weights must sum to 1 within 1e-12")
+            raise SpecValidationError(
+                f"mixture weights sum to {sum(self.weights)!r}, not 1 within 1e-12")
 
     @property
     def continuous(self):
@@ -594,7 +596,6 @@ class RenewalMeasure:
     fn: Callable
     atom0: float = 0.0
     label: str = ""
-    subadditive: bool = True
     kinks: tuple[float, ...] = ()
 
     def __call__(self, t):
@@ -711,6 +712,23 @@ def renewal_integrated_tail(model: IncrementModel, measure: RenewalMeasure, x,
     return float(out[0]) if scalar else out
 
 
+def _cell_ladder(s_max: float, kinks=()) -> tuple[np.ndarray, np.ndarray]:
+    """Shared cells on [0, s] with s >= s_max for the curve quadratures.
+
+    The ladder's panels have widths 0.5, 1, 2, 4, ...; kinks strictly
+    inside it cut panels into cells.  Returns the cell edges and, for
+    each cell, the index of the ladder panel that holds it.
+    """
+    ladder = [0.0]
+    width = 0.5
+    while ladder[-1] < s_max:
+        ladder.append(ladder[-1] + width)
+        width *= 2.0
+    ladder = np.asarray(ladder)
+    edges = np.union1d(ladder, [k for k in kinks if 0.0 < k < ladder[-1]])
+    return edges, np.searchsorted(ladder, edges[:-1], side="right") - 1
+
+
 def integrated_tail_curve(model: IncrementModel, K: float, xs,
                           s_max: float = 1e12, n_gl: int = 32) -> np.ndarray:
     """Vectorized integrated-tail values via the integrated-by-parts form
@@ -731,14 +749,7 @@ def integrated_tail_curve(model: IncrementModel, K: float, xs,
     tm = truncated_neg_mean(model)
     xs = np.asarray(xs, dtype=float)
 
-    edges = [0.0]
-    width = 0.5
-    while edges[-1] < s_max:
-        edges.append(edges[-1] + width)
-        width *= 2.0
-    edges = np.asarray(edges)
-    for b in tm._bp:
-        edges = np.union1d(edges, [b])
+    edges, _ = _cell_ladder(s_max, model.neg_breakpoints)
     nodes01, wts01 = _quad._gl01(n_gl)
     a, b = edges[:-1], edges[1:]
     s_nodes = (a[:, None] + (b - a)[:, None] * nodes01[None, :]).ravel()
@@ -749,6 +760,74 @@ def integrated_tail_curve(model: IncrementModel, K: float, xs,
                       dtype=float) @ rp
     vals += np.asarray(model.tail_pos(xs), dtype=float) / tm.c0
     return np.clip(vals / K, 0.0, 1.0)
+
+
+# renewal_integrated_tail_curve: cells reach past 1e13 and hold 64
+# subcells each; a last ladder panel above 1e-10 of the total that does
+# not shrink geometrically means the integral diverges; rows of x are
+# taken in blocks of at most 2^17 matrix elements (1 MB temporaries)
+_RENEWAL_CURVE_S_MAX = 1e13
+_RENEWAL_CURVE_SUBCELLS = 64
+_RENEWAL_CURVE_REL_TOL = 1e-10
+_RENEWAL_CURVE_BLOCK = 1 << 17
+
+
+def renewal_integrated_tail_curve(model: IncrementModel, measure: RenewalMeasure,
+                                  xs) -> np.ndarray:
+    """Route A of the measure-integrated tail for a whole x array:
+
+        atom0 F-bar(x) + sum over atoms a > x of m_a H_c(a - x)
+                       + integral of F-bar_c(t + x) dH_c(t),
+
+    where H_c = H - atom0 and F-bar_c is F-bar without its atoms.  The
+    integral is a midpoint Stieltjes sum on 64 uniform subcells of shared
+    cells (the doubling ladder cut at the measure's kinks) with one
+    Richardson step against 32 subcells, plus the geometric remainder
+    past the last ladder panel; a remainder that does not shrink raises
+    PreconditionError.  Unclipped, like
+    `renewal_integrated_tail_forms(...)[0]`, whose pointwise two-route
+    evaluation is the independent check on it.
+    """
+    xs = np.atleast_1d(np.asarray(xs, dtype=float))
+    n_sub = _RENEWAL_CURVE_SUBCELLS
+    edges, panel = _cell_ladder(_RENEWAL_CURVE_S_MAX, measure.kinks)
+    a, b = edges[:-1, None], edges[1:, None]
+    sub = a + (b - a) * np.linspace(0.0, 1.0, n_sub + 1)
+    sub[:, -1] = edges[1:]
+    dh = np.diff(measure(sub.ravel()).reshape(sub.shape), axis=1)
+    # each cell's n_sub and n_sub/2 midpoints side by side, weighted so
+    # that one dot product gives (4 S_n - S_{n/2}) / 3
+    nodes = np.concatenate([0.5 * (sub[:, :-1] + sub[:, 1:]),
+                            0.5 * (sub[:, :-1:2] + sub[:, 2::2])], axis=1).ravel()
+    wts = np.concatenate([dh * (4.0 / 3.0),
+                          (dh[:, 0::2] + dh[:, 1::2]) * (-1.0 / 3.0)], axis=1).ravel()
+    starts = np.flatnonzero(np.diff(panel, prepend=-1)) * (n_sub + n_sub // 2)
+
+    locs, masses = model.pos_atoms
+    suffix = np.concatenate([np.cumsum(masses[::-1])[::-1], [0.0]])
+
+    def fbar_cont(t):
+        return (np.asarray(model.tail_pos(t), dtype=float)
+                - suffix[np.searchsorted(locs, t, side="right")])
+
+    out = np.empty(xs.shape)
+    rows = max(1, _RENEWAL_CURVE_BLOCK // nodes.size)
+    for i in range(0, xs.size, rows):
+        x = xs[i:i + rows, None]
+        per_panel = np.add.reduceat(fbar_cont(x + nodes) * wts, starts, axis=1)
+        total = per_panel.sum(axis=1)
+        tail = _quad.geometric_tail(per_panel[:, -2], per_panel[:, -1])
+        significant = np.abs(per_panel[:, -1]) > _RENEWAL_CURVE_REL_TOL * np.abs(total)
+        if np.any((tail == 0.0) & significant):
+            raise PreconditionError(
+                "measure-integrated tail: H dF-bar integral does not decay")
+        out[i:i + rows] = total + tail
+
+    if locs.size:
+        d = locs[None, :] - xs[:, None]
+        h_c = measure(np.maximum(d, 0.0).ravel()).reshape(d.shape) - measure.atom0
+        out += np.where(d > 0.0, h_c, 0.0) @ masses
+    return out + measure.atom0 * np.asarray(model.tail_pos(xs), dtype=float)
 
 
 # ----------------------------------------------------------------------

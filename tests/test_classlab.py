@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from htwk import spec_to_model
-from htwk.errors import PreconditionError
+from htwk import classlab, spec_to_model
+from htwk.errors import DivergenceError, PreconditionError
 from htwk.classlab import (
     PROBES_DEFAULT,
     ProbeSchedule,
@@ -226,6 +226,17 @@ def test_measure_comparison_trivial_agreement(default_model):
     assert out["sf_h1"].extras["verdicts_agree"]
     assert out["sf_h1"].extras["ratio_growth"] == pytest.approx(1.0)
     assert out["sf_h1"].values == out["sf_h2"].values
+
+
+def test_measure_comparison_spot_checks_the_grid_curve(default_model, monkeypatch):
+    curve = classlab.renewal_integrated_tail_curve
+    monkeypatch.setattr(classlab, "renewal_integrated_tail_curve",
+                        lambda *args, **kw: curve(*args, **kw) * (1.0 + 1e-5))
+    with pytest.raises(DivergenceError, match="pointwise route"):
+        measure_equivalence_check(
+            default_model, RenewalMeasure.lebesgue(), RenewalMeasure.lebesgue(),
+            xs=(100.0, 10 ** 2.5, 1e3),
+            grid_cfg=GridConfig(x_max=1e4, points_per_decade=8))
 
 
 def test_measure_comparison_refuses_unbalanced_growth(default_model):

@@ -126,6 +126,14 @@ def test_semantic_violations_raise(text, fragment):
         parse_spec(text)
 
 
+def test_semantic_violation_reports_the_offending_node():
+    text = "mix(0.5: exponential(rate=1), 0.5: neg(point(-2)))"
+    with pytest.raises(SpecValidationError, match="supported on") as exc:
+        parse_spec(text)
+    start, end = exc.value.span
+    assert text[start:end] == "neg(point(-2))"
+
+
 def test_root_span_covers_the_text():
     text = "mix(0.5: exponential(rate=1), 0.5: neg(point(2)))"
     expr = parse_spec(text)

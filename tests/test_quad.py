@@ -7,6 +7,7 @@ import pytest
 import scipy.integrate
 
 from htwk._quad import (
+    geometric_tail,
     gl_adaptive,
     gl_panels,
     improper_gl,
@@ -66,6 +67,11 @@ def test_improper_respects_breakpoints():
     res = improper_gl(f, breakpoints=(2.0,))
     assert res.converged
     assert np.isclose(res.value, 1.0 - math.exp(-2.0), rtol=1e-10)
+
+
+def test_geometric_tail_needs_two_shrinking_positive_panels():
+    got = geometric_tail([1.0, 1.0, 1.0, 0.0, 2.0], [0.5, 0.96, 0.0, 1.0, -1.0])
+    assert got.tolist() == [0.5, 0.0, 0.0, 0.0, 0.0]
 
 
 def test_improper_flags_harmonic_divergence():

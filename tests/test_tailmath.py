@@ -8,6 +8,7 @@ import scipy.integrate
 import scipy.stats
 
 from htwk import spec_to_model
+from htwk.classlab import PROBES_DEFAULT
 from htwk.errors import DivergenceError, HorizonError, PreconditionError
 from htwk.tailmath import (
     GridDistribution,
@@ -19,11 +20,13 @@ from htwk.tailmath import (
     integrated_tail_curve,
     mu_plus,
     renewal_integrated_tail,
+    renewal_integrated_tail_curve,
     renewal_integrated_tail_forms,
     self_conv_tail,
     sstar_integral,
     truncated_neg_mean,
 )
+from htwk.walksim import renewal_estimate
 
 # ----------------------------------------------------------------------
 # laws
@@ -249,6 +252,55 @@ def test_interpolated_measure_passes_through_probes():
     assert H(-3.0) == 0.0
     # power-law continuation beyond the last probe keeps growing
     assert H(1000.0) > 11.0
+
+
+def _measure(kind, model):
+    if kind == "lebesgue":
+        return RenewalMeasure.lebesgue()
+    if kind == "ratio":
+        return RenewalMeasure.from_ratio(truncated_neg_mean(model))
+    ren = renewal_estimate(model, PROBES_DEFAULT, reps=500, seed=17)
+    return RenewalMeasure.from_points(ren.xs, ren.h_values)
+
+
+@pytest.mark.parametrize("kind", ["lebesgue", "ratio", "from_points"])
+def test_measure_tail_curve_matches_pointwise_route_a(default_model, kind):
+    H = _measure(kind, default_model)
+    xs = geometric_knots(1e5, 8)
+    curve = renewal_integrated_tail_curve(default_model, H, xs)
+    route_a = np.array([renewal_integrated_tail_forms(default_model, H, x)[0]
+                        for x in xs])
+    assert np.allclose(curve, route_a, rtol=1e-7, atol=0.0)
+
+
+def test_measure_tail_curve_has_the_closed_form():
+    # 2/3 = integral of (1+u)^-1.5 over [8, inf); the part beyond the
+    # last cell (about 1e-6 of it) comes from the geometric remainder
+    model = spec_to_model("pareto(alpha=1.5, kappa=1)")
+    got = renewal_integrated_tail_curve(model, RenewalMeasure.lebesgue(), [8.0])
+    assert np.isclose(got[0], 2.0 / 3.0, rtol=1e-8, atol=0.0)
+
+
+def test_measure_tail_curve_on_a_kinked_model_with_an_atom():
+    # F-bar has an atom at 3 and a kink at 2; route B sums the atom
+    # exactly, so it is the reference for both route-A evaluations
+    model = spec_to_model("mix(0.3: point(3), 0.4: shift(2, pareto(alpha=1.5, kappa=1)), "
+                          "0.3: neg(pareto(alpha=0.5, kappa=1)))")
+    H = RenewalMeasure.from_ratio(truncated_neg_mean(model))
+    xs = np.linspace(0.2, 5.0, 25)
+    forms = np.array([renewal_integrated_tail_forms(model, H, x) for x in xs])
+    curve = renewal_integrated_tail_curve(model, H, xs)
+    curve_gap = np.max(np.abs(curve - forms[:, 1]) / forms[:, 1])
+    pointwise_gap = np.max(np.abs(forms[:, 0] - forms[:, 1]) / forms[:, 1])
+    assert curve_gap <= pointwise_gap
+    assert curve_gap < 1e-4
+
+
+def test_measure_tail_curve_refuses_a_divergent_integral():
+    # F-bar(t) ~ t^-0.5 against Lebesgue measure: no finite value
+    model = spec_to_model("pareto(alpha=0.5, kappa=1)")
+    with pytest.raises(PreconditionError):
+        renewal_integrated_tail_curve(model, RenewalMeasure.lebesgue(), [1.0, 10.0])
 
 
 def test_subadditivity_probe(default_model):
