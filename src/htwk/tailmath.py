@@ -16,7 +16,7 @@ renewal measures, never through a 0/0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable
 
@@ -28,6 +28,16 @@ from .errors import (DivergenceError, HorizonError, PreconditionError,
                      SpecValidationError)
 
 _INF = float("inf")
+
+
+def _merge_atoms(locs: np.ndarray, masses: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Atoms at equal locations summed into one; locations come back sorted."""
+    if locs.size == 0:
+        return locs, masses
+    uniq, inv = np.unique(locs, return_inverse=True)
+    merged = np.zeros(uniq.size)
+    np.add.at(merged, inv, masses)
+    return uniq, merged
 
 
 # ----------------------------------------------------------------------
@@ -327,14 +337,7 @@ class Mixture(Law):
             l, m = ch.atoms()
             locs.append(l)
             masses.append(w * m)
-        locs = np.concatenate(locs)
-        masses = np.concatenate(masses)
-        if locs.size == 0:
-            return locs, masses
-        uniq, inv = np.unique(locs, return_inverse=True)
-        merged = np.zeros(uniq.size)
-        np.add.at(merged, inv, masses)
-        return uniq, merged
+        return _merge_atoms(np.concatenate(locs), np.concatenate(masses))
 
     def kinks(self):
         out = []
@@ -424,12 +427,9 @@ class IncrementModel:
     def has_negative_part(self) -> bool:
         return float(self.tail_neg(0.0)) > 0.0
 
+    @cached_property
     def truncated_mean(self) -> "TruncatedMean":
-        if self._tm is None:
-            self._tm = TruncatedMean(self.tail_neg, breakpoints=self.neg_breakpoints)
-        return self._tm
-
-    _tm: "TruncatedMean | None" = field(default=None, repr=False)
+        return TruncatedMean(self.tail_neg, breakpoints=self.neg_breakpoints)
 
 
 # ----------------------------------------------------------------------
@@ -524,7 +524,7 @@ def truncated_neg_mean(model: IncrementModel) -> TruncatedMean:
     """The model's m(x) with shared panel cache."""
     if not model.has_negative_part:
         raise PreconditionError("model has no negative part; m is identically 0")
-    return model.truncated_mean()
+    return model.truncated_mean
 
 
 # ----------------------------------------------------------------------
@@ -603,10 +603,6 @@ class RenewalMeasure:
         vals = np.asarray(self.fn(np.maximum(arr, 0.0)), dtype=float)
         out = np.where(arr < 0, 0.0, vals)
         return float(out) if np.ndim(t) == 0 else out
-
-    def increment(self, a, b):
-        """Mass of (a, b]."""
-        return self(b) - self(a)
 
     def check_subadditive(self, pairs, tol: float = 1e-9) -> bool:
         x, y = np.asarray(pairs[0], dtype=float), np.asarray(pairs[1], dtype=float)
@@ -892,17 +888,15 @@ def geometric_knots(x_max: float = 1e6, ppd: int = 64, x_min: float = 1e-3) -> n
     return np.concatenate([[0.0], ladder])
 
 
-_LINEAR, _POWER, _DROP, _VOID = 0, 1, 2, 3
-
-
 @dataclass(eq=False)
 class GridDistribution:
     """Sub-probability distribution on [0, x_max] on a geometric grid.
 
-    The continuous part is stored as tail values at the knots with
-    log-log power-law interpolation inside cells (linear in the first
-    cell and in cells that hit zero); atoms are kept exactly; mass that
-    falls beyond the horizon is tracked in `mass_beyond`.
+    The continuous part is stored as tail values at the knots.  Inside a
+    cell the tail follows a power law when its right knot value is
+    positive, and is linear in the first cell and where the tail reaches
+    0; atoms are kept exactly; mass that falls beyond the horizon is
+    tracked in `mass_beyond`.
     """
 
     knots: np.ndarray
@@ -942,17 +936,16 @@ class GridDistribution:
         k, t = self.knots, self.tail_cont
         l, r = k[:-1], k[1:]
         tl, tr = t[:-1], t[1:]
-        kind = np.full(l.shape, _POWER, dtype=np.int8)
-        kind[0] = _LINEAR
-        kind[(tr <= 0.0) & (tl > 0.0)] = _DROP
-        kind[tl <= 0.0] = _VOID
-        kind[(kind == _POWER) & (tl == tr)] = _POWER  # flat: beta 0
+        # a cell whose tail stays positive follows a power law; the rest
+        # are linear, which is exactly 0 where the tail is already 0
+        power = tr > 0.0
+        power[0] = False
         with np.errstate(divide="ignore", invalid="ignore"):
-            beta = np.where(kind == _POWER,
+            beta = np.where(power,
                             np.log(np.maximum(tl, 1e-300) / np.maximum(tr, 1e-300))
                             / np.log(r / np.maximum(l, 1e-300)),
                             0.0)
-        self._cell_kind = kind
+        self._cell_power = power
         self._cell_beta = beta
         if self.atom_locs.size:
             self._atom_suffix = np.concatenate(
@@ -976,17 +969,13 @@ class GridDistribution:
         idx = np.clip(np.searchsorted(k, y, side="right") - 1, 0, k.size - 2)
         l, r = k[idx], k[idx + 1]
         tl, tr = t[idx], t[idx + 1]
-        kind = self._cell_kind[idx]
         beta = self._cell_beta[idx]
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            lin = tl + (tr - tl) * np.where(r > l, (y - l) / np.where(r > l, r - l, 1.0), 0.0)
+            lin = tl + (tr - tl) * ((y - l) / (r - l))
             pw = tl * np.exp(-beta * np.log(np.maximum(y, 1e-300)
                                             / np.maximum(l, 1e-300)))
-        out = np.where(kind == _LINEAR, lin,
-                       np.where(kind == _POWER, pw,
-                                np.where(kind == _DROP, lin, 0.0)))
-        out = np.where(y <= 0.0, t[0], np.where(y >= k[-1], t[-1], out))
-        return out
+        out = np.where(self._cell_power[idx], pw, lin)
+        return np.where(y <= 0.0, t[0], np.where(y >= k[-1], t[-1], out))
 
     def tail(self, y):
         """Total mass strictly above y, for y <= x_max.
@@ -1001,13 +990,6 @@ class GridDistribution:
         out = np.where(arr >= self.x_max, self.mass_beyond, out)
         return float(out) if np.ndim(y) == 0 else out
 
-    def increment(self, a, b):
-        """Mass of (a, b]."""
-        return self.tail(a) - self.tail(b)
-
-    def cdf(self, y):
-        return self.total_mass - self.tail(y)
-
     # -- particle view ----------------------------------------------------
 
     def particles(self, refine: int = 4, lo: float = 0.0, hi: float | None = None,
@@ -1018,8 +1000,6 @@ class GridDistribution:
         each continuous cell split into `refine` subcells placed at
         their interpolation-rule centroids."""
         hi = self.x_max if hi is None else min(float(hi), self.x_max)
-        if hi < lo:
-            return np.empty(0), np.empty(0)
         if closed_lo:
             a_keep = (self.atom_locs >= lo) & (self.atom_locs <= hi)
         else:
@@ -1030,52 +1010,42 @@ class GridDistribution:
         a_mass = self.atom_masses[a_keep]
 
         k = self.knots
-        locs_parts = [a_locs]
-        mass_parts = [a_mass]
         i0 = max(0, int(np.searchsorted(k, lo, side="right")) - 1)
         i1 = min(k.size - 2, int(np.searchsorted(k, hi, side="left")) - 1)
-        for i in range(i0, i1 + 1):
-            if self._cell_kind[i] == _VOID:
-                continue
-            el = max(float(k[i]), lo)
-            er = min(float(k[i + 1]), hi)
-            if er <= el:
-                continue
-            sl, sm = self._cell_particles(i, el, er, refine)
-            locs_parts.append(sl)
-            mass_parts.append(sm)
-        locs = np.concatenate(locs_parts)
-        masses = np.concatenate(mass_parts)
+        cells = np.arange(i0, i1 + 1)
+        el = np.maximum(k[cells], lo)
+        er = np.minimum(k[cells + 1], hi)
+        meet = er > el
+        cells, el, er = cells[meet], el[meet], er[meet]
+        power = self._cell_power[cells]
+
+        # refine subcells per cell, log-spaced in power-law cells (never
+        # cell 0, so their left edges are positive)
+        edges = np.linspace(el, er, refine + 1, axis=1)
+        edges[power] = np.exp(np.linspace(np.log(el[power]), np.log(er[power]),
+                                          refine + 1, axis=1))
+        edges[:, 0], edges[:, -1] = el, er
+        tails = self._cont_tail(edges)
+        a, b = edges[:, :-1], edges[:, 1:]
+        ta, tb = tails[:, :-1], tails[:, 1:]
+        masses = ta - tb
+
+        # centroids: the power law's in power-law cells, midpoints elsewhere
+        s = 1.0 - self._cell_beta[cells][:, None]
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            L = np.log(b / np.maximum(a, 1e-300))
+            area = np.where(np.abs(s) < 1e-10,
+                            ta * a * L * (1.0 + 0.5 * s * L),
+                            ta * a * np.expm1(s * L) / np.where(s == 0, 1.0, s))
+            cent = np.where(masses > 0,
+                            (a * ta - b * tb + area) / np.where(masses > 0, masses, 1.0),
+                            0.5 * (a + b))
+        cent = np.where(power[:, None], np.clip(cent, a, b), 0.5 * (a + b))
+
+        locs = np.concatenate([a_locs, cent.ravel()])
+        masses = np.concatenate([a_mass, np.maximum(masses, 0.0).ravel()])
         keep = masses > 0.0
         return locs[keep], masses[keep]
-
-    def _cell_particles(self, i: int, el: float, er: float, refine: int):
-        kind = self._cell_kind[i]
-        if kind == _POWER and el > 0.0:
-            edges = np.exp(np.linspace(math.log(el), math.log(er), refine + 1))
-        else:
-            edges = np.linspace(el, er, refine + 1)
-        edges[0], edges[-1] = el, er
-        tails = self._cont_tail(edges)
-        a, b = edges[:-1], edges[1:]
-        ta, tb = tails[:-1], tails[1:]
-        masses = ta - tb
-        if kind == _POWER:
-            beta = self._cell_beta[i]
-            s = 1.0 - beta
-            with np.errstate(divide="ignore", invalid="ignore"):
-                L = np.log(b / np.maximum(a, 1e-300))
-                area = np.where(np.abs(s) < 1e-10,
-                                ta * a * L * (1.0 + 0.5 * s * L),
-                                ta * a * np.expm1(s * L) / np.where(s == 0, 1.0, s))
-            with np.errstate(divide="ignore", invalid="ignore"):
-                cent = np.where(masses > 0,
-                                (a * ta - b * tb + area) / np.where(masses > 0, masses, 1.0),
-                                0.5 * (a + b))
-            cent = np.clip(cent, a, b)
-        else:
-            cent = 0.5 * (a + b)
-        return cent, np.maximum(masses, 0.0)
 
     # -- constructors ------------------------------------------------------
 
@@ -1141,13 +1111,9 @@ class GridDistribution:
             if not np.array_equal(g.knots, base.knots):
                 raise ValueError("mixture components must share a knot set")
         tail = sum(w * g.tail_cont for w, g in zip(weights, grids))
-        locs = np.concatenate([g.atom_locs for g in grids])
-        masses = np.concatenate([w * g.atom_masses for w, g in zip(weights, grids)])
-        if locs.size:
-            uniq, inv = np.unique(locs, return_inverse=True)
-            merged = np.zeros(uniq.size)
-            np.add.at(merged, inv, masses)
-            locs, masses = uniq, merged
+        locs, masses = _merge_atoms(
+            np.concatenate([g.atom_locs for g in grids]),
+            np.concatenate([w * g.atom_masses for w, g in zip(weights, grids)]))
         beyond = float(sum(w * g.mass_beyond for w, g in zip(weights, grids)))
         return cls(knots=base.knots.copy(), tail_cont=np.asarray(tail, dtype=float),
                    atom_locs=locs, atom_masses=masses, mass_beyond=beyond)
@@ -1169,12 +1135,7 @@ class GridDistribution:
             masses = (self.atom_masses[:, None] * other.atom_masses[None, :]).ravel()
             inside = locs <= x_max
             beyond += float(masses[~inside].sum())
-            locs, masses = locs[inside], masses[inside]
-            if locs.size:
-                uniq, inv = np.unique(locs, return_inverse=True)
-                merged = np.zeros(uniq.size)
-                np.add.at(merged, inv, masses)
-                new_locs, new_masses = uniq, merged
+            new_locs, new_masses = _merge_atoms(locs[inside], masses[inside])
 
         tail_at = np.zeros(knots.size)
 
@@ -1227,14 +1188,19 @@ class GridDistribution:
 # grid-level operations
 # ----------------------------------------------------------------------
 
+def _check_horizon(grid: GridDistribution, x: float) -> None:
+    """Probes past the horizon are unresolved once mass lies beyond it."""
+    if x > grid.x_max * (1 + 1e-12) and grid.mass_beyond > 0.0:
+        raise HorizonError(f"probe {x} beyond grid horizon {grid.x_max} "
+                           f"with unresolved mass {grid.mass_beyond:.3e}")
+
+
 def conv_tail(grid: GridDistribution, model: IncrementModel, x: float,
               refine: int = 8) -> float:
     """integral over [0, x] of G(du) F-bar(x - u), a Stieltjes sum over
     grid cells with centroid representatives."""
     x = float(x)
-    if x > grid.x_max * (1 + 1e-12) and grid.mass_beyond > 0.0:
-        raise HorizonError(f"probe {x} beyond grid horizon {grid.x_max} "
-                           f"with unresolved mass {grid.mass_beyond:.3e}")
+    _check_horizon(grid, x)
     if x < 0:
         return 0.0
     locs, masses = grid.particles(refine=refine, lo=0.0, hi=x, closed_lo=True)
@@ -1246,9 +1212,7 @@ def conv_tail(grid: GridDistribution, model: IncrementModel, x: float,
 def self_conv_tail(grid: GridDistribution, x: float, refine: int = 8) -> float:
     """P(X1 + X2 > x) for X1, X2 iid from the grid distribution."""
     x = float(x)
-    if x > grid.x_max * (1 + 1e-12) and grid.mass_beyond > 0.0:
-        raise HorizonError(f"probe {x} beyond grid horizon {grid.x_max} "
-                           f"with unresolved mass {grid.mass_beyond:.3e}")
+    _check_horizon(grid, x)
     if x < 0:
         return float(min(1.0, grid.total_mass ** 2))
     locs, masses = grid.particles(refine=refine, lo=0.0, hi=x, closed_lo=True)

@@ -224,7 +224,6 @@ def cycle_max_report(model: IncrementModel, xs, cycles: int, seed: int,
 def renewal_bound_report(model: IncrementModel, xs, reps: int, seed: int,
                          workers: int = 1, tol: float = 0.15,
                          barrier: float = BARRIER_DEFAULT,
-                         sup_reps: int | None = None,
                          step_budget: int = STEP_BUDGET_DEFAULT) -> CheckBlock:
     """Scaled renewal curve b(x) = H(x) m(x) / x against the band
     [p, 2p]; the band ends are inflated by tol on each side."""
@@ -236,7 +235,7 @@ def renewal_bound_report(model: IncrementModel, xs, reps: int, seed: int,
     mneg = truncated_neg_mean(model)
     ren = renewal_estimate(model, xs, reps, seed, workers=workers,
                            step_budget=step_budget)
-    sup = estimate_sup_many(model, sup_reps or reps, seed, barrier=barrier,
+    sup = estimate_sup_many(model, reps, seed, barrier=barrier,
                             workers=workers, step_budget=step_budget)
     p_hat = sup.p_hat
     p_lo, p_hi = sup.p_interval()

@@ -383,6 +383,18 @@ def sample_ladder_height(model: IncrementModel, barrier: float, rng,
 # sharded drivers
 # ----------------------------------------------------------------------
 
+def _check_budget(steps: int, step_budget: int) -> None:
+    """The budget covers the whole run: the steps of all its shards.
+
+    Each shard also stops at the whole budget on its own; this check
+    catches the sharded runs whose shards each stay within it.
+    """
+    if steps > step_budget:
+        raise BudgetError(
+            f"step budget {step_budget:g} exceeded at {steps:g} increments "
+            "over all shards; the model may not drift to -infinity")
+
+
 def _shard_sizes(total: int, workers: int) -> list[int]:
     base, extra = divmod(total, workers)
     return [base + (1 if i < extra else 0) for i in range(workers)]
@@ -425,7 +437,8 @@ def simulate_cycles(model: IncrementModel, cycles: int, seed: int,
 
     Raw per-cycle arrays are returned only when keep_raw is set (memory
     is 24 bytes per cycle); aggregates and probe exceedance counts are
-    always collected.  The step budget applies to each shard.
+    always collected.  The step budget applies to the whole run, summed
+    over its shards.
     """
     _require_negative_part(model)
     probes = tuple(float(x) for x in probes)
@@ -435,6 +448,7 @@ def simulate_cycles(model: IncrementModel, cycles: int, seed: int,
     stats = shards[0][0]
     for other, _ in shards[1:]:
         stats.merge(other)
+    _check_budget(stats.steps, step_budget)
     if not keep_raw:
         return CycleResult(stats=stats)
     chunks = [c for _, raws in shards for c in raws]
@@ -452,6 +466,7 @@ def estimate_sup_many(model: IncrementModel, reps: int, seed: int,
                            barrier=barrier, step_budget=step_budget)
     m_values = np.concatenate([r[0] for r in results])
     steps = sum(r[1] for r in results)
+    _check_budget(steps, step_budget)
     return SupBatch(m_values=m_values, barrier=barrier, steps=steps)
 
 
@@ -462,11 +477,12 @@ def sample_ladder_many(model: IncrementModel, reps: int, seed: int,
         raise PreconditionError("barrier must be positive")
     results = _run_sharded("ladder", model, reps, seed, LADDER, workers,
                            barrier=barrier, step_budget=step_budget)
+    steps = sum(r[3] for r in results)
+    _check_budget(steps, step_budget)
     return LadderBatch(psi=np.concatenate([r[0] for r in results]),
                        eta=np.concatenate([r[1] for r in results]),
                        censored=np.concatenate([r[2] for r in results]),
-                       barrier=barrier,
-                       steps=sum(r[3] for r in results))
+                       barrier=barrier, steps=steps)
 
 
 def renewal_estimate(model: IncrementModel, xs, reps: int, seed: int,
@@ -487,6 +503,7 @@ def renewal_estimate(model: IncrementModel, xs, reps: int, seed: int,
     raw_reps = min(raw_reps, sizes[0])
     results = _run_sharded("renewal", model, reps, seed, RENEWAL, workers,
                            xs=xs, raw_reps=raw_reps, step_budget=step_budget)
+    _check_budget(sum(r[2] for r in results), step_budget)
     counts = np.concatenate([r[0] for r in results], axis=1)
     raw_points = results[0][1]
     h = 1.0 + counts.mean(axis=1)

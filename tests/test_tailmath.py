@@ -379,6 +379,33 @@ def test_particle_masses_conserve_total():
     assert np.any(locs == 3.0)
 
 
+def _sorted_particles(locs, masses):
+    order = np.lexsort((masses, locs))
+    return locs[order], masses[order]
+
+
+@pytest.mark.parametrize("lo,hi", [(3.0, 7.5), (1.3, 3.0), (1.3, 7.5)],
+                         ids=["atom-at-lo", "atom-at-hi", "atom-inside"])
+@pytest.mark.parametrize("closed_lo", [True, False])
+def test_sub_range_particles_carry_the_range_mass(lo, hi, closed_lo):
+    model = spec_to_model("mix(0.5: pareto(alpha=2, kappa=1), 0.5: point(3))")
+    grid = GridDistribution.from_model(model, x_max=1e4, ppd=16)
+    locs, masses = grid.particles(refine=4, lo=lo, hi=hi, closed_lo=closed_lo)
+    atom_in = (lo < 3.0 <= hi) or (closed_lo and lo == 3.0)
+    want = grid.tail(lo) - grid.tail(hi) + (0.5 if closed_lo and lo == 3.0 else 0.0)
+    assert masses.sum() == pytest.approx(want, rel=1e-12)
+    assert np.all((locs >= lo) & (locs <= hi))
+    # with_atoms=False drops exactly the atom, and nothing else
+    c_locs, c_masses = grid.particles(refine=4, lo=lo, hi=hi,
+                                      closed_lo=closed_lo, with_atoms=False)
+    if atom_in:
+        c_locs = np.append(c_locs, 3.0)
+        c_masses = np.append(c_masses, 0.5)
+    for got, exp in zip(_sorted_particles(locs, masses),
+                        _sorted_particles(c_locs, c_masses)):
+        assert np.array_equal(got, exp)
+
+
 def test_sample_grid_matches_empirical_frequencies():
     values = np.array([0.0, 0.0, 1.0, 3.0, 3.0, 10.0])
     grid = GridDistribution.from_samples(values, x_max=100.0)

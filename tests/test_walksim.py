@@ -151,15 +151,25 @@ def test_chunked_shards_keep_stats_stream_and_budget(default_model,
     head = simulate_cycles(default_model, 4096, seed=7, keep_raw=True)
     assert np.array_equal(res.tau[:4096], head.tau)
     assert np.array_equal(res.m_tau[:4096], head.m_tau)
-    # the budget covers a whole shard, across its chunks
-    bounds = np.cumsum(_shard_sizes(10000, workers))[:-1]
-    need = max(int(t.sum()) for t in np.split(res.tau, bounds))
+    # the budget covers the whole run, across shards and chunks
+    need = res.stats.steps
     again = simulate_cycles(default_model, 10000, seed=7, workers=workers,
                             step_budget=need)
-    assert again.stats.steps == res.stats.steps
+    assert again.stats.steps == need
     with pytest.raises(BudgetError):
         simulate_cycles(default_model, 10000, seed=7, workers=workers,
                         step_budget=need - 1)
+
+
+def test_sup_budget_covers_all_shards(default_model):
+    need = estimate_sup_many(default_model, 4000, seed=7, barrier=100.0,
+                             workers=2).steps
+    again = estimate_sup_many(default_model, 4000, seed=7, barrier=100.0,
+                              workers=2, step_budget=need)
+    assert again.steps == need
+    with pytest.raises(BudgetError):
+        estimate_sup_many(default_model, 4000, seed=7, barrier=100.0,
+                          workers=2, step_budget=need - 1)
 
 
 def test_run_cycle_is_row_zero_of_a_one_cycle_ensemble(default_model):
