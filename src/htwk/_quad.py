@@ -18,7 +18,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DivergenceError
 
 _GL_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
@@ -146,14 +145,6 @@ def improper_gl(f, a: float = 0.0, rel_tol: float = 1e-10, x0: float = 1.0,
         return gl_panels(f, edges, rel_tol=min(rel_tol, 1e-12))
 
     return _improper_drive(panel, a, rel_tol, x0, ratio, max_panels)
-
-
-def improper_gl_value(f, a: float = 0.0, rel_tol: float = 1e-10, **kw) -> float:
-    """Like improper_gl but raises DivergenceError on a divergent verdict."""
-    res = improper_gl(f, a, rel_tol, **kw)
-    if not res.converged:
-        raise DivergenceError("improper integral judged divergent", res.value)
-    return res.value
 
 
 def stieltjes_panel(g, weight, a: float, b: float, rel_tol: float = 1e-11,

@@ -445,19 +445,19 @@ class TruncatedMean:
     Gauss-Legendre nodes, vectorized over the query array.
     """
 
-    def __init__(self, tail_neg: Callable, breakpoints=(), rel_tol: float = 1e-12,
-                 x0: float = 1.0, ratio: float = 2.0):
+    # panel widths 1, 2, 4, ...; each panel to 1e-12 relative
+    _REL_TOL = 1e-12
+
+    def __init__(self, tail_neg: Callable, breakpoints=()):
         self._tail = tail_neg
-        self._bp = sorted(float(p) for p in breakpoints if p > 0)
-        self._rel_tol = rel_tol
-        self._ratio = ratio
-        self._next_width = float(x0)
+        self.breakpoints = tuple(sorted(float(p) for p in breakpoints if p > 0))
+        self._next_width = 1.0
         self._edges = [0.0]
         self._prefix = [0.0]
         self.c0 = float(np.asarray(tail_neg(0.0), dtype=float))
         self._edges_arr = np.array(self._edges)
         self._prefix_arr = np.array(self._prefix)
-        self._extend(8.0 * x0)
+        self._extend(8.0)
 
     def _extend(self, x: float) -> None:
         if x <= self._edges[-1]:
@@ -465,11 +465,11 @@ class TruncatedMean:
         while self._edges[-1] < x:
             left = self._edges[-1]
             right = left + self._next_width
-            self._next_width *= self._ratio
-            cuts = [p for p in self._bp if left < p < right] + [right]
+            self._next_width *= 2.0
+            cuts = [p for p in self.breakpoints if left < p < right] + [right]
             for p in sorted(cuts):
                 seg = _quad.gl_adaptive(self._tail, self._edges[-1], p,
-                                        rel_tol=self._rel_tol)
+                                        rel_tol=self._REL_TOL)
                 self._edges.append(p)
                 self._prefix.append(self._prefix[-1] + seg)
         self._edges_arr = np.array(self._edges)
@@ -508,76 +508,12 @@ class TruncatedMean:
             out[~zero] = arr[~zero] / m
         return float(out[0]) if scalar else out
 
-    def ratio_deriv(self, x):
-        """d/dx of x/m(x) for x > 0."""
-        arr = np.atleast_1d(np.asarray(x, dtype=float))
-        scalar = np.ndim(x) == 0
-        if np.any(arr <= 0):
-            raise ValueError("ratio derivative needs x > 0")
-        m = self(arr)
-        nb = np.asarray(self._tail(arr), dtype=float)
-        out = (m - arr * nb) / (m * m)
-        return float(out[0]) if scalar else out
-
 
 def truncated_neg_mean(model: IncrementModel) -> TruncatedMean:
     """The model's m(x) with shared panel cache."""
     if not model.has_negative_part:
         raise PreconditionError("model has no negative part; m is identically 0")
     return model.truncated_mean
-
-
-# ----------------------------------------------------------------------
-# drift criterion and integrated tails
-# ----------------------------------------------------------------------
-
-def criterion_K(model: IncrementModel, rel_tol: float = 1e-10) -> tuple[float, bool]:
-    """K = integral of t/m(t) dF over (0, infinity) and its finiteness verdict.
-
-    A divergent panel trend yields (partial sum, False) instead of an
-    exception; an atom of F at exactly 0 contributes nothing.
-    """
-    if not model.infinite_neg_mean:
-        raise PreconditionError("criterion constant applies to infinite negative mean only")
-    tm = truncated_neg_mean(model)
-    res = _quad.stieltjes_vs_tail(tm.ratio, model.tail_pos, a=0.0, rel_tol=rel_tol,
-                                  atoms=model.pos_atoms,
-                                  breakpoints=model.pos_breakpoints)
-    return res.value, res.converged
-
-
-def integrated_tail(model: IncrementModel, K: float, x, rel_tol: float = 1e-10):
-    """Tail at x of the drift-normalized integrated distribution.
-
-    value(x) = (1/K) * integral over (x, infinity) of ((t-x)/m(t-x)) dF(t),
-    clipped to [0, 1].  At x = 0 this reproduces K/K = 1 exactly.
-    """
-    if not (K > 0 and math.isfinite(K)):
-        raise PreconditionError("integrated tail needs a finite positive criterion constant")
-    tm = truncated_neg_mean(model)
-    xs = np.atleast_1d(np.asarray(x, dtype=float))
-    scalar = np.ndim(x) == 0
-    out = np.empty(xs.shape)
-    for i, xi in enumerate(xs):
-        if float(model.tail_pos(xi)) == 0.0 and not model.pos_atoms[0].size:
-            out[i] = 0.0
-            continue
-
-        def g(s, _x=xi):
-            return tm.ratio(np.asarray(s, dtype=float) - _x)
-
-        # panel widths scale with the shift so contributions decay from
-        # the first panel; at x=0 this is the identical driver used by
-        # criterion_K, making the value(0) = K/K = 1 identity exact
-        res = _quad.stieltjes_vs_tail(
-            g, model.tail_pos, a=float(xi), rel_tol=rel_tol,
-            x0=max(1.0, float(xi) / 8.0),
-            atoms=model.pos_atoms,
-            breakpoints=[b for b in model.pos_breakpoints if b > xi])
-        if not res.converged:
-            raise DivergenceError("integrated tail quadrature diverged", res.value)
-        out[i] = min(1.0, max(0.0, res.value / K))
-    return float(out[0]) if scalar else out
 
 
 # ----------------------------------------------------------------------
@@ -619,8 +555,10 @@ class RenewalMeasure:
 
     @classmethod
     def from_ratio(cls, tm: TruncatedMean):
-        """H(t) = t/m(t), continuously extended by 1/c at 0."""
-        return cls(fn=tm.ratio, atom0=1.0 / tm.c0, label="ratio-to-mean")
+        """H(t) = t/m(t), continuously extended by 1/c at 0; it has kinks
+        where N-bar jumps or kinks."""
+        return cls(fn=tm.ratio, atom0=1.0 / tm.c0, label="ratio-to-mean",
+                   kinks=tm.breakpoints)
 
     @classmethod
     def from_points(cls, xs, hs, atom0: float = 1.0, label: str = "empirical"):
@@ -653,13 +591,37 @@ class RenewalMeasure:
                    atom0=atom0, label=label, kinks=tuple(xs.tolist()))
 
 
+# the improper drivers of both routes stop at 1e-10 relative; the two
+# routes must agree within 1e-8 relative wherever neither is clipped
+_ROUTE_REL_TOL = 1e-10
+_ROUTE_AGREEMENT_TOL = 1e-8
+
+
+def _route_b(model: IncrementModel, measure: RenewalMeasure,
+             x: float) -> _quad.ImproperResult:
+    """integral of H(t - x) dF(t) over (x, infinity), F's atoms summed
+    exactly.  Panel widths scale with x, so contributions decay from the
+    first panel; at x = 0 under the ratio measure this is K itself."""
+    x = float(x)
+
+    def g(t):
+        return np.asarray(measure(np.asarray(t, dtype=float) - x), dtype=float)
+
+    return _quad.stieltjes_vs_tail(
+        g, model.tail_pos, a=x, rel_tol=_ROUTE_REL_TOL, x0=max(1.0, x / 8.0),
+        atoms=model.pos_atoms,
+        breakpoints=[b for b in model.pos_breakpoints if b > x])
+
+
 def renewal_integrated_tail_forms(model: IncrementModel, measure: RenewalMeasure,
-                                  x: float, rel_tol: float = 1e-10) -> tuple[float, float]:
+                                  x: float) -> tuple[float, float]:
     """Both unclipped integral forms of the measure-integrated tail.
 
-    Route A integrates F-bar(t + x) against the measure; route B
-    integrates H(t - x) against F.  They agree by integration by parts;
-    computing them on independent panelings is the identity check.
+    Route A integrates F-bar(t + x) against the measure, with panels cut
+    at the measure's kinks and at b - x for F's breakpoints b > x; route
+    B integrates H(t - x) against F.  They agree by integration by
+    parts; computing them on independent panelings is the identity
+    check.
     """
     x = float(x)
     fbar_x = float(model.tail_pos(x))
@@ -670,38 +632,31 @@ def renewal_integrated_tail_forms(model: IncrementModel, measure: RenewalMeasure
     def h_cont(t):
         return np.asarray(measure(t), dtype=float) - measure.atom0
 
-    res_a = _quad.stieltjes_vs_monotone(f_shift, h_cont, rel_tol=rel_tol,
+    shifted = [b - x for b in model.pos_breakpoints if b > x]
+    res_a = _quad.stieltjes_vs_monotone(f_shift, h_cont, rel_tol=_ROUTE_REL_TOL,
                                         x0=max(1.0, x / 8.0),
-                                        breakpoints=measure.kinks)
+                                        breakpoints=[*measure.kinks, *shifted])
     if not res_a.converged:
         raise PreconditionError("measure-integrated tail: H dF-bar integral diverges")
     route_a = measure.atom0 * fbar_x + res_a.value
 
-    def g(t):
-        return np.asarray(measure(np.asarray(t, dtype=float) - x), dtype=float)
-
-    res_b = _quad.stieltjes_vs_tail(
-        g, model.tail_pos, a=x, rel_tol=rel_tol,
-        x0=max(1.0, x / 8.0),
-        atoms=model.pos_atoms,
-        breakpoints=[b for b in model.pos_breakpoints if b > x])
+    res_b = _route_b(model, measure, x)
     if not res_b.converged:
         raise PreconditionError("measure-integrated tail: H(t-x) dF integral diverges")
     return route_a, res_b.value
 
 
-def renewal_integrated_tail(model: IncrementModel, measure: RenewalMeasure, x,
-                            rel_tol: float = 1e-10, agreement_tol: float = 1e-8):
+def renewal_integrated_tail(model: IncrementModel, measure: RenewalMeasure, x):
     """min(1, integral of F-bar(t+x) H(dt)); both routes evaluated and
-    required to agree within `agreement_tol` relative wherever unclipped."""
+    required to agree within 1e-8 relative wherever unclipped."""
     xs = np.atleast_1d(np.asarray(x, dtype=float))
     scalar = np.ndim(x) == 0
     out = np.empty(xs.shape)
     for i, xi in enumerate(xs):
-        a, b = renewal_integrated_tail_forms(model, measure, float(xi), rel_tol)
+        a, b = renewal_integrated_tail_forms(model, measure, float(xi))
         if a < 1.0 and b < 1.0:
             denom = max(abs(a), abs(b), 1e-300)
-            if abs(a - b) > agreement_tol * denom:
+            if abs(a - b) > _ROUTE_AGREEMENT_TOL * denom:
                 raise DivergenceError(
                     f"integral forms disagree at x={xi}: {a} vs {b}", a)
         out[i] = min(1.0, a)
@@ -709,7 +664,7 @@ def renewal_integrated_tail(model: IncrementModel, measure: RenewalMeasure, x,
 
 
 def _cell_ladder(s_max: float, kinks=()) -> tuple[np.ndarray, np.ndarray]:
-    """Shared cells on [0, s] with s >= s_max for the curve quadratures.
+    """Shared cells on [0, s] with s >= s_max for the route-A curve.
 
     The ladder's panels have widths 0.5, 1, 2, 4, ...; kinks strictly
     inside it cut panels into cells.  Returns the cell edges and, for
@@ -723,39 +678,6 @@ def _cell_ladder(s_max: float, kinks=()) -> tuple[np.ndarray, np.ndarray]:
     ladder = np.asarray(ladder)
     edges = np.union1d(ladder, [k for k in kinks if 0.0 < k < ladder[-1]])
     return edges, np.searchsorted(ladder, edges[:-1], side="right") - 1
-
-
-def integrated_tail_curve(model: IncrementModel, K: float, xs,
-                          s_max: float = 1e12, n_gl: int = 32) -> np.ndarray:
-    """Vectorized integrated-tail values via the integrated-by-parts form
-
-        value(x) * K = F-bar(x)/c + integral of (x/m)'(s) F-bar(x+s) ds,
-
-    evaluated on a shared geometric panel ladder for the whole x array.
-    Independent of the Stieltjes route in `integrated_tail`, which makes
-    the pair a cross-check; restricted to models whose positive part is
-    smooth (no atoms or kinks above 0).
-    """
-    if model.pos_breakpoints or model.pos_atoms[0].size:
-        raise PreconditionError(
-            "curve evaluation requires a smooth positive tail; "
-            "use integrated_tail pointwise instead")
-    if not (K > 0 and math.isfinite(K)):
-        raise PreconditionError("integrated tail needs a finite positive criterion constant")
-    tm = truncated_neg_mean(model)
-    xs = np.asarray(xs, dtype=float)
-
-    edges, _ = _cell_ladder(s_max, model.neg_breakpoints)
-    nodes01, wts01 = _quad._gl01(n_gl)
-    a, b = edges[:-1], edges[1:]
-    s_nodes = (a[:, None] + (b - a)[:, None] * nodes01[None, :]).ravel()
-    s_wts = ((b - a)[:, None] * wts01[None, :]).ravel()
-    rp = tm.ratio_deriv(s_nodes) * s_wts
-
-    vals = np.asarray(model.tail_pos(xs[:, None] + s_nodes[None, :]),
-                      dtype=float) @ rp
-    vals += np.asarray(model.tail_pos(xs), dtype=float) / tm.c0
-    return np.clip(vals / K, 0.0, 1.0)
 
 
 # renewal_integrated_tail_curve: cells reach past 1e13 and hold 64
@@ -827,20 +749,77 @@ def renewal_integrated_tail_curve(model: IncrementModel, measure: RenewalMeasure
 
 
 # ----------------------------------------------------------------------
+# drift criterion and integrated tail: the ratio-measure cases
+# ----------------------------------------------------------------------
+
+def criterion_K(model: IncrementModel) -> tuple[float, bool]:
+    """K = integral of t/m(t) dF over (0, infinity) and its finiteness verdict.
+
+    Route B at x = 0 under the ratio measure.  A divergent panel trend
+    yields (partial sum, False) instead of an exception; an atom of F at
+    exactly 0 contributes nothing.
+    """
+    if not model.infinite_neg_mean:
+        raise PreconditionError("criterion constant applies to infinite negative mean only")
+    res = _route_b(model, RenewalMeasure.from_ratio(truncated_neg_mean(model)), 0.0)
+    return res.value, res.converged
+
+
+def integrated_tail(model: IncrementModel, K: float, x):
+    """Tail at x of the drift-normalized integrated distribution.
+
+    value(x) = (1/K) * integral over (x, infinity) of ((t-x)/m(t-x)) dF(t),
+    clipped to [0, 1]: route B under the ratio measure, the driver that
+    gives K, so value(0) = K/K = 1 exactly.
+    """
+    if not (K > 0 and math.isfinite(K)):
+        raise PreconditionError("integrated tail needs a finite positive criterion constant")
+    H = RenewalMeasure.from_ratio(truncated_neg_mean(model))
+    xs = np.atleast_1d(np.asarray(x, dtype=float))
+    scalar = np.ndim(x) == 0
+    out = np.empty(xs.shape)
+    for i, xi in enumerate(xs):
+        res = _route_b(model, H, xi)
+        if not res.converged:
+            raise DivergenceError("integrated tail quadrature diverged", res.value)
+        out[i] = min(1.0, max(0.0, res.value / K))
+    return float(out[0]) if scalar else out
+
+
+def integrated_tail_curve(model: IncrementModel, K: float, xs) -> np.ndarray:
+    """`integrated_tail` for a whole x array: route A under the ratio
+    measure (`renewal_integrated_tail_curve`), divided by K and clipped
+    to [0, 1].  Independent of the pointwise route B, which makes the
+    pair a cross-check; restricted to models whose positive part is
+    smooth (no atoms or kinks above 0).
+    """
+    if model.pos_breakpoints or model.pos_atoms[0].size:
+        raise PreconditionError(
+            "curve evaluation requires a smooth positive tail; "
+            "use integrated_tail pointwise instead")
+    if not (K > 0 and math.isfinite(K)):
+        raise PreconditionError("integrated tail needs a finite positive criterion constant")
+    H = RenewalMeasure.from_ratio(truncated_neg_mean(model))
+    return np.clip(renewal_integrated_tail_curve(model, H, xs) / K, 0.0, 1.0)
+
+
+# ----------------------------------------------------------------------
 # scalar tail functionals
 # ----------------------------------------------------------------------
 
-def mu_plus(model: IncrementModel, rel_tol: float = 1e-9) -> float:
-    """integral of F-bar over [0, infinity); raises DivergenceError if infinite."""
-    res = _quad.improper_gl(model.tail_pos, a=0.0, rel_tol=rel_tol,
+def mu_plus(model: IncrementModel) -> float:
+    """integral of F-bar over [0, infinity) to 1e-9 relative; raises
+    DivergenceError if infinite."""
+    res = _quad.improper_gl(model.tail_pos, a=0.0, rel_tol=1e-9,
                             breakpoints=model.pos_breakpoints)
     if not res.converged:
         raise DivergenceError("positive-part mean diverges", res.value)
     return res.value
 
 
-def sstar_integral(model: IncrementModel, x: float, rel_tol: float = 1e-12) -> float:
-    """integral over [0, x] of F-bar(x - y) F-bar(y) dy, via the symmetric half."""
+def sstar_integral(model: IncrementModel, x: float) -> float:
+    """integral over [0, x] of F-bar(x - y) F-bar(y) dy, via the symmetric
+    half, to 1e-12 relative per panel."""
     x = float(x)
     if x <= 0:
         return 0.0
@@ -863,7 +842,7 @@ def sstar_integral(model: IncrementModel, x: float, rel_tol: float = 1e-12) -> f
                 * np.asarray(model.tail_pos(y), dtype=float))
 
     edges = _quad.merge_breakpoints(0.0, half, sorted(bps))
-    return 2.0 * _quad.gl_panels(integrand, edges, rel_tol=rel_tol)
+    return 2.0 * _quad.gl_panels(integrand, edges, rel_tol=1e-12)
 
 
 # ----------------------------------------------------------------------
@@ -876,7 +855,6 @@ class GridConfig:
     points_per_decade: int = 64
     x_min: float = 1e-3
     probe_refine: int = 8
-    defect_bound: float = 1e-6
 
 
 def geometric_knots(x_max: float = 1e6, ppd: int = 64, x_min: float = 1e-3) -> np.ndarray:

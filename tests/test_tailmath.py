@@ -26,6 +26,7 @@ from htwk.tailmath import (
     sstar_integral,
     truncated_neg_mean,
 )
+from htwk.verify import CASE_B, DEFAULT_MODEL
 from htwk.walksim import renewal_estimate
 
 # ----------------------------------------------------------------------
@@ -85,13 +86,6 @@ def test_truncated_mean_ratio_limits(default_model):
     tm = truncated_neg_mean(default_model)
     assert tm.ratio(0.0) == pytest.approx(2.0, abs=1e-12)
     assert tm.ratio(3.0) == pytest.approx(3.0, rel=1e-10)
-
-
-def test_ratio_derivative_matches_finite_difference(default_model):
-    tm = truncated_neg_mean(default_model)
-    x, h = 7.0, 1e-5
-    numeric = (tm.ratio(x + h) - tm.ratio(x - h)) / (2.0 * h)
-    assert np.isclose(tm.ratio_deriv(x), numeric, rtol=1e-6)
 
 
 def test_truncated_mean_with_a_negative_atom():
@@ -185,12 +179,21 @@ def test_integrated_tail_scipy_oracle(default_model):
         assert np.isclose(got, want / K, rtol=1e-8), (x, got, want / K, err)
 
 
-def test_integrated_tail_curve_cross_checks_pointwise(default_model):
-    K, _ = criterion_K(default_model)
-    xs = np.array([1.0, 10.0, 100.0, 1000.0])
-    curve = integrated_tail_curve(default_model, K, xs)
-    points = np.array([integrated_tail(default_model, K, x) for x in xs])
-    assert np.allclose(curve, points, rtol=1e-6)
+@pytest.mark.parametrize("spec", [
+    DEFAULT_MODEL, CASE_B,
+    "mix(0.4: pareto(alpha=1.5, kappa=1), 0.3: neg(point(2.3)), "
+    "0.3: neg(pareto(alpha=0.5, kappa=1)))",
+], ids=["default", "case_b", "negative_atom"])
+def test_integrated_tail_curve_cross_checks_pointwise(spec):
+    # route A on shared cells against pointwise route B, both under the
+    # ratio measure; case_b's slow tail reaches far past x = 1e5, and
+    # the negative atom puts a kink into t/m(t) that the cells must cut
+    model = spec_to_model(spec)
+    K, _ = criterion_K(model)
+    xs = np.array([1.0, 10.0, 100.0, 1e3, 1e4, 1e5])
+    curve = integrated_tail_curve(model, K, xs)
+    points = integrated_tail(model, K, xs)
+    assert np.allclose(curve, points, rtol=1e-8, atol=0.0)
 
 
 def test_integrated_tail_curve_refuses_atoms():
@@ -283,7 +286,8 @@ def test_measure_tail_curve_has_the_closed_form():
 
 def test_measure_tail_curve_on_a_kinked_model_with_an_atom():
     # F-bar has an atom at 3 and a kink at 2; route B sums the atom
-    # exactly, so it is the reference for both route-A evaluations
+    # exactly and route A cuts its panels where they land, so the two
+    # pointwise routes agree and route B is the curve's reference
     model = spec_to_model("mix(0.3: point(3), 0.4: shift(2, pareto(alpha=1.5, kappa=1)), "
                           "0.3: neg(pareto(alpha=0.5, kappa=1)))")
     H = RenewalMeasure.from_ratio(truncated_neg_mean(model))
@@ -292,8 +296,17 @@ def test_measure_tail_curve_on_a_kinked_model_with_an_atom():
     curve = renewal_integrated_tail_curve(model, H, xs)
     curve_gap = np.max(np.abs(curve - forms[:, 1]) / forms[:, 1])
     pointwise_gap = np.max(np.abs(forms[:, 0] - forms[:, 1]) / forms[:, 1])
-    assert curve_gap <= pointwise_gap
-    assert curve_gap < 1e-4
+    assert pointwise_gap < 1e-10
+    assert curve_gap < 1e-5
+
+
+def test_route_a_cuts_panels_at_the_shifted_atom():
+    # at x = 2.9 the jump of F-bar(t + x) from the atom at 3 sits at
+    # t = 0.1, inside a route-A panel unless that panel is cut there
+    model = spec_to_model("mix(0.3: point(3), 0.4: shift(2, pareto(alpha=1.5, kappa=1)), "
+                          "0.3: neg(pareto(alpha=0.5, kappa=1)))")
+    got = renewal_integrated_tail(model, RenewalMeasure.lebesgue(), 2.9)
+    assert np.isclose(got, 0.6103810000880, rtol=1e-10, atol=0.0)
 
 
 def test_measure_tail_curve_refuses_a_divergent_integral():
