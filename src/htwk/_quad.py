@@ -1,12 +1,16 @@
 """Panel quadrature engines used by the tail calculus.
 
-Three building blocks:
+One geometric-panel driver for improper integrals on [a, infinity),
+with explicit convergence/divergence verdicts and tail extrapolation,
+cuts every panel at the breakpoints inside it and sums one of two
+panel rules over the pieces:
 
-* adaptive Gauss-Legendre panels for ordinary integrands,
-* a geometric-panel driver for improper integrals on [a, infinity) with
-  explicit convergence/divergence verdicts and tail extrapolation,
+* adaptive Gauss-Legendre for ordinary integrands (`improper_gl`),
 * midpoint Stieltjes sums with Richardson extrapolation for integrals
-  against a monotone weight function given only by its values.
+  against a monotone weight function given only by its values
+  (`stieltjes_vs_tail`, `stieltjes_vs_monotone`).
+
+Both rules work to fixed per-piece tolerances.
 
 All drivers assume nonnegative integrands, which is what the tail
 calculus produces; the divergence heuristics rely on it.
@@ -36,28 +40,33 @@ def gl_fixed(f, a: float, b: float, n: int = 64) -> float:
     return float((b - a) * np.dot(w01, np.asarray(f(t), dtype=float)))
 
 
-def gl_adaptive(f, a: float, b: float, rel_tol: float = 1e-12,
-                abs_floor: float = 0.0, depth: int = 30) -> float:
+# Per-piece tolerances: Gauss-Legendre to 1e-12 relative (32 against 64
+# nodes), Stieltjes to 1e-11 relative with 16 to 8192 midpoint subpanels.
+_GL_REL_TOL = 1e-12
+_STIELTJES_REL_TOL = 1e-11
+_STIELTJES_N0 = 16
+_STIELTJES_N_MAX = 8192
+
+
+def gl_adaptive(f, a: float, b: float, depth: int = 30) -> float:
     """Bisecting Gauss-Legendre: 32 vs 64 nodes decides convergence."""
     if b <= a:
         return 0.0
     coarse = gl_fixed(f, a, b, 32)
     fine = gl_fixed(f, a, b, 64)
     err = abs(fine - coarse)
-    if err <= rel_tol * abs(fine) + abs_floor or depth <= 0:
+    if err <= _GL_REL_TOL * abs(fine) or depth <= 0:
         return fine
     mid = 0.5 * (a + b)
-    half = 0.5 * abs_floor
-    return (gl_adaptive(f, a, mid, rel_tol, half, depth - 1)
-            + gl_adaptive(f, mid, b, rel_tol, half, depth - 1))
+    return gl_adaptive(f, a, mid, depth - 1) + gl_adaptive(f, mid, b, depth - 1)
 
 
-def gl_panels(f, edges, rel_tol: float = 1e-12) -> float:
+def gl_panels(f, edges) -> float:
     """Adaptive GL over a prescribed panel partition (kinks at edges)."""
     edges = np.asarray(edges, dtype=float)
     total = 0.0
     for left, right in zip(edges[:-1], edges[1:]):
-        total += gl_adaptive(f, float(left), float(right), rel_tol)
+        total += gl_adaptive(f, float(left), float(right))
     return total
 
 
@@ -70,6 +79,18 @@ def merge_breakpoints(a: float, b: float, breakpoints) -> np.ndarray:
     return np.unique(np.asarray(pts, dtype=float))
 
 
+def continuous_tail(tail, locs, masses):
+    """tail(t) minus the masses of the atoms at `locs` (sorted) above t."""
+    suffix = np.concatenate([np.cumsum(masses[::-1])[::-1], [0.0]])
+
+    def cont(t):
+        t = np.asarray(t, dtype=float)
+        return (np.asarray(tail(t), dtype=float)
+                - suffix[np.searchsorted(locs, t, side="right")])
+
+    return cont
+
+
 @dataclass
 class ImproperResult:
     value: float
@@ -78,9 +99,11 @@ class ImproperResult:
     tail_estimate: float
 
 
-# Geometric improper driver defaults: panel widths x0 * ratio**k, stop
-# after `small_run` consecutive negligible panels, declare divergence
-# after `flat_run` consecutive non-decreasing ones.
+# Geometric improper driver: panel widths x0 * 2**k, at most 400 panels;
+# stop after `SMALL_RUN` consecutive negligible panels, declare
+# divergence after `FLAT_RUN` consecutive non-decreasing ones.
+_RATIO = 2.0
+_MAX_PANELS = 400
 SMALL_RUN = 3
 FLAT_RUN = 8
 
@@ -100,8 +123,10 @@ def geometric_tail(prev, last):
     return np.where(geo, last * r / np.where(geo, 1.0 - r, 1.0), 0.0)
 
 
-def _improper_drive(panel_value, a: float, rel_tol: float, x0: float,
-                    ratio: float, max_panels: int) -> ImproperResult:
+def _improper_drive(rule, a: float, rel_tol: float, x0: float,
+                    breakpoints) -> ImproperResult:
+    """Sum rule(l, r) over geometric panels from a, each cut at the
+    breakpoints inside it."""
     acc = 0.0
     left = float(a)
     width = float(x0)
@@ -109,9 +134,12 @@ def _improper_drive(panel_value, a: float, rel_tol: float, x0: float,
     flat = 0
     prev = None
     contribs = []
-    for k in range(max_panels):
+    for k in range(_MAX_PANELS):
         right = left + width
-        c = panel_value(left, right)
+        edges = merge_breakpoints(left, right, breakpoints)
+        c = 0.0
+        for el, er in zip(edges[:-1], edges[1:]):
+            c += rule(float(el), float(er))
         contribs.append(c)
         acc += c
         scale = abs(acc)
@@ -131,24 +159,18 @@ def _improper_drive(panel_value, a: float, rel_tol: float, x0: float,
             return ImproperResult(acc, False, k + 1, 0.0)
         prev = c
         left = right
-        width *= ratio
-    return ImproperResult(acc, False, max_panels, 0.0)
+        width *= _RATIO
+    return ImproperResult(acc, False, _MAX_PANELS, 0.0)
 
 
-def improper_gl(f, a: float = 0.0, rel_tol: float = 1e-10, x0: float = 1.0,
-                ratio: float = 2.0, breakpoints=(), max_panels: int = 400) -> ImproperResult:
-    """integral of f over [a, infinity) with geometric panels."""
-    bps = sorted(p for p in breakpoints if p > a)
-
-    def panel(left, right):
-        edges = merge_breakpoints(left, right, bps)
-        return gl_panels(f, edges, rel_tol=min(rel_tol, 1e-12))
-
-    return _improper_drive(panel, a, rel_tol, x0, ratio, max_panels)
+def improper_gl(f, a: float = 0.0, rel_tol: float = 1e-10,
+                breakpoints=()) -> ImproperResult:
+    """integral of f over [a, infinity) with geometric panels from width 1."""
+    return _improper_drive(lambda l, r: gl_adaptive(f, l, r), a, rel_tol, 1.0,
+                           breakpoints)
 
 
-def stieltjes_panel(g, weight, a: float, b: float, rel_tol: float = 1e-11,
-                    n0: int = 16, n_max: int = 8192) -> float:
+def stieltjes_panel(g, weight, a: float, b: float) -> float:
     """integral of g d(weight) over (a, b] for nondecreasing `weight`.
 
     Midpoint Stieltjes sums on uniform subpanels, accelerated by a
@@ -158,7 +180,7 @@ def stieltjes_panel(g, weight, a: float, b: float, rel_tol: float = 1e-11,
     if b <= a:
         return 0.0
     rows = []
-    n = n0
+    n = _STIELTJES_N0
     prev_diag = None
     while True:
         edges = np.linspace(a, b, n + 1)
@@ -172,10 +194,10 @@ def stieltjes_panel(g, weight, a: float, b: float, rel_tol: float = 1e-11,
         rows.append(row)
         diag = row[-1]
         if prev_diag is not None:
-            if abs(diag - prev_diag) <= rel_tol * abs(diag) + 1e-300:
+            if abs(diag - prev_diag) <= _STIELTJES_REL_TOL * abs(diag) + 1e-300:
                 return diag
         prev_diag = diag
-        if n >= n_max:
+        if n >= _STIELTJES_N_MAX:
             return diag
         n *= 2
         if len(rows) > 6:
@@ -183,9 +205,8 @@ def stieltjes_panel(g, weight, a: float, b: float, rel_tol: float = 1e-11,
 
 
 def stieltjes_vs_tail(g, tail, a: float = 0.0, rel_tol: float = 1e-10,
-                      x0: float = 1.0, ratio: float = 2.0, atoms=None,
-                      breakpoints=(), max_panels: int = 400,
-                      panel_tol: float = 1e-11) -> ImproperResult:
+                      x0: float = 1.0, atoms=None,
+                      breakpoints=()) -> ImproperResult:
     """integral of g dF over (a, infinity) where F has tail `tail`.
 
     `tail` is the right-continuous survival function; `atoms` is an
@@ -193,53 +214,25 @@ def stieltjes_vs_tail(g, tail, a: float = 0.0, rel_tol: float = 1e-10,
     Atom contributions are summed exactly and the continuous remainder
     is integrated against tail(t) - sum of atom masses above t.
     """
-    locs = np.empty(0)
-    masses = np.empty(0)
+    locs = masses = np.empty(0)
     if atoms is not None:
         locs = np.asarray(atoms[0], dtype=float)
         masses = np.asarray(atoms[1], dtype=float)
         keep = locs > a
         locs, masses = locs[keep], masses[keep]
-
-    if locs.size:
-        suffix = np.concatenate([np.cumsum(masses[::-1])[::-1], [0.0]])
-
-        def cont_tail(t):
-            t = np.asarray(t, dtype=float)
-            idx = np.searchsorted(locs, t, side="right")
-            return np.asarray(tail(t), dtype=float) - suffix[idx]
-    else:
-        def cont_tail(t):
-            return np.asarray(tail(t), dtype=float)
+    cont = continuous_tail(tail, locs, masses)
 
     def weight(t):
-        return -cont_tail(t)
+        return -cont(t)
 
-    bps = sorted(set(float(p) for p in breakpoints) | set(locs.tolist()))
-
-    def panel(left, right):
-        edges = merge_breakpoints(left, right, bps)
-        total = 0.0
-        for el, er in zip(edges[:-1], edges[1:]):
-            total += stieltjes_panel(g, weight, float(el), float(er), rel_tol=panel_tol)
-        return total
-
-    res = _improper_drive(panel, a, rel_tol, x0, ratio, max_panels)
+    res = _improper_drive(lambda l, r: stieltjes_panel(g, weight, l, r), a, rel_tol,
+                          x0, [*breakpoints, *locs.tolist()])
     atom_part = float(np.dot(masses, np.asarray(g(locs), dtype=float))) if locs.size else 0.0
     return ImproperResult(res.value + atom_part, res.converged, res.panels, res.tail_estimate)
 
 
 def stieltjes_vs_monotone(f, h, rel_tol: float = 1e-10, x0: float = 1.0,
-                          ratio: float = 2.0, max_panels: int = 400,
-                          panel_tol: float = 1e-11, breakpoints=()) -> ImproperResult:
+                          breakpoints=()) -> ImproperResult:
     """integral of f dH over (0, infinity) for nondecreasing callable H."""
-    bps = sorted(p for p in breakpoints if p > 0)
-
-    def panel(left, right):
-        edges = merge_breakpoints(left, right, bps)
-        total = 0.0
-        for el, er in zip(edges[:-1], edges[1:]):
-            total += stieltjes_panel(f, h, float(el), float(er), rel_tol=panel_tol)
-        return total
-
-    return _improper_drive(panel, 0.0, rel_tol, x0, ratio, max_panels)
+    return _improper_drive(lambda l, r: stieltjes_panel(f, h, l, r), 0.0, rel_tol,
+                           x0, breakpoints)

@@ -50,6 +50,14 @@ def load_config(path) -> dict:
     return cfg
 
 
+def _cast(key: str, value, cast):
+    """cast(value); a malformed value is a one-line error naming key."""
+    try:
+        return cast(value)
+    except ValueError:
+        raise click.ClickException(f"bad value for {key}: {value!r}") from None
+
+
 def parse_probes(text: str) -> tuple[float, ...]:
     """Probe grids: "a,b,c" literal, "lo:hi" geometric with 32 points,
     or "lo:hi:n".  A nonpositive lo contributes a leading point with
@@ -57,12 +65,10 @@ def parse_probes(text: str) -> tuple[float, ...]:
     t = text.strip()
     if ":" in t:
         parts = t.split(":")
-        if len(parts) == 2:
-            lo, hi, n = float(parts[0]), float(parts[1]), 32
-        elif len(parts) == 3:
-            lo, hi, n = float(parts[0]), float(parts[1]), int(parts[2])
-        else:
+        if len(parts) not in (2, 3):
             raise click.ClickException(f"bad probe range {text!r}")
+        lo, hi = (_cast("probe range", p, float) for p in parts[:2])
+        n = _cast("probe count", parts[2], int) if len(parts) == 3 else 32
         if hi <= lo or n < 2:
             raise click.ClickException(f"bad probe range {text!r}")
         if lo > 0:
@@ -70,7 +76,7 @@ def parse_probes(text: str) -> tuple[float, ...]:
         else:
             pts = np.concatenate([[lo], np.geomspace(hi * 1e-4, hi, n - 1)])
     else:
-        pts = np.array([float(p) for p in t.split(",")])
+        pts = np.array([_cast("probe", p, float) for p in t.split(",")])
     if np.any(np.diff(pts) <= 0):
         raise click.ClickException(f"probes must be strictly increasing: {text!r}")
     return tuple(float(p) for p in pts)
@@ -80,7 +86,7 @@ def _opt(flag, cfg: dict, key: str, default=None, cast=str):
     if flag is not None:
         return flag
     if key in cfg:
-        return cast(cfg[key])
+        return _cast(key, cfg[key], cast)
     return default
 
 
@@ -88,9 +94,9 @@ def _resolve_workers(flag, cfg: dict) -> int:
     if flag is not None:
         return int(flag)
     if "workers" in cfg:
-        return int(cfg["workers"])
+        return _cast("workers", cfg["workers"], int)
     env = os.environ.get("HTWK_WORKERS")
-    return int(env) if env else 1
+    return _cast("HTWK_WORKERS", env, int) if env else 1
 
 
 def _need_model(model_text, cfg) -> str:
@@ -213,12 +219,15 @@ def tails(config_path, model_text, probes_text, out):
         except HtwkError:
             g1 = np.array([integrated_tail(model, K, x) for x in xs])
         write_curve_csv(out_path / "g1.csv", ("x", "g1"), zip(xs, g1))
-        gh_lin = renewal_integrated_tail(model, RenewalMeasure.lebesgue(), xs_arr)
-        gh_scaled = renewal_integrated_tail(model, RenewalMeasure.from_ratio(mneg),
-                                            xs_arr)
-        write_curve_csv(out_path / "gh.csv",
-                        ("x", "gh_linear", "gh_scaled"),
-                        zip(xs, gh_lin, gh_scaled))
+        gh = {}
+        if model.law.right_mean_finite:
+            gh["gh_linear"] = renewal_integrated_tail(
+                model, RenewalMeasure.lebesgue(), xs_arr)
+        else:
+            click.echo("positive part has infinite mean; gh_linear column skipped")
+        gh["gh_scaled"] = renewal_integrated_tail(
+            model, RenewalMeasure.from_ratio(mneg), xs_arr)
+        write_curve_csv(out_path / "gh.csv", ("x", *gh), zip(xs, *gh.values()))
         files += ["g1.csv", "gh.csv"]
     else:
         click.echo("integral criterion diverges; integrated-tail curves skipped")
@@ -282,6 +291,27 @@ def _echo_block(block, depth=0) -> None:
         _echo_block(sub, depth + 1)
 
 
+# verify's config keys, each with its run_verification argument and its
+# parser; a key that no config line or flag sets keeps that argument's
+# default in run_verification
+_VERIFY_KEYS = {
+    "checks": ("checks", lambda s: tuple(c.strip() for c in s.split(","))),
+    "probes": ("xs", parse_probes),
+    "cycles": ("cycles", int),
+    "reps": ("reps", int),
+    "sup_reps": ("sup_reps", int),
+    "renewal_probes": ("renewal_xs", parse_probes),
+    "barrier": ("barrier", float),
+    "ladder_probes": ("ladder_xs", parse_probes),
+    "class_probes": ("class_xs", parse_probes),
+    "tol_main": ("tol_main", float),
+    "tol_band": ("tol_band", float),
+    "tol_tail": ("tol_tail", float),
+    "sf_tol": ("sf_tol", float),
+    "p_override": ("p_override", float),
+}
+
+
 @main.command()
 @click.option("--config", "config_path", type=click.Path(exists=True, dir_okay=False))
 @click.option("--model", "model_text")
@@ -299,32 +329,13 @@ def verify(config_path, model_text, seed, workers, cycles, probes_text,
     cfg = load_config(config_path) if config_path else {}
     model = spec_to_model(_need_model(model_text, cfg))
     seed = _need_seed(seed, cfg)
-    checks = tuple(s.strip() for s in
-                   _opt(None, cfg, "checks", ",".join(vf.CHECK_NAMES)).split(","))
-    probes_spec = _opt(probes_text, cfg, "probes")
-    p_override = _opt(None, cfg, "p_override", None, float)
-
-    kwargs = dict(
-        checks=checks,
-        workers=_resolve_workers(workers, cfg),
-        xs=parse_probes(probes_spec) if probes_spec else (50.0, 100.0, 200.0, 500.0),
-        cycles=int(_opt(cycles, cfg, "cycles", 10 ** 6, int)),
-        reps=int(_opt(None, cfg, "reps", 10 ** 5, int)),
-        sup_reps=int(_opt(None, cfg, "sup_reps", 30_000, int)),
-        renewal_xs=parse_probes(cfg["renewal_probes"]) if "renewal_probes" in cfg
-        else (1e3, 1e4),
-        barrier=float(_opt(barrier, cfg, "barrier", ws.BARRIER_DEFAULT, float)),
-        ladder_xs=parse_probes(cfg["ladder_probes"]) if "ladder_probes" in cfg
-        else (10.0, 50.0, 100.0),
-        class_xs=parse_probes(cfg["class_probes"]) if "class_probes" in cfg
-        else PROBES_DEFAULT,
-        tol_main=float(_opt(tol, cfg, "tol_main", 0.2, float)),
-        tol_band=float(_opt(None, cfg, "tol_band", 0.15, float)),
-        tol_tail=float(_opt(None, cfg, "tol_tail", 0.2, float)),
-        sf_tol=float(_opt(None, cfg, "sf_tol", 0.05, float)),
-        p_override=p_override,
-    )
-    report = vf.run_verification(model, seed, **kwargs)
+    flags = {"probes": probes_text, "cycles": cycles, "barrier": barrier,
+             "tol_main": tol}
+    raw = {**cfg, **{k: v for k, v in flags.items() if v is not None}}
+    kwargs = {arg: _cast(key, raw[key], cast)
+              for key, (arg, cast) in _VERIFY_KEYS.items() if key in raw}
+    report = vf.run_verification(model, seed, workers=_resolve_workers(workers, cfg),
+                                 **kwargs)
     out_path = _out_dir(out, cfg)
     write_json(out_path / "report.json", report.to_dict())
     write_json(out_path / "report.runtime.json", {

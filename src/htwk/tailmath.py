@@ -47,7 +47,6 @@ def _merge_atoms(locs: np.ndarray, masses: np.ndarray) -> tuple[np.ndarray, np.n
 class Law:
     """A real-valued law given by its survival function and a sampler."""
 
-    continuous: bool = True
     support: tuple[float, float] = (-_INF, _INF)
     left_mean_finite: bool = True
     right_mean_finite: bool = True
@@ -170,8 +169,6 @@ class Lognormal(Law):
 class PointMass(Law):
     c: float
 
-    continuous = False
-
     @property
     def support(self):
         return (self.c, self.c)
@@ -204,10 +201,6 @@ class Neg(Law):
         if self.child.support[0] < 0:
             raise SpecValidationError(
                 "neg requires a child supported on [0, infinity)")
-
-    @property
-    def continuous(self):
-        return self.child.continuous
 
     @property
     def support(self):
@@ -248,10 +241,6 @@ class Shift(Law):
     def __post_init__(self):
         if not math.isfinite(self.c):
             raise SpecValidationError("shift requires a finite offset")
-
-    @property
-    def continuous(self):
-        return self.child.continuous
 
     @property
     def support(self):
@@ -301,10 +290,6 @@ class Mixture(Law):
         if abs(sum(self.weights) - 1.0) > 1e-12:
             raise SpecValidationError(
                 f"mixture weights sum to {sum(self.weights)!r}, not 1 within 1e-12")
-
-    @property
-    def continuous(self):
-        return all(ch.continuous for ch in self.children)
 
     @property
     def support(self):
@@ -386,10 +371,6 @@ class IncrementModel:
         return float(self.law.sf(0.0))
 
     @cached_property
-    def continuous(self) -> bool:
-        return bool(self.law.continuous)
-
-    @cached_property
     def infinite_neg_mean(self) -> bool:
         return not self.law.left_mean_finite
 
@@ -439,14 +420,12 @@ class IncrementModel:
 class TruncatedMean:
     """m(x) = integral of N-bar over [0, x], with cached panel integrals.
 
-    Panels follow a width-geometric ladder merged with the jump
-    locations of N-bar, so every cached integral sees a smooth
-    integrand; point queries finish the open panel with fixed
-    Gauss-Legendre nodes, vectorized over the query array.
+    Panels follow a width-geometric ladder (widths 1, 2, 4, ...) merged
+    with the jump locations of N-bar, so every cached integral sees a
+    smooth integrand, integrated by `gl_adaptive` to 1e-12 relative;
+    point queries finish the open panel with fixed Gauss-Legendre
+    nodes, vectorized over the query array.
     """
-
-    # panel widths 1, 2, 4, ...; each panel to 1e-12 relative
-    _REL_TOL = 1e-12
 
     def __init__(self, tail_neg: Callable, breakpoints=()):
         self._tail = tail_neg
@@ -468,8 +447,7 @@ class TruncatedMean:
             self._next_width *= 2.0
             cuts = [p for p in self.breakpoints if left < p < right] + [right]
             for p in sorted(cuts):
-                seg = _quad.gl_adaptive(self._tail, self._edges[-1], p,
-                                        rel_tol=self._REL_TOL)
+                seg = _quad.gl_adaptive(self._tail, self._edges[-1], p)
                 self._edges.append(p)
                 self._prefix.append(self._prefix[-1] + seg)
         self._edges_arr = np.array(self._edges)
@@ -722,11 +700,7 @@ def renewal_integrated_tail_curve(model: IncrementModel, measure: RenewalMeasure
     starts = np.flatnonzero(np.diff(panel, prepend=-1)) * (n_sub + n_sub // 2)
 
     locs, masses = model.pos_atoms
-    suffix = np.concatenate([np.cumsum(masses[::-1])[::-1], [0.0]])
-
-    def fbar_cont(t):
-        return (np.asarray(model.tail_pos(t), dtype=float)
-                - suffix[np.searchsorted(locs, t, side="right")])
+    fbar_cont = _quad.continuous_tail(model.tail_pos, locs, masses)
 
     out = np.empty(xs.shape)
     rows = max(1, _RENEWAL_CURVE_BLOCK // nodes.size)
@@ -842,7 +816,7 @@ def sstar_integral(model: IncrementModel, x: float) -> float:
                 * np.asarray(model.tail_pos(y), dtype=float))
 
     edges = _quad.merge_breakpoints(0.0, half, sorted(bps))
-    return 2.0 * _quad.gl_panels(integrand, edges, rel_tol=1e-12)
+    return 2.0 * _quad.gl_panels(integrand, edges)
 
 
 # ----------------------------------------------------------------------
@@ -1044,11 +1018,8 @@ class GridDistribution:
         keep = locs <= x_max
         beyond_atoms = float(masses[~keep].sum())
         locs, masses = locs[keep], masses[keep]
-        suffix = np.concatenate([np.cumsum(masses[::-1])[::-1], [0.0]])
-        idx = np.searchsorted(locs, knots, side="right")
-        cont = np.asarray(model.tail_pos(knots), dtype=float) - suffix[idx] - beyond_atoms
-        cont = np.maximum(cont, 0.0)
-        return cls(knots=knots, tail_cont=cont, atom_locs=locs,
+        cont = _quad.continuous_tail(model.tail_pos, locs, masses)(knots) - beyond_atoms
+        return cls(knots=knots, tail_cont=np.maximum(cont, 0.0), atom_locs=locs,
                    atom_masses=masses, mass_beyond=beyond_atoms)
 
     @classmethod

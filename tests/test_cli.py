@@ -39,7 +39,8 @@ def test_parse_probes_forms():
     assert pts[1] == pytest.approx(1.0)
 
 
-@pytest.mark.parametrize("bad", ["5:1", "1:10:1", "3,2,1", "1:2:3:4"])
+@pytest.mark.parametrize("bad", ["5:1", "1:10:1", "3,2,1", "1:2:3:4", "a:b",
+                                 "100,1e3,x"])
 def test_parse_probes_rejects_degenerate_grids(bad):
     with pytest.raises(click.ClickException):
         parse_probes(bad)
@@ -53,6 +54,20 @@ def test_load_config_shapes(tmp_path):
     bad.write_text("model pareto\n")
     with pytest.raises(click.ClickException, match="key=value"):
         load_config(bad)
+
+
+@pytest.mark.parametrize("line,env,named", [
+    ("cycles = lots", {}, "bad value for cycles: 'lots'"),
+    ("", {"HTWK_WORKERS": "two"}, "bad value for HTWK_WORKERS: 'two'"),
+], ids=["config-line", "environment"])
+def test_malformed_number_is_a_one_line_error(runner, tmp_path, line, env, named):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"model = pareto(2, 1)\nseed = 1\n{line}\n")
+    res = runner.invoke(main, ["simulate", "--config", str(cfg),
+                               "--out", str(tmp_path)], env=env)
+    assert res.exit_code == 1
+    assert isinstance(res.exception, SystemExit)
+    assert res.output.strip() == f"Error: {named}"
 
 
 def test_version_flag(runner):
@@ -127,6 +142,18 @@ def test_tails_skips_integrated_curves_when_criterion_diverges(runner, tmp_path)
     assert "diverges" in res.output
     assert (tmp_path / "m.csv").exists()
     assert not (tmp_path / "g1.csv").exists()
+
+
+def test_tails_skips_the_linear_column_when_the_positive_mean_is_infinite(
+        runner, tmp_path):
+    spec = "mix(0.5: pareto(0.8, 1), 0.5: neg(pareto(0.3, 1)))"
+    res = runner.invoke(main, ["tails", "--model", spec,
+                               "--probes", "1,10,100", "--out", str(tmp_path)])
+    assert res.exit_code == 0, res.output
+    assert "gh_linear column skipped" in res.output
+    lines = (tmp_path / "gh.csv").read_text().splitlines()
+    assert lines[0] == "x,gh_scaled"
+    assert len(lines) == 4
 
 
 # ----------------------------------------------------------------------

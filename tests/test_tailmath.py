@@ -392,6 +392,23 @@ def test_particle_masses_conserve_total():
     assert np.any(locs == 3.0)
 
 
+def test_grid_from_model_puts_an_atom_beyond_the_horizon_in_mass_beyond():
+    model = spec_to_model("mix(0.5: pareto(alpha=2, kappa=1), 0.5: point(3))")
+    grid = GridDistribution.from_model(model, x_max=2.0)
+    assert grid.atom_locs.size == 0
+    assert grid.mass_beyond == pytest.approx(0.5 + 0.5 * 3.0 ** -2, rel=1e-12)
+    assert grid.total_mass == pytest.approx(1.0, abs=1e-12)
+    ys = np.linspace(0.0, 1.99, 200)
+    exact = np.asarray(model.tail_pos(ys))
+    # the power-law cells next to a horizon where the continuous tail
+    # is cut to 0 interpolate to about 4e-4 relative
+    assert np.max(np.abs(grid.tail(ys) - exact) / exact) < 1e-3
+    # the same grid as the atom-free part, plus the atom's mass
+    free = GridDistribution.from_tail(lambda t: 0.5 * (1.0 + np.asarray(t)) ** -2.0,
+                                      x_max=2.0)
+    assert np.allclose(grid.tail(ys), free.tail(ys) + 0.5, rtol=0.0, atol=1e-12)
+
+
 def _sorted_particles(locs, masses):
     order = np.lexsort((masses, locs))
     return locs[order], masses[order]
