@@ -12,20 +12,23 @@ Kinds:
     S      two-fold tail / F-bar          target 2   (subexponential)
     Sstar  symmetric tail integral / F-bar  target 2*mu_plus
     SF     conv_tail(G, F, x)/F-bar(x)    target 1   (F-subordinate)
+
+The stopped-sum and closure curves are SF curves on a derived grid.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .errors import BudgetError, DivergenceError, PreconditionError
-from .tailmath import (GridConfig, GridDistribution, IncrementModel,
-                       RenewalMeasure, conv_tail, geometric_knots, mu_plus,
-                       renewal_integrated_tail, renewal_integrated_tail_curve,
-                       self_conv_tail, sstar_integral, truncated_neg_mean)
+from .tailmath import (PROBE_REFINE, GridConfig, GridDistribution,
+                       IncrementModel, RenewalMeasure, conv_tail,
+                       geometric_knots, mu_plus, renewal_integrated_tail,
+                       renewal_integrated_tail_curve, self_conv_tail,
+                       sstar_integral)
 
 PROBES_DEFAULT = (1e2, 10 ** 2.5, 1e3, 10 ** 3.5, 1e4)
 
@@ -36,6 +39,14 @@ _TREND_SLACK = 1e-12
 # relative gap allowed between the measure-equivalence grid's curve and
 # the pointwise two-route value at the middle probe
 _SPOT_TOL = 1e-7
+
+# relative slack on the majorant bound, for rounding in the grid sums
+_MAJORANT_SLACK = 1e-9
+
+# the geometric stop count is cut where its neglected tail drops below
+# _STOP_NEGLECT, and refused when that takes more than _STOP_TERMS terms
+_STOP_NEGLECT = 1e-8
+_STOP_TERMS = 400
 
 
 @dataclass(frozen=True)
@@ -131,12 +142,11 @@ class StoppedSumModel:
     """Random sum X_nu of iid steps with law G and stop count nu.
 
     `pmf[n]` is P(nu = n) starting at n = 0; the geometric constructor
-    truncates where the neglected tail drops below `neglect`.
+    truncates where the neglected tail drops below `_STOP_NEGLECT`.
     """
 
     grid: GridDistribution
     pmf: tuple[float, ...]
-    p: float | None = None
 
     def __post_init__(self):
         total = sum(self.pmf)
@@ -144,92 +154,92 @@ class StoppedSumModel:
             raise PreconditionError("stopping probabilities must sum into (0, 1]")
 
     @classmethod
-    def geometric(cls, grid: GridDistribution, p: float,
-                  neglect: float = 1e-8, n_cap: int = 400) -> "StoppedSumModel":
+    def geometric(cls, grid: GridDistribution, p: float) -> "StoppedSumModel":
         if not 0.0 < p <= 1.0:
             raise PreconditionError("geometric stop needs p in (0, 1]")
         if p == 1.0:
-            return cls(grid=grid, pmf=(1.0,), p=1.0)
-        n = int(math.ceil(math.log(neglect) / math.log(1.0 - p))) + 1
-        if n > n_cap:
+            return cls(grid=grid, pmf=(1.0,))
+        n = int(math.ceil(math.log(_STOP_NEGLECT) / math.log(1.0 - p))) + 1
+        if n > _STOP_TERMS:
             raise BudgetError(
-                f"geometric truncation needs {n} terms, cap is {n_cap}")
-        pmf = tuple(p * (1.0 - p) ** k for k in range(n))
-        return cls(grid=grid, pmf=pmf, p=p)
+                f"geometric truncation needs {n} terms, cap is {_STOP_TERMS}")
+        return cls(grid=grid, pmf=tuple(p * (1.0 - p) ** k for k in range(n)))
 
-    def stopped_grid(self, refine: int = 4,
-                     defect_bound: float = 1e-6) -> GridDistribution:
+    def stopped_grid(self) -> GridDistribution:
         """G_nu = sum over n of P(nu=n) G^{*n}, on the step grid."""
-        powers = self.grid.powers(len(self.pmf) - 1, refine=refine,
-                                  defect_bound=defect_bound)
-        return GridDistribution.mixture(self.pmf, powers)
+        return GridDistribution.mixture(self.pmf,
+                                        self.grid.powers(len(self.pmf) - 1))
 
 
-def _tail_pos_at(model: IncrementModel, xs) -> np.ndarray:
-    vals = np.asarray(model.tail_pos(np.asarray(xs, dtype=float)), dtype=float)
-    if np.any(vals <= 0.0):
+def _probe_tails(F: IncrementModel, xs) -> tuple[tuple[float, ...], np.ndarray]:
+    """The probes as floats, and F-bar at them, which must not vanish."""
+    xs = tuple(float(x) for x in xs)
+    fbar = np.asarray(F.tail_pos(np.asarray(xs)), dtype=float)
+    if np.any(fbar <= 0.0):
         raise PreconditionError("positive tail vanishes at a probe; move probes left")
-    return vals
+    return xs, fbar
+
+
+def _conv_tails(G: GridDistribution, F: IncrementModel, xs) -> np.ndarray:
+    """conv_tail(G, F, x) at each probe."""
+    return np.array([conv_tail(G, F, x) for x in xs])
+
+
+def _strip_mass(G: GridDistribution, xs, width, fbar) -> np.ndarray:
+    """G(x - width, x] / F-bar(x) at each probe."""
+    arr = np.asarray(xs)
+    return (np.asarray(G.tail(arr - width), dtype=float)
+            - np.asarray(G.tail(arr), dtype=float)) / fbar
 
 
 def membership_curve(kind: str, F: IncrementModel,
                      G: GridDistribution | None = None,
                      xs=PROBES_DEFAULT, tol: float = 0.05,
                      grid_cfg: GridConfig = GridConfig()) -> RatioDiagnostic:
-    """Ratio curve and verdict for one class membership test."""
-    xs = tuple(float(x) for x in xs)
+    """Ratio curve and verdict for one class membership test.
+
+    Only kind SF takes the grid G, and it requires one.
+    """
+    xs, fbar = _probe_tails(F, xs)
     if any(b <= a for a, b in zip(xs, xs[1:])):
         raise PreconditionError("probes must be strictly increasing")
-    fbar = _tail_pos_at(F, xs)
+    if kind not in KINDS:
+        raise PreconditionError(f"unknown kind {kind!r}; expected one of {KINDS}")
+    if (G is None) == (kind == "SF"):
+        raise PreconditionError(
+            f"kind {kind}: only kind SF takes a grid G, and it requires one")
+    arr = np.asarray(xs)
 
     if kind == "L":
-        if G is not None:
-            raise PreconditionError("kind L takes no grid argument")
-        shifted = np.asarray(F.tail_pos(np.asarray(xs) + 1.0), dtype=float)
+        shifted = np.asarray(F.tail_pos(arr + 1.0), dtype=float)
         return _diagnostic("L", xs, shifted / fbar, 1.0, tol)
 
     if kind == "D":
-        if G is not None:
-            raise PreconditionError("kind D takes no grid argument")
-        halved = np.asarray(F.tail_pos(np.asarray(xs) / 2.0), dtype=float)
+        halved = np.asarray(F.tail_pos(arr / 2.0), dtype=float)
         # boundedness check: plateau tolerance is fixed at 10%
         return _diagnostic("D", xs, halved / fbar, None, 0.10)
 
     if kind == "S":
-        if G is not None:
-            raise PreconditionError("kind S builds its own grid")
         if F.support[0] < 0:
             raise PreconditionError("kind S requires support in [0, infinity)")
         grid = GridDistribution.from_model(F, x_max=grid_cfg.x_max,
-                                           ppd=grid_cfg.points_per_decade,
-                                           x_min=grid_cfg.x_min)
-        values = [self_conv_tail(grid, x, refine=grid_cfg.probe_refine) / fb
-                  for x, fb in zip(xs, fbar)]
+                                           ppd=grid_cfg.points_per_decade)
+        values = [self_conv_tail(grid, x) / fb for x, fb in zip(xs, fbar)]
         return _diagnostic("S", xs, values, 2.0, tol)
 
     if kind == "Sstar":
-        if G is not None:
-            raise PreconditionError("kind Sstar takes no grid argument")
         mu = mu_plus(F)
         values = [sstar_integral(F, x) / fb for x, fb in zip(xs, fbar)]
         return _diagnostic("Sstar", xs, values, 2.0 * mu, tol,
                            extras={"mu_plus": mu})
 
-    if kind == "SF":
-        if G is None:
-            raise PreconditionError("kind SF requires a grid for G")
-        values = [conv_tail(G, F, x, refine=grid_cfg.probe_refine) / fb
-                  for x, fb in zip(xs, fbar)]
-        return _diagnostic("SF", xs, values, 1.0, tol)
-
-    raise PreconditionError(f"unknown kind {kind!r}; expected one of {KINDS}")
+    return _diagnostic("SF", xs, _conv_tails(G, F, xs) / fbar, 1.0, tol)
 
 
 def tail_split_criteria(G: GridDistribution, F: IncrementModel,
                         schedule: ProbeSchedule = ProbeSchedule(),
                         xs=PROBES_DEFAULT,
-                        tols: tuple[float, float, float] = (0.02, 0.02, 0.02),
-                        refine: int = 8
+                        tols: tuple[float, float, float] = (0.02, 0.02, 0.02)
                         ) -> tuple[RatioDiagnostic, RatioDiagnostic, RatioDiagnostic]:
     """The three split conditions equivalent to SF membership.
 
@@ -237,18 +247,16 @@ def tail_split_criteria(G: GridDistribution, F: IncrementModel,
     c2: G(x-h, x] / F-bar(x) -> 0 (no G mass rides the far edge),
     c3: middle-strip convolution integral / F-bar(x) -> 0.
     """
-    xs = tuple(float(x) for x in xs)
+    xs, fbar = _probe_tails(F, xs)
     schedule.validate(xs)
-    fbar = _tail_pos_at(F, xs)
     hs = schedule.h(np.asarray(xs))
 
     c1 = np.asarray(F.tail_pos(np.asarray(xs) - hs), dtype=float) / fbar
-    c2 = (np.asarray(G.tail(np.asarray(xs) - hs), dtype=float)
-          - np.asarray(G.tail(np.asarray(xs)), dtype=float)) / fbar
+    c2 = _strip_mass(G, xs, hs, fbar)
     c3 = []
     for x, h, fb in zip(xs, hs, fbar):
-        locs, masses = G.particles(refine=refine, lo=float(h), hi=float(x - h),
-                                   closed_lo=False)
+        locs, masses = G.particles(refine=PROBE_REFINE, lo=float(h),
+                                   hi=float(x - h), closed_lo=False)
         val = float(np.dot(masses, np.asarray(F.tail_pos(x - locs), dtype=float))) \
             if locs.size else 0.0
         c3.append(val / fb)
@@ -259,8 +267,7 @@ def tail_split_criteria(G: GridDistribution, F: IncrementModel,
 
 
 def majorant_check(G: GridDistribution, F: IncrementModel, epsilon: float,
-                   n_max: int, xs=PROBES_DEFAULT, refine: int = 8,
-                   slack: float = 1e-9) -> tuple[float, list]:
+                   n_max: int, xs=PROBES_DEFAULT) -> tuple[float, list]:
     """Geometric majorant for convolution powers.
 
     Finds the first probe x0 from which conv_tail(G,F,x)/F-bar(x) stays
@@ -270,9 +277,8 @@ def majorant_check(G: GridDistribution, F: IncrementModel, epsilon: float,
     """
     if epsilon <= 0 or n_max < 1:
         raise PreconditionError("need epsilon > 0 and n_max >= 1")
-    xs = tuple(float(x) for x in xs)
-    fbar = _tail_pos_at(F, xs)
-    ratios = [conv_tail(G, F, x, refine=refine) / fb for x, fb in zip(xs, fbar)]
+    xs, fbar = _probe_tails(F, xs)
+    ratios = _conv_tails(G, F, xs) / fbar
     x0 = None
     for i in range(len(xs)):
         if all(r <= 1.0 + epsilon for r in ratios[i:]):
@@ -283,58 +289,49 @@ def majorant_check(G: GridDistribution, F: IncrementModel, epsilon: float,
             "no probe from which the one-fold ratio stays below 1 + epsilon")
     A = 1.0 / float(F.tail_pos(x0))
 
-    powers = G.powers(n_max, refine=max(4, refine // 2))
     violations = []
-    for n, Gn in enumerate(powers):
-        bound_factor = A * (1.0 + epsilon) ** n
-        for x, fb in zip(xs, fbar):
-            lhs = conv_tail(Gn, F, x, refine=refine)
-            rhs = bound_factor * fb
-            if lhs > rhs * (1.0 + slack):
+    for n, Gn in enumerate(G.powers(n_max)):
+        bound = A * (1.0 + epsilon) ** n * fbar
+        for x, lhs, rhs in zip(xs, _conv_tails(Gn, F, xs).tolist(), bound):
+            if lhs > rhs * (1.0 + _MAJORANT_SLACK):
                 violations.append({"n": n, "x": x, "lhs": lhs, "rhs": rhs})
     return A, violations
 
 
 def stopped_sum_tail(stopped: StoppedSumModel, F: IncrementModel,
-                     xs=PROBES_DEFAULT, tol: float = 0.05,
-                     refine: int = 8) -> RatioDiagnostic:
+                     xs=PROBES_DEFAULT, tol: float = 0.05) -> RatioDiagnostic:
     """SF curve of the stopped sum's law against F."""
-    xs = tuple(float(x) for x in xs)
-    fbar = _tail_pos_at(F, xs)
-    g_nu = stopped.stopped_grid(refine=max(4, refine // 2))
-    values = [conv_tail(g_nu, F, x, refine=refine) / fb
-              for x, fb in zip(xs, fbar)]
-    g_tail = np.asarray(g_nu.tail(np.asarray(xs)), dtype=float)
-    step_tail = np.asarray(stopped.grid.tail(np.asarray(xs)), dtype=float)
+    g_nu = stopped.stopped_grid()
+    sf = membership_curve("SF", F, G=g_nu, xs=xs, tol=tol)
+    arr = np.asarray(sf.probes)
+    g_tail = np.asarray(g_nu.tail(arr), dtype=float)
+    step_tail = np.asarray(stopped.grid.tail(arr), dtype=float)
     with np.errstate(divide="ignore", invalid="ignore"):
         sanity = np.where(step_tail > 0, g_tail / step_tail, np.nan)
     mean_nu = sum(n * w for n, w in enumerate(stopped.pmf))
-    return _diagnostic("stopped-sum", xs, values, 1.0, tol,
-                       extras={"tail_vs_step": sanity.tolist(),
-                               "mean_stop": mean_nu,
-                               "terms": len(stopped.pmf)})
+    return replace(sf, kind="stopped-sum",
+                   extras={"tail_vs_step": sanity.tolist(),
+                           "mean_stop": mean_nu,
+                           "terms": len(stopped.pmf)})
 
 
 def convolution_closure_check(G1: GridDistribution, G2: GridDistribution,
                               F: IncrementModel, xs=PROBES_DEFAULT,
-                              tol: float = 0.05, refine: int = 8) -> RatioDiagnostic:
+                              tol: float = 0.05) -> RatioDiagnostic:
     """SF curve of G1 * G2 against F; both factors must pass first."""
     d1 = membership_curve("SF", F, G=G1, xs=xs, tol=tol)
     d2 = membership_curve("SF", F, G=G2, xs=xs, tol=tol)
     if not (d1.verdict and d2.verdict):
         raise PreconditionError(
             "closure check needs both factors to pass SF membership")
-    G12 = G1.convolve(G2, refine=max(4, refine // 2))
-    fbar = _tail_pos_at(F, xs)
-    values = [conv_tail(G12, F, float(x), refine=refine) / fb
-              for x, fb in zip(xs, fbar)]
-    return _diagnostic("closure", tuple(float(x) for x in xs), values, 1.0, tol,
-                       extras={"factor1": d1.values, "factor2": d2.values})
+    sf = membership_curve("SF", F, G=G1.convolve(G2), xs=xs, tol=tol)
+    return replace(sf, kind="closure",
+                   extras={"factor1": d1.values, "factor2": d2.values})
 
 
 def small_increment_criterion(F: IncrementModel, G: GridDistribution,
                               xs=PROBES_DEFAULT, tol_small: float = 0.05,
-                              tol_sf: float = 0.05, refine: int = 8,
+                              tol_sf: float = 0.05,
                               require_sstar: bool = True
                               ) -> tuple[RatioDiagnostic, RatioDiagnostic]:
     """Unit-increment criterion: G(x-1, x]/F-bar(x) -> 0 forces the SF
@@ -345,18 +342,12 @@ def small_increment_criterion(F: IncrementModel, G: GridDistribution,
         if not star.verdict:
             raise PreconditionError(
                 "increment criterion assumes the base law passes Sstar")
-    xs = tuple(float(x) for x in xs)
-    fbar = _tail_pos_at(F, xs)
-    arr = np.asarray(xs)
-    small = (np.asarray(G.tail(arr - 1.0), dtype=float)
-             - np.asarray(G.tail(arr), dtype=float)) / fbar
-    small_diag = _diagnostic("unit-increment", xs, small, 0.0, tol_small)
+    xs, fbar = _probe_tails(F, xs)
+    small_diag = _diagnostic("unit-increment", xs, _strip_mass(G, xs, 1.0, fbar),
+                             0.0, tol_small)
     sf = membership_curve("SF", F, G=G, xs=xs, tol=tol_sf)
-    sf = RatioDiagnostic(kind=sf.kind, probes=sf.probes, values=sf.values,
-                         target=sf.target, tol=sf.tol, per_probe=sf.per_probe,
-                         verdict=sf.verdict,
-                         extras={**sf.extras, "claimed": small_diag.verdict})
-    return small_diag, sf
+    return small_diag, replace(sf, extras={**sf.extras,
+                                           "claimed": small_diag.verdict})
 
 
 def measure_equivalence_check(F: IncrementModel, H1: RenewalMeasure,
@@ -371,7 +362,7 @@ def measure_equivalence_check(F: IncrementModel, H1: RenewalMeasure,
     probes (growth by more than `ratio_bound` across the grid fails).
     Emits the SF curve and the unit-increment curve for each measure.
     """
-    xs = tuple(float(x) for x in xs)
+    xs, fbar = _probe_tails(F, xs)
     arr = np.asarray(xs)
     q = np.asarray(H1(arr), dtype=float) / np.asarray(H2(arr), dtype=float)
     if not np.all(np.isfinite(q)) or np.min(q) <= 0:
@@ -383,10 +374,9 @@ def measure_equivalence_check(F: IncrementModel, H1: RenewalMeasure,
             f"(bound {ratio_bound:g}); comparability hypothesis fails")
 
     x_max = max(grid_cfg.x_max, 10.0 * xs[-1])
-    knots = geometric_knots(x_max, grid_cfg.points_per_decade, grid_cfg.x_min)
+    knots = geometric_knots(x_max, grid_cfg.points_per_decade)
     mid = xs[len(xs) // 2]
     out: dict[str, RatioDiagnostic] = {}
-    fbar = _tail_pos_at(F, xs)
     for tag, H in (("h1", H1), ("h2", H2)):
         # route A on the knots, plus the middle probe for the spot check
         route_a = renewal_integrated_tail_curve(F, H, np.append(knots, mid))
@@ -398,12 +388,9 @@ def measure_equivalence_check(F: IncrementModel, H1: RenewalMeasure,
             raise PreconditionError(f"integrated tail under {H.label} vanishes")
         grid = GridDistribution(knots=knots,
                                 tail_cont=np.minimum(1.0, route_a[:-1] / i0))
-        sf = membership_curve("SF", F, G=grid, xs=xs, tol=tol,
-                              grid_cfg=grid_cfg)
-        small = (np.asarray(grid.tail(arr - 1.0), dtype=float)
-                 - np.asarray(grid.tail(arr), dtype=float)) / fbar
-        out[f"sf_{tag}"] = sf
-        out[f"small_{tag}"] = _diagnostic(f"unit-increment-{tag}", xs, small,
+        out[f"sf_{tag}"] = membership_curve("SF", F, G=grid, xs=xs, tol=tol)
+        out[f"small_{tag}"] = _diagnostic(f"unit-increment-{tag}", xs,
+                                          _strip_mass(grid, xs, 1.0, fbar),
                                           0.0, tol)
         # the grid's curve against the pointwise two-route value, which
         # itself requires routes A and B to agree
@@ -416,10 +403,7 @@ def measure_equivalence_check(F: IncrementModel, H1: RenewalMeasure,
 
     agree = out["sf_h1"].verdict == out["sf_h2"].verdict
     for key in ("sf_h1", "sf_h2"):
-        d = out[key]
-        out[key] = RatioDiagnostic(kind=d.kind, probes=d.probes, values=d.values,
-                                   target=d.target, tol=d.tol,
-                                   per_probe=d.per_probe, verdict=d.verdict,
-                                   extras={**d.extras, "verdicts_agree": agree,
-                                           "ratio_growth": growth})
+        out[key] = replace(out[key], extras={**out[key].extras,
+                                             "verdicts_agree": agree,
+                                             "ratio_growth": growth})
     return out

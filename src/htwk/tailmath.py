@@ -823,12 +823,16 @@ def sstar_integral(model: IncrementModel, x: float) -> float:
 # grid distributions
 # ----------------------------------------------------------------------
 
+# subcells per grid cell: for the particles that `convolve` shifts, and
+# for the finer Stieltjes sums of `conv_tail` and `self_conv_tail`
+CONV_REFINE = 4
+PROBE_REFINE = 8
+
+
 @dataclass(frozen=True)
 class GridConfig:
     x_max: float = 1e6
     points_per_decade: int = 64
-    x_min: float = 1e-3
-    probe_refine: int = 8
 
 
 def geometric_knots(x_max: float = 1e6, ppd: int = 64, x_min: float = 1e-3) -> np.ndarray:
@@ -1069,7 +1073,7 @@ class GridDistribution:
 
     # -- convolution -------------------------------------------------------
 
-    def convolve(self, other: "GridDistribution", refine: int = 4) -> "GridDistribution":
+    def convolve(self, other: "GridDistribution") -> "GridDistribution":
         knots = np.union1d(self.knots, other.knots)
         m1b, m2b = self.mass_beyond, other.mass_beyond
         tot1, tot2 = self.total_mass, other.total_mass
@@ -1102,7 +1106,7 @@ class GridDistribution:
 
         add_shifted_cont(other, self.atom_locs, self.atom_masses)
         add_shifted_cont(self, other.atom_locs, other.atom_masses)
-        p_locs, p_masses = self.particles(refine=refine, with_atoms=False)
+        p_locs, p_masses = self.particles(refine=CONV_REFINE, with_atoms=False)
         add_shifted_cont(other, p_locs, p_masses)
 
         resolved_tail = float(tail_at[-1])
@@ -1112,11 +1116,10 @@ class GridDistribution:
                                 atom_locs=new_locs, atom_masses=new_masses,
                                 mass_beyond=beyond)
 
-    def power(self, n: int, refine: int = 4, defect_bound: float = 1e-6) -> "GridDistribution":
-        return self.powers(n, refine=refine, defect_bound=defect_bound)[n]
+    def power(self, n: int, defect_bound: float = 1e-6) -> "GridDistribution":
+        return self.powers(n, defect_bound=defect_bound)[n]
 
-    def powers(self, n: int, refine: int = 4,
-               defect_bound: float = 1e-6) -> list["GridDistribution"]:
+    def powers(self, n: int, defect_bound: float = 1e-6) -> list["GridDistribution"]:
         """[G^0, G^1, ..., G^n] by repeated pairwise convolution."""
         if n < 0:
             raise ValueError("power must be nonnegative")
@@ -1124,7 +1127,7 @@ class GridDistribution:
             knots=self.knots.copy(), tail_cont=np.zeros_like(self.tail_cont),
             atom_locs=np.array([0.0]), atom_masses=np.array([1.0]))]
         for i in range(1, n + 1):
-            nxt = out[-1].convolve(self, refine=refine)
+            nxt = out[-1].convolve(self)
             if nxt.mass_beyond > defect_bound:
                 raise HorizonError(
                     f"convolution defect {nxt.mass_beyond:.3e} exceeds bound "
@@ -1144,27 +1147,26 @@ def _check_horizon(grid: GridDistribution, x: float) -> None:
                            f"with unresolved mass {grid.mass_beyond:.3e}")
 
 
-def conv_tail(grid: GridDistribution, model: IncrementModel, x: float,
-              refine: int = 8) -> float:
+def conv_tail(grid: GridDistribution, model: IncrementModel, x: float) -> float:
     """integral over [0, x] of G(du) F-bar(x - u), a Stieltjes sum over
     grid cells with centroid representatives."""
     x = float(x)
     _check_horizon(grid, x)
     if x < 0:
         return 0.0
-    locs, masses = grid.particles(refine=refine, lo=0.0, hi=x, closed_lo=True)
+    locs, masses = grid.particles(refine=PROBE_REFINE, lo=0.0, hi=x, closed_lo=True)
     if locs.size == 0:
         return 0.0
     return float(np.dot(masses, np.asarray(model.tail_pos(x - locs), dtype=float)))
 
 
-def self_conv_tail(grid: GridDistribution, x: float, refine: int = 8) -> float:
+def self_conv_tail(grid: GridDistribution, x: float) -> float:
     """P(X1 + X2 > x) for X1, X2 iid from the grid distribution."""
     x = float(x)
     _check_horizon(grid, x)
     if x < 0:
         return float(min(1.0, grid.total_mass ** 2))
-    locs, masses = grid.particles(refine=refine, lo=0.0, hi=x, closed_lo=True)
+    locs, masses = grid.particles(refine=PROBE_REFINE, lo=0.0, hi=x, closed_lo=True)
     head = float(grid.tail(x))
     if locs.size == 0:
         return head

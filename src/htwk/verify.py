@@ -43,6 +43,14 @@ ANCHOR_LADDER_SUM = "geometric-ladder-sum-identity"
 ANCHOR_LADDER_TAIL = "ladder-height-tail-formula"
 ANCHOR_REDUCTION = "tail-class-reduction"
 
+# a probe is conclusive once it has this many exceedances
+_MIN_HITS = 50
+# replications behind the renewal sum of the ladder-height formula
+_RENEWAL_REPS = 2000
+# tolerances of the base-law membership and unit-increment curves
+_MEMBERSHIP_TOL = 0.05
+_SMALL_TOL = 0.05
+
 
 def _jnum(v):
     if v is None:
@@ -140,7 +148,7 @@ def _sorted_probes(xs) -> tuple[float, ...]:
 # ----------------------------------------------------------------------
 
 def cycle_max_report(model: IncrementModel, xs, cycles: int, seed: int,
-                        workers: int = 1, tol: float = 0.2, min_hits: int = 50,
+                        workers: int = 1, tol: float = 0.2,
                         sup_reps: int = 0, barrier: float = BARRIER_DEFAULT,
                         step_budget: int = STEP_BUDGET_DEFAULT) -> CheckBlock:
     """Exceedance curve of the cycle maximum against tau-bar times F-bar.
@@ -164,7 +172,7 @@ def cycle_max_report(model: IncrementModel, xs, cycles: int, seed: int,
     p_hi = np.array([r[3] for r in rows])
     hits = np.array([r[4] for r in rows], dtype=np.int64)
 
-    conclusive = (hits >= min_hits) & (fbar > 0.0)
+    conclusive = (hits >= _MIN_HITS) & (fbar > 0.0)
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = p_hat / (stats.tau_mean * fbar)
         ratio_lo = p_lo / (tau_hi * fbar)
@@ -211,7 +219,7 @@ def cycle_max_report(model: IncrementModel, xs, cycles: int, seed: int,
                  "pass": probe_ok},
         scalars={"cycles": cycles, "tau_mean": stats.tau_mean,
                  "tau_se": stats.tau_se, "steps": stats.steps},
-        tolerances={"tol": tol, "min_hits": min_hits},
+        tolerances={"tol": tol, "min_hits": _MIN_HITS},
         seed=seed, subchecks=tuple(subchecks))
     block.runtime = time.perf_counter() - t0
     return block
@@ -349,9 +357,8 @@ def ladder_identity_report(model: IncrementModel, reps: int, seed: int,
 # ----------------------------------------------------------------------
 
 def gplus_tail_report(model: IncrementModel, xs, reps: int, seed: int,
-                      workers: int = 1, tol: float = 0.2, min_hits: int = 50,
+                      workers: int = 1, tol: float = 0.2,
                       barrier: float = BARRIER_DEFAULT,
-                      renewal_reps: int = 2000,
                       step_budget: int = STEP_BUDGET_DEFAULT) -> CheckBlock:
     """Conditional ascent-height tail versus its renewal-measure formula.
 
@@ -373,7 +380,7 @@ def gplus_tail_report(model: IncrementModel, xs, reps: int, seed: int,
     unc = lad.uncensored_psi()
     if unc.size == 0:
         raise PreconditionError("no uncensored ascents; increase reps")
-    rr = min(renewal_reps, reps)
+    rr = min(_RENEWAL_REPS, reps)
     ren = renewal_estimate(model, (barrier,), rr, seed, workers=workers,
                            raw_reps=rr, step_budget=step_budget)
     u = ren.raw_points if ren.raw_points is not None else np.empty(0)
@@ -389,7 +396,7 @@ def gplus_tail_report(model: IncrementModel, xs, reps: int, seed: int,
     emp_lo, emp_hi = ci[:, 0], ci[:, 1]
 
     trivial = (formula == 0.0) & (hits == 0)
-    conclusive = (hits >= min_hits) | trivial
+    conclusive = (hits >= _MIN_HITS) | trivial
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.where(trivial, np.nan, emp / formula)
         ratio_lo = np.where(trivial, np.nan, emp_lo / formula)
@@ -408,7 +415,7 @@ def gplus_tail_report(model: IncrementModel, xs, reps: int, seed: int,
                  "conclusive": conclusive, "pass": probe_ok},
         scalars={"reps": reps, "p_hat": p_hat, "uncensored": unc.size,
                  "renewal_reps": ren.raw_reps, "renewal_points": u.size},
-        tolerances={"tol": tol, "min_hits": min_hits}, seed=seed)
+        tolerances={"tol": tol, "min_hits": _MIN_HITS}, seed=seed)
     block.runtime = time.perf_counter() - t0
     return block
 
@@ -429,8 +436,7 @@ def _diag_subblock(name: str, diag) -> CheckBlock:
 
 
 def class_reduction_report(model: IncrementModel, xs=PROBES_DEFAULT,
-                    membership_tol: float = 0.05, sf_tol: float = 0.05,
-                    small_tol: float = 0.05) -> CheckBlock:
+                           sf_tol: float = 0.05) -> CheckBlock:
     """Reduction chain from base-law membership to the integrated tail.
 
     Establishes either the integral-criterion membership of the base
@@ -454,12 +460,12 @@ def class_reduction_report(model: IncrementModel, xs=PROBES_DEFAULT,
     star = None
     star_note = ()
     try:
-        star = membership_curve("Sstar", model, xs=xs, tol=membership_tol)
+        star = membership_curve("Sstar", model, xs=xs, tol=_MEMBERSHIP_TOL)
     except DivergenceError:
         star_note = ("positive-part mean diverges; integral-criterion "
                      "membership unavailable",)
-    ell = membership_curve("L", model, xs=xs, tol=membership_tol)
-    dee = membership_curve("D", model, xs=xs, tol=membership_tol)
+    ell = membership_curve("L", model, xs=xs, tol=_MEMBERSHIP_TOL)
+    dee = membership_curve("D", model, xs=xs, tol=_MEMBERSHIP_TOL)
     case_a = bool(star.verdict) if star is not None else False
     case_b = bool(ell.verdict) and bool(dee.verdict)
 
@@ -467,7 +473,7 @@ def class_reduction_report(model: IncrementModel, xs=PROBES_DEFAULT,
         lambda t: integrated_tail_curve(model, K, t),
         x_max=max(1e6, 10.0 * xs[-1]))
     small_diag, sf_diag = small_increment_criterion(
-        model, g1, xs=xs, tol_small=small_tol, tol_sf=sf_tol,
+        model, g1, xs=xs, tol_small=_SMALL_TOL, tol_sf=sf_tol,
         require_sstar=False)
 
     verdict = (case_a or case_b) and bool(sf_diag.verdict) \
@@ -477,8 +483,8 @@ def class_reduction_report(model: IncrementModel, xs=PROBES_DEFAULT,
         verdict=bool(verdict), probes=xs,
         scalars={"K": K, "K_finite": True, "case_a": case_a,
                  "case_b": case_b},
-        tolerances={"membership_tol": membership_tol, "sf_tol": sf_tol,
-                    "small_tol": small_tol},
+        tolerances={"membership_tol": _MEMBERSHIP_TOL, "sf_tol": sf_tol,
+                    "small_tol": _SMALL_TOL},
         notes=star_note,
         subchecks=(
             _diag_subblock("base-integral-criterion", star),
@@ -541,7 +547,7 @@ def run_verification(model: IncrementModel, seed: int,
             barrier=barrier, step_budget=step_budget))
     if "classes" in checks:
         report.blocks.append(class_reduction_report(model, xs=class_xs,
-                                             sf_tol=sf_tol))
+                                                    sf_tol=sf_tol))
     return report
 
 

@@ -87,7 +87,6 @@ class SupEstimate:
     m_value: float
     hit_zero_set: bool
     barrier: float
-    bias_flag: bool
 
 
 @dataclass
@@ -364,8 +363,7 @@ def estimate_sup(model: IncrementModel, barrier: float, rng,
     gen = _as_generator(rng)
     m_values, _ = _sup_kernel(model, gen, 1, barrier, step_budget)
     m = float(m_values[0])
-    return SupEstimate(m_value=m, hit_zero_set=(m == 0.0), barrier=barrier,
-                       bias_flag=False)
+    return SupEstimate(m_value=m, hit_zero_set=(m == 0.0), barrier=barrier)
 
 
 def sample_ladder_height(model: IncrementModel, barrier: float, rng,

@@ -100,16 +100,17 @@ def test_symmetric_route_of_heavier_power_law(pareto15):
     assert abs(diag.values[-1] - 4.0) <= 0.05 * 4.0
 
 
-def test_kind_arguments_are_policed(pareto2):
+@pytest.mark.parametrize("kind", ["L", "D", "S", "Sstar"])
+def test_kind_arguments_are_policed(pareto2, kind):
     grid = GridDistribution.identity()
-    with pytest.raises(PreconditionError):
-        membership_curve("L", pareto2, G=grid)
+    with pytest.raises(PreconditionError, match="grid"):
+        membership_curve(kind, pareto2, G=grid)
     with pytest.raises(PreconditionError):
         membership_curve("SF", pareto2)
     with pytest.raises(PreconditionError):
         membership_curve("XX", pareto2)
     with pytest.raises(PreconditionError):
-        membership_curve("L", pareto2, xs=(10.0, 10.0))
+        membership_curve(kind, pareto2, xs=(10.0, 10.0))
 
 
 def test_probe_schedule_bounds():
@@ -194,6 +195,22 @@ def test_closure_of_two_tail_neutral_factors(pareto15):
     diag = convolution_closure_check(grid, grid, pareto15)
     assert diag.verdict
     assert abs(diag.values[-1] - 1.0) < 0.01
+
+
+def test_stopped_sum_and_closure_are_sf_curves(pareto15):
+    grid = GridDistribution.from_model(pareto15)
+    stopped = StoppedSumModel.geometric(grid, p=0.9)
+    for diag, derived in ((stopped_sum_tail(stopped, pareto15), stopped.stopped_grid()),
+                          (convolution_closure_check(grid, grid, pareto15),
+                           grid.convolve(grid))):
+        sf = membership_curve("SF", pareto15, G=derived)
+        assert diag.values == sf.values
+        assert diag.per_probe == sf.per_probe
+        assert diag.verdict == sf.verdict
+    # the stopped-sum curve polices its probes as every SF curve does
+    with pytest.raises(PreconditionError, match="increasing"):
+        stopped_sum_tail(StoppedSumModel.geometric(grid, p=1.0), pareto15,
+                         xs=(1e3, 1e2, 1e4))
 
 
 def test_closure_refuses_a_failing_factor(expo):
