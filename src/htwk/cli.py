@@ -27,8 +27,8 @@ from .distspec import spec_to_model
 from .errors import HtwkError
 from .serialize import write_curve_csv, write_cycles, write_json
 from .tailmath import (GridDistribution, RenewalMeasure, criterion_K,
-                       integrated_tail, integrated_tail_curve,
-                       renewal_integrated_tail, truncated_neg_mean)
+                       integrated_tail_curve, renewal_integrated_tail,
+                       truncated_neg_mean)
 
 EXIT_OK, EXIT_ERROR, EXIT_INCONCLUSIVE, EXIT_FAILED = 0, 1, 2, 3
 
@@ -214,10 +214,7 @@ def tails(config_path, model_text, probes_text, out):
     files = ["m.csv"]
 
     if converged:
-        try:
-            g1 = integrated_tail_curve(model, K, xs_arr)
-        except HtwkError:
-            g1 = np.array([integrated_tail(model, K, x) for x in xs])
+        g1 = integrated_tail_curve(model, K, xs_arr)
         write_curve_csv(out_path / "g1.csv", ("x", "g1"), zip(xs, g1))
         gh = {}
         if model.law.right_mean_finite:

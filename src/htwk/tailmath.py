@@ -625,24 +625,14 @@ def renewal_integrated_tail_forms(model: IncrementModel, measure: RenewalMeasure
 
 
 def renewal_integrated_tail(model: IncrementModel, measure: RenewalMeasure, x):
-    """min(1, integral of F-bar(t+x) H(dt)); both routes evaluated and
-    required to agree within 1e-8 relative wherever unclipped."""
-    xs = np.atleast_1d(np.asarray(x, dtype=float))
-    scalar = np.ndim(x) == 0
-    out = np.empty(xs.shape)
-    for i, xi in enumerate(xs):
-        a, b = renewal_integrated_tail_forms(model, measure, float(xi))
-        if a < 1.0 and b < 1.0:
-            denom = max(abs(a), abs(b), 1e-300)
-            if abs(a - b) > _ROUTE_AGREEMENT_TOL * denom:
-                raise DivergenceError(
-                    f"integral forms disagree at x={xi}: {a} vs {b}", a)
-        out[i] = min(1.0, a)
-    return float(out[0]) if scalar else out
+    """min(1, integral of F-bar(t+x) H(dt)) for a scalar x or an x array:
+    `two_route_curve`, clipped."""
+    out = np.minimum(1.0, two_route_curve(model, measure, x))
+    return float(out[0]) if np.ndim(x) == 0 else out
 
 
 def _cell_ladder(s_max: float, kinks=()) -> tuple[np.ndarray, np.ndarray]:
-    """Shared cells on [0, s] with s >= s_max for the route-A curve.
+    """Shared cells on [0, s] with s >= s_max for the measure-tail curves.
 
     The ladder's panels have widths 0.5, 1, 2, 4, ...; kinks strictly
     inside it cut panels into cells.  Returns the cell edges and, for
@@ -658,68 +648,170 @@ def _cell_ladder(s_max: float, kinks=()) -> tuple[np.ndarray, np.ndarray]:
     return edges, np.searchsorted(ladder, edges[:-1], side="right") - 1
 
 
-# renewal_integrated_tail_curve: cells reach past 1e13 and hold 64
-# subcells each; a last ladder panel above 1e-10 of the total that does
-# not shrink geometrically means the integral diverges; rows of x are
-# taken in blocks of at most 2^17 matrix elements (1 MB temporaries)
+# the measure-tail curves: cells reach past 1e13 and hold 64 subcells
+# each; a last ladder panel above 1e-10 of the total that does not
+# shrink geometrically means the integral diverges; rows of x are taken
+# in blocks of at most 2^17 matrix elements (1 MB temporaries).  Rows
+# where the two routes part are evaluated again on 4, 16 and 64 times
+# as many subcells: the error of one Richardson step falls 256-fold
+# each time, and a steep F-bar near t = 0 (pareto(alpha=3) under
+# Lebesgue measure at x = 0) needs it
 _RENEWAL_CURVE_S_MAX = 1e13
 _RENEWAL_CURVE_SUBCELLS = 64
+_RENEWAL_CURVE_REFINED = (256, 1024, 4096)
 _RENEWAL_CURVE_REL_TOL = 1e-10
 _RENEWAL_CURVE_BLOCK = 1 << 17
 
 
-def renewal_integrated_tail_curve(model: IncrementModel, measure: RenewalMeasure,
-                                  xs) -> np.ndarray:
-    """Route A of the measure-integrated tail for a whole x array:
+class _CellSet:
+    """The shared cells of the rows with one cut set, and H on them.
 
-        atom0 F-bar(x) + sum over atoms a > x of m_a H_c(a - x)
-                       + integral of F-bar_c(t + x) dH_c(t),
-
-    where H_c = H - atom0 and F-bar_c is F-bar without its atoms.  The
-    integral is a midpoint Stieltjes sum on 64 uniform subcells of shared
-    cells (the doubling ladder cut at the measure's kinks) with one
-    Richardson step against 32 subcells, plus the geometric remainder
-    past the last ladder panel; a remainder that does not shrink raises
-    PreconditionError.  Unclipped, like
-    `renewal_integrated_tail_forms(...)[0]`, whose pointwise two-route
-    evaluation is the independent check on it.
+    Cells are the doubling ladder cut at the measure's kinks and at
+    `cuts`; each holds `n_sub` uniform subcells, and H is evaluated
+    once at every subcell edge.
     """
-    xs = np.atleast_1d(np.asarray(xs, dtype=float))
-    n_sub = _RENEWAL_CURVE_SUBCELLS
-    edges, panel = _cell_ladder(_RENEWAL_CURVE_S_MAX, measure.kinks)
-    a, b = edges[:-1, None], edges[1:, None]
-    sub = a + (b - a) * np.linspace(0.0, 1.0, n_sub + 1)
-    sub[:, -1] = edges[1:]
-    dh = np.diff(measure(sub.ravel()).reshape(sub.shape), axis=1)
+
+    def __init__(self, measure: RenewalMeasure, cuts, n_sub: int):
+        edges, panel = _cell_ladder(_RENEWAL_CURVE_S_MAX, [*measure.kinks, *cuts])
+        a, b = edges[:-1, None], edges[1:, None]
+        sub = a + (b - a) * np.linspace(0.0, 1.0, n_sub + 1)
+        sub[:, -1] = edges[1:]
+        self.measure = measure
+        self.n_sub = n_sub
+        self.sub = sub
+        self.h_sub = measure(sub.ravel()).reshape(sub.shape)
+        # the first cell of each ladder panel
+        self.panel_starts = np.flatnonzero(np.diff(panel, prepend=-1))
+
+
+def _ladder_sums(terms, starts, width: int, xs: np.ndarray, what: str) -> np.ndarray:
+    """For each x, the sum of the row terms(x) (`width` columns; ladder
+    panel k starts at column starts[k]) plus the geometric remainder past
+    the last panel; a remainder that does not shrink raises."""
+    out = np.empty(xs.shape)
+    rows = max(1, _RENEWAL_CURVE_BLOCK // width)
+    for i in range(0, xs.size, rows):
+        per_panel = np.add.reduceat(terms(xs[i:i + rows, None]), starts, axis=1)
+        total = per_panel.sum(axis=1)
+        tail = _quad.geometric_tail(per_panel[:, -2], per_panel[:, -1])
+        significant = np.abs(per_panel[:, -1]) > _RENEWAL_CURVE_REL_TOL * np.abs(total)
+        if np.any((tail == 0.0) & significant):
+            raise PreconditionError(
+                f"measure-integrated tail: {what} integral does not decay")
+        out[i:i + rows] = total + tail
+    return out
+
+
+def _route_a_cells(cells: _CellSet, fbar_cont, xs: np.ndarray) -> np.ndarray:
+    """integral of F-bar_c(t + x) dH_c(t): F-bar_c at the midpoints of
+    n_sub and of n_sub/2 subcells per cell, one Richardson step."""
+    n_sub = cells.n_sub
+    sub = cells.sub
+    dh = np.diff(cells.h_sub, axis=1)
     # each cell's n_sub and n_sub/2 midpoints side by side, weighted so
     # that one dot product gives (4 S_n - S_{n/2}) / 3
     nodes = np.concatenate([0.5 * (sub[:, :-1] + sub[:, 1:]),
                             0.5 * (sub[:, :-1:2] + sub[:, 2::2])], axis=1).ravel()
     wts = np.concatenate([dh * (4.0 / 3.0),
                           (dh[:, 0::2] + dh[:, 1::2]) * (-1.0 / 3.0)], axis=1).ravel()
-    starts = np.flatnonzero(np.diff(panel, prepend=-1)) * (n_sub + n_sub // 2)
+    return _ladder_sums(lambda x: fbar_cont(x + nodes) * wts,
+                        cells.panel_starts * (n_sub + n_sub // 2), nodes.size, xs,
+                        "H dF-bar")
 
+
+def _route_b_cells(cells: _CellSet, fbar_cont, xs: np.ndarray) -> np.ndarray:
+    """integral of H(t) d[-F-bar_c(t + x)]: H at the midpoints of n_sub
+    and of n_sub/2 subcells per cell, one Richardson step."""
+    n_sub = cells.n_sub
+    sub = cells.sub
+    mids = 0.5 * (sub[:, :-1] + sub[:, 1:])
+    h_mid = cells.measure(mids.ravel()).reshape(mids.shape)
+    # a coarse subcell's midpoint is the fine edge inside it; fine
+    # subcell j takes (4 H(fine mid j) - H(coarse mid j//2)) / 3
+    wts = (h_mid * (4.0 / 3.0)
+           - np.repeat(cells.h_sub[:, 1::2], 2, axis=1) * (1.0 / 3.0)).ravel()
+    edges = np.append(sub[:, :-1], sub[-1, -1])
+    return _ladder_sums(lambda x: -np.diff(fbar_cont(x + edges), axis=1) * wts,
+                        cells.panel_starts * n_sub, edges.size, xs, "H(t-x) dF")
+
+
+def _measure_tail_curves(model: IncrementModel, measure: RenewalMeasure, xs,
+                         with_b: bool,
+                         n_sub: int = _RENEWAL_CURVE_SUBCELLS) -> list[np.ndarray]:
+    """Route A, and route B if `with_b`, of the measure-integrated tail
+    for a whole x array, unclipped:
+
+        A(x) = atom0 F-bar_c(x) + integral of F-bar_c(t + x) dH_c(t) + S(x),
+        B(x) = integral of H(t) d[-F-bar_c(t + x)] + S(x),
+
+    where H_c = H - atom0, F-bar_c is F-bar without its atoms, and S(x)
+    sums m_a H(a - x) exactly over F's atoms a > x.  Each row's cells are
+    the doubling ladder cut at the measure's kinks and at b - x for F's
+    breakpoints b > x, so F-bar(t + x) is smooth inside every cell; rows
+    with the same cuts share one `_CellSet`, and for a smooth positive
+    part that is every row.
+    """
+    xs = np.atleast_1d(np.asarray(xs, dtype=float))
     locs, masses = model.pos_atoms
     fbar_cont = _quad.continuous_tail(model.tail_pos, locs, masses)
+    groups: dict[tuple, list[int]] = {}
+    for i, x in enumerate(xs.tolist()):
+        cuts = tuple(b - x for b in model.pos_breakpoints if b > x)
+        groups.setdefault(cuts, []).append(i)
 
-    out = np.empty(xs.shape)
-    rows = max(1, _RENEWAL_CURVE_BLOCK // nodes.size)
-    for i in range(0, xs.size, rows):
-        x = xs[i:i + rows, None]
-        per_panel = np.add.reduceat(fbar_cont(x + nodes) * wts, starts, axis=1)
-        total = per_panel.sum(axis=1)
-        tail = _quad.geometric_tail(per_panel[:, -2], per_panel[:, -1])
-        significant = np.abs(per_panel[:, -1]) > _RENEWAL_CURVE_REL_TOL * np.abs(total)
-        if np.any((tail == 0.0) & significant):
-            raise PreconditionError(
-                "measure-integrated tail: H dF-bar integral does not decay")
-        out[i:i + rows] = total + tail
-
+    routes = (_route_a_cells, _route_b_cells) if with_b else (_route_a_cells,)
+    outs = [np.empty(xs.shape) for _ in routes]
+    for cuts, rows in groups.items():
+        cells = _CellSet(measure, cuts, n_sub)
+        for out, route in zip(outs, routes):
+            out[rows] = route(cells, fbar_cont, xs[rows])
+    outs[0] += measure.atom0 * fbar_cont(xs)
     if locs.size:
         d = locs[None, :] - xs[:, None]
-        h_c = measure(np.maximum(d, 0.0).ravel()).reshape(d.shape) - measure.atom0
-        out += np.where(d > 0.0, h_c, 0.0) @ masses
-    return out + measure.atom0 * np.asarray(model.tail_pos(xs), dtype=float)
+        h_at = measure(np.maximum(d, 0.0).ravel()).reshape(d.shape)
+        atom_sum = np.where(d > 0.0, h_at, 0.0) @ masses
+        for out in outs:
+            out += atom_sum
+    return outs
+
+
+def renewal_integrated_tail_curve(model: IncrementModel, measure: RenewalMeasure,
+                                  xs) -> np.ndarray:
+    """Route A of the measure-integrated tail for a whole x array,
+    unclipped: a midpoint Stieltjes sum on shared cells with one
+    Richardson step, plus the geometric remainder past the last ladder
+    panel (see `_measure_tail_curves`).  Route B is not evaluated;
+    `two_route_curve` checks the pair, and the pointwise
+    `renewal_integrated_tail_forms(...)[0]` is its reference.
+    """
+    return _measure_tail_curves(model, measure, xs, with_b=False)[0]
+
+
+def _routes_part(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Where both routes are below 1 and differ by more than 1e-8 relative."""
+    scale = np.maximum(np.maximum(np.abs(a), np.abs(b)), 1e-300)
+    return (a < 1.0) & (b < 1.0) & (np.abs(a - b) > _ROUTE_AGREEMENT_TOL * scale)
+
+
+def two_route_curve(model: IncrementModel, measure: RenewalMeasure, xs) -> np.ndarray:
+    """Route A of the measure-integrated tail for a whole x array,
+    unclipped, after route B on the same cells has confirmed it: where
+    both are below 1 they must agree within 1e-8 relative.  Rows where
+    they do not are evaluated again on finer subcells; where they still
+    part on the finest, DivergenceError names the first such x."""
+    xs = np.atleast_1d(np.asarray(xs, dtype=float))
+    a, b = _measure_tail_curves(model, measure, xs, with_b=True)
+    bad = np.flatnonzero(_routes_part(a, b))
+    for n_sub in _RENEWAL_CURVE_REFINED:
+        if not bad.size:
+            break
+        a[bad], b[bad] = _measure_tail_curves(model, measure, xs[bad], True, n_sub)
+        bad = bad[_routes_part(a[bad], b[bad])]
+    if bad.size:
+        i = bad[0]
+        raise DivergenceError(f"routes A and B disagree at x={float(xs[i])!r}: "
+                              f"{float(a[i])!r} vs {float(b[i])!r}", float(a[i]))
+    return a
 
 
 # ----------------------------------------------------------------------
@@ -764,13 +856,8 @@ def integrated_tail_curve(model: IncrementModel, K: float, xs) -> np.ndarray:
     """`integrated_tail` for a whole x array: route A under the ratio
     measure (`renewal_integrated_tail_curve`), divided by K and clipped
     to [0, 1].  Independent of the pointwise route B, which makes the
-    pair a cross-check; restricted to models whose positive part is
-    smooth (no atoms or kinks above 0).
+    pair a cross-check.
     """
-    if model.pos_breakpoints or model.pos_atoms[0].size:
-        raise PreconditionError(
-            "curve evaluation requires a smooth positive tail; "
-            "use integrated_tail pointwise instead")
     if not (K > 0 and math.isfinite(K)):
         raise PreconditionError("integrated tail needs a finite positive criterion constant")
     H = RenewalMeasure.from_ratio(truncated_neg_mean(model))

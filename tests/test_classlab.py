@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from htwk import classlab, spec_to_model
+from htwk import spec_to_model, tailmath
 from htwk.errors import DivergenceError, PreconditionError
 from htwk.classlab import (
     PROBES_DEFAULT,
@@ -245,11 +245,12 @@ def test_measure_comparison_trivial_agreement(default_model):
     assert out["sf_h1"].values == out["sf_h2"].values
 
 
-def test_measure_comparison_spot_checks_the_grid_curve(default_model, monkeypatch):
-    curve = classlab.renewal_integrated_tail_curve
-    monkeypatch.setattr(classlab, "renewal_integrated_tail_curve",
-                        lambda *args, **kw: curve(*args, **kw) * (1.0 + 1e-5))
-    with pytest.raises(DivergenceError, match="pointwise route"):
+def test_measure_comparison_checks_both_routes_on_the_grid(default_model, monkeypatch):
+    # route B off by 1e-5 on its cells: every knot below 1 is checked
+    route_b = tailmath._route_b_cells
+    monkeypatch.setattr(tailmath, "_route_b_cells",
+                        lambda *args: route_b(*args) * (1.0 + 1e-5))
+    with pytest.raises(DivergenceError, match="routes A and B disagree"):
         measure_equivalence_check(
             default_model, RenewalMeasure.lebesgue(), RenewalMeasure.lebesgue(),
             xs=(100.0, 10 ** 2.5, 1e3),

@@ -7,8 +7,9 @@ import pytest
 import scipy.integrate
 import scipy.stats
 
-from htwk import spec_to_model
+from htwk import spec_to_model, tailmath
 from htwk.classlab import PROBES_DEFAULT
+from htwk.cli import parse_probes
 from htwk.errors import DivergenceError, HorizonError, PreconditionError
 from htwk.tailmath import (
     GridDistribution,
@@ -196,10 +197,16 @@ def test_integrated_tail_curve_cross_checks_pointwise(spec):
     assert np.allclose(curve, points, rtol=1e-8, atol=0.0)
 
 
-def test_integrated_tail_curve_refuses_atoms():
+def test_integrated_tail_curve_handles_a_positive_atom():
+    # the atom at 3 jumps F-bar(t + x) at t = 3 - x, where each row's
+    # cells are cut; past x = 3 no mass is left
     model = spec_to_model("mix(0.5: point(3), 0.5: neg(pareto(alpha=0.5, kappa=1)))")
-    with pytest.raises(PreconditionError):
-        integrated_tail_curve(model, 1.0, np.array([1.0, 2.0]))
+    K, _ = criterion_K(model)
+    xs = np.array([0.0, 0.5, 1.0, 2.0, 2.9, 3.0, 3.5, 10.0])
+    curve = integrated_tail_curve(model, K, xs)
+    points = integrated_tail(model, K, xs)
+    assert np.allclose(curve, points, rtol=1e-8, atol=0.0)
+    assert np.all(curve[xs >= 3.0] == 0.0)
 
 
 def test_integrated_tail_rejects_divergent_constant(default_model):
@@ -284,12 +291,16 @@ def test_measure_tail_curve_has_the_closed_form():
     assert np.isclose(got[0], 2.0 / 3.0, rtol=1e-8, atol=0.0)
 
 
+KINKED_ATOM = ("mix(0.3: point(3), 0.4: shift(2, pareto(alpha=1.5, kappa=1)), "
+               "0.3: neg(pareto(alpha=0.5, kappa=1)))")
+
+
 def test_measure_tail_curve_on_a_kinked_model_with_an_atom():
     # F-bar has an atom at 3 and a kink at 2; route B sums the atom
     # exactly and route A cuts its panels where they land, so the two
-    # pointwise routes agree and route B is the curve's reference
-    model = spec_to_model("mix(0.3: point(3), 0.4: shift(2, pareto(alpha=1.5, kappa=1)), "
-                          "0.3: neg(pareto(alpha=0.5, kappa=1)))")
+    # pointwise routes agree and route B is the curve's reference; the
+    # curve cuts each row's cells at 2 - x and 3 - x
+    model = spec_to_model(KINKED_ATOM)
     H = RenewalMeasure.from_ratio(truncated_neg_mean(model))
     xs = np.linspace(0.2, 5.0, 25)
     forms = np.array([renewal_integrated_tail_forms(model, H, x) for x in xs])
@@ -297,16 +308,61 @@ def test_measure_tail_curve_on_a_kinked_model_with_an_atom():
     curve_gap = np.max(np.abs(curve - forms[:, 1]) / forms[:, 1])
     pointwise_gap = np.max(np.abs(forms[:, 0] - forms[:, 1]) / forms[:, 1])
     assert pointwise_gap < 1e-10
-    assert curve_gap < 1e-5
+    assert curve_gap < 1e-8
+
+
+@pytest.mark.parametrize("kind", ["lebesgue", "ratio"])
+def test_two_route_tail_on_a_kinked_model_with_an_atom(kind):
+    model = spec_to_model(KINKED_ATOM)
+    H = _measure(kind, model)
+    xs = np.linspace(0.2, 5.0, 25)
+    forms = np.array([renewal_integrated_tail_forms(model, H, x) for x in xs])
+    got = renewal_integrated_tail(model, H, xs)
+    for k in (0, 1):
+        assert np.allclose(got, np.minimum(1.0, forms[:, k]), rtol=1e-8, atol=0.0)
 
 
 def test_route_a_cuts_panels_at_the_shifted_atom():
     # at x = 2.9 the jump of F-bar(t + x) from the atom at 3 sits at
     # t = 0.1, inside a route-A panel unless that panel is cut there
-    model = spec_to_model("mix(0.3: point(3), 0.4: shift(2, pareto(alpha=1.5, kappa=1)), "
-                          "0.3: neg(pareto(alpha=0.5, kappa=1)))")
-    got = renewal_integrated_tail(model, RenewalMeasure.lebesgue(), 2.9)
+    model = spec_to_model(KINKED_ATOM)
+    got = renewal_integrated_tail_forms(model, RenewalMeasure.lebesgue(), 2.9)[0]
     assert np.isclose(got, 0.6103810000880, rtol=1e-10, atol=0.0)
+
+
+def test_route_b_curve_matches_pointwise_route_b(case_b_model):
+    # case_b's slow tail under the ratio measure, on the default grid
+    # of `htwk tails`
+    H = RenewalMeasure.from_ratio(truncated_neg_mean(case_b_model))
+    xs = np.array(parse_probes("0:1e4"))
+    _, curve = tailmath._measure_tail_curves(case_b_model, H, xs, with_b=True)
+    route_b = np.array([renewal_integrated_tail_forms(case_b_model, H, x)[1]
+                        for x in xs])
+    assert np.allclose(curve, route_b, rtol=1e-8, atol=0.0)
+
+
+def test_two_route_tail_refines_rows_where_the_routes_part():
+    # F-bar(t) = 0.5 (1 + t)^-6 turns too fast on the first cells for
+    # 64 subcells: there the routes part by more than 1e-8, and the
+    # finer subcells bring both to the pointwise value
+    model = spec_to_model("mix(0.5: pareto(alpha=6, kappa=1), "
+                          "0.5: neg(pareto(alpha=0.5, kappa=1)))")
+    H = RenewalMeasure.lebesgue()
+    xs = np.array([0.0, 0.1, 0.5, 1.0, 2.0])
+    a, b = tailmath._measure_tail_curves(model, H, xs, with_b=True)
+    assert np.abs(a[0] - b[0]) > 1e-8 * b[0]
+    got = renewal_integrated_tail(model, H, xs)
+    forms = np.array([renewal_integrated_tail_forms(model, H, x) for x in xs])
+    for k in (0, 1):
+        assert np.allclose(got, forms[:, k], rtol=1e-8, atol=0.0)
+
+
+def test_two_route_tail_names_the_x_where_the_routes_part(default_model, monkeypatch):
+    route_b = tailmath._route_b_cells
+    monkeypatch.setattr(tailmath, "_route_b_cells",
+                        lambda *args: route_b(*args) * (1.0 + 1e-6))
+    with pytest.raises(DivergenceError, match=r"disagree at x=20\.0:"):
+        renewal_integrated_tail(default_model, RenewalMeasure.lebesgue(), [20.0, 50.0])
 
 
 def test_measure_tail_curve_refuses_a_divergent_integral():
@@ -314,6 +370,12 @@ def test_measure_tail_curve_refuses_a_divergent_integral():
     model = spec_to_model("pareto(alpha=0.5, kappa=1)")
     with pytest.raises(PreconditionError):
         renewal_integrated_tail_curve(model, RenewalMeasure.lebesgue(), [1.0, 10.0])
+
+
+def test_two_route_tail_refuses_a_divergent_integral():
+    model = spec_to_model("pareto(alpha=0.5, kappa=1)")
+    with pytest.raises(PreconditionError, match="does not decay"):
+        renewal_integrated_tail(model, RenewalMeasure.lebesgue(), [1.0, 10.0])
 
 
 def test_subadditivity_probe(default_model):
