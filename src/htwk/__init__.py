@@ -21,13 +21,11 @@ from .classlab import (KINDS, PROBES_DEFAULT, ProbeSchedule, RatioDiagnostic,
                        majorant_check, measure_equivalence_check,
                        membership_curve, small_increment_criterion,
                        stopped_sum_tail, tail_split_criteria)
-from .walksim import (BARRIER_DEFAULT, CycleOutcome, CycleResult, CycleStats,
-                      LadderBatch, LadderSample, RenewalEstimate, RngStream,
-                      SupBatch, SupEstimate, estimate_sup, estimate_sup_many,
+from .walksim import (BARRIER_DEFAULT, CycleResult, CycleStats, LadderBatch,
+                      RenewalEstimate, RngStream, SupBatch, estimate_sup_many,
                       ks_threshold, ks_two_sample, mtau_tail_estimate,
-                      renewal_estimate, run_cycle, sample_increment,
-                      sample_ladder_height, sample_ladder_many,
-                      simulate_cycles, wilson_interval)
+                      renewal_estimate, sample_ladder_many, simulate_cycles,
+                      wilson_interval)
 from .verify import (FIXTURES, CheckBlock, Fixture, VerificationReport,
                      class_reduction_report, cycle_max_report,
                      gplus_tail_report, ladder_identity_report,
@@ -50,12 +48,10 @@ __all__ = [
     "StoppedSumModel", "convolution_closure_check", "majorant_check",
     "measure_equivalence_check", "membership_curve",
     "small_increment_criterion", "stopped_sum_tail", "tail_split_criteria",
-    "BARRIER_DEFAULT", "CycleOutcome", "CycleResult", "CycleStats",
-    "LadderBatch", "LadderSample", "RenewalEstimate", "RngStream",
-    "SupBatch", "SupEstimate", "estimate_sup", "estimate_sup_many",
+    "BARRIER_DEFAULT", "CycleResult", "CycleStats", "LadderBatch",
+    "RenewalEstimate", "RngStream", "SupBatch", "estimate_sup_many",
     "ks_threshold", "ks_two_sample", "mtau_tail_estimate",
-    "renewal_estimate", "run_cycle", "sample_increment",
-    "sample_ladder_height", "sample_ladder_many", "simulate_cycles",
+    "renewal_estimate", "sample_ladder_many", "simulate_cycles",
     "wilson_interval",
     "FIXTURES", "CheckBlock", "Fixture", "VerificationReport",
     "class_reduction_report", "cycle_max_report", "gplus_tail_report",

@@ -215,7 +215,7 @@ def membership_curve(kind: str, F: IncrementModel,
         return _diagnostic("D", xs, halved / fbar, None, 0.10)
 
     if kind == "S":
-        if F.support[0] < 0:
+        if F.law.support[0] < 0:
             raise PreconditionError("kind S requires support in [0, infinity)")
         grid = GridDistribution.from_model(F, x_max=grid_cfg.x_max,
                                            ppd=grid_cfg.points_per_decade)

@@ -375,10 +375,6 @@ class IncrementModel:
         return not self.law.left_mean_finite
 
     @cached_property
-    def support(self) -> tuple[float, float]:
-        return self.law.support
-
-    @cached_property
     def pos_atoms(self) -> tuple[np.ndarray, np.ndarray]:
         locs, masses = self.law.atoms()
         keep = locs >= 0
@@ -578,8 +574,10 @@ _ROUTE_AGREEMENT_TOL = 1e-8
 def _route_b(model: IncrementModel, measure: RenewalMeasure,
              x: float) -> _quad.ImproperResult:
     """integral of H(t - x) dF(t) over (x, infinity), F's atoms summed
-    exactly.  Panel widths scale with x, so contributions decay from the
-    first panel; at x = 0 under the ratio measure this is K itself."""
+    exactly, with panels cut at F's breakpoints b > x and at x + k for
+    the measure's kinks k > 0.  Panel widths scale with x, so
+    contributions decay from the first panel; at x = 0 under the ratio
+    measure this is K itself."""
     x = float(x)
 
     def g(t):
@@ -588,7 +586,8 @@ def _route_b(model: IncrementModel, measure: RenewalMeasure,
     return _quad.stieltjes_vs_tail(
         g, model.tail_pos, a=x, rel_tol=_ROUTE_REL_TOL, x0=max(1.0, x / 8.0),
         atoms=model.pos_atoms,
-        breakpoints=[b for b in model.pos_breakpoints if b > x])
+        breakpoints=[*(b for b in model.pos_breakpoints if b > x),
+                     *(x + k for k in measure.kinks if k > 0)])
 
 
 def renewal_integrated_tail_forms(model: IncrementModel, measure: RenewalMeasure,
@@ -597,9 +596,9 @@ def renewal_integrated_tail_forms(model: IncrementModel, measure: RenewalMeasure
 
     Route A integrates F-bar(t + x) against the measure, with panels cut
     at the measure's kinks and at b - x for F's breakpoints b > x; route
-    B integrates H(t - x) against F.  They agree by integration by
-    parts; computing them on independent panelings is the identity
-    check.
+    B integrates H(t - x) against F, cut at those b and at x + k for the
+    measure's kinks k.  They agree by integration by parts; computing
+    them on independent panelings is the identity check.
     """
     x = float(x)
     fbar_x = float(model.tail_pos(x))
@@ -1102,7 +1101,7 @@ class GridDistribution:
     @classmethod
     def from_model(cls, model: IncrementModel, x_max: float = 1e6, ppd: int = 64,
                    x_min: float = 1e-3) -> "GridDistribution":
-        if model.support[0] < 0:
+        if model.law.support[0] < 0:
             raise PreconditionError("grid discretization needs support in [0, infinity)")
         knots = geometric_knots(x_max, ppd, x_min)
         locs, masses = model.pos_atoms
@@ -1121,10 +1120,6 @@ class GridDistribution:
         knots = np.array([0.0, top])
         return cls(knots=knots, tail_cont=np.zeros(2),
                    atom_locs=np.array([float(c)]), atom_masses=np.array([float(mass)]))
-
-    @classmethod
-    def identity(cls) -> "GridDistribution":
-        return cls.from_point(0.0)
 
     @classmethod
     def from_samples(cls, values, x_max: float = 1e6, ppd: int = 64,
@@ -1202,9 +1197,6 @@ class GridDistribution:
         return GridDistribution(knots=knots, tail_cont=tail_cont,
                                 atom_locs=new_locs, atom_masses=new_masses,
                                 mass_beyond=beyond)
-
-    def power(self, n: int, defect_bound: float = 1e-6) -> "GridDistribution":
-        return self.powers(n, defect_bound=defect_bound)[n]
 
     def powers(self, n: int, defect_bound: float = 1e-6) -> list["GridDistribution"]:
         """[G^0, G^1, ..., G^n] by repeated pairwise convolution."""

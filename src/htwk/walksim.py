@@ -15,6 +15,10 @@ their original slots and dropped from the working arrays, so memory
 tracks the surviving population, not the step count.  A cycle shard
 consumes its stream CHUNK cycles at a time and returns aggregates, plus
 raw columns only on request.
+
+Each kernel has one entry, its batch driver (`simulate_cycles`,
+`estimate_sup_many`, `sample_ladder_many`, `renewal_estimate`); a
+single draw is row 0 of a one-replication batch on the same stream.
 """
 
 from __future__ import annotations
@@ -55,39 +59,9 @@ class RngStream:
         return np.random.Generator(np.random.Philox(ss))
 
 
-def _as_generator(rng) -> np.random.Generator:
-    if isinstance(rng, RngStream):
-        return rng.generator()
-    if isinstance(rng, np.random.Generator):
-        return rng
-    raise TypeError("rng must be an RngStream or a numpy Generator")
-
-
 # ----------------------------------------------------------------------
 # result records
 # ----------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class CycleOutcome:
-    tau: int
-    m_tau: float
-    chi: float
-    steps: int
-
-
-@dataclass(frozen=True)
-class LadderSample:
-    psi: float
-    eta: int
-    censored: bool
-
-
-@dataclass(frozen=True)
-class SupEstimate:
-    m_value: float
-    hit_zero_set: bool
-    barrier: float
-
 
 @dataclass
 class CycleStats:
@@ -164,8 +138,8 @@ class SupBatch:
     def p_hat(self) -> float:
         return float(np.mean(self.hit_zero))
 
-    def p_interval(self, z: float = Z95) -> tuple[float, float]:
-        return wilson_interval(int(self.hit_zero.sum()), self.m_values.size, z)
+    def p_interval(self) -> tuple[float, float]:
+        return wilson_interval(int(self.hit_zero.sum()), self.m_values.size)
 
     @property
     def escape_estimate(self) -> float:
@@ -329,55 +303,6 @@ def _renewal_kernel(model: IncrementModel, gen: np.random.Generator, reps: int,
 
 
 # ----------------------------------------------------------------------
-# single-sample operations
-# ----------------------------------------------------------------------
-
-def sample_increment(model: IncrementModel, rng) -> float:
-    """One increment variate."""
-    gen = _as_generator(rng)
-    return float(model.sample(gen, 1)[0])
-
-
-def _require_negative_part(model: IncrementModel) -> None:
-    if not model.has_negative_part:
-        raise PreconditionError(
-            "increment law has no negative part; the exit time is infinite")
-
-
-def run_cycle(model: IncrementModel, rng,
-              step_budget: int = STEP_BUDGET_DEFAULT) -> CycleOutcome:
-    """One cycle: walk until the first strictly negative partial sum."""
-    _require_negative_part(model)
-    tau, m_tau, chi, steps = _cycles_kernel(model, _as_generator(rng), 1,
-                                            step_budget)
-    return CycleOutcome(tau=int(tau[0]), m_tau=float(m_tau[0]),
-                        chi=float(chi[0]), steps=steps)
-
-
-def estimate_sup(model: IncrementModel, barrier: float, rng,
-                 step_budget: int = STEP_BUDGET_DEFAULT) -> SupEstimate:
-    """One truncated all-time-maximum sample."""
-    if barrier <= 0:
-        raise PreconditionError("barrier must be positive")
-    _require_negative_part(model)
-    gen = _as_generator(rng)
-    m_values, _ = _sup_kernel(model, gen, 1, barrier, step_budget)
-    m = float(m_values[0])
-    return SupEstimate(m_value=m, hit_zero_set=(m == 0.0), barrier=barrier)
-
-
-def sample_ladder_height(model: IncrementModel, barrier: float, rng,
-                         step_budget: int = STEP_BUDGET_DEFAULT) -> LadderSample:
-    """One ascending ladder attempt, censored at -barrier."""
-    if barrier <= 0:
-        raise PreconditionError("barrier must be positive")
-    gen = _as_generator(rng)
-    psi, eta, censored, _ = _ladder_kernel(model, gen, 1, barrier, step_budget)
-    return LadderSample(psi=float(psi[0]), eta=int(eta[0]),
-                        censored=bool(censored[0]))
-
-
-# ----------------------------------------------------------------------
 # sharded drivers
 # ----------------------------------------------------------------------
 
@@ -391,6 +316,12 @@ def _check_budget(steps: int, step_budget: int) -> None:
         raise BudgetError(
             f"step budget {step_budget:g} exceeded at {steps:g} increments "
             "over all shards; the model may not drift to -infinity")
+
+
+def _require_negative_part(model: IncrementModel) -> None:
+    if not model.has_negative_part:
+        raise PreconditionError(
+            "increment law has no negative part; the exit time is infinite")
 
 
 def _shard_sizes(total: int, workers: int) -> list[int]:
@@ -533,15 +464,15 @@ def mtau_tail_estimate(model: IncrementModel, xs, cycles: int, seed: int,
 # statistics helpers
 # ----------------------------------------------------------------------
 
-def wilson_interval(k: int, n: int, z: float = Z95) -> tuple[float, float]:
+def wilson_interval(k: int, n: int) -> tuple[float, float]:
     """95% Wilson score interval for a binomial proportion."""
     if n <= 0:
         raise ValueError("need at least one trial")
     ph = k / n
-    z2 = z * z
+    z2 = Z95 * Z95
     denom = 1.0 + z2 / n
     center = (ph + z2 / (2.0 * n)) / denom
-    half = z * math.sqrt(ph * (1.0 - ph) / n + z2 / (4.0 * n * n)) / denom
+    half = Z95 * math.sqrt(ph * (1.0 - ph) / n + z2 / (4.0 * n * n)) / denom
     # at the boundary counts the exact endpoints avoid rounding residue
     lo = 0.0 if k == 0 else max(0.0, center - half)
     hi = 1.0 if k == n else min(1.0, center + half)
@@ -558,6 +489,6 @@ def ks_two_sample(a, b) -> float:
     return float(np.max(np.abs(cdf_a - cdf_b)))
 
 
-def ks_threshold(n: int, m: int, coef: float = KS_COEF_95) -> float:
+def ks_threshold(n: int, m: int) -> float:
     """Large-sample 95% two-sample KS critical distance."""
-    return coef * math.sqrt((n + m) / (n * m))
+    return KS_COEF_95 * math.sqrt((n + m) / (n * m))

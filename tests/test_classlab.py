@@ -102,7 +102,7 @@ def test_symmetric_route_of_heavier_power_law(pareto15):
 
 @pytest.mark.parametrize("kind", ["L", "D", "S", "Sstar"])
 def test_kind_arguments_are_policed(pareto2, kind):
-    grid = GridDistribution.identity()
+    grid = GridDistribution.from_point(0.0)
     with pytest.raises(PreconditionError, match="grid"):
         membership_curve(kind, pareto2, G=grid)
     with pytest.raises(PreconditionError):
@@ -154,7 +154,7 @@ def test_tail_split_concentrated_mass_clears_both_strips(default_model):
 
 
 def test_tail_split_degenerate_mass_at_zero(default_model):
-    d1, d2, d3 = tail_split_criteria(GridDistribution.identity(), default_model)
+    d1, d2, d3 = tail_split_criteria(GridDistribution.from_point(0.0), default_model)
     assert np.all(np.asarray(d2.values) == 0.0)
     assert np.all(np.asarray(d3.values) == 0.0)
 

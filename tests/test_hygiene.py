@@ -1,5 +1,6 @@
 """Static checks on the package source: every imported name is used,
-and every private module-level name is referenced somewhere."""
+every private module-level name is referenced somewhere, and the
+package's `__all__` lists exactly what `__init__.py` imports."""
 
 import ast
 from pathlib import Path
@@ -72,3 +73,35 @@ def test_the_scan_sees_an_orphaned_private_name():
 def test_every_private_name_is_referenced():
     sources = {p.name: p.read_text() for p in PACKAGE}
     assert unreferenced_private_names(sources) == []
+
+
+def export_problems(source: str) -> list[str]:
+    """What is wrong with a package `__init__`'s `__all__`: duplicates,
+    names the module does not define, and imported names it leaves out."""
+    tree = ast.parse(source)
+    imported, defined, exported = [], set(), []
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom):
+            imported += [a.asname or a.name for a in node.names]
+        elif isinstance(node, ast.Assign):
+            for t in node.targets:
+                if isinstance(t, ast.Name) and t.id == "__all__":
+                    exported = [ast.literal_eval(e) for e in node.value.elts]
+                elif isinstance(t, ast.Name):
+                    defined.add(t.id)
+    defined.update(imported)
+    dups = sorted({n for n in exported if exported.count(n) > 1})
+    return ([f"duplicate:{n}" for n in dups]
+            + [f"undefined:{n}" for n in exported if n not in defined]
+            + [f"unexported:{n}" for n in imported if n not in exported])
+
+
+def test_the_scan_sees_a_stale_export_list():
+    source = ("from .a import f, g, h\n__version__ = '1'\n"
+              "__all__ = ['f', 'g', 'f', 'gone', '__version__']\n")
+    assert export_problems(source) == ["duplicate:f", "undefined:gone",
+                                       "unexported:h"]
+
+
+def test_package_exports_match_its_imports():
+    assert export_problems((SRC / "__init__.py").read_text()) == []

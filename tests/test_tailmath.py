@@ -180,11 +180,12 @@ def test_integrated_tail_scipy_oracle(default_model):
         assert np.isclose(got, want / K, rtol=1e-8), (x, got, want / K, err)
 
 
-@pytest.mark.parametrize("spec", [
-    DEFAULT_MODEL, CASE_B,
-    "mix(0.4: pareto(alpha=1.5, kappa=1), 0.3: neg(point(2.3)), "
-    "0.3: neg(pareto(alpha=0.5, kappa=1)))",
-], ids=["default", "case_b", "negative_atom"])
+NEGATIVE_ATOM = ("mix(0.4: pareto(alpha=1.5, kappa=1), 0.3: neg(point(2.3)), "
+                 "0.3: neg(pareto(alpha=0.5, kappa=1)))")
+
+
+@pytest.mark.parametrize("spec", [DEFAULT_MODEL, CASE_B, NEGATIVE_ATOM],
+                         ids=["default", "case_b", "negative_atom"])
 def test_integrated_tail_curve_cross_checks_pointwise(spec):
     # route A on shared cells against pointwise route B, both under the
     # ratio measure; case_b's slow tail reaches far past x = 1e5, and
@@ -339,6 +340,17 @@ def test_route_b_curve_matches_pointwise_route_b(case_b_model):
     route_b = np.array([renewal_integrated_tail_forms(case_b_model, H, x)[1]
                         for x in xs])
     assert np.allclose(curve, route_b, rtol=1e-8, atol=0.0)
+
+
+def test_pointwise_route_b_cuts_panels_at_the_shifted_measure_kink():
+    # the negative atom at 2.3 kinks t/m(t) there, so H(t - x) kinks at
+    # t = x + 2.3, inside a route-B panel unless that panel is cut there
+    model = spec_to_model(NEGATIVE_ATOM)
+    H = RenewalMeasure.from_ratio(truncated_neg_mean(model))
+    xs = np.array(parse_probes("0:1e4:16"))
+    route_b = np.array([renewal_integrated_tail_forms(model, H, x)[1] for x in xs])
+    assert np.allclose(route_b, tailmath.two_route_curve(model, H, xs),
+                       rtol=1e-8, atol=0.0)
 
 
 def test_two_route_tail_refines_rows_where_the_routes_part():
@@ -521,13 +533,13 @@ def test_degenerate_convolution_is_exact():
 def test_identity_is_convolution_neutral():
     model = spec_to_model("pareto(alpha=1.5, kappa=1)")
     grid = GridDistribution.from_model(model, x_max=1e4, ppd=32)
-    same = grid.convolve(GridDistribution.identity())
+    same = grid.convolve(GridDistribution.from_point(0.0))
     xs = np.array([0.7, 13.0, 900.0])
     assert np.allclose(same.tail(xs), grid.tail(xs), rtol=1e-9)
 
 
 def test_point_mass_power_is_a_point_mass():
-    cubed = GridDistribution.from_point(0.25).power(3)
+    cubed = GridDistribution.from_point(0.25).powers(3)[3]
     assert list(cubed.atom_locs) == [0.75]
     assert cubed.atom_masses[0] == pytest.approx(1.0, abs=1e-15)
 
@@ -572,7 +584,7 @@ def test_power_respects_the_defect_bound():
     model = spec_to_model("pareto(alpha=1.5, kappa=1)")
     grid = GridDistribution.from_model(model, x_max=1e3)
     with pytest.raises(HorizonError):
-        grid.power(3, defect_bound=1e-9)
+        grid.powers(3, defect_bound=1e-9)
 
 
 def test_mixture_grid_merges_atoms():

@@ -17,15 +17,11 @@ from htwk.walksim import (
     RngStream,
     SupBatch,
     _shard_sizes,
-    estimate_sup,
     estimate_sup_many,
     ks_threshold,
     ks_two_sample,
     mtau_tail_estimate,
     renewal_estimate,
-    run_cycle,
-    sample_increment,
-    sample_ladder_height,
     sample_ladder_many,
     simulate_cycles,
     wilson_interval,
@@ -46,14 +42,6 @@ def test_rng_stream_keys_are_independent():
     base = RngStream(7, 0, 0).generator().random(8)
     for other in (RngStream(8, 0, 0), RngStream(7, 1, 0), RngStream(7, 0, 1)):
         assert not np.array_equal(base, other.generator().random(8))
-
-
-def test_plain_generator_and_bad_rng_argument(default_model):
-    gen = np.random.Generator(np.random.Philox(5))
-    x = sample_increment(default_model, gen)
-    assert np.isfinite(x)
-    with pytest.raises(TypeError):
-        sample_increment(default_model, 12345)
 
 
 # ----------------------------------------------------------------------
@@ -78,23 +66,11 @@ def test_sampler_matches_the_stated_tail(text):
 
 
 # ----------------------------------------------------------------------
-# single-cycle mechanics
+# driver preconditions and budgets
 # ----------------------------------------------------------------------
-
-def test_run_cycle_outcome_shape(default_model):
-    out = run_cycle(default_model, RngStream(1, CYCLES, 0))
-    assert out.tau >= 1
-    assert out.steps == out.tau
-    assert out.chi > 0.0
-    assert out.m_tau >= 0.0
-    again = run_cycle(default_model, RngStream(1, CYCLES, 0))
-    assert (out.tau, out.m_tau, out.chi) == (again.tau, again.m_tau, again.chi)
-
 
 def test_cycle_needs_a_negative_part():
     one_sided = spec_to_model("pareto(1.5, 1)")
-    with pytest.raises(PreconditionError, match="negative part"):
-        run_cycle(one_sided, RngStream(1, CYCLES, 0))
     with pytest.raises(PreconditionError, match="negative part"):
         simulate_cycles(one_sided, 10, seed=1)
     with pytest.raises(PreconditionError, match="negative part"):
@@ -107,12 +83,19 @@ def test_step_budget_is_enforced(default_model):
     with pytest.raises(BudgetError):
         simulate_cycles(default_model, 100000, seed=3, step_budget=100)
     with pytest.raises(BudgetError):
-        run_cycle(default_model, RngStream(3, CYCLES, 0), step_budget=0)
+        simulate_cycles(default_model, 1, seed=3, step_budget=0)
 
 
 def test_replication_count_must_be_positive(default_model):
     with pytest.raises(PreconditionError):
         estimate_sup_many(default_model, 0, seed=1)
+
+
+def test_barrier_must_be_positive(default_model):
+    with pytest.raises(PreconditionError, match="barrier"):
+        estimate_sup_many(default_model, 10, seed=1, barrier=0.0)
+    with pytest.raises(PreconditionError, match="barrier"):
+        sample_ladder_many(default_model, 10, seed=1, barrier=-1.0)
 
 
 # ----------------------------------------------------------------------
@@ -122,6 +105,8 @@ def test_replication_count_must_be_positive(default_model):
 def _assert_stats_match_raw(res, n, probes):
     st_ = res.stats
     assert st_.cycles == n
+    assert np.all(res.tau >= 1) and np.all(res.chi > 0.0)
+    assert np.all(res.m_tau >= 0.0)
     assert st_.steps == int(res.tau.sum()) == st_.tau_sum
     assert st_.tau_max == int(res.tau.max())
     assert np.isclose(st_.chi_sum, res.chi.sum())
@@ -162,23 +147,16 @@ def test_chunked_shards_keep_stats_stream_and_budget(default_model,
 
 
 def test_sup_budget_covers_all_shards(default_model):
-    need = estimate_sup_many(default_model, 4000, seed=7, barrier=100.0,
-                             workers=2).steps
+    first = estimate_sup_many(default_model, 4000, seed=7, barrier=100.0,
+                              workers=2)
+    need = first.steps
     again = estimate_sup_many(default_model, 4000, seed=7, barrier=100.0,
                               workers=2, step_budget=need)
     assert again.steps == need
+    assert np.array_equal(again.m_values, first.m_values)
     with pytest.raises(BudgetError):
         estimate_sup_many(default_model, 4000, seed=7, barrier=100.0,
                           workers=2, step_budget=need - 1)
-
-
-def test_run_cycle_is_row_zero_of_a_one_cycle_ensemble(default_model):
-    for s in range(20):
-        out = run_cycle(default_model, RngStream(s, CYCLES, 0))
-        res = simulate_cycles(default_model, 1, seed=s, keep_raw=True)
-        assert (out.tau, out.m_tau, out.chi) == (res.tau[0], res.m_tau[0],
-                                                 res.chi[0])
-        assert out.steps == res.stats.steps
 
 
 def test_cycle_runs_are_bit_identical(default_model):
@@ -250,15 +228,6 @@ def test_sup_batch_probability_and_flags(default_model):
     assert np.array_equal(batch.hit_zero, batch.m_values == 0.0)
 
 
-def test_sup_single_draw_is_deterministic(default_model):
-    a = estimate_sup(default_model, 1e4, RngStream(2, 1, 0))
-    b = estimate_sup(default_model, 1e4, RngStream(2, 1, 0))
-    assert a.m_value == b.m_value
-    assert a.hit_zero_set == (a.m_value == 0.0)
-    with pytest.raises(PreconditionError):
-        estimate_sup(default_model, 0.0, RngStream(2, 1, 0))
-
-
 def test_sup_bias_flag_trips_on_barrier_hits():
     batch = SupBatch(m_values=np.array([0.0, 5.0, 2e4]), barrier=1e4, steps=3)
     assert batch.escape_estimate == pytest.approx(1.0 / 3.0)
@@ -281,15 +250,6 @@ def test_ladder_censor_rate_matches_never_ascending(default_model):
     assert np.all(ladder.uncensored_psi() > 0.0)
     assert np.all(ladder.eta >= 1)
     assert np.all(ladder.psi[ladder.censored] == 0.0)
-
-
-def test_ladder_single_draw(default_model):
-    s = sample_ladder_height(default_model, 1e4, RngStream(21, 2, 0))
-    assert s.eta >= 1
-    assert s.censored == (s.psi == 0.0)
-    assert s.psi >= 0.0
-    with pytest.raises(PreconditionError):
-        sample_ladder_height(default_model, -1.0, RngStream(21, 2, 0))
 
 
 def test_ladder_batch_uncensored_view():
