@@ -16,11 +16,9 @@ from .tailmath import (GridConfig, GridDistribution, IncrementModel,
                        integrated_tail, integrated_tail_curve, mu_plus,
                        renewal_integrated_tail, renewal_integrated_tail_curve,
                        self_conv_tail, sstar_integral, truncated_neg_mean)
-from .classlab import (KINDS, PROBES_DEFAULT, ProbeSchedule, RatioDiagnostic,
-                       StoppedSumModel, convolution_closure_check,
-                       majorant_check, measure_equivalence_check,
-                       membership_curve, small_increment_criterion,
-                       stopped_sum_tail, tail_split_criteria)
+from .classlab import (KINDS, PROBES_DEFAULT, RatioDiagnostic, majorant_check,
+                       measure_equivalence_check, membership_curve,
+                       small_increment_criterion)
 from .walksim import (BARRIER_DEFAULT, CycleResult, CycleStats, LadderBatch,
                       RenewalEstimate, RngStream, SupBatch, estimate_sup_many,
                       ks_threshold, ks_two_sample, mtau_tail_estimate,
@@ -44,10 +42,9 @@ __all__ = [
     "integrated_tail_curve", "mu_plus", "renewal_integrated_tail",
     "renewal_integrated_tail_curve", "self_conv_tail", "sstar_integral",
     "truncated_neg_mean",
-    "KINDS", "PROBES_DEFAULT", "ProbeSchedule", "RatioDiagnostic",
-    "StoppedSumModel", "convolution_closure_check", "majorant_check",
+    "KINDS", "PROBES_DEFAULT", "RatioDiagnostic", "majorant_check",
     "measure_equivalence_check", "membership_curve",
-    "small_increment_criterion", "stopped_sum_tail", "tail_split_criteria",
+    "small_increment_criterion",
     "BARRIER_DEFAULT", "CycleResult", "CycleStats", "LadderBatch",
     "RenewalEstimate", "RngStream", "SupBatch", "estimate_sup_many",
     "ks_threshold", "ks_two_sample", "mtau_tail_estimate",

@@ -12,8 +12,6 @@ Kinds:
     S      two-fold tail / F-bar          target 2   (subexponential)
     Sstar  symmetric tail integral / F-bar  target 2*mu_plus
     SF     conv_tail(G, F, x)/F-bar(x)    target 1   (F-subordinate)
-
-The stopped-sum and closure curves are SF curves on a derived grid.
 """
 
 from __future__ import annotations
@@ -23,11 +21,10 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import BudgetError, PreconditionError
-from .tailmath import (PROBE_REFINE, GridConfig, GridDistribution,
-                       IncrementModel, RenewalMeasure, conv_tail,
-                       geometric_knots, mu_plus, self_conv_tail,
-                       sstar_integral, two_route_curve)
+from .errors import PreconditionError
+from .tailmath import (GridConfig, GridDistribution, IncrementModel,
+                       RenewalMeasure, conv_tail, geometric_knots, mu_plus,
+                       self_conv_tail, sstar_integral, two_route_curve)
 
 PROBES_DEFAULT = (1e2, 10 ** 2.5, 1e3, 10 ** 3.5, 1e4)
 
@@ -38,10 +35,9 @@ _TREND_SLACK = 1e-12
 # relative slack on the majorant bound, for rounding in the grid sums
 _MAJORANT_SLACK = 1e-9
 
-# the geometric stop count is cut where its neglected tail drops below
-# _STOP_NEGLECT, and refused when that takes more than _STOP_TERMS terms
-_STOP_NEGLECT = 1e-8
-_STOP_TERMS = 400
+# measure_equivalence_check refuses measures whose ratio H1/H2 grows by
+# more than this factor across the probes
+_RATIO_GROWTH_BOUND = 3.0
 
 
 @dataclass(frozen=True)
@@ -108,64 +104,6 @@ def _diagnostic(kind, probes, values, target, tol, extras=None) -> RatioDiagnost
                            verdict=verdict, extras=extras or {})
 
 
-@dataclass(frozen=True)
-class ProbeSchedule:
-    """Split-point schedule h(x) = x**beta, growing but below x/2."""
-
-    beta: float = 0.5
-
-    def __post_init__(self):
-        if not 0.0 < self.beta < 1.0:
-            raise PreconditionError("schedule exponent must lie in (0, 1)")
-
-    def h(self, x):
-        return np.power(np.asarray(x, dtype=float), self.beta)
-
-    def validate(self, probes) -> None:
-        xs = np.asarray(probes, dtype=float)
-        hs = self.h(xs)
-        bad = xs[hs >= xs / 2.0]
-        if bad.size:
-            raise PreconditionError(
-                f"h(x) >= x/2 at probe {bad[0]:g}; shrink beta or raise probes")
-        if np.any(np.diff(hs) < 0):
-            raise PreconditionError("h must be nondecreasing on the probes")
-
-
-@dataclass
-class StoppedSumModel:
-    """Random sum X_nu of iid steps with law G and stop count nu.
-
-    `pmf[n]` is P(nu = n) starting at n = 0; the geometric constructor
-    truncates where the neglected tail drops below `_STOP_NEGLECT`.
-    """
-
-    grid: GridDistribution
-    pmf: tuple[float, ...]
-
-    def __post_init__(self):
-        total = sum(self.pmf)
-        if not 0.0 < total <= 1.0 + 1e-12:
-            raise PreconditionError("stopping probabilities must sum into (0, 1]")
-
-    @classmethod
-    def geometric(cls, grid: GridDistribution, p: float) -> "StoppedSumModel":
-        if not 0.0 < p <= 1.0:
-            raise PreconditionError("geometric stop needs p in (0, 1]")
-        if p == 1.0:
-            return cls(grid=grid, pmf=(1.0,))
-        n = int(math.ceil(math.log(_STOP_NEGLECT) / math.log(1.0 - p))) + 1
-        if n > _STOP_TERMS:
-            raise BudgetError(
-                f"geometric truncation needs {n} terms, cap is {_STOP_TERMS}")
-        return cls(grid=grid, pmf=tuple(p * (1.0 - p) ** k for k in range(n)))
-
-    def stopped_grid(self) -> GridDistribution:
-        """G_nu = sum over n of P(nu=n) G^{*n}, on the step grid."""
-        return GridDistribution.mixture(self.pmf,
-                                        self.grid.powers(len(self.pmf) - 1))
-
-
 def _probe_tails(F: IncrementModel, xs) -> tuple[tuple[float, ...], np.ndarray]:
     """The probes as floats, and F-bar at them, which must not vanish."""
     xs = tuple(float(x) for x in xs)
@@ -180,10 +118,10 @@ def _conv_tails(G: GridDistribution, F: IncrementModel, xs) -> np.ndarray:
     return np.array([conv_tail(G, F, x) for x in xs])
 
 
-def _strip_mass(G: GridDistribution, xs, width, fbar) -> np.ndarray:
-    """G(x - width, x] / F-bar(x) at each probe."""
+def _strip_mass(G: GridDistribution, xs, fbar) -> np.ndarray:
+    """G(x - 1, x] / F-bar(x) at each probe."""
     arr = np.asarray(xs)
-    return (np.asarray(G.tail(arr - width), dtype=float)
+    return (np.asarray(G.tail(arr - 1.0), dtype=float)
             - np.asarray(G.tail(arr), dtype=float)) / fbar
 
 
@@ -231,36 +169,6 @@ def membership_curve(kind: str, F: IncrementModel,
     return _diagnostic("SF", xs, _conv_tails(G, F, xs) / fbar, 1.0, tol)
 
 
-def tail_split_criteria(G: GridDistribution, F: IncrementModel,
-                        schedule: ProbeSchedule = ProbeSchedule(),
-                        xs=PROBES_DEFAULT,
-                        tols: tuple[float, float, float] = (0.02, 0.02, 0.02)
-                        ) -> tuple[RatioDiagnostic, RatioDiagnostic, RatioDiagnostic]:
-    """The three split conditions equivalent to SF membership.
-
-    c1: F-bar(x - h)/F-bar(x) -> 1 (shift insensitivity),
-    c2: G(x-h, x] / F-bar(x) -> 0 (no G mass rides the far edge),
-    c3: middle-strip convolution integral / F-bar(x) -> 0.
-    """
-    xs, fbar = _probe_tails(F, xs)
-    schedule.validate(xs)
-    hs = schedule.h(np.asarray(xs))
-
-    c1 = np.asarray(F.tail_pos(np.asarray(xs) - hs), dtype=float) / fbar
-    c2 = _strip_mass(G, xs, hs, fbar)
-    c3 = []
-    for x, h, fb in zip(xs, hs, fbar):
-        locs, masses = G.particles(refine=PROBE_REFINE, lo=float(h),
-                                   hi=float(x - h), closed_lo=False)
-        val = float(np.dot(masses, np.asarray(F.tail_pos(x - locs), dtype=float))) \
-            if locs.size else 0.0
-        c3.append(val / fb)
-
-    return (_diagnostic("shift", xs, c1, 1.0, tols[0]),
-            _diagnostic("edge-strip", xs, c2, 0.0, tols[1]),
-            _diagnostic("middle-strip", xs, c3, 0.0, tols[2]))
-
-
 def majorant_check(G: GridDistribution, F: IncrementModel, epsilon: float,
                    n_max: int, xs=PROBES_DEFAULT) -> tuple[float, list]:
     """Geometric majorant for convolution powers.
@@ -293,37 +201,6 @@ def majorant_check(G: GridDistribution, F: IncrementModel, epsilon: float,
     return A, violations
 
 
-def stopped_sum_tail(stopped: StoppedSumModel, F: IncrementModel,
-                     xs=PROBES_DEFAULT, tol: float = 0.05) -> RatioDiagnostic:
-    """SF curve of the stopped sum's law against F."""
-    g_nu = stopped.stopped_grid()
-    sf = membership_curve("SF", F, G=g_nu, xs=xs, tol=tol)
-    arr = np.asarray(sf.probes)
-    g_tail = np.asarray(g_nu.tail(arr), dtype=float)
-    step_tail = np.asarray(stopped.grid.tail(arr), dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        sanity = np.where(step_tail > 0, g_tail / step_tail, np.nan)
-    mean_nu = sum(n * w for n, w in enumerate(stopped.pmf))
-    return replace(sf, kind="stopped-sum",
-                   extras={"tail_vs_step": sanity.tolist(),
-                           "mean_stop": mean_nu,
-                           "terms": len(stopped.pmf)})
-
-
-def convolution_closure_check(G1: GridDistribution, G2: GridDistribution,
-                              F: IncrementModel, xs=PROBES_DEFAULT,
-                              tol: float = 0.05) -> RatioDiagnostic:
-    """SF curve of G1 * G2 against F; both factors must pass first."""
-    d1 = membership_curve("SF", F, G=G1, xs=xs, tol=tol)
-    d2 = membership_curve("SF", F, G=G2, xs=xs, tol=tol)
-    if not (d1.verdict and d2.verdict):
-        raise PreconditionError(
-            "closure check needs both factors to pass SF membership")
-    sf = membership_curve("SF", F, G=G1.convolve(G2), xs=xs, tol=tol)
-    return replace(sf, kind="closure",
-                   extras={"factor1": d1.values, "factor2": d2.values})
-
-
 def small_increment_criterion(F: IncrementModel, G: GridDistribution,
                               xs=PROBES_DEFAULT, tol_small: float = 0.05,
                               tol_sf: float = 0.05,
@@ -338,7 +215,7 @@ def small_increment_criterion(F: IncrementModel, G: GridDistribution,
             raise PreconditionError(
                 "increment criterion assumes the base law passes Sstar")
     xs, fbar = _probe_tails(F, xs)
-    small_diag = _diagnostic("unit-increment", xs, _strip_mass(G, xs, 1.0, fbar),
+    small_diag = _diagnostic("unit-increment", xs, _strip_mass(G, xs, fbar),
                              0.0, tol_small)
     sf = membership_curve("SF", F, G=G, xs=xs, tol=tol_sf)
     return small_diag, replace(sf, extras={**sf.extras,
@@ -347,14 +224,14 @@ def small_increment_criterion(F: IncrementModel, G: GridDistribution,
 
 def measure_equivalence_check(F: IncrementModel, H1: RenewalMeasure,
                               H2: RenewalMeasure, xs=PROBES_DEFAULT,
-                              tol: float = 0.05, ratio_bound: float = 3.0,
+                              tol: float = 0.05,
                               grid_cfg: GridConfig = GridConfig(
                                   points_per_decade=16),
                               ) -> dict[str, RatioDiagnostic]:
     """SF verdicts must agree for two measures with comparable growth.
 
     Precondition: H1(x)/H2(x) stays within a bounded band over the
-    probes (growth by more than `ratio_bound` across the grid fails).
+    probes (growth by more than `_RATIO_GROWTH_BOUND` across them fails).
     Emits the SF curve and the unit-increment curve for each measure.
     """
     xs, fbar = _probe_tails(F, xs)
@@ -363,10 +240,10 @@ def measure_equivalence_check(F: IncrementModel, H1: RenewalMeasure,
     if not np.all(np.isfinite(q)) or np.min(q) <= 0:
         raise PreconditionError("measure ratio ill-defined on probes")
     growth = float(np.max(q) / np.min(q))
-    if growth > ratio_bound:
+    if growth > _RATIO_GROWTH_BOUND:
         raise PreconditionError(
             f"measure ratio grows by factor {growth:.3g} over the probes "
-            f"(bound {ratio_bound:g}); comparability hypothesis fails")
+            f"(bound {_RATIO_GROWTH_BOUND:g}); comparability hypothesis fails")
 
     x_max = max(grid_cfg.x_max, 10.0 * xs[-1])
     knots = geometric_knots(x_max, grid_cfg.points_per_decade)
@@ -384,7 +261,7 @@ def measure_equivalence_check(F: IncrementModel, H1: RenewalMeasure,
                                 tail_cont=np.minimum(1.0, route_a / i0))
         out[f"sf_{tag}"] = membership_curve("SF", F, G=grid, xs=xs, tol=tol)
         out[f"small_{tag}"] = _diagnostic(f"unit-increment-{tag}", xs,
-                                          _strip_mass(grid, xs, 1.0, fbar),
+                                          _strip_mass(grid, xs, fbar),
                                           0.0, tol)
 
     agree = out["sf_h1"].verdict == out["sf_h2"].verdict

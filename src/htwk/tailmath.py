@@ -367,10 +367,6 @@ class IncrementModel:
         return self.law.sample(gen, n)
 
     @cached_property
-    def q_plus(self) -> float:
-        return float(self.law.sf(0.0))
-
-    @cached_property
     def infinite_neg_mean(self) -> bool:
         return not self.law.left_mean_finite
 
@@ -513,10 +509,6 @@ class RenewalMeasure:
         vals = np.asarray(self.fn(np.maximum(arr, 0.0)), dtype=float)
         out = np.where(arr < 0, 0.0, vals)
         return float(out) if np.ndim(t) == 0 else out
-
-    def check_subadditive(self, pairs, tol: float = 1e-9) -> bool:
-        x, y = np.asarray(pairs[0], dtype=float), np.asarray(pairs[1], dtype=float)
-        return bool(np.all(self(x + y) <= self(x) + self(y) + tol))
 
     @classmethod
     def lebesgue(cls):
@@ -914,6 +906,9 @@ def sstar_integral(model: IncrementModel, x: float) -> float:
 CONV_REFINE = 4
 PROBE_REFINE = 8
 
+# `powers` refuses a power whose mass beyond the horizon exceeds this
+_POWER_DEFECT_BOUND = 1e-6
+
 
 @dataclass(frozen=True)
 class GridConfig:
@@ -1034,28 +1029,20 @@ class GridDistribution:
 
     # -- particle view ----------------------------------------------------
 
-    def particles(self, refine: int = 4, lo: float = 0.0, hi: float | None = None,
-                  closed_lo: bool = True,
+    def particles(self, refine: int = 4, hi: float | None = None,
                   with_atoms: bool = True) -> tuple[np.ndarray, np.ndarray]:
         """Representative locations and masses of the restriction to
-        (lo, hi] (or [lo, hi] when closed_lo), atoms kept exactly and
-        each continuous cell split into `refine` subcells placed at
-        their interpolation-rule centroids."""
+        [0, hi], atoms kept exactly and each continuous cell split into
+        `refine` subcells placed at their interpolation-rule centroids."""
         hi = self.x_max if hi is None else min(float(hi), self.x_max)
-        if closed_lo:
-            a_keep = (self.atom_locs >= lo) & (self.atom_locs <= hi)
-        else:
-            a_keep = (self.atom_locs > lo) & (self.atom_locs <= hi)
-        if not with_atoms:
-            a_keep &= False
+        a_keep = (self.atom_locs <= hi) & with_atoms
         a_locs = self.atom_locs[a_keep]
         a_mass = self.atom_masses[a_keep]
 
         k = self.knots
-        i0 = max(0, int(np.searchsorted(k, lo, side="right")) - 1)
         i1 = min(k.size - 2, int(np.searchsorted(k, hi, side="left")) - 1)
-        cells = np.arange(i0, i1 + 1)
-        el = np.maximum(k[cells], lo)
+        cells = np.arange(i1 + 1)
+        el = k[cells]
         er = np.minimum(k[cells + 1], hi)
         meet = er > el
         cells, el, er = cells[meet], el[meet], er[meet]
@@ -1092,18 +1079,18 @@ class GridDistribution:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def from_tail(cls, tail_fn: Callable, x_max: float = 1e6, ppd: int = 64,
-                  x_min: float = 1e-3) -> "GridDistribution":
-        knots = geometric_knots(x_max, ppd, x_min)
+    def from_tail(cls, tail_fn: Callable, x_max: float = 1e6,
+                  ppd: int = 64) -> "GridDistribution":
+        knots = geometric_knots(x_max, ppd)
         vals = np.asarray(tail_fn(knots), dtype=float)
         return cls(knots=knots, tail_cont=vals.copy())
 
     @classmethod
-    def from_model(cls, model: IncrementModel, x_max: float = 1e6, ppd: int = 64,
-                   x_min: float = 1e-3) -> "GridDistribution":
+    def from_model(cls, model: IncrementModel, x_max: float = 1e6,
+                   ppd: int = 64) -> "GridDistribution":
         if model.law.support[0] < 0:
             raise PreconditionError("grid discretization needs support in [0, infinity)")
-        knots = geometric_knots(x_max, ppd, x_min)
+        knots = geometric_knots(x_max, ppd)
         locs, masses = model.pos_atoms
         keep = locs <= x_max
         beyond_atoms = float(masses[~keep].sum())
@@ -1113,22 +1100,22 @@ class GridDistribution:
                    atom_masses=masses, mass_beyond=beyond_atoms)
 
     @classmethod
-    def from_point(cls, c: float, mass: float = 1.0) -> "GridDistribution":
+    def from_point(cls, c: float) -> "GridDistribution":
         if c < 0:
             raise ValueError("point mass location must be nonnegative")
         top = max(1.0, 2.0 * c)
         knots = np.array([0.0, top])
         return cls(knots=knots, tail_cont=np.zeros(2),
-                   atom_locs=np.array([float(c)]), atom_masses=np.array([float(mass)]))
+                   atom_locs=np.array([float(c)]), atom_masses=np.array([1.0]))
 
     @classmethod
-    def from_samples(cls, values, x_max: float = 1e6, ppd: int = 64,
-                     x_min: float = 1e-3) -> "GridDistribution":
+    def from_samples(cls, values, x_max: float = 1e6,
+                     ppd: int = 64) -> "GridDistribution":
         v = np.sort(np.asarray(values, dtype=float))
         if v.size == 0 or v[0] < 0:
             raise ValueError("need nonnegative samples")
         n = v.size
-        knots = geometric_knots(x_max, ppd, x_min)
+        knots = geometric_knots(x_max, ppd)
         beyond = float(np.mean(v > x_max))
         atom0 = float(np.mean(v == 0.0))
         tail = (n - np.searchsorted(v, knots, side="right")) / n
@@ -1137,21 +1124,6 @@ class GridDistribution:
                    atom_locs=np.array([0.0]) if atom0 > 0 else np.empty(0),
                    atom_masses=np.array([atom0]) if atom0 > 0 else np.empty(0),
                    mass_beyond=beyond)
-
-    @classmethod
-    def mixture(cls, weights, grids) -> "GridDistribution":
-        weights = np.asarray(weights, dtype=float)
-        base = grids[0]
-        for g in grids[1:]:
-            if not np.array_equal(g.knots, base.knots):
-                raise ValueError("mixture components must share a knot set")
-        tail = sum(w * g.tail_cont for w, g in zip(weights, grids))
-        locs, masses = _merge_atoms(
-            np.concatenate([g.atom_locs for g in grids]),
-            np.concatenate([w * g.atom_masses for w, g in zip(weights, grids)]))
-        beyond = float(sum(w * g.mass_beyond for w, g in zip(weights, grids)))
-        return cls(knots=base.knots.copy(), tail_cont=np.asarray(tail, dtype=float),
-                   atom_locs=locs, atom_masses=masses, mass_beyond=beyond)
 
     # -- convolution -------------------------------------------------------
 
@@ -1198,7 +1170,7 @@ class GridDistribution:
                                 atom_locs=new_locs, atom_masses=new_masses,
                                 mass_beyond=beyond)
 
-    def powers(self, n: int, defect_bound: float = 1e-6) -> list["GridDistribution"]:
+    def powers(self, n: int) -> list["GridDistribution"]:
         """[G^0, G^1, ..., G^n] by repeated pairwise convolution."""
         if n < 0:
             raise ValueError("power must be nonnegative")
@@ -1207,10 +1179,10 @@ class GridDistribution:
             atom_locs=np.array([0.0]), atom_masses=np.array([1.0]))]
         for i in range(1, n + 1):
             nxt = out[-1].convolve(self)
-            if nxt.mass_beyond > defect_bound:
+            if nxt.mass_beyond > _POWER_DEFECT_BOUND:
                 raise HorizonError(
                     f"convolution defect {nxt.mass_beyond:.3e} exceeds bound "
-                    f"{defect_bound:.1e} at power {i}; enlarge x_max")
+                    f"{_POWER_DEFECT_BOUND:.1e} at power {i}; enlarge x_max")
             out.append(nxt)
         return out
 
@@ -1233,7 +1205,7 @@ def conv_tail(grid: GridDistribution, model: IncrementModel, x: float) -> float:
     _check_horizon(grid, x)
     if x < 0:
         return 0.0
-    locs, masses = grid.particles(refine=PROBE_REFINE, lo=0.0, hi=x, closed_lo=True)
+    locs, masses = grid.particles(refine=PROBE_REFINE, hi=x)
     if locs.size == 0:
         return 0.0
     return float(np.dot(masses, np.asarray(model.tail_pos(x - locs), dtype=float)))
@@ -1245,7 +1217,7 @@ def self_conv_tail(grid: GridDistribution, x: float) -> float:
     _check_horizon(grid, x)
     if x < 0:
         return float(min(1.0, grid.total_mass ** 2))
-    locs, masses = grid.particles(refine=PROBE_REFINE, lo=0.0, hi=x, closed_lo=True)
+    locs, masses = grid.particles(refine=PROBE_REFINE, hi=x)
     head = float(grid.tail(x))
     if locs.size == 0:
         return head

@@ -6,16 +6,10 @@ import pytest
 from htwk import spec_to_model, tailmath
 from htwk.errors import DivergenceError, PreconditionError
 from htwk.classlab import (
-    PROBES_DEFAULT,
-    ProbeSchedule,
-    StoppedSumModel,
-    convolution_closure_check,
     majorant_check,
     measure_equivalence_check,
     membership_curve,
     small_increment_criterion,
-    stopped_sum_tail,
-    tail_split_criteria,
     trend_verdict,
 )
 from htwk.tailmath import (
@@ -113,52 +107,6 @@ def test_kind_arguments_are_policed(pareto2, kind):
         membership_curve(kind, pareto2, xs=(10.0, 10.0))
 
 
-def test_probe_schedule_bounds():
-    ProbeSchedule(0.5).validate(PROBES_DEFAULT)
-    with pytest.raises(PreconditionError):
-        ProbeSchedule(0.9).validate((4.0, 8.0))
-    with pytest.raises(PreconditionError):
-        ProbeSchedule(1.2)
-
-
-def test_tail_split_pointwise_values(default_model):
-    K, _ = criterion_K(default_model)
-    g1 = GridDistribution.from_tail(
-        lambda t: integrated_tail_curve(default_model, K, t), x_max=1e6)
-    d1, d2, d3 = tail_split_criteria(g1, default_model)
-    # shift term at x = 1e4, h = 100: ((1+x)/(1+x-h))^1.5
-    want = (10001.0 / 9901.0) ** 1.5
-    assert np.isclose(d1.values[-1], want, rtol=1e-9)
-    assert d1.per_probe[-1]
-    # the integrated tail decays one power slower than the base tail, so
-    # its mass on the edge strip (x-sqrt(x), x] stays comparable to the
-    # base tail instead of vanishing: the split is sufficient for
-    # convolution neutrality but not necessary
-    assert np.all(np.diff(d2.values) < 0.0)
-    assert 0.5 < d2.values[-1] < 1.2
-    assert not any(d2.per_probe)
-    # the middle strip does vanish
-    assert 0.0 <= d3.values[-1] < 0.02
-    assert d3.per_probe[-1]
-
-
-def test_tail_split_concentrated_mass_clears_both_strips(default_model):
-    # all mass at 5: once sqrt(x) > 5 both strips (x-h, x] and (h, x-h]
-    # miss the atom entirely
-    d1, d2, d3 = tail_split_criteria(
-        GridDistribution.from_point(5.0), default_model)
-    assert np.all(np.asarray(d2.values) == 0.0)
-    assert np.all(np.asarray(d3.values) == 0.0)
-    assert all(d2.per_probe) and all(d3.per_probe)
-    assert d1.per_probe[-1]
-
-
-def test_tail_split_degenerate_mass_at_zero(default_model):
-    d1, d2, d3 = tail_split_criteria(GridDistribution.from_point(0.0), default_model)
-    assert np.all(np.asarray(d2.values) == 0.0)
-    assert np.all(np.asarray(d3.values) == 0.0)
-
-
 def test_geometric_majorant_has_no_violations(pareto15):
     grid = GridDistribution.from_model(pareto15)
     A, violations = majorant_check(grid, pareto15, epsilon=0.5, n_max=4)
@@ -172,51 +120,6 @@ def test_majorant_needs_an_anchor(pareto15, expo):
     with pytest.raises(PreconditionError):
         majorant_check(light_grid, expo, epsilon=0.1, n_max=2,
                        xs=(2.0, 4.0, 6.0))
-
-
-def test_stopped_sum_stays_tail_neutral(pareto15):
-    grid = GridDistribution.from_model(pareto15)
-    stopped = StoppedSumModel.geometric(grid, p=0.5)
-    diag = stopped_sum_tail(stopped, pareto15)
-    assert diag.verdict
-    assert abs(diag.values[-1] - 1.0) < 0.01
-    assert diag.extras["mean_stop"] == pytest.approx(1.0, rel=1e-6)
-
-
-def test_stopping_at_one_is_the_identity(pareto15):
-    grid = GridDistribution.from_model(pareto15)
-    stopped = StoppedSumModel.geometric(grid, p=1.0)
-    diag = stopped_sum_tail(stopped, pareto15)
-    assert np.allclose(diag.values, 1.0, atol=1e-12)
-
-
-def test_closure_of_two_tail_neutral_factors(pareto15):
-    grid = GridDistribution.from_model(pareto15)
-    diag = convolution_closure_check(grid, grid, pareto15)
-    assert diag.verdict
-    assert abs(diag.values[-1] - 1.0) < 0.01
-
-
-def test_stopped_sum_and_closure_are_sf_curves(pareto15):
-    grid = GridDistribution.from_model(pareto15)
-    stopped = StoppedSumModel.geometric(grid, p=0.9)
-    for diag, derived in ((stopped_sum_tail(stopped, pareto15), stopped.stopped_grid()),
-                          (convolution_closure_check(grid, grid, pareto15),
-                           grid.convolve(grid))):
-        sf = membership_curve("SF", pareto15, G=derived)
-        assert diag.values == sf.values
-        assert diag.per_probe == sf.per_probe
-        assert diag.verdict == sf.verdict
-    # the stopped-sum curve polices its probes as every SF curve does
-    with pytest.raises(PreconditionError, match="increasing"):
-        stopped_sum_tail(StoppedSumModel.geometric(grid, p=1.0), pareto15,
-                         xs=(1e3, 1e2, 1e4))
-
-
-def test_closure_refuses_a_failing_factor(expo):
-    grid = GridDistribution.from_model(expo, x_max=1e3)
-    with pytest.raises(PreconditionError, match="closure"):
-        convolution_closure_check(grid, grid, expo, xs=(2.0, 4.0, 6.0, 8.0, 10.0))
 
 
 def test_increment_criterion_claims_only_after_base_passes(default_model):

@@ -1,6 +1,8 @@
 """Static checks on the package source: every imported name is used,
-every private module-level name is referenced somewhere, and the
-package's `__all__` lists exactly what `__init__.py` imports."""
+every private module-level name is referenced somewhere, every public
+module-level function and class is read by the package or the
+benchmark (or is on an explicit allow-list), and the package's
+`__all__` lists exactly what `__init__.py` imports."""
 
 import ast
 from pathlib import Path
@@ -11,6 +13,7 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "htwk"
 # __init__.py imports names only to re-export them
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 PACKAGE = sorted(SRC.glob("*.py"))
+BENCH = sorted((SRC.parent.parent / "perfbench").glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -49,17 +52,23 @@ def _private_definitions(tree: ast.Module) -> list[str]:
     return [n for n in names if n.startswith("_") and not n.startswith("__")]
 
 
-def unreferenced_private_names(sources: dict[str, str]) -> list[str]:
-    """module:name for each private module-level name that no module of
-    `sources` reads, as a bare name or as an attribute."""
-    trees = {mod: ast.parse(src) for mod, src in sources.items()}
+def _names_read(trees) -> set[str]:
+    """Every name the trees read, as a bare name or as an attribute."""
     read = set()
-    for tree in trees.values():
+    for tree in trees:
         for node in ast.walk(tree):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 read.add(node.id)
             elif isinstance(node, ast.Attribute):
                 read.add(node.attr)
+    return read
+
+
+def unreferenced_private_names(sources: dict[str, str]) -> list[str]:
+    """module:name for each private module-level name that no module of
+    `sources` reads, as a bare name or as an attribute."""
+    trees = {mod: ast.parse(src) for mod, src in sources.items()}
+    read = _names_read(trees.values())
     return [f"{mod}:{name}" for mod, tree in trees.items()
             for name in _private_definitions(tree) if name not in read]
 
@@ -73,6 +82,55 @@ def test_the_scan_sees_an_orphaned_private_name():
 def test_every_private_name_is_referenced():
     sources = {p.name: p.read_text() for p in PACKAGE}
     assert unreferenced_private_names(sources) == []
+
+
+def _public_definitions(tree: ast.Module) -> list[str]:
+    """Module-level functions and classes whose names do not start with _."""
+    return [node.name for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and not node.name.startswith("_")]
+
+
+def unread_public_names(sources: dict[str, str], readers: dict[str, str]) -> list[str]:
+    """module:name for each public module-level function or class of
+    `sources` that no module of `sources` or `readers` reads."""
+    trees = {mod: ast.parse(src) for mod, src in sources.items()}
+    read = _names_read([*trees.values(), *map(ast.parse, readers.values())])
+    return [f"{mod}:{name}" for mod, tree in trees.items()
+            for name in _public_definitions(tree) if name not in read]
+
+
+# public names that neither the package nor the benchmark reads, each
+# kept for the reason given
+UNREAD_PUBLIC_ALLOWED = {
+    "cli.py:classify": "click command, registered by its decorator",
+    "cli.py:tails": "click command, registered by its decorator",
+    "cli.py:simulate": "click command, registered by its decorator",
+    "cli.py:verify": "click command, registered by its decorator",
+    "cli.py:renewal": "click command, registered by its decorator",
+    "distspec.py:parse_spec": "public reader of distribution expressions",
+    "serialize.py:read_cycles": "public reader of the cycles.bin format",
+    "tailmath.py:renewal_integrated_tail_forms":
+        "the tests' pointwise reference for the integrated-tail curves",
+}
+
+
+def test_the_scan_sees_an_unread_public_name():
+    sources = {"a": "def f():\n    return g()\ndef g():\n    pass\n"
+                    "class C:\n    pass\nclass D:\n    pass\ndef _h():\n    pass\n",
+               "b": "from a import D\nD()\ndef main():\n    pass\n"}
+    readers = {"bench": "import a\na.C()\n"}
+    assert unread_public_names(sources, readers) == ["a:f", "b:main"]
+
+
+def test_every_public_name_is_read_or_allowed():
+    sources = {p.name: p.read_text() for p in MODULES}
+    readers = {p.name: p.read_text() for p in BENCH}
+    defined = {f"{mod}:{name}" for mod, src in sources.items()
+               for name in _public_definitions(ast.parse(src))}
+    assert set(UNREAD_PUBLIC_ALLOWED) <= defined
+    unread = unread_public_names(sources, readers)
+    assert [n for n in unread if n not in UNREAD_PUBLIC_ALLOWED] == []
 
 
 def export_problems(source: str) -> list[str]:

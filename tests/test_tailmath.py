@@ -39,7 +39,7 @@ def test_default_mixture_tails_are_closed_form(default_model):
     # positive arm 0.5 * (1+x)^-1.5, negative arm 0.5 * (1+y)^-0.5
     assert default_model.tail_pos(3.0) == pytest.approx(0.0625, abs=1e-15)
     assert default_model.tail_neg(3.0) == pytest.approx(0.25, abs=1e-15)
-    assert default_model.q_plus == pytest.approx(0.5, abs=1e-15)
+    assert default_model.tail_pos(0.0) == 0.5
     assert default_model.infinite_neg_mean
     assert default_model.has_negative_part
 
@@ -390,14 +390,6 @@ def test_two_route_tail_refuses_a_divergent_integral():
         renewal_integrated_tail(model, RenewalMeasure.lebesgue(), [1.0, 10.0])
 
 
-def test_subadditivity_probe(default_model):
-    tm = truncated_neg_mean(default_model)
-    H = RenewalMeasure.from_ratio(tm)
-    rng = np.random.default_rng(5)
-    pairs = (rng.uniform(0.0, 1e3, 300), rng.uniform(0.0, 1e3, 300))
-    assert H.check_subadditive(pairs)
-
-
 # ----------------------------------------------------------------------
 # scalar functionals
 # ----------------------------------------------------------------------
@@ -488,21 +480,17 @@ def _sorted_particles(locs, masses):
     return locs[order], masses[order]
 
 
-@pytest.mark.parametrize("lo,hi", [(3.0, 7.5), (1.3, 3.0), (1.3, 7.5)],
-                         ids=["atom-at-lo", "atom-at-hi", "atom-inside"])
-@pytest.mark.parametrize("closed_lo", [True, False])
-def test_sub_range_particles_carry_the_range_mass(lo, hi, closed_lo):
+@pytest.mark.parametrize("hi", [3.0, 7.5, 1.3],
+                         ids=["atom-at-hi", "atom-inside", "atom-past-hi"])
+def test_sub_range_particles_carry_the_range_mass(hi):
     model = spec_to_model("mix(0.5: pareto(alpha=2, kappa=1), 0.5: point(3))")
     grid = GridDistribution.from_model(model, x_max=1e4, ppd=16)
-    locs, masses = grid.particles(refine=4, lo=lo, hi=hi, closed_lo=closed_lo)
-    atom_in = (lo < 3.0 <= hi) or (closed_lo and lo == 3.0)
-    want = grid.tail(lo) - grid.tail(hi) + (0.5 if closed_lo and lo == 3.0 else 0.0)
-    assert masses.sum() == pytest.approx(want, rel=1e-12)
-    assert np.all((locs >= lo) & (locs <= hi))
+    locs, masses = grid.particles(refine=4, hi=hi)
+    assert masses.sum() == pytest.approx(grid.total_mass - grid.tail(hi), rel=1e-12)
+    assert np.all((locs >= 0.0) & (locs <= hi))
     # with_atoms=False drops exactly the atom, and nothing else
-    c_locs, c_masses = grid.particles(refine=4, lo=lo, hi=hi,
-                                      closed_lo=closed_lo, with_atoms=False)
-    if atom_in:
+    c_locs, c_masses = grid.particles(refine=4, hi=hi, with_atoms=False)
+    if hi >= 3.0:
         c_locs = np.append(c_locs, 3.0)
         c_masses = np.append(c_masses, 0.5)
     for got, exp in zip(_sorted_particles(locs, masses),
@@ -584,16 +572,7 @@ def test_power_respects_the_defect_bound():
     model = spec_to_model("pareto(alpha=1.5, kappa=1)")
     grid = GridDistribution.from_model(model, x_max=1e3)
     with pytest.raises(HorizonError):
-        grid.powers(3, defect_bound=1e-9)
-
-
-def test_mixture_grid_merges_atoms():
-    a = GridDistribution.from_point(0.3)
-    b = GridDistribution.from_point(0.4)
-    mixed = GridDistribution.mixture([0.25, 0.75], [a, b])
-    assert list(mixed.atom_locs) == [0.3, 0.4]
-    assert np.allclose(mixed.atom_masses, [0.25, 0.75])
-    assert mixed.total_mass == pytest.approx(1.0)
+        grid.powers(3)
 
 
 def test_monotone_input_is_required():

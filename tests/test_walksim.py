@@ -178,7 +178,7 @@ def test_sharded_cycle_runs_are_bit_identical(default_model):
 
 def test_zero_maximum_frequency_matches_first_step(default_model):
     # m_tau = 0 exactly when the first increment is already negative,
-    # which happens with probability 1 - q_plus = 0.5
+    # which happens with probability 1 - P(xi > 0) = 0.5
     res = simulate_cycles(default_model, 40000, seed=19)
     rate = res.stats.zero_m_tau / res.stats.cycles
     se = math.sqrt(0.25 / res.stats.cycles)
