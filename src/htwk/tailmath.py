@@ -69,13 +69,54 @@ class Law:
     def sample(self, gen: np.random.Generator, n: int) -> np.ndarray:
         raise NotImplementedError
 
+    def sf_integral(self, a, b):
+        """integral of P(X > t) over [a, b] for a <= b, in closed form;
+        vectorized over a and b, and b may be infinite."""
+        raise NotImplementedError
 
-@dataclass(frozen=True)
-class Pareto(Law):
-    alpha: float
-    kappa: float
+    def cdf_integral(self, a, b):
+        """integral of P(X < t) over [a, b] for a <= b, in closed form;
+        vectorized over a and b, and b may be infinite."""
+        raise NotImplementedError
+
+
+def _float_or_array(out):
+    out = np.asarray(out, dtype=float)
+    return out if out.shape else float(out)
+
+
+class _HalfLineLaw(Law):
+    """A continuous law on [0, infinity): sf is 1 below 0, and each
+    subclass gives the integral of sf over a part of the half line."""
 
     support = (0.0, _INF)
+
+    def _tail_integral(self, lo, hi):
+        """integral of sf over [lo, hi] for 0 <= lo <= hi <= infinity."""
+        raise NotImplementedError
+
+    def sf_integral(self, a, b):
+        a = np.asarray(a, dtype=float)
+        b = np.asarray(b, dtype=float)
+        below = np.minimum(b, 0.0) - np.minimum(a, 0.0)
+        return _float_or_array(
+            below + self._tail_integral(np.maximum(a, 0.0), np.maximum(b, 0.0)))
+
+    def cdf_integral(self, a, b):
+        lo = np.maximum(np.asarray(a, dtype=float), 0.0)
+        hi = np.maximum(np.asarray(b, dtype=float), 0.0)
+        # the length less the tail integral: where P(X < t) stays small on
+        # all of [lo, hi] (a short interval near 0) this loses the digits
+        # of (hi - lo) / result
+        with np.errstate(invalid="ignore"):
+            out = np.where(hi == _INF, _INF, (hi - lo) - self._tail_integral(lo, hi))
+        return _float_or_array(out)
+
+
+@dataclass(frozen=True)
+class Pareto(_HalfLineLaw):
+    alpha: float
+    kappa: float
 
     def __post_init__(self):
         if not (self.alpha > 0 and self.kappa > 0):
@@ -89,6 +130,17 @@ class Pareto(Law):
         t = np.maximum(np.asarray(t, dtype=float), 0.0)
         return (self.kappa / (self.kappa + t)) ** self.alpha
 
+    def _tail_integral(self, lo, hi):
+        # kappa^a ((kappa+hi)^(1-a) - (kappa+lo)^(1-a)) / (1-a), through
+        # expm1 and log1p so that no two near-equal numbers are subtracted;
+        # kappa log((kappa+hi)/(kappa+lo)) at a = 1, and inf when a <= 1
+        # and hi = inf
+        k, s = self.kappa, 1.0 - self.alpha
+        log_ratio = np.log1p((hi - lo) / (k + lo))
+        if s == 0.0:
+            return k * log_ratio
+        return k / s * (k / (k + lo)) ** -s * np.expm1(s * log_ratio)
+
     def inverse(self, u):
         u = np.asarray(u, dtype=float)
         return self.kappa * ((1.0 - u) ** (-1.0 / self.alpha) - 1.0)
@@ -98,10 +150,8 @@ class Pareto(Law):
 
 
 @dataclass(frozen=True)
-class Exponential(Law):
+class Exponential(_HalfLineLaw):
     rate: float
-
-    support = (0.0, _INF)
 
     def __post_init__(self):
         if not self.rate > 0:
@@ -111,6 +161,9 @@ class Exponential(Law):
         t = np.maximum(np.asarray(t, dtype=float), 0.0)
         return np.exp(-self.rate * t)
 
+    def _tail_integral(self, lo, hi):
+        return np.exp(-self.rate * lo) * -np.expm1(-self.rate * (hi - lo)) / self.rate
+
     def inverse(self, u):
         return -np.log1p(-np.asarray(u, dtype=float)) / self.rate
 
@@ -119,11 +172,9 @@ class Exponential(Law):
 
 
 @dataclass(frozen=True)
-class Weibull(Law):
+class Weibull(_HalfLineLaw):
     shape: float
     scale: float = 1.0
-
-    support = (0.0, _INF)
 
     def __post_init__(self):
         if not (self.shape > 0 and self.scale > 0):
@@ -132,6 +183,19 @@ class Weibull(Law):
     def sf(self, t):
         t = np.maximum(np.asarray(t, dtype=float), 0.0)
         return np.exp(-((t / self.scale) ** self.shape))
+
+    def _tail_integral(self, lo, hi):
+        # with u = (t/scale)^shape the integral is scale Gamma(1+1/shape)
+        # times the mass of [lo', hi'] under Gamma(1/shape); the lower
+        # regularized gamma differences that mass where it is below 1/2
+        # at hi', the upper one elsewhere, so neither difference cancels
+        a = 1.0 / self.shape
+        u_lo = (lo / self.scale) ** self.shape
+        u_hi = (hi / self.scale) ** self.shape
+        p_hi = special.gammainc(a, u_hi)
+        mass = np.where(p_hi < 0.5, p_hi - special.gammainc(a, u_lo),
+                        special.gammaincc(a, u_lo) - special.gammaincc(a, u_hi))
+        return self.scale * special.gamma(1.0 + a) * mass
 
     def inverse(self, u):
         u = np.asarray(u, dtype=float)
@@ -142,11 +206,9 @@ class Weibull(Law):
 
 
 @dataclass(frozen=True)
-class Lognormal(Law):
+class Lognormal(_HalfLineLaw):
     mu: float
     sigma: float
-
-    support = (0.0, _INF)
 
     def __post_init__(self):
         if not self.sigma > 0:
@@ -160,6 +222,21 @@ class Lognormal(Law):
             z = (np.log(np.where(pos, t, 1.0)) - self.mu) / (self.sigma * math.sqrt(2.0))
             out = np.where(pos, 0.5 * special.erfc(z), out)
         return out if out.shape else float(out)
+
+    def _tail_integral(self, lo, hi):
+        # by parts: hi sf(hi) - lo sf(lo) + E[X; lo < X <= hi], where the
+        # partial expectation is exp(mu + sigma^2/2) times the normal mass
+        # of [z(lo), z(hi)], z(t) = (log t - mu - sigma^2)/sigma, taken
+        # from the nearer tail
+        with np.errstate(divide="ignore"):
+            z_lo = (np.log(lo) - self.mu) / self.sigma - self.sigma
+            z_hi = (np.log(hi) - self.mu) / self.sigma - self.sigma
+        mass = np.where(z_lo > 0.0, special.ndtr(-z_lo) - special.ndtr(-z_hi),
+                        special.ndtr(z_hi) - special.ndtr(z_lo))
+        partial = math.exp(self.mu + 0.5 * self.sigma ** 2) * mass
+        # hi sf(hi) vanishes as hi grows
+        hi = np.where(hi == _INF, 0.0, hi)
+        return hi * self.sf(hi) - lo * self.sf(lo) + partial
 
     def sample(self, gen, n):
         return np.exp(self.mu + self.sigma * gen.standard_normal(n))
@@ -182,6 +259,14 @@ class PointMass(Law):
         t = np.asarray(t, dtype=float)
         out = np.where(t > self.c, 1.0, 0.0)
         return out if out.shape else float(out)
+
+    def sf_integral(self, a, b):
+        # the length of [a, b] below c
+        return _float_or_array(np.minimum(b, self.c) - np.minimum(a, self.c))
+
+    def cdf_integral(self, a, b):
+        # the length of [a, b] above c
+        return _float_or_array(np.maximum(b, self.c) - np.maximum(a, self.c))
 
     def atoms(self):
         return np.array([self.c]), np.array([1.0])
@@ -220,6 +305,14 @@ class Neg(Law):
 
     def cdf_strict(self, t):
         return self.child.sf(-np.asarray(t, dtype=float))
+
+    def sf_integral(self, a, b):
+        return self.child.cdf_integral(-np.asarray(b, dtype=float),
+                                       -np.asarray(a, dtype=float))
+
+    def cdf_integral(self, a, b):
+        return self.child.sf_integral(-np.asarray(b, dtype=float),
+                                      -np.asarray(a, dtype=float))
 
     def atoms(self):
         locs, masses = self.child.atoms()
@@ -260,6 +353,14 @@ class Shift(Law):
 
     def cdf_strict(self, t):
         return self.child.cdf_strict(np.asarray(t, dtype=float) - self.c)
+
+    def sf_integral(self, a, b):
+        return self.child.sf_integral(np.asarray(a, dtype=float) - self.c,
+                                      np.asarray(b, dtype=float) - self.c)
+
+    def cdf_integral(self, a, b):
+        return self.child.cdf_integral(np.asarray(a, dtype=float) - self.c,
+                                       np.asarray(b, dtype=float) - self.c)
 
     def atoms(self):
         locs, masses = self.child.atoms()
@@ -315,6 +416,14 @@ class Mixture(Law):
         out = sum(w * np.asarray(ch.cdf_strict(t), dtype=float)
                   for w, ch in zip(self.weights, self.children))
         return out if np.shape(out) else float(out)
+
+    def sf_integral(self, a, b):
+        return _float_or_array(sum(w * np.asarray(ch.sf_integral(a, b), dtype=float)
+                                   for w, ch in zip(self.weights, self.children)))
+
+    def cdf_integral(self, a, b):
+        return _float_or_array(sum(w * np.asarray(ch.cdf_integral(a, b), dtype=float)
+                                   for w, ch in zip(self.weights, self.children)))
 
     def atoms(self):
         locs, masses = [], []
@@ -402,7 +511,7 @@ class IncrementModel:
 
     @cached_property
     def truncated_mean(self) -> "TruncatedMean":
-        return TruncatedMean(self.tail_neg, breakpoints=self.neg_breakpoints)
+        return TruncatedMean(self.law, breakpoints=self.neg_breakpoints)
 
 
 # ----------------------------------------------------------------------
@@ -410,59 +519,23 @@ class IncrementModel:
 # ----------------------------------------------------------------------
 
 class TruncatedMean:
-    """m(x) = integral of N-bar over [0, x], with cached panel integrals.
+    """m(x) = integral of N-bar over [0, x], in closed form from the law.
 
-    Panels follow a width-geometric ladder (widths 1, 2, 4, ...) merged
-    with the jump locations of N-bar, so every cached integral sees a
-    smooth integrand, integrated by `gl_adaptive` to 1e-12 relative;
-    point queries finish the open panel with fixed Gauss-Legendre
-    nodes, vectorized over the query array.
+    N-bar(y) = P(xi < -y), so m(x) = law.cdf_integral(-x, 0).  On a
+    negated leaf that is the leaf's own tail integral over [0, x], with
+    no subtraction of near-equal numbers.
     """
 
-    def __init__(self, tail_neg: Callable, breakpoints=()):
-        self._tail = tail_neg
+    def __init__(self, law: Law, breakpoints=()):
+        self._law = law
         self.breakpoints = tuple(sorted(float(p) for p in breakpoints if p > 0))
-        self._next_width = 1.0
-        self._edges = [0.0]
-        self._prefix = [0.0]
-        self.c0 = float(np.asarray(tail_neg(0.0), dtype=float))
-        self._edges_arr = np.array(self._edges)
-        self._prefix_arr = np.array(self._prefix)
-        self._extend(8.0)
-
-    def _extend(self, x: float) -> None:
-        if x <= self._edges[-1]:
-            return
-        while self._edges[-1] < x:
-            left = self._edges[-1]
-            right = left + self._next_width
-            self._next_width *= 2.0
-            cuts = [p for p in self.breakpoints if left < p < right] + [right]
-            for p in sorted(cuts):
-                seg = _quad.gl_adaptive(self._tail, self._edges[-1], p)
-                self._edges.append(p)
-                self._prefix.append(self._prefix[-1] + seg)
-        self._edges_arr = np.array(self._edges)
-        self._prefix_arr = np.array(self._prefix)
+        self.c0 = float(np.asarray(law.cdf_strict(0.0), dtype=float))
 
     def __call__(self, x):
         arr = np.asarray(x, dtype=float)
-        scalar = arr.ndim == 0
-        arr = np.atleast_1d(arr)
         if np.any(arr < 0):
             raise ValueError("truncated mean is defined for x >= 0")
-        if arr.size:
-            self._extend(float(arr.max()))
-        idx = np.searchsorted(self._edges_arr, arr, side="right") - 1
-        idx = np.clip(idx, 0, len(self._edges) - 1)
-        left = self._edges_arr[idx]
-        base = self._prefix_arr[idx]
-        w = arr - left
-        nodes, wts = _quad._gl01(64)
-        t = left[:, None] + w[:, None] * nodes[None, :]
-        vals = np.asarray(self._tail(t.reshape(-1)), dtype=float).reshape(t.shape)
-        out = base + w * (vals @ wts)
-        return float(out[0]) if scalar else out
+        return self._law.cdf_integral(-arr, 0.0)
 
     def ratio(self, x):
         """x/m(x), extended by its limit 1/c at x = 0."""
@@ -480,7 +553,7 @@ class TruncatedMean:
 
 
 def truncated_neg_mean(model: IncrementModel) -> TruncatedMean:
-    """The model's m(x) with shared panel cache."""
+    """The model's m(x), one instance per model."""
     if not model.has_negative_part:
         raise PreconditionError("model has no negative part; m is identically 0")
     return model.truncated_mean

@@ -197,9 +197,13 @@ def cycle_max_report(model: IncrementModel, xs, cycles: int, seed: int,
                                 workers=workers, step_budget=step_budget)
         pi = GridDistribution.from_samples(sup.m_values,
                                            x_max=max(1e6, 10.0 * xs[-1]))
-        weak_ratio = np.array([conv_tail(pi, model, x) / fb
-                               for x, fb in zip(xs, fbar)])
-        weak_ok = np.abs(weak_ratio - 1.0) <= tol
+        # a probe where F-bar vanishes has no ratio, and it fails
+        resolved = fbar > 0.0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            weak_ratio = np.where(
+                resolved, np.array([conv_tail(pi, model, x) for x in xs]) / fbar,
+                np.nan)
+        weak_ok = resolved & (np.abs(weak_ratio - 1.0) <= tol)
         subchecks.append(CheckBlock(
             name="max-law-tail-neutrality", anchor=ANCHOR_WEAK,
             verdict=bool(np.all(weak_ok[-2:])),

@@ -69,6 +69,107 @@ def test_light_control_mean_is_negative(light_model):
     assert not light_model.infinite_neg_mean
 
 
+# every law, and where scipy's quad must cut its panels: 0, the atoms
+# and the shift's support edge
+LAW_BREAKS = {
+    "pareto(alpha=0.5, kappa=2)": (0.0,),
+    "pareto(alpha=1, kappa=2)": (0.0,),
+    "pareto(alpha=2.5, kappa=0.5)": (0.0,),
+    "exponential(rate=0.7)": (0.0,),
+    "weibull(shape=0.6, scale=2)": (0.0,),
+    "weibull(shape=2.5, scale=1.5)": (0.0,),
+    "lognormal(mu=0.3, sigma=1.2)": (0.0,),
+    "point(1.5)": (1.5,),
+    "neg(pareto(alpha=1.5, kappa=1))": (0.0,),
+    "shift(-2, exponential(rate=1))": (-2.0,),
+    "mix(0.3: pareto(alpha=1.5, kappa=1), 0.2: point(-1), "
+    "0.5: neg(weibull(shape=0.5)))": (-1.0, 0.0),
+}
+# below 0, across 0 and the atom at -1, above 0 and across the atom at 1.5
+INTERVALS = [(-3.0, -1.0), (-1.5, 2.5), (-2.5, 0.5), (0.5, 7.0), (1.2, 1.8),
+             (0.0, 40.0)]
+
+
+def _quad_oracle(fn, a, b, breaks):
+    pts = [p for p in breaks if a < p < b]
+    val, _ = scipy.integrate.quad(lambda t: float(fn(t)), a, b,
+                                  points=pts or None, epsabs=0.0,
+                                  epsrel=1e-13, limit=200)
+    return val
+
+
+@pytest.mark.parametrize("spec", LAW_BREAKS)
+def test_law_integrals_match_scipy(spec):
+    law = spec_to_model(spec).law
+    for a, b in INTERVALS:
+        for got, fn in ((law.sf_integral(a, b), law.sf),
+                        (law.cdf_integral(a, b), law.cdf_strict)):
+            want = _quad_oracle(fn, a, b, LAW_BREAKS[spec])
+            assert np.isclose(got, want, rtol=1e-12, atol=0.0), (a, b, got, want)
+
+
+@pytest.mark.parametrize("spec", LAW_BREAKS)
+def test_law_integrals_are_vectorized(spec):
+    law = spec_to_model(spec).law
+    a, b = np.array(INTERVALS).T
+    for integral in (law.sf_integral, law.cdf_integral):
+        got = integral(a, b)
+        assert got.shape == a.shape
+        assert np.allclose(got, [integral(x, y) for x, y in INTERVALS],
+                           rtol=1e-15, atol=0.0)
+
+
+@pytest.mark.parametrize("spec", [
+    "pareto(alpha=1.5, kappa=1)", "pareto(alpha=2.5, kappa=0.5)",
+    "exponential(rate=0.7)", "weibull(shape=0.6, scale=2)",
+    "lognormal(mu=0.3, sigma=1.2)", "point(1.5)",
+    "shift(-2, exponential(rate=1))", DEFAULT_MODEL,
+    "mix(0.5: pareto(alpha=1.8, kappa=1), 0.5: neg(pareto(alpha=0.3, kappa=1)))"])
+def test_closed_form_positive_mean_matches_quadrature(spec):
+    model = spec_to_model(spec)
+    assert np.isclose(model.law.sf_integral(0.0, np.inf), mu_plus(model),
+                      rtol=1e-8, atol=0.0)
+
+
+def test_closed_form_positive_mean_diverges_at_alpha_one():
+    law = spec_to_model("pareto(alpha=1, kappa=1)").law
+    assert law.sf_integral(0.0, np.inf) == np.inf
+    assert law.cdf_integral(0.0, np.inf) == np.inf
+
+
+ABSTRACT_INTEGRALS = {tailmath.Law.sf_integral, tailmath.Law.cdf_integral,
+                      tailmath._HalfLineLaw._tail_integral}
+
+
+def missing_integrals(cls) -> list[str]:
+    """The closed-form integrals that `cls` leaves to an abstract base."""
+    return [name for name in ("sf_integral", "cdf_integral", "_tail_integral")
+            if getattr(cls, name, None) in ABSTRACT_INTEGRALS]
+
+
+def test_the_scan_sees_a_law_without_integrals():
+    class Bare(tailmath._HalfLineLaw):
+        pass
+
+    class Half(tailmath.Law):
+        def sf_integral(self, a, b):
+            return 0.0
+
+    assert missing_integrals(Bare) == ["_tail_integral"]
+    assert missing_integrals(Half) == ["cdf_integral"]
+
+
+def test_every_law_has_both_closed_form_integrals():
+    laws = [c for name, c in vars(tailmath).items()
+            if isinstance(c, type) and issubclass(c, tailmath.Law)
+            and c is not tailmath.Law and not name.startswith("_")]
+    assert {c.__name__ for c in laws} >= {
+        "Pareto", "Exponential", "Weibull", "Lognormal", "PointMass", "Neg",
+        "Shift", "Mixture"}
+    assert {c.__name__: missing_integrals(c) for c in laws} == {
+        c.__name__: [] for c in laws}
+
+
 # ----------------------------------------------------------------------
 # truncated mean
 # ----------------------------------------------------------------------
@@ -76,11 +177,11 @@ def test_light_control_mean_is_negative(light_model):
 
 def test_truncated_mean_closed_form(default_model):
     tm = truncated_neg_mean(default_model)
-    # m(x) = sqrt(1+x) - 1
-    assert tm(3.0) == pytest.approx(1.0, abs=1e-10)
-    assert tm(8.0) == pytest.approx(2.0, abs=1e-10)
-    xs = np.array([0.5, 2.0, 99.0, 1e4])
-    assert np.allclose(tm(xs), np.sqrt(1.0 + xs) - 1.0, rtol=1e-10)
+    # m(x) = sqrt(1+x) - 1, written without cancellation
+    xs = np.array([1e-12, 1e-3, 1.0, 1e6, 1e12])
+    want = xs / (np.sqrt(1.0 + xs) + 1.0)
+    assert np.allclose(tm(xs), want, rtol=1e-14, atol=0.0)
+    assert tm(3.0) == pytest.approx(1.0, rel=1e-14)
 
 
 def test_truncated_mean_ratio_limits(default_model):

@@ -137,6 +137,21 @@ def test_light_control_rejects_the_heavy_prediction(light_model):
     assert main.subchecks[0].verdict is True
 
 
+def test_tail_neutrality_fails_where_the_positive_tail_vanishes():
+    # F-bar is 0 beyond the atom at 1, while the maximum law still
+    # spreads mass past 1: those probes have no ratio and do not pass
+    model = spec_to_model("mix(0.5: point(1), 0.5: neg(pareto(alpha=0.5, kappa=1)))")
+    block = cycle_max_report(model, (0.5, 2.0, 3.0), cycles=2000, seed=5,
+                             sup_reps=2000)
+    weak = block.subchecks[1]
+    assert weak.name == "max-law-tail-neutrality"
+    ratio = np.asarray(weak.columns["ratio"], dtype=float)
+    assert np.isfinite(ratio[0]) and np.all(np.isnan(ratio[1:]))
+    assert weak.columns["pass"].tolist()[1:] == [False, False]
+    assert weak.verdict is False
+    assert weak.to_dict()["columns"]["ratio"][1:] == [None, None]
+
+
 def test_wrong_success_probability_is_detected(default_model):
     block = ladder_identity_report(default_model, reps=30000, seed=42,
                                    p_override=0.18)
