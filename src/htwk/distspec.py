@@ -3,17 +3,19 @@
 Grammar (whitespace free between tokens):
 
     expr    := NAME "(" body ")"
-    body    := mixarms | params
+    body    := mixarms | args
     mixarms := WEIGHT ":" expr ("," WEIGHT ":" expr)*        (mix only)
-    params  := param ("," param)*
-    param   := [NAME "="] NUMBER | expr                      (children inline)
+    args    := [arg ("," arg)*]                   (parameters, then children)
+    arg     := [NAME "="] NUMBER | expr
 
 Leaves: pareto(alpha, kappa), lognormal(mu, sigma),
 weibull(shape[, scale]), exponential(rate), point(c).
 Combinators: neg(expr), shift(c, expr), mix(w: expr, ...).
 
+A kind's parameters, their order and their defaults are the fields of
+its law dataclass in `_LAWS`; the field `child` is its one child.
 Numbers are decimal literals with an optional sign and exponent part.
-Arguments may be positional (declared order) or named; the canonical
+Parameters may be positional (declared order) or named; the canonical
 printer always emits the named form with defaults resolved, so
 parse(format_spec(e)) == e.
 """
@@ -21,7 +23,7 @@ parse(format_spec(e)) == e.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields, replace
 
 from .errors import SpecSyntaxError, SpecValidationError
 from . import tailmath
@@ -46,20 +48,16 @@ class DistExpr:
     weights: tuple[float, ...] = ()
     span: SourceSpan = field(compare=False, default=_NO_SPAN)
 
-    def param(self, name: str) -> float:
-        for k, v in self.params:
-            if k == name:
-                return v
-        raise KeyError(name)
 
-
-# parameter schema: name -> (ordered (param, default-or-None), n_children)
-_LEAF_SCHEMA = {
-    "pareto": (("alpha", None), ("kappa", None)),
-    "lognormal": (("mu", None), ("sigma", None)),
-    "weibull": (("shape", None), ("scale", 1.0)),
-    "exponential": (("rate", None),),
-    "point": (("c", None),),
+_LAWS = {
+    "pareto": tailmath.Pareto,
+    "lognormal": tailmath.Lognormal,
+    "weibull": tailmath.Weibull,
+    "exponential": tailmath.Exponential,
+    "point": tailmath.PointMass,
+    "neg": tailmath.Neg,
+    "shift": tailmath.Shift,
+    "mix": tailmath.Mixture,
 }
 
 _TOKEN_RE = re.compile(r"""
@@ -87,7 +85,6 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
 
 class _Parser:
     def __init__(self, text: str):
-        self.text = text
         self.tokens = _tokenize(text)
         self.i = 0
 
@@ -120,99 +117,77 @@ class _Parser:
         tok = self.expect("name")
         name, start = tok[1], tok[2]
         self.expect("sym", "(")
-        if name == "mix":
-            node = self._parse_mix(start)
-        elif name == "neg":
-            child = self.parse_expr()
-            node = DistExpr(kind="neg", children=(child,))
-        elif name == "shift":
-            node = self._parse_shift(start)
-        elif name in _LEAF_SCHEMA:
-            node = self._parse_leaf(name, start)
-        else:
+        if name not in _LAWS:
             raise SpecSyntaxError(f"unknown distribution {name!r}",
                                   (start, start + len(name)))
+        node = self._parse_mix() if name == "mix" else self._parse_args(name, start)
         close = self.expect("sym", ")")
-        span = SourceSpan(start, close[2] + 1)
-        return DistExpr(kind=node.kind, params=node.params,
-                        children=node.children, weights=node.weights, span=span)
+        return replace(node, span=SourceSpan(start, close[2] + 1))
+
+    def _at(self, sym: str) -> bool:
+        return self.peek()[:2] == ("sym", sym)
 
     def _parse_number(self) -> float:
         tok = self.expect("number")
         return float(tok[1])
 
-    def _parse_leaf(self, name: str, start: int) -> DistExpr:
-        schema = _LEAF_SCHEMA[name]
+    def _parse_args(self, name: str, start: int) -> DistExpr:
+        """Parameters, positional then named, and after them the children."""
+        law_fields = fields(_LAWS[name])
+        signature = [(f.name, f.default) for f in law_fields if f.name != "child"]
+        n_children = len(law_fields) - len(signature)
+        order = [p for p, _ in signature]
         values: dict[str, float] = {}
-        order = [p for p, _ in schema]
-        pos_index = 0
+        children: list[DistExpr] = []
         named_seen = False
-        while True:
+        while not self._at(")"):
             tok = self.peek()
-            if tok[0] == "sym" and tok[1] == ")":
-                break
-            if tok[0] == "name":
-                key_tok = self.next()
+            span = (tok[2], tok[2] + max(1, len(tok[1])))
+            if tok[0] == "name" and self.tokens[self.i + 1][:2] == ("sym", "("):
+                if len(children) == n_children:
+                    raise SpecSyntaxError(
+                        f"too many child expressions for {name}", span)
+                children.append(self.parse_expr())
+            elif children:
+                raise SpecSyntaxError("parameter after child expression", span)
+            elif tok[0] == "name":
+                self.next()
                 self.expect("sym", "=")
-                key = key_tok[1]
+                key = tok[1]
                 if key not in order:
                     raise SpecSyntaxError(
-                        f"{name} has no parameter {key!r}",
-                        (key_tok[2], key_tok[2] + len(key)))
+                        f"{name} has no parameter {key!r}", span)
                 if key in values:
                     raise SpecSyntaxError(
-                        f"duplicate parameter {key!r}",
-                        (key_tok[2], key_tok[2] + len(key)))
+                        f"duplicate parameter {key!r}", span)
                 values[key] = self._parse_number()
                 named_seen = True
+            elif named_seen:
+                raise SpecSyntaxError(
+                    "positional argument after named argument", span)
+            elif len(values) == len(order):
+                raise SpecSyntaxError(f"too many arguments for {name}", span)
             else:
-                if named_seen:
-                    raise SpecSyntaxError(
-                        "positional argument after named argument",
-                        (tok[2], tok[2] + max(1, len(tok[1]))))
-                if pos_index >= len(order):
-                    raise SpecSyntaxError(
-                        f"too many arguments for {name}",
-                        (tok[2], tok[2] + max(1, len(tok[1]))))
-                key = order[pos_index]
-                if key in values:
-                    raise SpecSyntaxError(
-                        f"duplicate parameter {key!r}", (tok[2], tok[2] + 1))
-                values[key] = self._parse_number()
-                pos_index += 1
-            if self.peek()[0] == "sym" and self.peek()[1] == ",":
-                self.next()
-                continue
-            break
+                values[order[len(values)]] = self._parse_number()
+            if not self._at(","):
+                break
+            self.next()
+        name_span = (start, start + len(name))
         params = []
-        for key, default in schema:
+        for key, default in signature:
             if key in values:
                 params.append((key, values[key]))
-            elif default is not None:
+            elif default is not MISSING:
                 params.append((key, default))
             else:
                 raise SpecSyntaxError(
-                    f"{name} is missing required parameter {key!r}",
-                    (start, start + len(name)))
-        return DistExpr(kind=name, params=tuple(params))
+                    f"{name} is missing required parameter {key!r}", name_span)
+        if len(children) < n_children:
+            raise SpecSyntaxError(f"{name} is missing its child expression",
+                                  name_span)
+        return DistExpr(kind=name, params=tuple(params), children=tuple(children))
 
-    def _parse_shift(self, start: int) -> DistExpr:
-        tok = self.peek()
-        if tok[0] == "name" and tok[1] == "c" \
-                and self.tokens[self.i + 1][:2] == ("sym", "="):
-            self.next()
-            self.next()
-            c = self._parse_number()
-        elif tok[0] == "number":
-            c = self._parse_number()
-        else:
-            raise SpecSyntaxError("shift requires a numeric offset first",
-                                  (tok[2], tok[2] + max(1, len(tok[1]))))
-        self.expect("sym", ",")
-        child = self.parse_expr()
-        return DistExpr(kind="shift", params=(("c", c),), children=(child,))
-
-    def _parse_mix(self, start: int) -> DistExpr:
+    def _parse_mix(self) -> DistExpr:
         weights = []
         children = []
         while True:
@@ -220,10 +195,9 @@ class _Parser:
             self.expect("sym", ":")
             children.append(self.parse_expr())
             weights.append(w)
-            if self.peek()[0] == "sym" and self.peek()[1] == ",":
-                self.next()
-                continue
-            break
+            if not self._at(","):
+                break
+            self.next()
         return DistExpr(kind="mix", weights=tuple(weights),
                         children=tuple(children))
 
@@ -247,12 +221,9 @@ def format_spec(expr: DistExpr) -> str:
         arms = ", ".join(f"{format_float(w)}: {format_spec(ch)}"
                          for w, ch in zip(expr.weights, expr.children))
         return f"mix({arms})"
-    if expr.kind == "neg":
-        return f"neg({format_spec(expr.children[0])})"
-    if expr.kind == "shift":
-        return f"shift(c={format_float(expr.param('c'))}, {format_spec(expr.children[0])})"
-    params = ", ".join(f"{k}={format_float(v)}" for k, v in expr.params)
-    return f"{expr.kind}({params})"
+    args = [f"{k}={format_float(v)}" for k, v in expr.params]
+    args += [format_spec(ch) for ch in expr.children]
+    return f"{expr.kind}({', '.join(args)})"
 
 
 def _to_law(expr: DistExpr) -> tailmath.Law:
@@ -264,23 +235,15 @@ def _to_law(expr: DistExpr) -> tailmath.Law:
     """
     children = tuple(_to_law(ch) for ch in expr.children)
     try:
-        if expr.kind == "pareto":
-            return tailmath.Pareto(alpha=expr.param("alpha"), kappa=expr.param("kappa"))
-        if expr.kind == "lognormal":
-            return tailmath.Lognormal(mu=expr.param("mu"), sigma=expr.param("sigma"))
-        if expr.kind == "weibull":
-            return tailmath.Weibull(shape=expr.param("shape"), scale=expr.param("scale"))
-        if expr.kind == "exponential":
-            return tailmath.Exponential(rate=expr.param("rate"))
-        if expr.kind == "point":
-            return tailmath.PointMass(c=expr.param("c"))
-        if expr.kind == "neg":
-            return tailmath.Neg(child=children[0])
-        if expr.kind == "shift":
-            return tailmath.Shift(c=expr.param("c"), child=children[0])
+        law = _LAWS.get(expr.kind)
+        if law is None:
+            raise SpecValidationError(f"unknown distribution {expr.kind!r}")
         if expr.kind == "mix":
-            return tailmath.Mixture(weights=expr.weights, children=children)
-        raise SpecValidationError(f"unknown distribution {expr.kind!r}")
+            return law(weights=expr.weights, children=children)
+        kwargs = dict(expr.params)
+        if children:
+            kwargs["child"] = children[0]
+        return law(**kwargs)
     except SpecValidationError as err:
         span = (expr.span.start, expr.span.end) if expr.span.start >= 0 else None
         raise SpecValidationError(str(err), span) from None

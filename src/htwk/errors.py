@@ -5,19 +5,13 @@ class HtwkError(Exception):
     """Base class for every error raised by this package."""
 
 
-def _span_pair(span):
-    if hasattr(span, "start"):
-        return int(span.start), int(span.end)
-    start, end = span
-    return int(start), int(end)
-
-
 class SpecSyntaxError(HtwkError):
     """Malformed distribution spec text; carries the offending source span
     as a plain (start, end) character-offset pair."""
 
     def __init__(self, message, span):
-        self.span = _span_pair(span)
+        start, end = span
+        self.span = (int(start), int(end))
         super().__init__(f"{message} (at {self.span[0]}:{self.span[1]})")
 
 
@@ -25,8 +19,10 @@ class SpecValidationError(HtwkError):
     """Well-formed spec that violates a semantic constraint."""
 
     def __init__(self, message, span=None):
-        self.span = None if span is None else _span_pair(span)
-        if self.span is not None:
+        self.span = None
+        if span is not None:
+            start, end = span
+            self.span = (int(start), int(end))
             message = f"{message} (at {self.span[0]}:{self.span[1]})"
         super().__init__(message)
 

@@ -95,6 +95,11 @@ class _HalfLineLaw(Law):
         """integral of sf over [lo, hi] for 0 <= lo <= hi <= infinity."""
         raise NotImplementedError
 
+    def sample(self, gen, n):
+        """Inverse-transform draws through the subclass's quantile
+        function `inverse`; a law without one overrides this."""
+        return self.inverse(gen.random(n))
+
     def sf_integral(self, a, b):
         a = np.asarray(a, dtype=float)
         b = np.asarray(b, dtype=float)
@@ -145,9 +150,6 @@ class Pareto(_HalfLineLaw):
         u = np.asarray(u, dtype=float)
         return self.kappa * ((1.0 - u) ** (-1.0 / self.alpha) - 1.0)
 
-    def sample(self, gen, n):
-        return self.inverse(gen.random(n))
-
 
 @dataclass(frozen=True)
 class Exponential(_HalfLineLaw):
@@ -166,9 +168,6 @@ class Exponential(_HalfLineLaw):
 
     def inverse(self, u):
         return -np.log1p(-np.asarray(u, dtype=float)) / self.rate
-
-    def sample(self, gen, n):
-        return self.inverse(gen.random(n))
 
 
 @dataclass(frozen=True)
@@ -200,9 +199,6 @@ class Weibull(_HalfLineLaw):
     def inverse(self, u):
         u = np.asarray(u, dtype=float)
         return self.scale * (-np.log1p(-u)) ** (1.0 / self.shape)
-
-    def sample(self, gen, n):
-        return self.inverse(gen.random(n))
 
 
 @dataclass(frozen=True)

@@ -28,10 +28,9 @@ from .errors import DivergenceError, PreconditionError
 from .tailmath import (GridDistribution, IncrementModel, conv_tail, criterion_K,
                        integrated_tail_curve, truncated_neg_mean)
 from . import walksim as ws
-from .walksim import (BARRIER_DEFAULT, STEP_BUDGET_DEFAULT, Z95, RngStream,
-                      estimate_sup_many, ks_threshold, ks_two_sample,
-                      mtau_tail_estimate, renewal_estimate, sample_ladder_many,
-                      wilson_interval)
+from .walksim import (BARRIER_DEFAULT, Z95, RngStream, estimate_sup_many,
+                      ks_threshold, ks_two_sample, mtau_tail_estimate,
+                      renewal_estimate, sample_ladder_many, wilson_interval)
 
 SCHEMA = "htwk-report/1"
 
@@ -149,8 +148,8 @@ def _sorted_probes(xs) -> tuple[float, ...]:
 
 def cycle_max_report(model: IncrementModel, xs, cycles: int, seed: int,
                         workers: int = 1, tol: float = 0.2,
-                        sup_reps: int = 0, barrier: float = BARRIER_DEFAULT,
-                        step_budget: int = STEP_BUDGET_DEFAULT) -> CheckBlock:
+                        sup_reps: int = 0, barrier: float = BARRIER_DEFAULT
+                        ) -> CheckBlock:
     """Exceedance curve of the cycle maximum against tau-bar times F-bar.
 
     The headline verdict demands the ratio confidence interval meet
@@ -162,8 +161,7 @@ def cycle_max_report(model: IncrementModel, xs, cycles: int, seed: int,
     """
     t0 = time.perf_counter()
     xs = _sorted_probes(xs)
-    stats, rows = mtau_tail_estimate(model, xs, cycles, seed, workers=workers,
-                                     step_budget=step_budget)
+    stats, rows = mtau_tail_estimate(model, xs, cycles, seed, workers=workers)
     fbar = np.asarray(model.tail_pos(np.asarray(xs)), dtype=float)
     tau_lo = stats.tau_mean - Z95 * stats.tau_se
     tau_hi = stats.tau_mean + Z95 * stats.tau_se
@@ -194,7 +192,7 @@ def cycle_max_report(model: IncrementModel, xs, cycles: int, seed: int,
     subchecks = [lower]
     if sup_reps:
         sup = estimate_sup_many(model, sup_reps, seed, barrier=barrier,
-                                workers=workers, step_budget=step_budget)
+                                workers=workers)
         pi = GridDistribution.from_samples(sup.m_values,
                                            x_max=max(1e6, 10.0 * xs[-1]))
         # a probe where F-bar vanishes has no ratio, and it fails
@@ -235,8 +233,7 @@ def cycle_max_report(model: IncrementModel, xs, cycles: int, seed: int,
 
 def renewal_bound_report(model: IncrementModel, xs, reps: int, seed: int,
                          workers: int = 1, tol: float = 0.15,
-                         barrier: float = BARRIER_DEFAULT,
-                         step_budget: int = STEP_BUDGET_DEFAULT) -> CheckBlock:
+                         barrier: float = BARRIER_DEFAULT) -> CheckBlock:
     """Scaled renewal curve b(x) = H(x) m(x) / x against the band
     [p, 2p]; the band ends are inflated by tol on each side."""
     t0 = time.perf_counter()
@@ -245,10 +242,9 @@ def renewal_bound_report(model: IncrementModel, xs, reps: int, seed: int,
         raise PreconditionError(
             "descent mean vanishes; the renewal comparison is undefined")
     mneg = truncated_neg_mean(model)
-    ren = renewal_estimate(model, xs, reps, seed, workers=workers,
-                           step_budget=step_budget)
+    ren = renewal_estimate(model, xs, reps, seed, workers=workers)
     sup = estimate_sup_many(model, reps, seed, barrier=barrier,
-                            workers=workers, step_budget=step_budget)
+                            workers=workers)
     p_hat = sup.p_hat
     p_lo, p_hi = sup.p_interval()
 
@@ -287,8 +283,7 @@ def renewal_bound_report(model: IncrementModel, xs, reps: int, seed: int,
 
 def ladder_identity_report(model: IncrementModel, reps: int, seed: int,
                            barrier: float = BARRIER_DEFAULT, workers: int = 1,
-                           p_override: float | None = None,
-                           step_budget: int = STEP_BUDGET_DEFAULT) -> CheckBlock:
+                           p_override: float | None = None) -> CheckBlock:
     """All-time maximum versus a geometric number of ladder heights.
 
     Builds reps samples of psi_1 + ... + psi_nu with nu geometric on
@@ -299,7 +294,7 @@ def ladder_identity_report(model: IncrementModel, reps: int, seed: int,
     """
     t0 = time.perf_counter()
     sup = estimate_sup_many(model, reps, seed, barrier=barrier,
-                            workers=workers, step_budget=step_budget)
+                            workers=workers)
     p_hat = sup.p_hat
     p_use = p_hat if p_override is None else float(p_override)
     if not 0.0 < p_use < 1.0:
@@ -311,7 +306,7 @@ def ladder_identity_report(model: IncrementModel, reps: int, seed: int,
     need = int(nu.sum())
     attempts = int(need / max(1.0 - p_hat, 1e-9) * 1.08) + 512
     lad = sample_ladder_many(model, attempts, seed, barrier=barrier,
-                             workers=workers, step_budget=step_budget)
+                             workers=workers)
     pool = lad.uncensored_psi()
     if pool.size < need:
         raise PreconditionError(
@@ -362,8 +357,7 @@ def ladder_identity_report(model: IncrementModel, reps: int, seed: int,
 
 def gplus_tail_report(model: IncrementModel, xs, reps: int, seed: int,
                       workers: int = 1, tol: float = 0.2,
-                      barrier: float = BARRIER_DEFAULT,
-                      step_budget: int = STEP_BUDGET_DEFAULT) -> CheckBlock:
+                      barrier: float = BARRIER_DEFAULT) -> CheckBlock:
     """Conditional ascent-height tail versus its renewal-measure formula.
 
     Formula side: (F-bar(x) + mean over replications of the sum of
@@ -375,18 +369,18 @@ def gplus_tail_report(model: IncrementModel, xs, reps: int, seed: int,
     if any(x < 0 for x in xs) or any(b <= a for a, b in zip(xs, xs[1:])):
         raise PreconditionError("probes must be nonnegative and increasing")
     sup = estimate_sup_many(model, reps, seed, barrier=barrier,
-                            workers=workers, step_budget=step_budget)
+                            workers=workers)
     p_hat = sup.p_hat
     if p_hat >= 1.0:
         raise PreconditionError("no finite ascents observed; tail undefined")
     lad = sample_ladder_many(model, reps, seed, barrier=barrier,
-                             workers=workers, step_budget=step_budget)
+                             workers=workers)
     unc = lad.uncensored_psi()
     if unc.size == 0:
         raise PreconditionError("no uncensored ascents; increase reps")
     rr = min(_RENEWAL_REPS, reps)
     ren = renewal_estimate(model, (barrier,), rr, seed, workers=workers,
-                           raw_reps=rr, step_budget=step_budget)
+                           raw_reps=rr)
     u = ren.raw_points if ren.raw_points is not None else np.empty(0)
 
     fbar = np.asarray(model.tail_pos(np.asarray(xs)), dtype=float)
@@ -516,8 +510,7 @@ def run_verification(model: IncrementModel, seed: int,
                      ladder_xs=(10.0, 50.0, 100.0), class_xs=PROBES_DEFAULT,
                      tol_main: float = 0.2, tol_band: float = 0.15,
                      tol_tail: float = 0.2, sf_tol: float = 0.05,
-                     p_override: float | None = None,
-                     step_budget: int = STEP_BUDGET_DEFAULT
+                     p_override: float | None = None
                      ) -> VerificationReport:
     """Assemble the requested report blocks for one model."""
     unknown = set(checks) - set(CHECK_NAMES)
@@ -536,19 +529,19 @@ def run_verification(model: IncrementModel, seed: int,
     if "main" in checks:
         report.blocks.append(cycle_max_report(
             model, xs, cycles, seed, workers=workers, tol=tol_main,
-            sup_reps=sup_reps, barrier=barrier, step_budget=step_budget))
+            sup_reps=sup_reps, barrier=barrier))
     if "renewal" in checks:
         report.blocks.append(renewal_bound_report(
             model, renewal_xs, reps, seed, workers=workers, tol=tol_band,
-            barrier=barrier, step_budget=step_budget))
+            barrier=barrier))
     if "ladder_sum" in checks:
         report.blocks.append(ladder_identity_report(
             model, reps, seed, barrier=barrier, workers=workers,
-            p_override=p_override, step_budget=step_budget))
+            p_override=p_override))
     if "ladder_tail" in checks:
         report.blocks.append(gplus_tail_report(
             model, ladder_xs, reps, seed, workers=workers, tol=tol_tail,
-            barrier=barrier, step_budget=step_budget))
+            barrier=barrier))
     if "classes" in checks:
         report.blocks.append(class_reduction_report(model, xs=class_xs,
                                                     sf_tol=sf_tol))

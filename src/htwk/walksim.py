@@ -155,7 +155,6 @@ class SupBatch:
 @dataclass
 class LadderBatch:
     psi: np.ndarray
-    eta: np.ndarray
     censored: np.ndarray
     barrier: float
     steps: int
@@ -260,13 +259,13 @@ def _sup_kernel(model: IncrementModel, gen: np.random.Generator, n: int,
 
 def _ladder_kernel(model: IncrementModel, gen: np.random.Generator, n: int,
                    barrier: float, step_budget: int = STEP_BUDGET_DEFAULT
-                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-    """First strict ascent (psi, eta) or censoring at -barrier."""
-    S, _, T, steps = _walk(model, gen, n,
+                   ) -> tuple[np.ndarray, np.ndarray, int]:
+    """First strict ascent height psi, or censoring at -barrier."""
+    S, _, _, steps = _walk(model, gen, n,
                            lambda S, M: (S > 0.0) | (S <= -barrier),
                            step_budget)
     up = S > 0.0
-    return np.where(up, S, 0.0), T, ~up, steps
+    return np.where(up, S, 0.0), ~up, steps
 
 
 def _renewal_kernel(model: IncrementModel, gen: np.random.Generator, reps: int,
@@ -406,11 +405,10 @@ def sample_ladder_many(model: IncrementModel, reps: int, seed: int,
         raise PreconditionError("barrier must be positive")
     results = _run_sharded("ladder", model, reps, seed, LADDER, workers,
                            barrier=barrier, step_budget=step_budget)
-    steps = sum(r[3] for r in results)
+    steps = sum(r[2] for r in results)
     _check_budget(steps, step_budget)
     return LadderBatch(psi=np.concatenate([r[0] for r in results]),
-                       eta=np.concatenate([r[1] for r in results]),
-                       censored=np.concatenate([r[2] for r in results]),
+                       censored=np.concatenate([r[1] for r in results]),
                        barrier=barrier, steps=steps)
 
 

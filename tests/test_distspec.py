@@ -80,6 +80,12 @@ MALFORMED = [
     "mix(: exponential(rate=1))",
     "pare to(1, 1)",
     "exponential(rate=1)@",
+    "neg()",
+    "shift(c=1)",
+    "neg(c=1, point(1))",
+    "point(1, point(2))",
+    "neg(point(1), point(2))",
+    "shift(1, 2, point(0))",
 ]
 
 INVALID = [
@@ -165,6 +171,13 @@ def test_hand_built_tree_cannot_skip_validation():
     bad = DistExpr(kind="pareto", params=(("alpha", -1.0), ("kappa", 1.0)))
     with pytest.raises(SpecValidationError):
         spec_to_model(bad)
+
+
+def test_hand_built_tree_of_unknown_kind_is_rejected():
+    from htwk.distspec import DistExpr
+
+    with pytest.raises(SpecValidationError, match="unknown distribution"):
+        spec_to_model(DistExpr(kind="gamma"))
 
 
 _positive_param = st.floats(min_value=0.01, max_value=100.0,

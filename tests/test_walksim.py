@@ -248,13 +248,11 @@ def test_ladder_censor_rate_matches_never_ascending(default_model):
     se = math.sqrt(c * (1 - c) / 20000) + math.sqrt(p * (1 - p) / 20000)
     assert abs(c - p) < 3.0 * se
     assert np.all(ladder.uncensored_psi() > 0.0)
-    assert np.all(ladder.eta >= 1)
     assert np.all(ladder.psi[ladder.censored] == 0.0)
 
 
 def test_ladder_batch_uncensored_view():
     batch = LadderBatch(psi=np.array([1.5, 0.0, 2.5]),
-                        eta=np.array([1, 9, 2]),
                         censored=np.array([False, True, False]),
                         barrier=10.0, steps=12)
     assert batch.censor_rate == pytest.approx(1.0 / 3.0)
