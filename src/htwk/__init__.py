@@ -24,10 +24,10 @@ from .walksim import (BARRIER_DEFAULT, CycleResult, CycleStats, LadderBatch,
                       ks_threshold, ks_two_sample, mtau_tail_estimate,
                       renewal_estimate, sample_ladder_many, simulate_cycles,
                       wilson_interval)
-from .verify import (FIXTURES, CheckBlock, Fixture, VerificationReport,
-                     class_reduction_report, cycle_max_report,
-                     gplus_tail_report, ladder_identity_report,
-                     renewal_bound_report, run_verification)
+from .verify import (CheckBlock, VerificationReport, class_reduction_report,
+                     cycle_max_report, gplus_tail_report,
+                     ladder_identity_report, renewal_bound_report,
+                     run_verification)
 from .serialize import (dumps_stable, read_cycles, write_curve_csv,
                         write_cycles, write_json)
 
@@ -50,7 +50,7 @@ __all__ = [
     "ks_threshold", "ks_two_sample", "mtau_tail_estimate",
     "renewal_estimate", "sample_ladder_many", "simulate_cycles",
     "wilson_interval",
-    "FIXTURES", "CheckBlock", "Fixture", "VerificationReport",
+    "CheckBlock", "VerificationReport",
     "class_reduction_report", "cycle_max_report", "gplus_tail_report",
     "ladder_identity_report", "renewal_bound_report", "run_verification",
     "dumps_stable", "read_cycles", "write_curve_csv", "write_cycles",

@@ -140,9 +140,12 @@ class _Parser:
         values: dict[str, float] = {}
         children: list[DistExpr] = []
         named_seen = False
-        while not self._at(")"):
+        more = not self._at(")")
+        while more:
             tok = self.peek()
             span = (tok[2], tok[2] + max(1, len(tok[1])))
+            if self._at(")"):
+                raise SpecSyntaxError("expected an argument after ','", span)
             if tok[0] == "name" and self.tokens[self.i + 1][:2] == ("sym", "("):
                 if len(children) == n_children:
                     raise SpecSyntaxError(
@@ -169,9 +172,13 @@ class _Parser:
                 raise SpecSyntaxError(f"too many arguments for {name}", span)
             else:
                 values[order[len(values)]] = self._parse_number()
-            if not self._at(","):
-                break
-            self.next()
+            more = self._at(",")
+            if more:
+                self.next()
+        if not self._at(")"):
+            # a missing ',' is reported where it is missing, not as a
+            # missing argument
+            self.expect("sym", ")")
         name_span = (start, start + len(name))
         params = []
         for key, default in signature:

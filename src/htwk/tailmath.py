@@ -584,11 +584,6 @@ class RenewalMeasure:
         return cls(fn=lambda t: np.asarray(t, dtype=float), atom0=0.0, label="lebesgue")
 
     @classmethod
-    def zero(cls):
-        return cls(fn=lambda t: np.zeros(np.shape(t)) if np.shape(t) else 0.0,
-                   atom0=0.0, label="zero")
-
-    @classmethod
     def from_ratio(cls, tm: TruncatedMean):
         """H(t) = t/m(t), continuously extended by 1/c at 0; it has kinks
         where N-bar jumps or kinks."""

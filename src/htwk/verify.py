@@ -496,7 +496,7 @@ def class_reduction_report(model: IncrementModel, xs=PROBES_DEFAULT,
 
 
 # ----------------------------------------------------------------------
-# orchestration and pinned fixtures
+# orchestration and pinned models
 # ----------------------------------------------------------------------
 
 CHECK_NAMES = ("main", "renewal", "ladder_sum", "ladder_tail", "classes")
@@ -556,45 +556,3 @@ K_DIVERGENT = ("mix(0.5: pareto(alpha=0.4, kappa=1), "
                "0.5: neg(pareto(alpha=0.5, kappa=1)))")
 CASE_B = ("mix(0.5: pareto(alpha=0.8, kappa=1), "
           "0.5: neg(pareto(alpha=0.3, kappa=1)))")
-
-
-@dataclass(frozen=True)
-class Fixture:
-    """Pinned model + run parameters + expected verdicts."""
-
-    spec: str
-    seed: int
-    checks: tuple[str, ...]
-    params: dict
-    expected: dict
-
-
-FIXTURES = {
-    "default": Fixture(
-        spec=DEFAULT_MODEL, seed=42, checks=CHECK_NAMES,
-        params={"xs": (50.0, 100.0, 200.0, 500.0), "cycles": 10 ** 7,
-                "reps": 10 ** 5, "sup_reps": 30_000,
-                "renewal_xs": (1e3, 1e4)},
-        expected={"cycle-max-tail-asymptotic": True,
-                  "cycle-max-lower-bound": True,
-                  "max-law-tail-neutrality": True,
-                  "renewal-growth-band": True,
-                  "geometric-ladder-sum-identity": True,
-                  "ladder-sum-zero-atom": True,
-                  "ladder-height-tail-formula": True,
-                  "tail-class-reduction": True}),
-    "light_control": Fixture(
-        spec=LIGHT_CONTROL, seed=43, checks=("main",),
-        params={"xs": (2.0, 4.0, 6.0, 8.0), "cycles": 10 ** 6,
-                "sup_reps": 0},
-        expected={"cycle-max-tail-asymptotic": False,
-                  "cycle-max-lower-bound": True}),
-    "k_divergent": Fixture(
-        spec=K_DIVERGENT, seed=44, checks=("classes",),
-        params={},
-        expected={"tail-class-reduction": False}),
-    "case_b": Fixture(
-        spec=CASE_B, seed=45, checks=("classes",),
-        params={},
-        expected={"tail-class-reduction": True}),
-}

@@ -2,8 +2,10 @@
 
 All randomness flows through counter-based Philox streams keyed by
 (seed, purpose, stream index), so every aggregate is bit-identical for
-a fixed (seed, worker count, configuration) triple.  Workers receive
-the model's canonical spec text and rebuild it locally; results are
+a fixed (seed, worker count, configuration) triple.  One runner,
+`_run_sharded`, splits a batch into shards: each worker receives the
+model and its shard's generator, every kernel returns its step count
+last, and the run-wide step budget is checked there once.  Results are
 reduced in stream-index order regardless of scheduling.
 
 One stepper, `_walk`, moves every batch of walks: it steps them in
@@ -173,6 +175,7 @@ class RenewalEstimate:
     h_values: np.ndarray
     h_se: np.ndarray
     reps: int
+    steps: int
     raw_points: np.ndarray | None = None
     raw_reps: int = 0
 
@@ -229,11 +232,11 @@ def _cycles_kernel(model: IncrementModel, gen: np.random.Generator, n: int,
 def _cycles_shard(model: IncrementModel, gen: np.random.Generator, n: int,
                   probes: tuple[float, ...] = (), keep_raw: bool = False,
                   step_budget: int = STEP_BUDGET_DEFAULT
-                  ) -> tuple[CycleStats, list]:
+                  ) -> tuple[CycleStats, list, int]:
     """n cycles from one stream, CHUNK at a time, under one step budget.
 
-    Returns the aggregates and, when keep_raw is set, the raw
-    (tau, m_tau, chi) columns of each chunk.
+    Returns the aggregates, the raw (tau, m_tau, chi) columns of each
+    chunk (an empty list unless keep_raw is set) and the steps.
     """
     stats = CycleStats(probe_xs=probes,
                        probe_hits=np.zeros(len(probes), dtype=np.int64))
@@ -245,7 +248,7 @@ def _cycles_shard(model: IncrementModel, gen: np.random.Generator, n: int,
         stats.absorb(tau, m_tau, chi, used)
         if keep_raw:
             raws.append((tau, m_tau, chi))
-    return stats, raws
+    return stats, raws, stats.steps
 
 
 def _sup_kernel(model: IncrementModel, gen: np.random.Generator, n: int,
@@ -271,12 +274,12 @@ def _ladder_kernel(model: IncrementModel, gen: np.random.Generator, n: int,
 def _renewal_kernel(model: IncrementModel, gen: np.random.Generator, reps: int,
                     xs: tuple[float, ...], raw_reps: int = 0,
                     step_budget: int = STEP_BUDGET_DEFAULT
-                    ) -> tuple[np.ndarray, np.ndarray, int]:
+                    ) -> tuple[np.ndarray, np.ndarray, int, int]:
     """Renewal counts of the descent ladder heights chi.
 
     Returns (counts matrix probes x reps, raw partial-sum points from
-    the first raw_reps replications, steps).  Counts exclude the n=0
-    term; callers add 1.
+    the first raw_reps replications, how many replications that is,
+    steps).  Counts exclude the n=0 term; callers add 1.
     """
     xs_arr = np.asarray(xs, dtype=float)
     pmax = float(xs_arr[-1])
@@ -298,24 +301,12 @@ def _renewal_kernel(model: IncrementModel, gen: np.random.Generator, reps: int,
         alive = cum <= pmax
         cum, idx = cum[alive], idx[alive]
     raw_points = np.concatenate(raw) if raw else np.empty(0)
-    return counts, raw_points, steps
+    return counts, raw_points, min(raw_reps, reps), steps
 
 
 # ----------------------------------------------------------------------
 # sharded drivers
 # ----------------------------------------------------------------------
-
-def _check_budget(steps: int, step_budget: int) -> None:
-    """The budget covers the whole run: the steps of all its shards.
-
-    Each shard also stops at the whole budget on its own; this check
-    catches the sharded runs whose shards each stay within it.
-    """
-    if steps > step_budget:
-        raise BudgetError(
-            f"step budget {step_budget:g} exceeded at {steps:g} increments "
-            "over all shards; the model may not drift to -infinity")
-
 
 def _require_negative_part(model: IncrementModel) -> None:
     if not model.has_negative_part:
@@ -328,34 +319,34 @@ def _shard_sizes(total: int, workers: int) -> list[int]:
     return [base + (1 if i < extra else 0) for i in range(workers)]
 
 
-_KERNELS = {"cycles": _cycles_shard, "sup": _sup_kernel,
-            "ladder": _ladder_kernel, "renewal": _renewal_kernel}
+def _run_sharded(kernel, model: IncrementModel, total: int, seed: int,
+                 purpose: int, workers: int, step_budget: int,
+                 **kwargs) -> tuple[list, int]:
+    """Run kernel(model, gen, size, **kwargs) on each shard's stream.
 
-
-def _worker_entry(job: str, spec_text: str, seed: int, purpose: int,
-                  index: int, size: int, kwargs: dict):
-    from .distspec import spec_to_model
-    gen = RngStream(seed, purpose, index).generator()
-    return _KERNELS[job](spec_to_model(spec_text), gen, size, **kwargs)
-
-
-def _run_sharded(job: str, model: IncrementModel, total: int, seed: int,
-                 purpose: int, workers: int, **kwargs) -> list:
-    """Run a kernel across workers; results in stream-index order."""
+    Returns the shard results in stream-index order and their summed
+    step count, which every kernel returns last.  Each shard stops at
+    the whole budget on its own; the run-wide check here catches the
+    sharded runs whose shards each stay within it.
+    """
     if total < 1:
         raise PreconditionError("replication count must be at least 1")
-    workers = max(1, int(workers))
-    sizes = _shard_sizes(total, min(workers, total))
+    sizes = _shard_sizes(total, min(max(1, int(workers)), total))
+    gens = [RngStream(seed, purpose, i).generator() for i in range(len(sizes))]
+    kwargs["step_budget"] = step_budget
     if len(sizes) == 1:
-        gen = RngStream(seed, purpose, 0).generator()
-        return [_KERNELS[job](model, gen, sizes[0], **kwargs)]
-    if not model.spec_text:
-        raise PreconditionError("parallel runs need a model built from spec text")
-    with ProcessPoolExecutor(max_workers=len(sizes)) as pool:
-        futures = [pool.submit(_worker_entry, job, model.spec_text, seed,
-                               purpose, i, sz, kwargs)
-                   for i, sz in enumerate(sizes)]
-        return [f.result() for f in futures]
+        results = [kernel(model, gens[0], sizes[0], **kwargs)]
+    else:
+        with ProcessPoolExecutor(max_workers=len(sizes)) as pool:
+            futures = [pool.submit(kernel, model, gen, size, **kwargs)
+                       for gen, size in zip(gens, sizes)]
+            results = [f.result() for f in futures]
+    steps = sum(r[-1] for r in results)
+    if steps > step_budget:
+        raise BudgetError(
+            f"step budget {step_budget:g} exceeded at {steps:g} increments "
+            "over all shards; the model may not drift to -infinity")
+    return results, steps
 
 
 def simulate_cycles(model: IncrementModel, cycles: int, seed: int,
@@ -370,16 +361,15 @@ def simulate_cycles(model: IncrementModel, cycles: int, seed: int,
     """
     _require_negative_part(model)
     probes = tuple(float(x) for x in probes)
-    shards = _run_sharded("cycles", model, cycles, seed, CYCLES, workers,
-                          probes=probes, keep_raw=keep_raw,
-                          step_budget=step_budget)
+    shards, _ = _run_sharded(_cycles_shard, model, cycles, seed, CYCLES,
+                             workers, step_budget, probes=probes,
+                             keep_raw=keep_raw)
     stats = shards[0][0]
-    for other, _ in shards[1:]:
+    for other, _, _ in shards[1:]:
         stats.merge(other)
-    _check_budget(stats.steps, step_budget)
     if not keep_raw:
         return CycleResult(stats=stats)
-    chunks = [c for _, raws in shards for c in raws]
+    chunks = [c for _, raws, _ in shards for c in raws]
     tau, m_tau, chi = (np.concatenate(col) for col in zip(*chunks))
     return CycleResult(stats=stats, tau=tau, m_tau=m_tau, chi=chi)
 
@@ -390,12 +380,10 @@ def estimate_sup_many(model: IncrementModel, reps: int, seed: int,
     if barrier <= 0:
         raise PreconditionError("barrier must be positive")
     _require_negative_part(model)
-    results = _run_sharded("sup", model, reps, seed, SUP, workers,
-                           barrier=barrier, step_budget=step_budget)
-    m_values = np.concatenate([r[0] for r in results])
-    steps = sum(r[1] for r in results)
-    _check_budget(steps, step_budget)
-    return SupBatch(m_values=m_values, barrier=barrier, steps=steps)
+    results, steps = _run_sharded(_sup_kernel, model, reps, seed, SUP, workers,
+                                  step_budget, barrier=barrier)
+    return SupBatch(m_values=np.concatenate([r[0] for r in results]),
+                    barrier=barrier, steps=steps)
 
 
 def sample_ladder_many(model: IncrementModel, reps: int, seed: int,
@@ -403,10 +391,8 @@ def sample_ladder_many(model: IncrementModel, reps: int, seed: int,
                        step_budget: int = STEP_BUDGET_DEFAULT) -> LadderBatch:
     if barrier <= 0:
         raise PreconditionError("barrier must be positive")
-    results = _run_sharded("ladder", model, reps, seed, LADDER, workers,
-                           barrier=barrier, step_budget=step_budget)
-    steps = sum(r[2] for r in results)
-    _check_budget(steps, step_budget)
+    results, steps = _run_sharded(_ladder_kernel, model, reps, seed, LADDER,
+                                  workers, step_budget, barrier=barrier)
     return LadderBatch(psi=np.concatenate([r[0] for r in results]),
                        censored=np.concatenate([r[1] for r in results]),
                        barrier=barrier, steps=steps)
@@ -425,18 +411,14 @@ def renewal_estimate(model: IncrementModel, xs, reps: int, seed: int,
     if any(x < 0 for x in xs):
         raise PreconditionError("renewal probes must be nonnegative")
     _require_negative_part(model)
-    workers = max(1, int(workers))
-    sizes = _shard_sizes(reps, min(workers, reps))
-    raw_reps = min(raw_reps, sizes[0])
-    results = _run_sharded("renewal", model, reps, seed, RENEWAL, workers,
-                           xs=xs, raw_reps=raw_reps, step_budget=step_budget)
-    _check_budget(sum(r[2] for r in results), step_budget)
+    results, steps = _run_sharded(_renewal_kernel, model, reps, seed, RENEWAL,
+                                  workers, step_budget, xs=xs, raw_reps=raw_reps)
     counts = np.concatenate([r[0] for r in results], axis=1)
-    raw_points = results[0][1]
+    _, raw_points, raw_reps, _ = results[0]
     h = 1.0 + counts.mean(axis=1)
     se = counts.std(axis=1, ddof=1) / math.sqrt(reps) if reps > 1 \
         else np.zeros(len(xs))
-    return RenewalEstimate(xs=xs, h_values=h, h_se=se, reps=reps,
+    return RenewalEstimate(xs=xs, h_values=h, h_se=se, reps=reps, steps=steps,
                            raw_points=raw_points if raw_reps else None,
                            raw_reps=raw_reps)
 

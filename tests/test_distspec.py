@@ -86,6 +86,9 @@ MALFORMED = [
     "point(1, point(2))",
     "neg(point(1), point(2))",
     "shift(1, 2, point(0))",
+    "shift(c=1 point(0))",
+    "pareto(1.5, 1,)",
+    "neg(point(1),)",
 ]
 
 INVALID = [
@@ -124,6 +127,15 @@ def test_malformed_input_raises_with_span(text):
     assert 0 <= start <= len(text)
     assert start < end <= len(text) + 1
     assert f"(at {start}:{end})" in str(exc.value)
+
+
+def test_missing_comma_is_reported_where_it_is_missing():
+    text = "pareto(alpha=1.5 kappa=1)"
+    with pytest.raises(SpecSyntaxError) as exc:
+        parse_spec(text)
+    assert "expected ')', found 'kappa'" in str(exc.value)
+    start, end = exc.value.span
+    assert text[start:end] == "kappa"
 
 
 @pytest.mark.parametrize("text,fragment", INVALID)

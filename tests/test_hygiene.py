@@ -1,8 +1,9 @@
 """Static checks on the package source: every imported name is used,
 every private module-level name is referenced somewhere, every public
-module-level function and class is read by the package or the
-benchmark (or is on an explicit allow-list), and the package's
-`__all__` lists exactly what `__init__.py` imports."""
+module-level function and class and every public method of a
+module-level class is read by the package or the benchmark (or is on
+an explicit allow-list), and the package's `__all__` lists exactly
+what `__init__.py` imports."""
 
 import ast
 from pathlib import Path
@@ -131,6 +132,52 @@ def test_every_public_name_is_read_or_allowed():
     assert set(UNREAD_PUBLIC_ALLOWED) <= defined
     unread = unread_public_names(sources, readers)
     assert [n for n in unread if n not in UNREAD_PUBLIC_ALLOWED] == []
+
+
+def _public_methods(tree: ast.Module) -> list[str]:
+    """Class.method for each method not named _x of a module-level class."""
+    return [f"{cls.name}.{node.name}" for cls in tree.body
+            if isinstance(cls, ast.ClassDef) for node in cls.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and not node.name.startswith("_")]
+
+
+def unread_public_methods(sources: dict[str, str],
+                          readers: dict[str, str]) -> list[str]:
+    """module:Class.method for each public method of a class in `sources`
+    that no module of `sources` or `readers` reads as an attribute."""
+    trees = {mod: ast.parse(src) for mod, src in sources.items()}
+    read = {node.attr for tree in [*trees.values(), *map(ast.parse, readers.values())]
+            for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    return [f"{mod}:{name}" for mod, tree in trees.items()
+            for name in _public_methods(tree) if name.split(".")[1] not in read]
+
+
+# public methods that neither the package nor the benchmark reads, each
+# kept for the reason given
+UNREAD_METHOD_ALLOWED = {
+    "tailmath.py:GridDistribution.from_point":
+        "the tests' point-mass grid for the convolution checks",
+}
+
+
+def test_the_scan_sees_an_unread_method():
+    sources = {"a": "class C:\n    def f(self):\n        return self.g()\n"
+                    "    def g(self):\n        pass\n    def h(self):\n        pass\n"
+                    "    def _p(self):\n        pass\n"
+                    "def h():\n    pass\nh()\n"}
+    readers = {"bench": "import a\na.C().f()\n"}
+    assert unread_public_methods(sources, readers) == ["a:C.h"]
+
+
+def test_every_public_method_is_read_or_allowed():
+    sources = {p.name: p.read_text() for p in MODULES}
+    readers = {p.name: p.read_text() for p in BENCH}
+    defined = {f"{mod}:{name}" for mod, src in sources.items()
+               for name in _public_methods(ast.parse(src))}
+    assert set(UNREAD_METHOD_ALLOWED) <= defined
+    unread = unread_public_methods(sources, readers)
+    assert [n for n in unread if n not in UNREAD_METHOD_ALLOWED] == []
 
 
 def export_problems(source: str) -> list[str]:

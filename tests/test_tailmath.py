@@ -352,7 +352,8 @@ def test_measure_tail_clips_at_one():
 
 
 def test_zero_measure_gives_zero_tail(default_model):
-    a, b = renewal_integrated_tail_forms(default_model, RenewalMeasure.zero(), 3.0)
+    zero = RenewalMeasure(fn=lambda t: np.zeros(np.shape(t)), label="zero")
+    a, b = renewal_integrated_tail_forms(default_model, zero, 3.0)
     assert a == 0.0
     assert abs(b) < 1e-14
 

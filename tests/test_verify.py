@@ -1,4 +1,4 @@
-"""Report blocks: verdict logic, recomputability, and the pinned fixtures."""
+"""Report blocks: verdict logic, recomputability, and the pinned models."""
 
 import hashlib
 import json
@@ -10,7 +10,6 @@ from htwk import spec_to_model
 from htwk.errors import PreconditionError
 from htwk.verify import (
     CHECK_NAMES,
-    FIXTURES,
     CheckBlock,
     VerificationReport,
     gplus_tail_report,
@@ -223,18 +222,3 @@ def test_probe_and_check_validation(default_model):
         gplus_tail_report(default_model, (-1.0, 2.0), reps=10, seed=1)
     with pytest.raises(PreconditionError, match="unknown checks"):
         run_verification(default_model, seed=1, checks=("main", "bogus"))
-
-
-def test_fixture_registry_is_wired():
-    assert set(FIXTURES) == {"default", "light_control", "k_divergent",
-                             "case_b"}
-    seeds = [f.seed for f in FIXTURES.values()]
-    assert len(set(seeds)) == len(seeds)
-    for fx in FIXTURES.values():
-        model = spec_to_model(fx.spec)
-        assert model.spec_text
-        assert set(fx.checks) <= set(CHECK_NAMES)
-        assert all(isinstance(v, bool) for v in fx.expected.values())
-    assert FIXTURES["default"].params["cycles"] == 10 ** 7
-    assert FIXTURES["light_control"].expected[
-        "cycle-max-tail-asymptotic"] is False

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from htwk import spec_to_model, walksim
 from htwk.errors import BudgetError, PreconditionError, SpecValidationError
 from htwk.serialize import read_cycles, write_cycles
+from htwk.tailmath import IncrementModel, Mixture, Neg, Pareto
 from htwk.walksim import (
     CYCLES,
     LadderBatch,
@@ -146,17 +147,49 @@ def test_chunked_shards_keep_stats_stream_and_budget(default_model,
                         step_budget=need - 1)
 
 
-def test_sup_budget_covers_all_shards(default_model):
-    first = estimate_sup_many(default_model, 4000, seed=7, barrier=100.0,
-                              workers=2)
-    need = first.steps
-    again = estimate_sup_many(default_model, 4000, seed=7, barrier=100.0,
-                              workers=2, step_budget=need)
-    assert again.steps == need
-    assert np.array_equal(again.m_values, first.m_values)
-    with pytest.raises(BudgetError):
-        estimate_sup_many(default_model, 4000, seed=7, barrier=100.0,
-                          workers=2, step_budget=need - 1)
+DRIVERS = {
+    "cycles": lambda m, **kw: simulate_cycles(m, 10000, seed=7, keep_raw=True, **kw),
+    "sup": lambda m, **kw: estimate_sup_many(m, 4000, seed=7, barrier=100.0, **kw),
+    "ladder": lambda m, **kw: sample_ladder_many(m, 4000, seed=7, barrier=100.0, **kw),
+    "renewal": lambda m, **kw: renewal_estimate(m, (1.0, 10.0), reps=2000, seed=9,
+                                                raw_reps=50, **kw),
+}
+
+
+def _steps(result):
+    return getattr(result, "stats", result).steps
+
+
+def _arrays(result):
+    return [v for v in vars(result).values() if isinstance(v, np.ndarray)]
+
+
+@pytest.mark.parametrize("driver", DRIVERS)
+def test_budget_covers_all_shards(default_model, driver):
+    run = DRIVERS[driver]
+    first = run(default_model, workers=2)
+    need = _steps(first)
+    again = run(default_model, workers=2, step_budget=need)
+    assert _steps(again) == need
+    assert all(np.array_equal(a, b)
+               for a, b in zip(_arrays(again), _arrays(first), strict=True))
+    with pytest.raises(BudgetError, match="over all shards"):
+        run(default_model, workers=2, step_budget=need - 1)
+
+
+def test_hand_built_model_runs_on_workers(default_model):
+    # workers receive the model itself, so it needs no spec text
+    law = Mixture(weights=(0.5, 0.5),
+                  children=(Pareto(alpha=1.5, kappa=1.0),
+                            Neg(Pareto(alpha=0.5, kappa=1.0))))
+    built = IncrementModel(law=law)
+    assert built.spec_text == ""
+    for driver in ("cycles", "sup"):
+        a = DRIVERS[driver](built, workers=2)
+        b = DRIVERS[driver](default_model, workers=2)
+        assert _steps(a) == _steps(b)
+        assert all(np.array_equal(x, y)
+                   for x, y in zip(_arrays(a), _arrays(b), strict=True))
 
 
 def test_cycle_runs_are_bit_identical(default_model):
