@@ -38,6 +38,8 @@ _MAJORANT_SLACK = 1e-9
 # measure_equivalence_check refuses measures whose ratio H1/H2 grows by
 # more than this factor across the probes
 _RATIO_GROWTH_BOUND = 3.0
+# tolerance of its SF and unit-increment curves
+_EQUIVALENCE_TOL = 0.05
 
 
 @dataclass(frozen=True)
@@ -224,7 +226,6 @@ def small_increment_criterion(F: IncrementModel, G: GridDistribution,
 
 def measure_equivalence_check(F: IncrementModel, H1: RenewalMeasure,
                               H2: RenewalMeasure, xs=PROBES_DEFAULT,
-                              tol: float = 0.05,
                               grid_cfg: GridConfig = GridConfig(
                                   points_per_decade=16),
                               ) -> dict[str, RatioDiagnostic]:
@@ -259,10 +260,11 @@ def measure_equivalence_check(F: IncrementModel, H1: RenewalMeasure,
             raise PreconditionError(f"integrated tail under {H.label} vanishes")
         grid = GridDistribution(knots=knots,
                                 tail_cont=np.minimum(1.0, route_a / i0))
-        out[f"sf_{tag}"] = membership_curve("SF", F, G=grid, xs=xs, tol=tol)
+        out[f"sf_{tag}"] = membership_curve("SF", F, G=grid, xs=xs,
+                                            tol=_EQUIVALENCE_TOL)
         out[f"small_{tag}"] = _diagnostic(f"unit-increment-{tag}", xs,
                                           _strip_mass(grid, xs, fbar),
-                                          0.0, tol)
+                                          0.0, _EQUIVALENCE_TOL)
 
     agree = out["sf_h1"].verdict == out["sf_h2"].verdict
     for key in ("sf_h1", "sf_h2"):

@@ -37,7 +37,8 @@ click.exceptions.UsageError.exit_code = EXIT_ERROR
 
 
 def load_config(path) -> dict:
-    """Flat key=value lines; # comments and blank lines ignored."""
+    """Flat key=value lines of the keys in _CONFIG_KEYS, as raw strings;
+    # comments and blank lines ignored."""
     cfg = {}
     for ln, line in enumerate(Path(path).read_text().splitlines(), 1):
         s = line.strip()
@@ -45,8 +46,10 @@ def load_config(path) -> dict:
             continue
         if "=" not in s:
             raise click.ClickException(f"{path}:{ln}: expected key=value")
-        k, v = s.split("=", 1)
-        cfg[k.strip()] = v.strip()
+        k, v = (part.strip() for part in s.split("=", 1))
+        if k not in _CONFIG_KEYS:
+            raise click.ClickException(f"{path}:{ln}: unknown config key {k!r}")
+        cfg[k] = v
     return cfg
 
 
@@ -82,36 +85,46 @@ def parse_probes(text: str) -> tuple[float, ...]:
     return tuple(float(p) for p in pts)
 
 
-def _opt(flag, cfg: dict, key: str, default=None, cast=str):
-    if flag is not None:
-        return flag
-    if key in cfg:
-        return _cast(key, cfg[key], cast)
-    return default
+def _csv(text: str) -> tuple[str, ...]:
+    return tuple(part.strip() for part in text.split(","))
+
+
+# every config key with its parser; a flag of the same name is parsed
+# alike, and load_config rejects any other key
+_CONFIG_KEYS = {
+    "model": str, "seed": int, "workers": int, "out": str,
+    "checks": _csv, "kinds": _csv, "probes": parse_probes, "cycles": int,
+    "reps": int, "sup_reps": int, "raw_reps": int,
+}
+
+
+def _opt(flag, cfg: dict, key: str, default=None):
+    """The flag if given, else the config line, else default, parsed by
+    the key's _CONFIG_KEYS entry; None if none of them is set."""
+    raw = flag if flag is not None else cfg.get(key, default)
+    return None if raw is None else _cast(key, raw, _CONFIG_KEYS[key])
 
 
 def _resolve_workers(flag, cfg: dict) -> int:
-    if flag is not None:
-        return int(flag)
-    if "workers" in cfg:
-        return _cast("workers", cfg["workers"], int)
     env = os.environ.get("HTWK_WORKERS")
-    return _cast("HTWK_WORKERS", env, int) if env else 1
+    if flag is None and "workers" not in cfg and env:
+        return _cast("HTWK_WORKERS", env, _CONFIG_KEYS["workers"])
+    return _opt(flag, cfg, "workers", 1)
 
 
 def _need_model(model_text, cfg) -> str:
-    text = model_text or cfg.get("model")
+    text = _opt(model_text, cfg, "model")
     if not text:
         raise click.ClickException("no model: pass --model or a config with model=")
     return text
 
 
 def _need_seed(seed, cfg) -> int:
-    value = _opt(seed, cfg, "seed", cast=int)
+    value = _opt(seed, cfg, "seed")
     if value is None:
         raise click.ClickException(
             "no seed: pass --seed or a config with seed= (runs must be reproducible)")
-    return int(value)
+    return value
 
 
 def _out_dir(out, cfg) -> Path:
@@ -145,22 +158,18 @@ def main() -> None:
 @click.option("--model", "model_text", help="distribution expression")
 @click.option("--kinds", "kinds_text", help="comma list from L,D,S,Sstar,SF")
 @click.option("--probes", "--probe", "probes_text", help="probe grid")
-@click.option("--tol", type=float, help="membership tolerance (default 0.05)")
 @click.option("--out", "out", help="output directory")
 @_guarded
-def classify(config_path, model_text, kinds_text, probes_text, tol, out):
+def classify(config_path, model_text, kinds_text, probes_text, out):
     """Membership ratio curves for distribution classes."""
     cfg = load_config(config_path) if config_path else {}
     model = spec_to_model(_need_model(model_text, cfg))
-    kinds = [k.strip() for k in
-             (_opt(kinds_text, cfg, "kinds", "L,D,S,Sstar")).split(",")]
+    kinds = _opt(kinds_text, cfg, "kinds", "L,D,S,Sstar")
     for kind in kinds:
         if kind not in KINDS:
             raise click.ClickException(
                 f"unknown kind {kind!r}; choose from {','.join(KINDS)}")
-    probes_spec = _opt(probes_text, cfg, "probes")
-    xs = parse_probes(probes_spec) if probes_spec else PROBES_DEFAULT
-    tol = float(_opt(tol, cfg, "tol", 0.05, float))
+    xs = _opt(probes_text, cfg, "probes") or PROBES_DEFAULT
     out_path = _out_dir(out, cfg)
 
     verdict_rows = []
@@ -174,7 +183,7 @@ def classify(config_path, model_text, kinds_text, probes_text, tol, out):
             G = GridDistribution.from_tail(
                 lambda t: np.asarray(model.tail_pos(t), dtype=float) / head,
                 x_max=max(1e6, 10.0 * xs[-1]))
-        diag = membership_curve(kind, model, G=G, xs=xs, tol=tol)
+        diag = membership_curve(kind, model, G=G, xs=xs)
         write_curve_csv(out_path / f"class_{kind}.csv",
                         ("x", "ratio", "target", "within"), diag.rows())
         target = "bounded" if diag.target is None else "%.12g" % diag.target
@@ -201,7 +210,7 @@ def tails(config_path, model_text, probes_text, out):
     tails against linear and scaled renewal weights."""
     cfg = load_config(config_path) if config_path else {}
     model = spec_to_model(_need_model(model_text, cfg))
-    xs = parse_probes(_opt(probes_text, cfg, "probes", "0:1e4"))
+    xs = _opt(probes_text, cfg, "probes", "0:1e4")
     out_path = _out_dir(out, cfg)
 
     K, converged = criterion_K(model)
@@ -251,10 +260,9 @@ def simulate(config_path, model_text, seed, cycles, workers, probes_text, out):
     cfg = load_config(config_path) if config_path else {}
     model = spec_to_model(_need_model(model_text, cfg))
     seed = _need_seed(seed, cfg)
-    cycles = int(_opt(cycles, cfg, "cycles", 100_000, int))
+    cycles = _opt(cycles, cfg, "cycles", 100_000)
     workers = _resolve_workers(workers, cfg)
-    probes_spec = _opt(probes_text, cfg, "probes")
-    xs = parse_probes(probes_spec) if probes_spec else ()
+    xs = _opt(probes_text, cfg, "probes") or ()
     out_path = _out_dir(out, cfg)
 
     result = ws.simulate_cycles(model, cycles, seed, workers=workers,
@@ -288,25 +296,10 @@ def _echo_block(block, depth=0) -> None:
         _echo_block(sub, depth + 1)
 
 
-# verify's config keys, each with its run_verification argument and its
-# parser; a key that no config line or flag sets keeps that argument's
-# default in run_verification
-_VERIFY_KEYS = {
-    "checks": ("checks", lambda s: tuple(c.strip() for c in s.split(","))),
-    "probes": ("xs", parse_probes),
-    "cycles": ("cycles", int),
-    "reps": ("reps", int),
-    "sup_reps": ("sup_reps", int),
-    "renewal_probes": ("renewal_xs", parse_probes),
-    "barrier": ("barrier", float),
-    "ladder_probes": ("ladder_xs", parse_probes),
-    "class_probes": ("class_xs", parse_probes),
-    "tol_main": ("tol_main", float),
-    "tol_band": ("tol_band", float),
-    "tol_tail": ("tol_tail", float),
-    "sf_tol": ("sf_tol", float),
-    "p_override": ("p_override", float),
-}
+# verify's config keys, each with its run_verification argument; a key
+# that no config line or flag sets keeps that argument's default
+_VERIFY_KEYS = {"checks": "checks", "probes": "xs", "cycles": "cycles",
+                "reps": "reps", "sup_reps": "sup_reps"}
 
 
 @main.command()
@@ -316,21 +309,17 @@ _VERIFY_KEYS = {
 @click.option("--workers", type=int)
 @click.option("--cycles", type=int)
 @click.option("--probes", "--probe", "probes_text", help="cycle-max probes")
-@click.option("--barrier", type=float)
-@click.option("--tol", type=float, help="cycle-max ratio tolerance")
 @click.option("--out", "out")
 @_guarded
-def verify(config_path, model_text, seed, workers, cycles, probes_text,
-           barrier, tol, out):
+def verify(config_path, model_text, seed, workers, cycles, probes_text, out):
     """Run the verification suite and write report.json."""
     cfg = load_config(config_path) if config_path else {}
     model = spec_to_model(_need_model(model_text, cfg))
     seed = _need_seed(seed, cfg)
-    flags = {"probes": probes_text, "cycles": cycles, "barrier": barrier,
-             "tol_main": tol}
-    raw = {**cfg, **{k: v for k, v in flags.items() if v is not None}}
-    kwargs = {arg: _cast(key, raw[key], cast)
-              for key, (arg, cast) in _VERIFY_KEYS.items() if key in raw}
+    flags = {"probes": probes_text, "cycles": cycles}
+    kwargs = {arg: _opt(flags.get(key), cfg, key)
+              for key, arg in _VERIFY_KEYS.items()
+              if flags.get(key) is not None or key in cfg}
     report = vf.run_verification(model, seed, workers=_resolve_workers(workers, cfg),
                                  **kwargs)
     out_path = _out_dir(out, cfg)
@@ -378,10 +367,10 @@ def renewal(config_path, model_text, seed, reps, workers, probes_text,
     cfg = load_config(config_path) if config_path else {}
     model = spec_to_model(_need_model(model_text, cfg))
     seed = _need_seed(seed, cfg)
-    reps = int(_opt(reps, cfg, "reps", 10_000, int))
+    reps = _opt(reps, cfg, "reps", 10_000)
     workers = _resolve_workers(workers, cfg)
-    xs = parse_probes(_opt(probes_text, cfg, "probes", "1:1e4:16"))
-    raw_reps = int(_opt(raw_reps, cfg, "raw_reps", 0, int))
+    xs = _opt(probes_text, cfg, "probes", "1:1e4:16")
+    raw_reps = _opt(raw_reps, cfg, "raw_reps", 0)
     out_path = _out_dir(out, cfg)
 
     est = ws.renewal_estimate(model, xs, reps, seed, workers=workers,

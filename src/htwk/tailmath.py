@@ -95,6 +95,11 @@ class _HalfLineLaw(Law):
         """integral of sf over [lo, hi] for 0 <= lo <= hi <= infinity."""
         raise NotImplementedError
 
+    def _partial_mean(self, lo, hi):
+        """E[X; lo < X < hi] for 0 <= lo <= hi <= infinity in closed form,
+        or None for a law that does not give it."""
+        return None
+
     def sample(self, gen, n):
         """Inverse-transform draws through the subclass's quantile
         function `inverse`; a law without one overrides this."""
@@ -110,11 +115,17 @@ class _HalfLineLaw(Law):
     def cdf_integral(self, a, b):
         lo = np.maximum(np.asarray(a, dtype=float), 0.0)
         hi = np.maximum(np.asarray(b, dtype=float), 0.0)
-        # the length less the tail integral: where P(X < t) stays small on
-        # all of [lo, hi] (a short interval near 0) this loses the digits
-        # of (hi - lo) / result
+        # by parts, hi F(hi) - lo F(lo) - E[X; lo < X < hi], where the law
+        # gives its partial mean; else the length less the tail integral,
+        # which loses the digits of (hi - lo) / result where P(X < t)
+        # stays small on all of [lo, hi] (a short interval near 0)
+        partial = self._partial_mean(lo, hi)
         with np.errstate(invalid="ignore"):
-            out = np.where(hi == _INF, _INF, (hi - lo) - self._tail_integral(lo, hi))
+            if partial is None:
+                out = (hi - lo) - self._tail_integral(lo, hi)
+            else:
+                out = hi * self.cdf_strict(hi) - lo * self.cdf_strict(lo) - partial
+            out = np.where(hi == _INF, _INF, out)
         return _float_or_array(out)
 
 
@@ -183,6 +194,10 @@ class Weibull(_HalfLineLaw):
         t = np.maximum(np.asarray(t, dtype=float), 0.0)
         return np.exp(-((t / self.scale) ** self.shape))
 
+    def cdf_strict(self, t):
+        t = np.maximum(np.asarray(t, dtype=float), 0.0)
+        return -np.expm1(-((t / self.scale) ** self.shape))
+
     def _tail_integral(self, lo, hi):
         # with u = (t/scale)^shape the integral is scale Gamma(1+1/shape)
         # times the mass of [lo', hi'] under Gamma(1/shape); the lower
@@ -195,6 +210,17 @@ class Weibull(_HalfLineLaw):
         mass = np.where(p_hi < 0.5, p_hi - special.gammainc(a, u_lo),
                         special.gammaincc(a, u_lo) - special.gammaincc(a, u_hi))
         return self.scale * special.gamma(1.0 + a) * mass
+
+    def _partial_mean(self, lo, hi):
+        # scale Gamma(1+1/shape) times the mass of [lo', hi'] under
+        # Gamma(1+1/shape), with the same choice of tail as above
+        a = 1.0 + 1.0 / self.shape
+        u_lo = (lo / self.scale) ** self.shape
+        u_hi = (hi / self.scale) ** self.shape
+        p_hi = special.gammainc(a, u_hi)
+        mass = np.where(p_hi < 0.5, p_hi - special.gammainc(a, u_lo),
+                        special.gammaincc(a, u_lo) - special.gammaincc(a, u_hi))
+        return self.scale * special.gamma(a) * mass
 
     def inverse(self, u):
         u = np.asarray(u, dtype=float)
@@ -219,20 +245,28 @@ class Lognormal(_HalfLineLaw):
             out = np.where(pos, 0.5 * special.erfc(z), out)
         return out if out.shape else float(out)
 
+    def cdf_strict(self, t):
+        t = np.asarray(t, dtype=float)
+        pos = t > 0
+        z = (np.log(np.where(pos, t, 1.0)) - self.mu) / (self.sigma * math.sqrt(2.0))
+        return _float_or_array(np.where(pos, 0.5 * special.erfc(-z), 0.0))
+
     def _tail_integral(self, lo, hi):
-        # by parts: hi sf(hi) - lo sf(lo) + E[X; lo < X <= hi], where the
-        # partial expectation is exp(mu + sigma^2/2) times the normal mass
-        # of [z(lo), z(hi)], z(t) = (log t - mu - sigma^2)/sigma, taken
-        # from the nearer tail
+        # by parts: hi sf(hi) - lo sf(lo) + E[X; lo < X <= hi]; hi sf(hi)
+        # vanishes as hi grows
+        partial = self._partial_mean(lo, hi)
+        hi = np.where(hi == _INF, 0.0, hi)
+        return hi * self.sf(hi) - lo * self.sf(lo) + partial
+
+    def _partial_mean(self, lo, hi):
+        # exp(mu + sigma^2/2) times the normal mass of [z(lo), z(hi)],
+        # z(t) = (log t - mu - sigma^2)/sigma, taken from the nearer tail
         with np.errstate(divide="ignore"):
             z_lo = (np.log(lo) - self.mu) / self.sigma - self.sigma
             z_hi = (np.log(hi) - self.mu) / self.sigma - self.sigma
         mass = np.where(z_lo > 0.0, special.ndtr(-z_lo) - special.ndtr(-z_hi),
                         special.ndtr(z_hi) - special.ndtr(z_lo))
-        partial = math.exp(self.mu + 0.5 * self.sigma ** 2) * mass
-        # hi sf(hi) vanishes as hi grows
-        hi = np.where(hi == _INF, 0.0, hi)
-        return hi * self.sf(hi) - lo * self.sf(lo) + partial
+        return math.exp(self.mu + 0.5 * self.sigma ** 2) * mass
 
     def sample(self, gen, n):
         return np.exp(self.mu + self.sigma * gen.standard_normal(n))
@@ -591,9 +625,10 @@ class RenewalMeasure:
                    kinks=tm.breakpoints)
 
     @classmethod
-    def from_points(cls, xs, hs, atom0: float = 1.0, label: str = "empirical"):
-        """Monotone interpolant through probe values (log-x piecewise,
-        power-law extrapolation beyond the last probe)."""
+    def from_points(cls, xs, hs):
+        """Monotone interpolant through probe values of an empirical
+        renewal function (log-x piecewise, power-law extrapolation beyond
+        the last probe), with the 0th renewal as a unit atom at 0."""
         xs = np.asarray(xs, dtype=float)
         hs = np.asarray(hs, dtype=float)
         if xs.ndim != 1 or xs.size < 2 or np.any(np.diff(xs) <= 0):
@@ -607,7 +642,7 @@ class RenewalMeasure:
             t = np.asarray(t, dtype=float)
             out = np.empty(t.shape)
             tiny = t <= xs[0]
-            out[tiny] = atom0 + (hs[0] - atom0) * np.clip(
+            out[tiny] = 1.0 + (hs[0] - 1.0) * np.clip(
                 np.where(tiny, t, 0.0) / xs[0], 0.0, 1.0)[tiny]
             mid = (~tiny) & (t <= xs[-1])
             if np.any(mid):
@@ -618,7 +653,7 @@ class RenewalMeasure:
             return out
 
         return cls(fn=lambda t: fn(np.atleast_1d(np.asarray(t, dtype=float))).reshape(np.shape(t)),
-                   atom0=atom0, label=label, kinks=tuple(xs.tolist()))
+                   atom0=1.0, label="empirical", kinks=tuple(xs.tolist()))
 
 
 # the improper drivers of both routes stop at 1e-10 relative; the two
@@ -1143,9 +1178,8 @@ class GridDistribution:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def from_tail(cls, tail_fn: Callable, x_max: float = 1e6,
-                  ppd: int = 64) -> "GridDistribution":
-        knots = geometric_knots(x_max, ppd)
+    def from_tail(cls, tail_fn: Callable, x_max: float = 1e6) -> "GridDistribution":
+        knots = geometric_knots(x_max)
         vals = np.asarray(tail_fn(knots), dtype=float)
         return cls(knots=knots, tail_cont=vals.copy())
 
@@ -1173,13 +1207,12 @@ class GridDistribution:
                    atom_locs=np.array([float(c)]), atom_masses=np.array([1.0]))
 
     @classmethod
-    def from_samples(cls, values, x_max: float = 1e6,
-                     ppd: int = 64) -> "GridDistribution":
+    def from_samples(cls, values, x_max: float = 1e6) -> "GridDistribution":
         v = np.sort(np.asarray(values, dtype=float))
         if v.size == 0 or v[0] < 0:
             raise ValueError("need nonnegative samples")
         n = v.size
-        knots = geometric_knots(x_max, ppd)
+        knots = geometric_knots(x_max)
         beyond = float(np.mean(v > x_max))
         atom0 = float(np.mean(v == 0.0))
         tail = (n - np.searchsorted(v, knots, side="right")) / n

@@ -49,6 +49,16 @@ _RENEWAL_REPS = 2000
 # tolerances of the base-law membership and unit-increment curves
 _MEMBERSHIP_TOL = 0.05
 _SMALL_TOL = 0.05
+# the pinned verdict bands: the cycle-max ratio, the renewal band's
+# widening, the ladder-tail ratio and the integrated tail's convolution
+# neutrality
+_TOL_MAIN = 0.2
+_TOL_BAND = 0.15
+_TOL_TAIL = 0.2
+_SF_TOL = 0.05
+# probes of the renewal band and of the ladder-height tail in a full run
+_RENEWAL_XS = (1e3, 1e4)
+_LADDER_XS = (10.0, 50.0, 100.0)
 
 
 def _jnum(v):
@@ -147,17 +157,15 @@ def _sorted_probes(xs) -> tuple[float, ...]:
 # ----------------------------------------------------------------------
 
 def cycle_max_report(model: IncrementModel, xs, cycles: int, seed: int,
-                        workers: int = 1, tol: float = 0.2,
-                        sup_reps: int = 0, barrier: float = BARRIER_DEFAULT
-                        ) -> CheckBlock:
+                     workers: int = 1, sup_reps: int = 0) -> CheckBlock:
     """Exceedance curve of the cycle maximum against tau-bar times F-bar.
 
     The headline verdict demands the ratio confidence interval meet
-    [1-tol, 1+tol] at the last two conclusive probes.  Two sub-checks
-    ride along: the assumption-free lower bound (ratio upper end at or
-    above 1-tol at every conclusive probe), and, when sup_reps > 0, the
-    tail neutrality of the all-time-maximum law under convolution with
-    the increment's positive tail.
+    [1-tol, 1+tol], tol = _TOL_MAIN, at the last two conclusive probes.
+    Two sub-checks ride along: the assumption-free lower bound (ratio
+    upper end at or above 1-tol at every conclusive probe), and, when
+    sup_reps > 0, the tail neutrality of the all-time-maximum law under
+    convolution with the increment's positive tail.
     """
     t0 = time.perf_counter()
     xs = _sorted_probes(xs)
@@ -175,24 +183,23 @@ def cycle_max_report(model: IncrementModel, xs, cycles: int, seed: int,
         ratio = p_hat / (stats.tau_mean * fbar)
         ratio_lo = p_lo / (tau_hi * fbar)
         ratio_hi = p_hi / (max(tau_lo, 1.0) * fbar)
-    probe_ok = (ratio_lo <= 1.0 + tol) & (ratio_hi >= 1.0 - tol)
+    probe_ok = (ratio_lo <= 1.0 + _TOL_MAIN) & (ratio_hi >= 1.0 - _TOL_MAIN)
 
     concl = np.nonzero(conclusive)[0]
     verdict = bool(np.all(probe_ok[concl[-2:]])) if concl.size >= 2 else None
 
-    lower_ok = ratio_hi >= 1.0 - tol
+    lower_ok = ratio_hi >= 1.0 - _TOL_MAIN
     lower = CheckBlock(
         name="cycle-max-lower-bound", anchor=ANCHOR_LOWER,
         verdict=bool(np.all(lower_ok[concl])) if concl.size else None,
         probes=xs,
         columns={"ratio_hi": ratio_hi, "conclusive": conclusive,
                  "pass": lower_ok},
-        tolerances={"floor": 1.0 - tol}, seed=seed)
+        tolerances={"floor": 1.0 - _TOL_MAIN}, seed=seed)
 
     subchecks = [lower]
     if sup_reps:
-        sup = estimate_sup_many(model, sup_reps, seed, barrier=barrier,
-                                workers=workers)
+        sup = estimate_sup_many(model, sup_reps, seed, workers=workers)
         pi = GridDistribution.from_samples(sup.m_values,
                                            x_max=max(1e6, 10.0 * xs[-1]))
         # a probe where F-bar vanishes has no ratio, and it fails
@@ -201,7 +208,7 @@ def cycle_max_report(model: IncrementModel, xs, cycles: int, seed: int,
             weak_ratio = np.where(
                 resolved, np.array([conv_tail(pi, model, x) for x in xs]) / fbar,
                 np.nan)
-        weak_ok = resolved & (np.abs(weak_ratio - 1.0) <= tol)
+        weak_ok = resolved & (np.abs(weak_ratio - 1.0) <= _TOL_MAIN)
         subchecks.append(CheckBlock(
             name="max-law-tail-neutrality", anchor=ANCHOR_WEAK,
             verdict=bool(np.all(weak_ok[-2:])),
@@ -210,7 +217,7 @@ def cycle_max_report(model: IncrementModel, xs, cycles: int, seed: int,
             scalars={"sup_reps": sup_reps, "p_hat": sup.p_hat,
                      "escape_estimate": sup.escape_estimate,
                      "bias_flag": sup.bias_flag},
-            tolerances={"tol": tol}, seed=seed))
+            tolerances={"tol": _TOL_MAIN}, seed=seed))
 
     block = CheckBlock(
         name="cycle-max-tail-asymptotic", anchor=ANCHOR_CYCLE_MAX,
@@ -221,7 +228,7 @@ def cycle_max_report(model: IncrementModel, xs, cycles: int, seed: int,
                  "pass": probe_ok},
         scalars={"cycles": cycles, "tau_mean": stats.tau_mean,
                  "tau_se": stats.tau_se, "steps": stats.steps},
-        tolerances={"tol": tol, "min_hits": _MIN_HITS},
+        tolerances={"tol": _TOL_MAIN, "min_hits": _MIN_HITS},
         seed=seed, subchecks=tuple(subchecks))
     block.runtime = time.perf_counter() - t0
     return block
@@ -232,10 +239,9 @@ def cycle_max_report(model: IncrementModel, xs, cycles: int, seed: int,
 # ----------------------------------------------------------------------
 
 def renewal_bound_report(model: IncrementModel, xs, reps: int, seed: int,
-                         workers: int = 1, tol: float = 0.15,
-                         barrier: float = BARRIER_DEFAULT) -> CheckBlock:
+                         workers: int = 1) -> CheckBlock:
     """Scaled renewal curve b(x) = H(x) m(x) / x against the band
-    [p, 2p]; the band ends are inflated by tol on each side."""
+    [p, 2p]; the band ends are widened by _TOL_BAND on each side."""
     t0 = time.perf_counter()
     xs = _sorted_probes(xs)
     if not model.has_negative_part:
@@ -243,8 +249,7 @@ def renewal_bound_report(model: IncrementModel, xs, reps: int, seed: int,
             "descent mean vanishes; the renewal comparison is undefined")
     mneg = truncated_neg_mean(model)
     ren = renewal_estimate(model, xs, reps, seed, workers=workers)
-    sup = estimate_sup_many(model, reps, seed, barrier=barrier,
-                            workers=workers)
+    sup = estimate_sup_many(model, reps, seed, workers=workers)
     p_hat = sup.p_hat
     p_lo, p_hi = sup.p_interval()
 
@@ -253,7 +258,7 @@ def renewal_bound_report(model: IncrementModel, xs, reps: int, seed: int,
     b = ren.h_values * m_vals / xs_arr
     half = Z95 * ren.h_se * m_vals / xs_arr
     b_lo, b_hi = b - half, b + half
-    band = (p_hat * (1.0 - tol), p_hat * (2.0 + tol))
+    band = (p_hat * (1.0 - _TOL_BAND), p_hat * (2.0 + _TOL_BAND))
     probe_ok = (b_lo >= band[0]) & (b_hi <= band[1])
 
     if p_lo <= 0.0 or p_hi >= 1.0:
@@ -272,7 +277,7 @@ def renewal_bound_report(model: IncrementModel, xs, reps: int, seed: int,
                  "b": b, "b_lo": b_lo, "b_hi": b_hi, "pass": probe_ok},
         scalars={"reps": reps, "p_hat": p_hat, "p_lo": p_lo, "p_hi": p_hi,
                  "band_lo": band[0], "band_hi": band[1]},
-        tolerances={"tol": tol}, seed=seed, notes=notes)
+        tolerances={"tol": _TOL_BAND}, seed=seed, notes=notes)
     block.runtime = time.perf_counter() - t0
     return block
 
@@ -282,8 +287,8 @@ def renewal_bound_report(model: IncrementModel, xs, reps: int, seed: int,
 # ----------------------------------------------------------------------
 
 def ladder_identity_report(model: IncrementModel, reps: int, seed: int,
-                           barrier: float = BARRIER_DEFAULT, workers: int = 1,
-                           p_override: float | None = None) -> CheckBlock:
+                           workers: int = 1, p_override: float | None = None
+                           ) -> CheckBlock:
     """All-time maximum versus a geometric number of ladder heights.
 
     Builds reps samples of psi_1 + ... + psi_nu with nu geometric on
@@ -293,8 +298,7 @@ def ladder_identity_report(model: IncrementModel, reps: int, seed: int,
     negative-control runs.
     """
     t0 = time.perf_counter()
-    sup = estimate_sup_many(model, reps, seed, barrier=barrier,
-                            workers=workers)
+    sup = estimate_sup_many(model, reps, seed, workers=workers)
     p_hat = sup.p_hat
     p_use = p_hat if p_override is None else float(p_override)
     if not 0.0 < p_use < 1.0:
@@ -305,8 +309,7 @@ def ladder_identity_report(model: IncrementModel, reps: int, seed: int,
     nu = gen.geometric(p_use, size=reps).astype(np.int64) - 1
     need = int(nu.sum())
     attempts = int(need / max(1.0 - p_hat, 1e-9) * 1.08) + 512
-    lad = sample_ladder_many(model, attempts, seed, barrier=barrier,
-                             workers=workers)
+    lad = sample_ladder_many(model, attempts, seed, workers=workers)
     pool = lad.uncensored_psi()
     if pool.size < need:
         raise PreconditionError(
@@ -356,31 +359,30 @@ def ladder_identity_report(model: IncrementModel, reps: int, seed: int,
 # ----------------------------------------------------------------------
 
 def gplus_tail_report(model: IncrementModel, xs, reps: int, seed: int,
-                      workers: int = 1, tol: float = 0.2,
-                      barrier: float = BARRIER_DEFAULT) -> CheckBlock:
+                      workers: int = 1) -> CheckBlock:
     """Conditional ascent-height tail versus its renewal-measure formula.
 
     Formula side: (F-bar(x) + mean over replications of the sum of
     F-bar(u + x) over observed descent partial sums u) / (1 - p-hat).
-    Empirical side: exceedance frequency among uncensored ascents.
+    Empirical side: exceedance frequency among uncensored ascents.  A
+    probe passes when its ratio interval meets [1-tol, 1+tol], tol =
+    _TOL_TAIL.
     """
     t0 = time.perf_counter()
     xs = tuple(float(x) for x in xs)
     if any(x < 0 for x in xs) or any(b <= a for a, b in zip(xs, xs[1:])):
         raise PreconditionError("probes must be nonnegative and increasing")
-    sup = estimate_sup_many(model, reps, seed, barrier=barrier,
-                            workers=workers)
+    sup = estimate_sup_many(model, reps, seed, workers=workers)
     p_hat = sup.p_hat
     if p_hat >= 1.0:
         raise PreconditionError("no finite ascents observed; tail undefined")
-    lad = sample_ladder_many(model, reps, seed, barrier=barrier,
-                             workers=workers)
+    lad = sample_ladder_many(model, reps, seed, workers=workers)
     unc = lad.uncensored_psi()
     if unc.size == 0:
         raise PreconditionError("no uncensored ascents; increase reps")
     rr = min(_RENEWAL_REPS, reps)
-    ren = renewal_estimate(model, (barrier,), rr, seed, workers=workers,
-                           raw_reps=rr)
+    ren = renewal_estimate(model, (BARRIER_DEFAULT,), rr, seed,
+                           workers=workers, raw_reps=rr)
     u = ren.raw_points if ren.raw_points is not None else np.empty(0)
 
     fbar = np.asarray(model.tail_pos(np.asarray(xs)), dtype=float)
@@ -399,7 +401,8 @@ def gplus_tail_report(model: IncrementModel, xs, reps: int, seed: int,
         ratio = np.where(trivial, np.nan, emp / formula)
         ratio_lo = np.where(trivial, np.nan, emp_lo / formula)
         ratio_hi = np.where(trivial, np.nan, emp_hi / formula)
-    probe_ok = trivial | ((ratio_lo <= 1.0 + tol) & (ratio_hi >= 1.0 - tol))
+    probe_ok = trivial | ((ratio_lo <= 1.0 + _TOL_TAIL)
+                          & (ratio_hi >= 1.0 - _TOL_TAIL))
 
     concl = np.nonzero(conclusive)[0]
     verdict = bool(np.all(probe_ok[concl])) if concl.size else None
@@ -413,7 +416,7 @@ def gplus_tail_report(model: IncrementModel, xs, reps: int, seed: int,
                  "conclusive": conclusive, "pass": probe_ok},
         scalars={"reps": reps, "p_hat": p_hat, "uncensored": unc.size,
                  "renewal_reps": ren.raw_reps, "renewal_points": u.size},
-        tolerances={"tol": tol, "min_hits": _MIN_HITS}, seed=seed)
+        tolerances={"tol": _TOL_TAIL, "min_hits": _MIN_HITS}, seed=seed)
     block.runtime = time.perf_counter() - t0
     return block
 
@@ -433,17 +436,17 @@ def _diag_subblock(name: str, diag) -> CheckBlock:
         tolerances={} if diag is None else {"tol": diag.tol})
 
 
-def class_reduction_report(model: IncrementModel, xs=PROBES_DEFAULT,
-                           sf_tol: float = 0.05) -> CheckBlock:
+def class_reduction_report(model: IncrementModel) -> CheckBlock:
     """Reduction chain from base-law membership to the integrated tail.
 
     Establishes either the integral-criterion membership of the base
     law or the long-tail plus dominated-variation pair, then checks the
     integrated-tail law for convolution neutrality and the vanishing of
-    its unit increments relative to F-bar.  No simulation involved.
+    its unit increments relative to F-bar, on the probes PROBES_DEFAULT.
+    No simulation involved.
     """
     t0 = time.perf_counter()
-    xs = _sorted_probes(xs)
+    xs = PROBES_DEFAULT
     K, finite = criterion_K(model)
     if not finite:
         block = CheckBlock(
@@ -471,7 +474,7 @@ def class_reduction_report(model: IncrementModel, xs=PROBES_DEFAULT,
         lambda t: integrated_tail_curve(model, K, t),
         x_max=max(1e6, 10.0 * xs[-1]))
     small_diag, sf_diag = small_increment_criterion(
-        model, g1, xs=xs, tol_small=_SMALL_TOL, tol_sf=sf_tol,
+        model, g1, xs=xs, tol_small=_SMALL_TOL, tol_sf=_SF_TOL,
         require_sstar=False)
 
     verdict = (case_a or case_b) and bool(sf_diag.verdict) \
@@ -481,7 +484,7 @@ def class_reduction_report(model: IncrementModel, xs=PROBES_DEFAULT,
         verdict=bool(verdict), probes=xs,
         scalars={"K": K, "K_finite": True, "case_a": case_a,
                  "case_b": case_b},
-        tolerances={"membership_tol": _MEMBERSHIP_TOL, "sf_tol": sf_tol,
+        tolerances={"membership_tol": _MEMBERSHIP_TOL, "sf_tol": _SF_TOL,
                     "small_tol": _SMALL_TOL},
         notes=star_note,
         subchecks=(
@@ -505,12 +508,7 @@ CHECK_NAMES = ("main", "renewal", "ladder_sum", "ladder_tail", "classes")
 def run_verification(model: IncrementModel, seed: int,
                      checks=CHECK_NAMES, workers: int = 1,
                      xs=(50.0, 100.0, 200.0, 500.0), cycles: int = 10 ** 6,
-                     reps: int = 10 ** 5, sup_reps: int = 30_000,
-                     renewal_xs=(1e3, 1e4), barrier: float = BARRIER_DEFAULT,
-                     ladder_xs=(10.0, 50.0, 100.0), class_xs=PROBES_DEFAULT,
-                     tol_main: float = 0.2, tol_band: float = 0.15,
-                     tol_tail: float = 0.2, sf_tol: float = 0.05,
-                     p_override: float | None = None
+                     reps: int = 10 ** 5, sup_reps: int = 30_000
                      ) -> VerificationReport:
     """Assemble the requested report blocks for one model."""
     unknown = set(checks) - set(CHECK_NAMES)
@@ -519,32 +517,23 @@ def run_verification(model: IncrementModel, seed: int,
     config = {
         "checks": list(checks), "workers": workers, "xs": list(xs),
         "cycles": cycles, "reps": reps, "sup_reps": sup_reps,
-        "renewal_xs": list(renewal_xs), "barrier": barrier,
-        "ladder_xs": list(ladder_xs), "class_xs": list(class_xs),
-        "tol_main": tol_main, "tol_band": tol_band, "tol_tail": tol_tail,
-        "sf_tol": sf_tol, "p_override": p_override,
     }
     report = VerificationReport(model_spec=model.spec_text, seed=seed,
                                 config=config)
     if "main" in checks:
         report.blocks.append(cycle_max_report(
-            model, xs, cycles, seed, workers=workers, tol=tol_main,
-            sup_reps=sup_reps, barrier=barrier))
+            model, xs, cycles, seed, workers=workers, sup_reps=sup_reps))
     if "renewal" in checks:
         report.blocks.append(renewal_bound_report(
-            model, renewal_xs, reps, seed, workers=workers, tol=tol_band,
-            barrier=barrier))
+            model, _RENEWAL_XS, reps, seed, workers=workers))
     if "ladder_sum" in checks:
-        report.blocks.append(ladder_identity_report(
-            model, reps, seed, barrier=barrier, workers=workers,
-            p_override=p_override))
+        report.blocks.append(ladder_identity_report(model, reps, seed,
+                                                    workers=workers))
     if "ladder_tail" in checks:
         report.blocks.append(gplus_tail_report(
-            model, ladder_xs, reps, seed, workers=workers, tol=tol_tail,
-            barrier=barrier))
+            model, _LADDER_XS, reps, seed, workers=workers))
     if "classes" in checks:
-        report.blocks.append(class_reduction_report(model, xs=class_xs,
-                                                    sf_tol=sf_tol))
+        report.blocks.append(class_reduction_report(model))
     return report
 
 

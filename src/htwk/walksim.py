@@ -222,7 +222,7 @@ def _walk(model: IncrementModel, gen: np.random.Generator, n: int, stop,
 
 
 def _cycles_kernel(model: IncrementModel, gen: np.random.Generator, n: int,
-                   step_budget: int = STEP_BUDGET_DEFAULT
+                   step_budget: int
                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
     """Simulate n independent cycles; returns (tau, m_tau, chi, steps)."""
     S, M, T, steps = _walk(model, gen, n, lambda S, M: S < 0.0, step_budget)
@@ -230,8 +230,7 @@ def _cycles_kernel(model: IncrementModel, gen: np.random.Generator, n: int,
 
 
 def _cycles_shard(model: IncrementModel, gen: np.random.Generator, n: int,
-                  probes: tuple[float, ...] = (), keep_raw: bool = False,
-                  step_budget: int = STEP_BUDGET_DEFAULT
+                  probes: tuple[float, ...], keep_raw: bool, step_budget: int
                   ) -> tuple[CycleStats, list, int]:
     """n cycles from one stream, CHUNK at a time, under one step budget.
 
@@ -252,8 +251,7 @@ def _cycles_shard(model: IncrementModel, gen: np.random.Generator, n: int,
 
 
 def _sup_kernel(model: IncrementModel, gen: np.random.Generator, n: int,
-                barrier: float, step_budget: int = STEP_BUDGET_DEFAULT
-                ) -> tuple[np.ndarray, int]:
+                barrier: float, step_budget: int) -> tuple[np.ndarray, int]:
     """Running maxima stopped once the walk falls `barrier` below them."""
     _, M, _, steps = _walk(model, gen, n, lambda S, M: S <= M - barrier,
                            step_budget)
@@ -261,7 +259,7 @@ def _sup_kernel(model: IncrementModel, gen: np.random.Generator, n: int,
 
 
 def _ladder_kernel(model: IncrementModel, gen: np.random.Generator, n: int,
-                   barrier: float, step_budget: int = STEP_BUDGET_DEFAULT
+                   barrier: float, step_budget: int
                    ) -> tuple[np.ndarray, np.ndarray, int]:
     """First strict ascent height psi, or censoring at -barrier."""
     S, _, _, steps = _walk(model, gen, n,
@@ -272,8 +270,7 @@ def _ladder_kernel(model: IncrementModel, gen: np.random.Generator, n: int,
 
 
 def _renewal_kernel(model: IncrementModel, gen: np.random.Generator, reps: int,
-                    xs: tuple[float, ...], raw_reps: int = 0,
-                    step_budget: int = STEP_BUDGET_DEFAULT
+                    xs: tuple[float, ...], step_budget: int, raw_reps: int = 0
                     ) -> tuple[np.ndarray, np.ndarray, int, int]:
     """Renewal counts of the descent ladder heights chi.
 
@@ -321,8 +318,9 @@ def _shard_sizes(total: int, workers: int) -> list[int]:
 
 def _run_sharded(kernel, model: IncrementModel, total: int, seed: int,
                  purpose: int, workers: int, step_budget: int,
-                 **kwargs) -> tuple[list, int]:
-    """Run kernel(model, gen, size, **kwargs) on each shard's stream.
+                 lead: dict | None = None, **kwargs) -> tuple[list, int]:
+    """Run kernel(model, gen, size, **kwargs) on each shard's stream;
+    shard 0 also receives the keyword arguments in `lead`.
 
     Returns the shard results in stream-index order and their summed
     step count, which every kernel returns last.  Each shard stops at
@@ -333,13 +331,14 @@ def _run_sharded(kernel, model: IncrementModel, total: int, seed: int,
         raise PreconditionError("replication count must be at least 1")
     sizes = _shard_sizes(total, min(max(1, int(workers)), total))
     gens = [RngStream(seed, purpose, i).generator() for i in range(len(sizes))]
-    kwargs["step_budget"] = step_budget
+    shard_kwargs = [{**kwargs, "step_budget": step_budget} for _ in sizes]
+    shard_kwargs[0].update(lead or {})
     if len(sizes) == 1:
-        results = [kernel(model, gens[0], sizes[0], **kwargs)]
+        results = [kernel(model, gens[0], sizes[0], **shard_kwargs[0])]
     else:
         with ProcessPoolExecutor(max_workers=len(sizes)) as pool:
-            futures = [pool.submit(kernel, model, gen, size, **kwargs)
-                       for gen, size in zip(gens, sizes)]
+            futures = [pool.submit(kernel, model, gen, size, **kw)
+                       for gen, size, kw in zip(gens, sizes, shard_kwargs)]
             results = [f.result() for f in futures]
     steps = sum(r[-1] for r in results)
     if steps > step_budget:
@@ -412,7 +411,8 @@ def renewal_estimate(model: IncrementModel, xs, reps: int, seed: int,
         raise PreconditionError("renewal probes must be nonnegative")
     _require_negative_part(model)
     results, steps = _run_sharded(_renewal_kernel, model, reps, seed, RENEWAL,
-                                  workers, step_budget, xs=xs, raw_reps=raw_reps)
+                                  workers, step_budget,
+                                  lead={"raw_reps": raw_reps}, xs=xs)
     counts = np.concatenate([r[0] for r in results], axis=1)
     _, raw_points, raw_reps, _ = results[0]
     h = 1.0 + counts.mean(axis=1)
@@ -424,15 +424,13 @@ def renewal_estimate(model: IncrementModel, xs, reps: int, seed: int,
 
 
 def mtau_tail_estimate(model: IncrementModel, xs, cycles: int, seed: int,
-                       workers: int = 1,
-                       step_budget: int = STEP_BUDGET_DEFAULT):
+                       workers: int = 1):
     """Exceedance curve of the cycle maximum with Wilson intervals.
 
     Returns (stats, rows) where rows are (x, p_hat, ci_lo, ci_hi, hits).
     """
     xs = tuple(float(x) for x in xs)
-    result = simulate_cycles(model, cycles, seed, workers=workers, probes=xs,
-                             step_budget=step_budget)
+    result = simulate_cycles(model, cycles, seed, workers=workers, probes=xs)
     rows = []
     for x, hits in zip(xs, result.stats.probe_hits):
         lo, hi = wilson_interval(int(hits), cycles)

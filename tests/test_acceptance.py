@@ -61,21 +61,21 @@ def _verdict(capsys, num, ok, detail=""):
 def big_run(default_model):
     return cycle_max_report(default_model, (50.0, 100.0, 200.0, 500.0),
                                cycles=10 ** 7, seed=42, workers=WORKERS,
-                               tol=0.2, sup_reps=0)
+                               sup_reps=0)
 
 
 @pytest.fixture(scope="module")
 def light_run(light_model):
     return cycle_max_report(light_model, (2.0, 4.0, 6.0, 8.0),
                                cycles=10 ** 6, seed=43, workers=WORKERS,
-                               tol=0.2, sup_reps=0)
+                               sup_reps=0)
 
 
 @pytest.fixture(scope="module")
 def case_b_run(case_b_model):
     return cycle_max_report(case_b_model, (50.0, 100.0, 200.0, 500.0),
                                cycles=10 ** 6, seed=45, workers=WORKERS,
-                               tol=0.2, sup_reps=0)
+                               sup_reps=0)
 
 
 @pytest.fixture(scope="module")
@@ -96,6 +96,7 @@ def sup_run(default_model):
 def test_accept_01_cycle_max_tail_reproduction(big_run, capsys):
     # ratio confidence interval meets [0.8, 1.2] at every conclusive
     # probe, with at least three probes conclusive, at 1e7 cycles
+    assert big_run.tolerances["tol"] == 0.2
     concl = np.asarray(big_run.columns["conclusive"])
     per_probe = np.asarray(big_run.columns["pass"])
     ratio = np.asarray(big_run.columns["ratio"])
@@ -186,7 +187,8 @@ def test_accept_07_integrated_tail_mechanism(default_model, capsys):
 
 def test_accept_08_renewal_growth_band(default_model, capsys):
     block = renewal_bound_report(default_model, (1e3, 1e4), reps=10 ** 5,
-                                 seed=42, workers=WORKERS, tol=0.15)
+                                 seed=42, workers=WORKERS)
+    assert block.tolerances["tol"] == 0.15
     ok = block.verdict is True and all(bool(v) for v in block.columns["pass"])
     b = block.columns["b"]
     s = block.scalars
@@ -208,7 +210,8 @@ def test_accept_09_geometric_sum_identity(default_model, ladder_run, capsys):
 
 def test_accept_10_ladder_tail_formula(default_model, capsys):
     block = gplus_tail_report(default_model, (10.0, 50.0, 100.0),
-                              reps=10 ** 5, seed=42, workers=WORKERS, tol=0.2)
+                              reps=10 ** 5, seed=42, workers=WORKERS)
+    assert block.tolerances["tol"] == 0.2
     concl = [bool(c) for c in block.columns["conclusive"]]
     ok = block.verdict is True and all(concl)
     ratio = block.columns["ratio"]

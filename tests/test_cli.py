@@ -54,6 +54,13 @@ def test_load_config_shapes(tmp_path):
     bad.write_text("model pareto\n")
     with pytest.raises(click.ClickException, match="key=value"):
         load_config(bad)
+    # a typo, or a key that no command reads, is an error, not a no-op
+    unknown = tmp_path / "unknown.cfg"
+    unknown.write_text("model = pareto(2, 1)\ntol_main = 0.3\n")
+    with pytest.raises(click.ClickException) as err:
+        load_config(unknown)
+    assert err.value.exit_code == 1
+    assert err.value.format_message() == f"{unknown}:2: unknown config key 'tol_main'"
 
 
 @pytest.mark.parametrize("line,env,named", [
@@ -244,6 +251,14 @@ def test_verify_inconclusive_exits_2(runner, tmp_path):
     res = runner.invoke(main, ["verify", "--config", str(cfg)])
     assert res.exit_code == 2
     assert "overall: inconclusive" in res.output
+
+
+@pytest.mark.parametrize("flag", ["--tol", "--barrier"])
+def test_verify_has_no_tolerance_or_barrier_flag(runner, tmp_path, flag):
+    res = runner.invoke(main, ["verify", "--model", DEFAULT_SPEC, "--seed", "1",
+                               flag, "0.3", "--out", str(tmp_path)])
+    assert res.exit_code == 1
+    assert f"No such option '{flag}'" in res.output
 
 
 def test_verify_precondition_failure_exits_1(runner, tmp_path):

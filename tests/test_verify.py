@@ -28,8 +28,7 @@ def pinned_report(default_model):
     return run_verification(
         default_model, seed=42, workers=1, checks=CHECK_NAMES,
         xs=(50.0, 100.0, 200.0, 500.0), cycles=500000, reps=20000,
-        sup_reps=10000, renewal_xs=(1000.0, 10000.0),
-        ladder_xs=(10.0, 50.0, 100.0))
+        sup_reps=10000)
 
 
 def _blocks_by_name(report):

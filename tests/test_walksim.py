@@ -1,6 +1,7 @@
 """Simulation layer: kernels, sharding, streams, and the statistics helpers."""
 
 import math
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -314,6 +315,40 @@ def test_renewal_raw_points_live_below_the_last_probe(default_model):
     assert np.all(est.raw_points <= 25.0)
     with pytest.raises(PreconditionError):
         renewal_estimate(default_model, (-1.0, 2.0), reps=10, seed=9)
+
+
+def test_only_shard_zero_collects_raw_points(default_model, monkeypatch):
+    def run():
+        return renewal_estimate(default_model, (1.0, 10.0), reps=1000, seed=9,
+                                workers=2, raw_reps=50)
+
+    pooled = run()
+    calls = []
+
+    class InProcessPool:
+        """Runs each shard at submit time and records its kernel call."""
+
+        def __init__(self, max_workers):
+            pass
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args, **kwargs):
+            calls.append((kwargs, fn(*args, **kwargs)))
+            future = Future()
+            future.set_result(calls[-1][1])
+            return future
+
+    monkeypatch.setattr(walksim, "ProcessPoolExecutor", InProcessPool)
+    est = run()
+    assert [kw.get("raw_reps", 0) for kw, _ in calls] == [50, 0]
+    assert calls[0][1][1].size > 0 and calls[1][1][1].size == 0
+    assert np.array_equal(est.h_values, pooled.h_values)
+    assert np.array_equal(est.raw_points, pooled.raw_points)
 
 
 def test_renewal_runs_are_reproducible_across_workers(default_model):
