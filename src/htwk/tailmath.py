@@ -21,7 +21,6 @@ from functools import cached_property
 from typing import Callable
 
 import numpy as np
-from scipy import special
 
 from . import _quad
 from .errors import (DivergenceError, HorizonError, PreconditionError,
@@ -101,9 +100,10 @@ class _HalfLineLaw(Law):
         return None
 
     def sample(self, gen, n):
-        """Inverse-transform draws through the subclass's quantile
-        function `inverse`; a law without one overrides this."""
-        return self.inverse(gen.random(n))
+        """Inverse-transform draws, one uniform each: the subclass's
+        `_quantile(u)` overwrites the uniforms u with the law's quantiles
+        and returns them; a law without one overrides this."""
+        return self._quantile(gen.random(n))
 
     def sf_integral(self, a, b):
         a = np.asarray(a, dtype=float)
@@ -157,9 +157,14 @@ class Pareto(_HalfLineLaw):
             return k * log_ratio
         return k / s * (k / (k + lo)) ** -s * np.expm1(s * log_ratio)
 
-    def inverse(self, u):
-        u = np.asarray(u, dtype=float)
-        return self.kappa * ((1.0 - u) ** (-1.0 / self.alpha) - 1.0)
+    def _quantile(self, u):
+        # kappa ((1 - u)^(-1/alpha) - 1); `**=` takes the scalar fast
+        # paths of `**` (alpha = 1 is a reciprocal)
+        np.subtract(1.0, u, out=u)
+        u **= -1.0 / self.alpha
+        u -= 1.0
+        u *= self.kappa
+        return u
 
 
 @dataclass(frozen=True)
@@ -177,8 +182,13 @@ class Exponential(_HalfLineLaw):
     def _tail_integral(self, lo, hi):
         return np.exp(-self.rate * lo) * -np.expm1(-self.rate * (hi - lo)) / self.rate
 
-    def inverse(self, u):
-        return -np.log1p(-np.asarray(u, dtype=float)) / self.rate
+    def _quantile(self, u):
+        # -log1p(-u) / rate; rounding to nearest is symmetric in sign, so
+        # log1p(-u) / -rate is the same number
+        np.negative(u, out=u)
+        np.log1p(u, out=u)
+        u /= -self.rate
+        return u
 
 
 @dataclass(frozen=True)
@@ -199,6 +209,8 @@ class Weibull(_HalfLineLaw):
         return -np.expm1(-((t / self.scale) ** self.shape))
 
     def _tail_integral(self, lo, hi):
+        from scipy import special
+
         # with u = (t/scale)^shape the integral is scale Gamma(1+1/shape)
         # times the mass of [lo', hi'] under Gamma(1/shape); the lower
         # regularized gamma differences that mass where it is below 1/2
@@ -212,6 +224,8 @@ class Weibull(_HalfLineLaw):
         return self.scale * special.gamma(1.0 + a) * mass
 
     def _partial_mean(self, lo, hi):
+        from scipy import special
+
         # scale Gamma(1+1/shape) times the mass of [lo', hi'] under
         # Gamma(1+1/shape), with the same choice of tail as above
         a = 1.0 + 1.0 / self.shape
@@ -222,9 +236,14 @@ class Weibull(_HalfLineLaw):
                         special.gammaincc(a, u_lo) - special.gammaincc(a, u_hi))
         return self.scale * special.gamma(a) * mass
 
-    def inverse(self, u):
-        u = np.asarray(u, dtype=float)
-        return self.scale * (-np.log1p(-u)) ** (1.0 / self.shape)
+    def _quantile(self, u):
+        # scale (-log1p(-u))^(1/shape)
+        np.negative(u, out=u)
+        np.log1p(u, out=u)
+        np.negative(u, out=u)
+        u **= 1.0 / self.shape
+        u *= self.scale
+        return u
 
 
 @dataclass(frozen=True)
@@ -237,6 +256,8 @@ class Lognormal(_HalfLineLaw):
             raise SpecValidationError("lognormal requires sigma > 0")
 
     def sf(self, t):
+        from scipy import special
+
         t = np.asarray(t, dtype=float)
         out = np.ones(np.shape(t), dtype=float)
         pos = t > 0
@@ -246,6 +267,8 @@ class Lognormal(_HalfLineLaw):
         return out if out.shape else float(out)
 
     def cdf_strict(self, t):
+        from scipy import special
+
         t = np.asarray(t, dtype=float)
         pos = t > 0
         z = (np.log(np.where(pos, t, 1.0)) - self.mu) / (self.sigma * math.sqrt(2.0))
@@ -259,6 +282,8 @@ class Lognormal(_HalfLineLaw):
         return hi * self.sf(hi) - lo * self.sf(lo) + partial
 
     def _partial_mean(self, lo, hi):
+        from scipy import special
+
         # exp(mu + sigma^2/2) times the normal mass of [z(lo), z(hi)],
         # z(t) = (log t - mu - sigma^2)/sigma, taken from the nearer tail
         with np.errstate(divide="ignore"):
@@ -269,7 +294,11 @@ class Lognormal(_HalfLineLaw):
         return math.exp(self.mu + 0.5 * self.sigma ** 2) * mass
 
     def sample(self, gen, n):
-        return np.exp(self.mu + self.sigma * gen.standard_normal(n))
+        # exp(mu + sigma z) from n standard normals
+        v = gen.standard_normal(n)
+        v *= self.sigma
+        v += self.mu
+        return np.exp(v, out=v)
 
 
 @dataclass(frozen=True)
@@ -353,7 +382,8 @@ class Neg(Law):
         return [-k for k in self.child.kinks()]
 
     def sample(self, gen, n):
-        return -self.child.sample(gen, n)
+        v = self.child.sample(gen, n)
+        return np.negative(v, out=v)
 
 
 @dataclass(frozen=True)
@@ -404,7 +434,9 @@ class Shift(Law):
         return base
 
     def sample(self, gen, n):
-        return self.c + self.child.sample(gen, n)
+        v = self.child.sample(gen, n)
+        v += self.c
+        return v
 
 
 @dataclass(frozen=True)
@@ -469,15 +501,31 @@ class Mixture(Law):
             out.extend(ch.kinks())
         return out
 
+    @cached_property
+    def _cumw(self) -> tuple[float, ...]:
+        return tuple(np.cumsum(self.weights).tolist())
+
     def sample(self, gen, n):
-        cumw = np.cumsum(self.weights)
+        """n choice uniforms, then each child's draws in child order.
+
+        Child j takes the u with cumw[j-1] <= u < cumw[j], and the last
+        child every u >= cumw[-2]: `searchsorted(cumw, u, "right")`
+        clipped to the last child."""
         u = gen.random(n)
-        idx = np.searchsorted(cumw, u, side="right")
-        idx = np.minimum(idx, len(self.children) - 1)
-        out = np.empty(n, dtype=float)
+        out = np.empty(n)
+        below = None  # u < cumw[j-1]
+        left = n
+        last = len(self.children) - 1
         for j, ch in enumerate(self.children):
-            mask = idx == j
-            cnt = int(mask.sum())
+            if j < last:
+                upto = u < self._cumw[j]
+                mask = upto if below is None else upto ^ below
+                cnt = int(np.count_nonzero(mask))
+                below = upto
+            else:
+                mask = np.logical_not(below, out=below)
+                cnt = left
+            left -= cnt
             if cnt:
                 out[mask] = ch.sample(gen, cnt)
         return out
@@ -1033,6 +1081,14 @@ class GridDistribution:
     positive, and is linear in the first cell and where the tail reaches
     0; atoms are kept exactly; mass that falls beyond the horizon is
     tracked in `mass_beyond`.
+
+    Near the horizon the tail is least accurate: the stored continuous
+    tail is made to reach 0 at `x_max`, so the power-law rule there fits
+    F-bar(y) - F-bar(x_max), which is not a power law.  For
+    `from_tail(lambda t: (1 + t)**-2, x_max=X)` the relative error of
+    `tail(y)` is at most 2.1e-4 below X/2 but 0.39% (X = 2) to 0.59%
+    (X = 1e2, 1e4) near 0.95 X.  Callers keep their probes below
+    `x_max/10`.
     """
 
     knots: np.ndarray

@@ -12,11 +12,13 @@ One stepper, `_walk`, moves every batch of walks: it steps them in
 lockstep and stops each at the first step where the kernel's stop rule
 holds (a first descent for cycles, a fall of `barrier` below the
 running maximum for sup, a strict ascent or a fall to -barrier for
-ladder).  It keeps a compact active set: finished walks are written to
-their original slots and dropped from the working arrays, so memory
-tracks the surviving population, not the step count.  A cycle shard
-consumes its stream CHUNK cycles at a time and returns aggregates, plus
-raw columns only on request.
+ladder).  Each lockstep step makes exactly one `model.sample` call for
+all live walks, in start order; that call sequence is part of each
+stream's layout.  It keeps a compact active set: finished walks are
+written to their original slots and dropped from the working arrays,
+so memory tracks the surviving population, not the step count.  A
+cycle shard consumes its stream CHUNK cycles at a time and returns
+aggregates, plus raw columns only on request.
 
 Each kernel has one entry, its batch driver (`simulate_cycles`,
 `estimate_sup_many`, `sample_ladder_many`, `renewal_estimate`); a
@@ -211,12 +213,12 @@ def _walk(model: IncrementModel, gen: np.random.Generator, n: int, stop,
         t += 1
         np.maximum(Mx, S, out=Mx)
         done = stop(S, Mx)
-        if np.any(done):
+        if np.count_nonzero(done):
             d = idx[done]
             S_end[d] = S[done]
             M_end[d] = Mx[done]
             T_end[d] = t
-            keep = ~done
+            keep = np.logical_not(done, out=done)
             S, Mx, idx = S[keep], Mx[keep], idx[keep]
     return S_end, M_end, T_end, steps
 

@@ -1,6 +1,9 @@
 """Command-line front end: config handling, artifacts, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import click
@@ -26,6 +29,19 @@ def runner():
 # ----------------------------------------------------------------------
 # option plumbing
 # ----------------------------------------------------------------------
+
+def test_cli_start_up_does_not_import_scipy():
+    # only the Weibull and lognormal integrals and tails need scipy.special
+    code = ("import sys, htwk.cli\n"
+            "from htwk.distspec import spec_to_model\n"
+            "from htwk.verify import DEFAULT_MODEL\n"
+            "spec_to_model(DEFAULT_MODEL)\n"
+            "print('scipy' in sys.modules)\n")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, cwd=REPO,
+                         env={**os.environ, "PYTHONPATH": str(REPO / "src")})
+    assert out.stdout.strip() == "False"
+
 
 def test_parse_probes_forms():
     assert parse_probes("1,2,5") == (1.0, 2.0, 5.0)

@@ -1,6 +1,7 @@
 """Simulation layer: kernels, sharding, streams, and the statistics helpers."""
 
 import math
+import pickle
 from concurrent.futures import Future
 
 import numpy as np
@@ -12,7 +13,9 @@ from hypothesis import strategies as st
 from htwk import spec_to_model, walksim
 from htwk.errors import BudgetError, PreconditionError, SpecValidationError
 from htwk.serialize import read_cycles, write_cycles
-from htwk.tailmath import IncrementModel, Mixture, Neg, Pareto
+from htwk.tailmath import (Exponential, IncrementModel, Lognormal, Mixture, Neg,
+                           Pareto, PointMass, Shift, Weibull)
+from htwk.verify import DEFAULT_MODEL
 from htwk.walksim import (
     CYCLES,
     LadderBatch,
@@ -65,6 +68,75 @@ def test_sampler_matches_the_stated_tail(text):
     xs = model.sample(gen, 20000)
     res = scipy.stats.kstest(xs, lambda t: 1.0 - model.law.sf(t))
     assert res.pvalue > 1e-3, (text, res.statistic, res.pvalue)
+
+
+def _reference_draws(law, gen, n):
+    """The stream contract spelled out: a mixture spends n choice
+    uniforms (`searchsorted` clipped to the last child), then draws each
+    child in child order; leaves are out-of-place inverse transforms of
+    one uniform each, lognormal exponentiates standard normals, a point
+    draws nothing, and neg and shift transform their child's draws."""
+    if isinstance(law, Mixture):
+        pick = np.minimum(np.searchsorted(np.cumsum(law.weights), gen.random(n),
+                                          side="right"), len(law.children) - 1)
+        out = np.empty(n)
+        for j, child in enumerate(law.children):
+            mask = pick == j
+            if mask.any():
+                out[mask] = _reference_draws(child, gen, int(mask.sum()))
+        return out
+    if isinstance(law, Neg):
+        return -_reference_draws(law.child, gen, n)
+    if isinstance(law, Shift):
+        return law.c + _reference_draws(law.child, gen, n)
+    if isinstance(law, PointMass):
+        return np.full(n, law.c)
+    if isinstance(law, Lognormal):
+        return np.exp(law.mu + law.sigma * gen.standard_normal(n))
+    u = gen.random(n)
+    if isinstance(law, Pareto):
+        return law.kappa * ((1.0 - u) ** (-1.0 / law.alpha) - 1.0)
+    if isinstance(law, Exponential):
+        return -np.log1p(-u) / law.rate
+    if isinstance(law, Weibull):
+        return law.scale * (-np.log1p(-u)) ** (1.0 / law.shape)
+    raise TypeError(f"no reference sampler for {law!r}")
+
+
+def _plain(state):
+    """A bit generator's state with its arrays as lists, comparable by ==."""
+    if isinstance(state, dict):
+        return {k: _plain(v) for k, v in state.items()}
+    return state.tolist() if isinstance(state, np.ndarray) else state
+
+
+# every grammar kind; alpha = 1 and shape 2 and 0.5 put the quantile's
+# exponent on numpy's scalar fast paths (-1, 0.5 and 2)
+STREAM_SPECS = [
+    "pareto(alpha=1, kappa=2)",
+    "pareto(alpha=1.5, kappa=1)",
+    "exponential(rate=0.7)",
+    "weibull(shape=2)",
+    "weibull(shape=0.5, scale=3)",
+    "lognormal(mu=0.3, sigma=1.1)",
+    "point(c=1.5)",
+    "neg(pareto(alpha=0.5, kappa=1))",
+    "shift(-2, exponential(rate=1))",
+    DEFAULT_MODEL,
+    "mix(0.2: point(c=0), 0.3: exponential(rate=2), 0.5: neg(pareto(alpha=1, kappa=1)))",
+    "mix(0.6: mix(0.5: weibull(shape=2), 0.5: weibull(shape=0.5, scale=3)), "
+    "0.4: neg(shift(1, lognormal(mu=0, sigma=1))))",
+]
+
+
+@pytest.mark.parametrize("n", [1, 7, 4096])
+@pytest.mark.parametrize("text", STREAM_SPECS)
+def test_sampler_keeps_the_stream_contract(text, n):
+    law = spec_to_model(text).law
+    gen, ref = RngStream(11, 9, 0).generator(), RngStream(11, 9, 0).generator()
+    for _ in range(2):  # the second call on a law whose caches are set
+        assert np.array_equal(law.sample(gen, n), _reference_draws(law, ref, n))
+        assert _plain(gen.bit_generator.state) == _plain(ref.bit_generator.state)
 
 
 # ----------------------------------------------------------------------
@@ -185,9 +257,22 @@ def test_hand_built_model_runs_on_workers(default_model):
                             Neg(Pareto(alpha=0.5, kappa=1.0))))
     built = IncrementModel(law=law)
     assert built.spec_text == ""
+    _assert_same_worker_runs(built, default_model)
+
+
+def test_sampled_model_runs_on_workers():
+    # a law that has sampled carries its filled caches through pickling
+    warm = spec_to_model(DEFAULT_MODEL)
+    warm.sample(RngStream(1, 9, 0).generator(), 16)
+    warm = pickle.loads(pickle.dumps(warm))
+    assert "_cumw" in vars(warm.law)
+    _assert_same_worker_runs(warm, spec_to_model(DEFAULT_MODEL))
+
+
+def _assert_same_worker_runs(model, reference):
     for driver in ("cycles", "sup"):
-        a = DRIVERS[driver](built, workers=2)
-        b = DRIVERS[driver](default_model, workers=2)
+        a = DRIVERS[driver](model, workers=2)
+        b = DRIVERS[driver](reference, workers=2)
         assert _steps(a) == _steps(b)
         assert all(np.array_equal(x, y)
                    for x, y in zip(_arrays(a), _arrays(b), strict=True))
