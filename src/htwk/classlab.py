@@ -155,8 +155,6 @@ def membership_curve(kind: str, F: IncrementModel,
         return _diagnostic("D", xs, halved / fbar, None, 0.10)
 
     if kind == "S":
-        if F.law.support[0] < 0:
-            raise PreconditionError("kind S requires support in [0, infinity)")
         grid = GridDistribution.from_model(F, x_max=grid_cfg.x_max,
                                            ppd=grid_cfg.points_per_decade)
         values = [self_conv_tail(grid, x) / fb for x, fb in zip(xs, fbar)]

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import datetime
 import functools
+import math
 import os
 from pathlib import Path
 
@@ -226,7 +227,7 @@ def tails(config_path, model_text, probes_text, out):
         g1 = integrated_tail_curve(model, K, xs_arr)
         write_curve_csv(out_path / "g1.csv", ("x", "g1"), zip(xs, g1))
         gh = {}
-        if model.law.right_mean_finite:
+        if math.isfinite(model.law.sf_integral(0.0, math.inf)):
             gh["gh_linear"] = renewal_integrated_tail(
                 model, RenewalMeasure.lebesgue(), xs_arr)
         else:

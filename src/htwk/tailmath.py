@@ -44,11 +44,12 @@ def _merge_atoms(locs: np.ndarray, masses: np.ndarray) -> tuple[np.ndarray, np.n
 # ----------------------------------------------------------------------
 
 class Law:
-    """A real-valued law given by its survival function and a sampler."""
+    """A real-valued law given by its survival function and a sampler.
 
-    support: tuple[float, float] = (-_INF, _INF)
-    left_mean_finite: bool = True
-    right_mean_finite: bool = True
+    Each law states its sf, cdf_strict, atoms, kinks, sampler and the
+    closed-form integrals of sf and cdf_strict; whether it has mass below
+    a point or a finite mean on either side is read from these.
+    """
 
     def sf(self, t):
         """P(X > t), vectorized over real t."""
@@ -62,8 +63,8 @@ class Law:
         return np.empty(0), np.empty(0)
 
     def kinks(self) -> list[float]:
-        """Locations where sf is continuous but not smooth."""
-        return []
+        """Locations where sf is not smooth: kinks and atoms."""
+        raise NotImplementedError
 
     def sample(self, gen: np.random.Generator, n: int) -> np.ndarray:
         raise NotImplementedError
@@ -88,7 +89,8 @@ class _HalfLineLaw(Law):
     """A continuous law on [0, infinity): sf is 1 below 0, and each
     subclass gives the integral of sf over a part of the half line."""
 
-    support = (0.0, _INF)
+    def kinks(self):
+        return [0.0]
 
     def _tail_integral(self, lo, hi):
         """integral of sf over [lo, hi] for 0 <= lo <= hi <= infinity."""
@@ -137,10 +139,6 @@ class Pareto(_HalfLineLaw):
     def __post_init__(self):
         if not (self.alpha > 0 and self.kappa > 0):
             raise SpecValidationError("pareto requires alpha > 0 and kappa > 0")
-
-    @property
-    def right_mean_finite(self):
-        return self.alpha > 1.0
 
     def sf(self, t):
         t = np.maximum(np.asarray(t, dtype=float), 0.0)
@@ -267,11 +265,14 @@ class Lognormal(_HalfLineLaw):
         return out if out.shape else float(out)
 
     def cdf_strict(self, t):
-        from scipy import special
-
         t = np.asarray(t, dtype=float)
         pos = t > 0
-        z = (np.log(np.where(pos, t, 1.0)) - self.mu) / (self.sigma * math.sqrt(2.0))
+        if not np.any(pos):
+            # neg's check of its child at 0 builds a model without scipy
+            return _float_or_array(np.zeros(t.shape))
+        from scipy import special
+
+        z =(np.log(np.where(pos, t, 1.0)) - self.mu) / (self.sigma * math.sqrt(2.0))
         return _float_or_array(np.where(pos, 0.5 * special.erfc(-z), 0.0))
 
     def _tail_integral(self, lo, hi):
@@ -304,10 +305,6 @@ class Lognormal(_HalfLineLaw):
 @dataclass(frozen=True)
 class PointMass(Law):
     c: float
-
-    @property
-    def support(self):
-        return (self.c, self.c)
 
     def sf(self, t):
         t = np.asarray(t, dtype=float)
@@ -342,22 +339,9 @@ class Neg(Law):
     child: Law
 
     def __post_init__(self):
-        if self.child.support[0] < 0:
+        if self.child.cdf_strict(0.0) > 0:
             raise SpecValidationError(
                 "neg requires a child supported on [0, infinity)")
-
-    @property
-    def support(self):
-        lo, hi = self.child.support
-        return (-hi, -lo)
-
-    @property
-    def left_mean_finite(self):
-        return self.child.right_mean_finite
-
-    @property
-    def right_mean_finite(self):
-        return self.child.left_mean_finite
 
     def sf(self, t):
         return self.child.cdf_strict(-np.asarray(t, dtype=float))
@@ -395,19 +379,6 @@ class Shift(Law):
         if not math.isfinite(self.c):
             raise SpecValidationError("shift requires a finite offset")
 
-    @property
-    def support(self):
-        lo, hi = self.child.support
-        return (lo + self.c, hi + self.c)
-
-    @property
-    def left_mean_finite(self):
-        return self.child.left_mean_finite
-
-    @property
-    def right_mean_finite(self):
-        return self.child.right_mean_finite
-
     def sf(self, t):
         return self.child.sf(np.asarray(t, dtype=float) - self.c)
 
@@ -427,11 +398,7 @@ class Shift(Law):
         return locs + self.c, masses
 
     def kinks(self):
-        base = [k + self.c for k in self.child.kinks()]
-        lo = self.child.support[0] + self.c
-        if math.isfinite(lo):
-            base.append(lo)
-        return base
+        return [k + self.c for k in self.child.kinks()]
 
     def sample(self, gen, n):
         v = self.child.sample(gen, n)
@@ -454,38 +421,24 @@ class Mixture(Law):
             raise SpecValidationError(
                 f"mixture weights sum to {sum(self.weights)!r}, not 1 within 1e-12")
 
-    @property
-    def support(self):
-        los, his = zip(*(ch.support for ch in self.children))
-        return (min(los), max(his))
-
-    @property
-    def left_mean_finite(self):
-        return all(ch.left_mean_finite for ch in self.children)
-
-    @property
-    def right_mean_finite(self):
-        return all(ch.right_mean_finite for ch in self.children)
+    def _weighted(self, value_of):
+        """The weighted sum of value_of(child) over the children."""
+        return _float_or_array(sum(w * np.asarray(value_of(ch), dtype=float)
+                                   for w, ch in zip(self.weights, self.children)))
 
     def sf(self, t):
         t = np.asarray(t, dtype=float)
-        out = sum(w * np.asarray(ch.sf(t), dtype=float)
-                  for w, ch in zip(self.weights, self.children))
-        return out if np.shape(out) else float(out)
+        return self._weighted(lambda ch: ch.sf(t))
 
     def cdf_strict(self, t):
         t = np.asarray(t, dtype=float)
-        out = sum(w * np.asarray(ch.cdf_strict(t), dtype=float)
-                  for w, ch in zip(self.weights, self.children))
-        return out if np.shape(out) else float(out)
+        return self._weighted(lambda ch: ch.cdf_strict(t))
 
     def sf_integral(self, a, b):
-        return _float_or_array(sum(w * np.asarray(ch.sf_integral(a, b), dtype=float)
-                                   for w, ch in zip(self.weights, self.children)))
+        return self._weighted(lambda ch: ch.sf_integral(a, b))
 
     def cdf_integral(self, a, b):
-        return _float_or_array(sum(w * np.asarray(ch.cdf_integral(a, b), dtype=float)
-                                   for w, ch in zip(self.weights, self.children)))
+        return self._weighted(lambda ch: ch.cdf_integral(a, b))
 
     def atoms(self):
         locs, masses = [], []
@@ -555,7 +508,7 @@ class IncrementModel:
 
     @cached_property
     def infinite_neg_mean(self) -> bool:
-        return not self.law.left_mean_finite
+        return not math.isfinite(self.law.cdf_integral(-_INF, 0.0))
 
     @cached_property
     def pos_atoms(self) -> tuple[np.ndarray, np.ndarray]:
@@ -564,24 +517,12 @@ class IncrementModel:
         return locs[keep], masses[keep]
 
     @cached_property
-    def neg_atoms(self) -> tuple[np.ndarray, np.ndarray]:
-        """Atoms of xi^-: locations y > 0 with P(xi = -y) > 0."""
-        locs, masses = self.law.atoms()
-        keep = locs < 0
-        order = np.argsort(-locs[keep])
-        return -locs[keep][order], masses[keep][order]
-
-    @cached_property
     def pos_breakpoints(self) -> list[float]:
-        pts = {k for k in self.law.kinks() if k > 0}
-        pts.update(self.pos_atoms[0][self.pos_atoms[0] > 0].tolist())
-        return sorted(pts)
+        return sorted({k for k in self.law.kinks() if k > 0})
 
     @cached_property
     def neg_breakpoints(self) -> list[float]:
-        pts = {-k for k in self.law.kinks() if k < 0}
-        pts.update(self.neg_atoms[0].tolist())
-        return sorted(p for p in pts if p > 0)
+        return sorted({-k for k in self.law.kinks() if k < 0})
 
     @cached_property
     def has_negative_part(self) -> bool:
@@ -1242,7 +1183,7 @@ class GridDistribution:
     @classmethod
     def from_model(cls, model: IncrementModel, x_max: float = 1e6,
                    ppd: int = 64) -> "GridDistribution":
-        if model.law.support[0] < 0:
+        if model.has_negative_part:
             raise PreconditionError("grid discretization needs support in [0, infinity)")
         knots = geometric_knots(x_max, ppd)
         locs, masses = model.pos_atoms

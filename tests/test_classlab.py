@@ -107,6 +107,11 @@ def test_kind_arguments_are_policed(pareto2, kind):
         membership_curve(kind, pareto2, xs=(10.0, 10.0))
 
 
+def test_self_convolution_needs_a_law_without_negative_mass(default_model):
+    with pytest.raises(PreconditionError, match="grid discretization"):
+        membership_curve("S", default_model)
+
+
 def test_geometric_majorant_has_no_violations(pareto15):
     grid = GridDistribution.from_model(pareto15)
     A, violations = majorant_check(grid, pareto15, epsilon=0.5, n_max=4)

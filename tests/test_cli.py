@@ -31,11 +31,13 @@ def runner():
 # ----------------------------------------------------------------------
 
 def test_cli_start_up_does_not_import_scipy():
-    # only the Weibull and lognormal integrals and tails need scipy.special
+    # only the Weibull and lognormal integrals and tails need scipy.special;
+    # neg checks its lognormal child for mass below 0 without it
     code = ("import sys, htwk.cli\n"
             "from htwk.distspec import spec_to_model\n"
             "from htwk.verify import DEFAULT_MODEL\n"
             "spec_to_model(DEFAULT_MODEL)\n"
+            "spec_to_model('neg(lognormal(mu=0, sigma=1))')\n"
             "print('scipy' in sys.modules)\n")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True, cwd=REPO,
@@ -133,6 +135,14 @@ def test_classify_rejects_unknown_kind(runner, tmp_path):
                                "--kinds", "Q", "--out", str(tmp_path)])
     assert res.exit_code == 1
     assert "unknown kind" in res.output
+
+
+def test_classify_refuses_self_convolution_with_negative_mass(runner, tmp_path):
+    res = runner.invoke(main, ["classify", "--model", DEFAULT_SPEC,
+                               "--kinds", "S", "--out", str(tmp_path)])
+    assert res.exit_code == 1
+    assert ("PreconditionError: grid discretization needs support in "
+            "[0, infinity)") in res.output
 
 
 def test_missing_model_is_a_usage_error(runner, tmp_path):

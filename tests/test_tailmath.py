@@ -27,7 +27,7 @@ from htwk.tailmath import (
     sstar_integral,
     truncated_neg_mean,
 )
-from htwk.verify import CASE_B, DEFAULT_MODEL
+from htwk.verify import CASE_B, DEFAULT_MODEL, K_DIVERGENT, LIGHT_CONTROL
 from htwk.walksim import renewal_estimate
 
 # ----------------------------------------------------------------------
@@ -69,8 +69,35 @@ def test_light_control_mean_is_negative(light_model):
     assert not light_model.infinite_neg_mean
 
 
-# every law, and where scipy's quad must cut its panels: 0, the atoms
-# and the shift's support edge
+# (infinite negative mean, finite positive mean, mass below 0), each read
+# from the law's closed-form integrals and its cdf; alpha = 1 is the
+# boundary where a Pareto mean first diverges
+MEAN_FINITENESS = {
+    "pareto(alpha=1, kappa=2)": (False, False, False),
+    "neg(pareto(alpha=1, kappa=1))": (True, True, True),
+    "point(-1.5)": (False, True, True),
+    "neg(lognormal(mu=0, sigma=2))": (False, True, True),
+    "neg(weibull(shape=0.3))": (False, True, True),
+    "shift(3, neg(pareto(alpha=0.5, kappa=1)))": (True, True, True),
+    DEFAULT_MODEL: (True, True, True),
+    LIGHT_CONTROL: (False, True, True),
+    K_DIVERGENT: (True, False, True),
+    CASE_B: (True, False, True),
+}
+
+
+@pytest.mark.parametrize("spec", MEAN_FINITENESS)
+def test_mean_finiteness_and_negative_mass_come_from_the_law(spec):
+    model = spec_to_model(spec)
+    got = (model.infinite_neg_mean,
+           math.isfinite(model.law.sf_integral(0.0, math.inf)),
+           model.has_negative_part)
+    assert got == MEAN_FINITENESS[spec]
+
+
+# every law, and where scipy's quad must cut its panels: its kinks, which
+# are 0 for every half-line leaf and the atom of a point mass, moved by
+# neg and shift
 LAW_BREAKS = {
     "pareto(alpha=0.5, kappa=2)": (0.0,),
     "pareto(alpha=1, kappa=2)": (0.0,),
@@ -98,6 +125,25 @@ def _quad_oracle(fn, a, b, breaks):
                                   points=pts or None, epsabs=0.0,
                                   epsrel=1e-13, limit=200)
     return val
+
+
+@pytest.mark.parametrize("spec", LAW_BREAKS)
+def test_law_kinks_are_its_cut_set(spec):
+    assert sorted(set(spec_to_model(spec).law.kinks())) == list(LAW_BREAKS[spec])
+
+
+# a shifted arm: its half-line leaf's kink at 0 lands on the shift
+SHIFTED_ARM = ("mix(0.5: pareto(alpha=1.5, kappa=1), "
+               "0.5: shift(2, neg(pareto(alpha=0.5, kappa=1))))")
+
+
+@pytest.mark.parametrize("spec, cuts", [
+    ("shift(1, mix(0.5: pareto(alpha=1.5, kappa=1), "
+     "0.5: neg(pareto(alpha=0.5, kappa=1))))", [1.0]),
+    (SHIFTED_ARM, [2.0]),
+], ids=["shifted_mixture", "shifted_arm"])
+def test_a_shifted_leaf_keeps_its_kink(spec, cuts):
+    assert spec_to_model(spec).pos_breakpoints == cuts
 
 
 @pytest.mark.parametrize("spec", LAW_BREAKS)
@@ -287,15 +333,18 @@ NEGATIVE_ATOM = ("mix(0.4: pareto(alpha=1.5, kappa=1), 0.3: neg(point(2.3)), "
                  "0.3: neg(pareto(alpha=0.5, kappa=1)))")
 
 
-@pytest.mark.parametrize("spec", [DEFAULT_MODEL, CASE_B, NEGATIVE_ATOM],
-                         ids=["default", "case_b", "negative_atom"])
+@pytest.mark.parametrize("spec", [DEFAULT_MODEL, CASE_B, NEGATIVE_ATOM, SHIFTED_ARM],
+                         ids=["default", "case_b", "negative_atom", "shifted_arm"])
 def test_integrated_tail_curve_cross_checks_pointwise(spec):
     # route A on shared cells against pointwise route B, both under the
-    # ratio measure; case_b's slow tail reaches far past x = 1e5, and
-    # the negative atom puts a kink into t/m(t) that the cells must cut
+    # ratio measure; case_b's slow tail reaches far past x = 1e5, the
+    # negative atom puts a kink into t/m(t) that the cells must cut, and
+    # the shifted arm a kink into F-bar at 2 that every row below it
+    # must cut.  No probe lies within 1e-12 of a breakpoint: a shifted
+    # law's integrals round a - c there and lose the interval's length
     model = spec_to_model(spec)
     K, _ = criterion_K(model)
-    xs = np.array([1.0, 10.0, 100.0, 1e3, 1e4, 1e5])
+    xs = np.array([0.2, 1.0, 1.9, 10.0, 100.0, 1e3, 1e4, 1e5])
     curve = integrated_tail_curve(model, K, xs)
     points = integrated_tail(model, K, xs)
     assert np.allclose(curve, points, rtol=1e-8, atol=0.0)
