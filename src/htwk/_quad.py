@@ -18,26 +18,19 @@ calculus produces; the divergence heuristics rely on it.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 
-_GL_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-
-def _gl01(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes/weights mapped to [0, 1]."""
-    if n not in _GL_CACHE:
-        x, w = np.polynomial.legendre.leggauss(n)
-        _GL_CACHE[n] = ((x + 1.0) / 2.0, w / 2.0)
-    return _GL_CACHE[n]
-
-
-def gl_fixed(f, a: float, b: float, n: int = 64) -> float:
-    x01, w01 = _gl01(n)
-    t = a + (b - a) * x01
-    return float((b - a) * np.dot(w01, np.asarray(f(t), dtype=float)))
+@functools.cache
+def _gl_nodes() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes on [0, 1], the 32-node set and then the
+    64-node set end to end, and the weights of each set."""
+    x32, w32 = np.polynomial.legendre.leggauss(32)
+    x64, w64 = np.polynomial.legendre.leggauss(64)
+    return (np.concatenate([x32, x64]) + 1.0) / 2.0, w32 / 2.0, w64 / 2.0
 
 
 # Per-piece tolerances: Gauss-Legendre to 1e-12 relative (32 against 64
@@ -49,11 +42,15 @@ _STIELTJES_N_MAX = 8192
 
 
 def gl_adaptive(f, a: float, b: float, depth: int = 30) -> float:
-    """Bisecting Gauss-Legendre: 32 vs 64 nodes decides convergence."""
+    """Bisecting Gauss-Legendre: 32 vs 64 nodes decides convergence.
+
+    One call of f takes both node sets, 32 then 64 nodes."""
     if b <= a:
         return 0.0
-    coarse = gl_fixed(f, a, b, 32)
-    fine = gl_fixed(f, a, b, 64)
+    nodes, w32, w64 = _gl_nodes()
+    fx = np.asarray(f(a + (b - a) * nodes), dtype=float)
+    coarse = float((b - a) * np.dot(w32, fx[:32]))
+    fine = float((b - a) * np.dot(w64, fx[32:]))
     err = abs(fine - coarse)
     if err <= _GL_REL_TOL * abs(fine) or depth <= 0:
         return fine
@@ -170,38 +167,64 @@ def improper_gl(f, a: float = 0.0, rel_tol: float = 1e-10,
                            breakpoints)
 
 
+def _level_layout(levels):
+    """Subpanel levels end to end: every level's edge indices 0..n as
+    floats, each index's n, and where each level starts."""
+    counts = [n + 1 for n in levels]
+    index = np.concatenate([np.arange(c, dtype=float) for c in counts])
+    size = np.repeat(np.asarray(levels, dtype=float), counts)
+    return levels, index, size, np.cumsum([0, *counts[:-1]]).tolist()
+
+
+# Richardson levels 16, 32, ..., 8192, evaluated five at a time
+_STIELTJES_BATCH = 5
+_STIELTJES_LEVELS = [_STIELTJES_N0 << k for k in range(
+    (_STIELTJES_N_MAX // _STIELTJES_N0).bit_length())]
+
+
+@functools.cache
+def _first_layout():
+    """The first batch's layout, built on first use and kept; the second
+    batch's is built each time a panel needs it."""
+    return _level_layout(_STIELTJES_LEVELS[:_STIELTJES_BATCH])
+
+
 def stieltjes_panel(g, weight, a: float, b: float) -> float:
     """integral of g d(weight) over (a, b] for nondecreasing `weight`.
 
     Midpoint Stieltjes sums on uniform subpanels, accelerated by a
     Richardson (Romberg-style) table; `weight` is only ever evaluated,
-    never differentiated.
+    never differentiated.  The levels go a batch at a time: one call of
+    `weight` on the edges and one of `g` on the midpoints of every level
+    in the batch.  Each level keeps its own edges and its own dot, so the
+    result is the one of evaluating level by level.
     """
     if b <= a:
         return 0.0
-    rows = []
-    n = _STIELTJES_N0
-    prev_diag = None
-    while True:
-        edges = np.linspace(a, b, n + 1)
-        mids = 0.5 * (edges[:-1] + edges[1:])
-        dv = np.diff(np.asarray(weight(edges), dtype=float))
-        m = float(np.dot(np.asarray(g(mids), dtype=float), dv))
-        row = [m]
-        for j, below in enumerate(rows[-1] if rows else []):
-            factor = 4.0 ** (j + 1)
-            row.append((factor * row[j] - below) / (factor - 1.0))
-        rows.append(row)
-        diag = row[-1]
-        if prev_diag is not None:
-            if abs(diag - prev_diag) <= _STIELTJES_REL_TOL * abs(diag) + 1e-300:
-                return diag
-        prev_diag = diag
-        if n >= _STIELTJES_N_MAX:
-            return diag
-        n *= 2
-        if len(rows) > 6:
-            rows = rows[-6:]
+    prev = []
+    for first in range(0, len(_STIELTJES_LEVELS), _STIELTJES_BATCH):
+        levels, index, size, starts = (
+            _first_layout() if first == 0
+            else _level_layout(_STIELTJES_LEVELS[first:first + _STIELTJES_BATCH]))
+        # np.linspace(a, b, n + 1) per level, with its branch for a step
+        # that underflows to 0
+        step = (b - a) / size
+        edges = (index * step if step.all()
+                 else np.where(step == 0, index / size * (b - a), index * step)) + a
+        edges[[s + n for s, n in zip(starts, levels)]] = b
+        w = np.asarray(weight(edges), dtype=float)
+        # the midpoint of one level's last edge and the next level's first
+        # is evaluated but not read
+        gm = np.asarray(g(0.5 * (edges[:-1] + edges[1:])), dtype=float)
+        for n, s in zip(levels, starts):
+            row = [float(np.dot(gm[s:s + n], np.diff(w[s:s + n + 1])))]
+            for j, below in enumerate(prev):
+                factor = 4.0 ** (j + 1)
+                row.append((factor * row[j] - below) / (factor - 1.0))
+            if prev and abs(row[-1] - prev[-1]) <= _STIELTJES_REL_TOL * abs(row[-1]) + 1e-300:
+                return row[-1]
+            prev = row
+    return prev[-1]
 
 
 def stieltjes_vs_tail(g, tail, a: float = 0.0, rel_tol: float = 1e-10,

@@ -85,6 +85,19 @@ def _float_or_array(out):
     return out if out.shape else float(out)
 
 
+def _expm1_less_linear(z):
+    """e^z - 1 - z without cancellation, vectorized: its Taylor series,
+    z^2/2! + z^3/3! + ..., where |z| < 1, and expm1(z) - z, which loses
+    at most two bits, elsewhere."""
+    z = np.asarray(z, dtype=float)
+    near = np.abs(z) < 1.0
+    zn = np.where(near, z, 0.0)
+    series = 1.0
+    for k in range(20, 2, -1):
+        series = 1.0 + series * zn / k
+    return np.where(near, 0.5 * zn * zn * series, np.expm1(z) - z)
+
+
 class _HalfLineLaw(Law):
     """A continuous law on [0, infinity): sf is 1 below 0, and each
     subclass gives the integral of sf over a part of the half line."""
@@ -97,9 +110,14 @@ class _HalfLineLaw(Law):
         raise NotImplementedError
 
     def _partial_mean(self, lo, hi):
-        """E[X; lo < X < hi] for 0 <= lo <= hi <= infinity in closed form,
-        or None for a law that does not give it."""
-        return None
+        """E[X; lo < X < hi] for 0 <= lo <= hi <= infinity in closed form."""
+        raise NotImplementedError
+
+    def _excess_mean(self, lo, hi):
+        """E[X - lo; lo < X < hi] for 0 <= lo <= hi <= infinity; a law
+        whose closed form gives it directly overrides this difference,
+        which cancels where hi - lo is short against lo."""
+        return self._partial_mean(lo, hi) - lo * (self.cdf_strict(hi) - self.cdf_strict(lo))
 
     def sample(self, gen, n):
         """Inverse-transform draws, one uniform each: the subclass's
@@ -115,18 +133,17 @@ class _HalfLineLaw(Law):
             below + self._tail_integral(np.maximum(a, 0.0), np.maximum(b, 0.0)))
 
     def cdf_integral(self, a, b):
+        # by parts, (hi - lo) F(hi) - E[X - lo; lo < X < hi]; the excess
+        # is at most (hi - lo) (F(hi) - F(lo)), so the difference keeps
+        # all but a few bits
         lo = np.maximum(np.asarray(a, dtype=float), 0.0)
         hi = np.maximum(np.asarray(b, dtype=float), 0.0)
-        # by parts, hi F(hi) - lo F(lo) - E[X; lo < X < hi], where the law
-        # gives its partial mean; else the length less the tail integral,
-        # which loses the digits of (hi - lo) / result where P(X < t)
-        # stays small on all of [lo, hi] (a short interval near 0)
-        partial = self._partial_mean(lo, hi)
+        if not np.any(hi > lo):
+            # every interval is empty above 0, as for a mixture's positive
+            # arm under m(x) = cdf_integral(-x, 0)
+            return _float_or_array(np.zeros(np.broadcast(lo, hi).shape))
         with np.errstate(invalid="ignore"):
-            if partial is None:
-                out = (hi - lo) - self._tail_integral(lo, hi)
-            else:
-                out = hi * self.cdf_strict(hi) - lo * self.cdf_strict(lo) - partial
+            out = (hi - lo) * self.cdf_strict(hi) - self._excess_mean(lo, hi)
             out = np.where(hi == _INF, _INF, out)
         return _float_or_array(out)
 
@@ -155,6 +172,25 @@ class Pareto(_HalfLineLaw):
             return k * log_ratio
         return k / s * (k / (k + lo)) ** -s * np.expm1(s * log_ratio)
 
+    def cdf_strict(self, t):
+        t = np.maximum(np.asarray(t, dtype=float), 0.0)
+        return -np.expm1(-self.alpha * np.log1p(t / self.kappa))
+
+    def _excess_mean(self, lo, hi):
+        # with e^L = (kappa + hi)/(kappa + lo) and s = 1 - alpha, the
+        # excess is sf(lo) alpha (kappa + lo) J, where
+        # J = integral over [0, L] of (e^y - 1) e^(-alpha y) dy
+        #   = e2(s L)/s + e2(-alpha L)/alpha,  e2(z) = e^z - 1 - z,
+        # whose first term is 0 at s = 0; both terms are positive for
+        # alpha <= 1, and for alpha > 1 they differ in sign and cancel by
+        # a factor near 2 alpha - 1 at small L
+        a, k, s = self.alpha, self.kappa, 1.0 - self.alpha
+        L = np.log1p((hi - lo) / (k + lo))
+        j = _expm1_less_linear(-a * L) / a
+        if s != 0.0:
+            j = j + _expm1_less_linear(s * L) / s
+        return self.sf(lo) * a * (k + lo) * j
+
     def _quantile(self, u):
         # kappa ((1 - u)^(-1/alpha) - 1); `**=` takes the scalar fast
         # paths of `**` (alpha = 1 is a reciprocal)
@@ -177,8 +213,19 @@ class Exponential(_HalfLineLaw):
         t = np.maximum(np.asarray(t, dtype=float), 0.0)
         return np.exp(-self.rate * t)
 
+    def cdf_strict(self, t):
+        t = np.maximum(np.asarray(t, dtype=float), 0.0)
+        return -np.expm1(-self.rate * t)
+
     def _tail_integral(self, lo, hi):
         return np.exp(-self.rate * lo) * -np.expm1(-self.rate * (hi - lo)) / self.rate
+
+    def _excess_mean(self, lo, hi):
+        # memoryless: sf(lo) E[X; X < hi - lo], and rate E[X; X < d] is
+        # e^(-u) (e^u - 1 - u) at u = rate d; u is capped at 50, past
+        # which that is 1 to double precision
+        u = np.minimum(self.rate * (hi - lo), 50.0)
+        return self.sf(lo) * np.exp(-u) * _expm1_less_linear(u) / self.rate
 
     def _quantile(self, u):
         # -log1p(-u) / rate; rounding to nearest is symmetric in sign, so

@@ -3,14 +3,17 @@
 import math
 
 import numpy as np
+import pytest
 import scipy.integrate
 
+from htwk import _quad
 from htwk._quad import (
     geometric_tail,
     gl_adaptive,
     gl_panels,
     improper_gl,
     merge_breakpoints,
+    stieltjes_panel,
     stieltjes_vs_monotone,
     stieltjes_vs_tail,
 )
@@ -139,3 +142,137 @@ def test_stieltjes_monotone_smooth_weight():
     want = 1.0 - math.e * scipy.special.exp1(1.0)
     assert res.converged
     assert np.isclose(res.value, want, rtol=1e-9)
+
+
+# ----------------------------------------------------------------------
+# the batched panel rules against their level-by-level references
+# ----------------------------------------------------------------------
+
+def _gl_fixed(f, a, b, n):
+    """n-node Gauss-Legendre on [a, b], one call of f."""
+    x, w = np.polynomial.legendre.leggauss(n)
+    t = a + (b - a) * ((x + 1.0) / 2.0)
+    return float((b - a) * np.dot(w / 2.0, np.asarray(f(t), dtype=float)))
+
+
+def _gl_adaptive_reference(f, a, b, depth=30):
+    """Bisecting Gauss-Legendre with one f call per node set."""
+    if b <= a:
+        return 0.0
+    coarse = _gl_fixed(f, a, b, 32)
+    fine = _gl_fixed(f, a, b, 64)
+    if abs(fine - coarse) <= _quad._GL_REL_TOL * abs(fine) or depth <= 0:
+        return fine
+    mid = 0.5 * (a + b)
+    return (_gl_adaptive_reference(f, a, mid, depth - 1)
+            + _gl_adaptive_reference(f, mid, b, depth - 1))
+
+
+def _stieltjes_panel_reference(g, weight, a, b):
+    """The midpoint-Richardson panel rule level by level: one call of
+    `weight` and one of `g` per level of 16, 32, ... subpanels."""
+    if b <= a:
+        return 0.0
+    rows = []
+    n = _quad._STIELTJES_N0
+    prev_diag = None
+    while True:
+        edges = np.linspace(a, b, n + 1)
+        mids = 0.5 * (edges[:-1] + edges[1:])
+        dv = np.diff(np.asarray(weight(edges), dtype=float))
+        m = float(np.dot(np.asarray(g(mids), dtype=float), dv))
+        row = [m]
+        for j, below in enumerate(rows[-1] if rows else []):
+            factor = 4.0 ** (j + 1)
+            row.append((factor * row[j] - below) / (factor - 1.0))
+        rows.append(row)
+        diag = row[-1]
+        if prev_diag is not None:
+            if abs(diag - prev_diag) <= _quad._STIELTJES_REL_TOL * abs(diag) + 1e-300:
+                return diag
+        prev_diag = diag
+        if n >= _quad._STIELTJES_N_MAX:
+            return diag
+        n *= 2
+
+
+def _counted(fn, counts, key):
+    def wrapped(t):
+        counts[key] += 1
+        return fn(t)
+    return wrapped
+
+
+def _exp_decay(t):
+    return np.exp(-np.asarray(t, dtype=float))
+
+
+# (g, weight, a, b, calls of g and of weight): a smooth power-law weight
+# converges at 256 subpanels, the last level of the first batch; a kink
+# of order 2.5 at 0.3 needs 1024; a jump at 0.3 runs to the 8192 cap; on
+# a panel 2e-320 wide the subpanel width underflows to 0 from 8192 on,
+# where np.linspace takes its other branch
+PANEL_CASES = {
+    "smooth_power_law": (lambda t: np.asarray(t, dtype=float),
+                         lambda t: -(1.0 + np.asarray(t, dtype=float)) ** -1.5,
+                         0.0, 1.0, 1),
+    "kink_past_256": (_exp_decay,
+                      lambda t: t + np.maximum(np.asarray(t) - 0.3, 0.0) ** 2.5,
+                      0.0, 1.0, 2),
+    "jump_to_cap": (_exp_decay, lambda t: t + (np.asarray(t) > 0.3),
+                    0.0, 1.0, 2),
+    "zero_integrand": (lambda t: np.zeros(np.shape(t)), lambda t: np.sqrt(t),
+                       0.0, 2.0, 1),
+    "subnormal_width": (lambda t: np.sqrt(np.asarray(t) / 2e-320),
+                        lambda t: np.asarray(t) * 1e300, 0.0, 2e-320, 2),
+    "empty_panel": (_exp_decay, lambda t: t, 1.5, 1.5, 0),
+    "reversed_panel": (_exp_decay, lambda t: t, 2.0, 1.0, 0),
+}
+
+
+@pytest.mark.parametrize("case", PANEL_CASES)
+def test_batched_stieltjes_panel_equals_level_by_level(case):
+    g, weight, a, b, _ = PANEL_CASES[case]
+    assert stieltjes_panel(g, weight, a, b) == _stieltjes_panel_reference(g, weight, a, b)
+
+
+@pytest.mark.parametrize("case", PANEL_CASES)
+def test_stieltjes_panel_calls_g_and_weight_once_per_batch(case):
+    g, weight, a, b, calls = PANEL_CASES[case]
+    counts = {"g": 0, "weight": 0}
+    stieltjes_panel(_counted(g, counts, "g"), _counted(weight, counts, "weight"), a, b)
+    assert counts == {"g": calls, "weight": calls}
+
+
+def test_stieltjes_drivers_equal_level_by_level_panels(monkeypatch):
+    def g(t):
+        return np.log1p(np.asarray(t, dtype=float))
+
+    def tail(t):
+        t = np.asarray(t, dtype=float)
+        return 0.5 * (1.0 + t) ** -1.5 + 0.5 * (t < 2.5)
+
+    def run():
+        return (stieltjes_vs_tail(g, tail, atoms=(np.array([2.5]), np.array([0.5])),
+                                  breakpoints=(0.7,)),
+                stieltjes_vs_monotone(_exp_decay, lambda t: np.sqrt(t)))
+
+    got = run()
+    monkeypatch.setattr(_quad, "stieltjes_panel", _stieltjes_panel_reference)
+    assert got == run()
+
+
+@pytest.mark.parametrize("f, a, b", [
+    (lambda x: np.exp(-x) * (2.0 + np.sin(3.0 * x)), 0.0, 7.0),
+    (lambda x: np.abs(np.asarray(x) - 1.0 / 3.0), 0.0, 1.0),
+    (lambda x: (1.0 + np.asarray(x)) ** -2.5, 1.0, 1e3),
+    (np.exp, 2.0, 2.0),
+], ids=["smooth", "kink", "power", "empty"])
+def test_gl_adaptive_equals_two_fixed_rules(f, a, b):
+    assert gl_adaptive(f, a, b) == _gl_adaptive_reference(f, a, b)
+
+
+def test_gl_adaptive_calls_f_once_per_piece():
+    calls = {"f": 0}
+    gl_adaptive(_counted(np.exp, calls, "f"), 0.0, 1.0)
+    assert calls == {"f": 1}

@@ -2,11 +2,12 @@
 
 import hashlib
 import json
+import sys
 
 import numpy as np
 import pytest
 
-from htwk import spec_to_model
+from htwk import _quad, spec_to_model
 from htwk.errors import PreconditionError
 from htwk.verify import (
     CHECK_NAMES,
@@ -194,6 +195,34 @@ def test_two_sided_route_without_the_integral_criterion(case_b_model):
     assert subs["integrated-tail-convolution-neutrality"] is True
     assert subs["integrated-tail-small-increments"] is True
     assert any("mean diverges" in n for n in block.notes)
+
+
+def test_unconverged_quadrature_is_only_the_two_reported_divergences(
+        monkeypatch, default_model, case_b_model, k_divergent_model):
+    # of every improper integral behind the three class-reduction fixtures,
+    # exactly two do not converge: route B of k_divergent's criterion_K and
+    # case_b's positive-part mean (mu_plus), each with its panel count and
+    # its partial sum
+    drive = _quad._improper_drive
+    unconverged = []
+    current = []
+
+    def recording(*args, **kwargs):
+        res = drive(*args, **kwargs)
+        if not res.converged:
+            unconverged.append((current[-1], sys._getframe(1).f_code.co_name,
+                                res.panels, res.value))
+        return res
+
+    monkeypatch.setattr(_quad, "_improper_drive", recording)
+    for name, model in (("default", default_model), ("case_b", case_b_model),
+                        ("k_divergent", k_divergent_model)):
+        current.append(name)
+        class_reduction_report(model)
+    assert unconverged == [
+        ("case_b", "improper_gl", 9, 6.2055056329612395),
+        ("k_divergent", "stieltjes_vs_tail", 13, 3.4109753008281642),
+    ]
 
 
 def test_overall_aggregation_logic():
