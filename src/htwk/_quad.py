@@ -35,8 +35,11 @@ def _gl_nodes() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 # Per-piece tolerances: Gauss-Legendre to 1e-12 relative (32 against 64
 # nodes), Stieltjes to 1e-11 relative with 16 to 8192 midpoint subpanels.
+# The improper drivers stop at 1e-10 relative unless `improper_gl` is
+# told otherwise.
 _GL_REL_TOL = 1e-12
 _STIELTJES_REL_TOL = 1e-11
+_DRIVE_REL_TOL = 1e-10
 _STIELTJES_N0 = 16
 _STIELTJES_N_MAX = 8192
 
@@ -160,10 +163,9 @@ def _improper_drive(rule, a: float, rel_tol: float, x0: float,
     return ImproperResult(acc, False, _MAX_PANELS, 0.0)
 
 
-def improper_gl(f, a: float = 0.0, rel_tol: float = 1e-10,
-                breakpoints=()) -> ImproperResult:
-    """integral of f over [a, infinity) with geometric panels from width 1."""
-    return _improper_drive(lambda l, r: gl_adaptive(f, l, r), a, rel_tol, 1.0,
+def improper_gl(f, rel_tol: float = _DRIVE_REL_TOL, breakpoints=()) -> ImproperResult:
+    """integral of f over [0, infinity) with geometric panels from width 1."""
+    return _improper_drive(lambda l, r: gl_adaptive(f, l, r), 0.0, rel_tol, 1.0,
                            breakpoints)
 
 
@@ -227,8 +229,7 @@ def stieltjes_panel(g, weight, a: float, b: float) -> float:
     return prev[-1]
 
 
-def stieltjes_vs_tail(g, tail, a: float = 0.0, rel_tol: float = 1e-10,
-                      x0: float = 1.0, atoms=None,
+def stieltjes_vs_tail(g, tail, a: float = 0.0, x0: float = 1.0, atoms=None,
                       breakpoints=()) -> ImproperResult:
     """integral of g dF over (a, infinity) where F has tail `tail`.
 
@@ -248,14 +249,13 @@ def stieltjes_vs_tail(g, tail, a: float = 0.0, rel_tol: float = 1e-10,
     def weight(t):
         return -cont(t)
 
-    res = _improper_drive(lambda l, r: stieltjes_panel(g, weight, l, r), a, rel_tol,
-                          x0, [*breakpoints, *locs.tolist()])
+    res = _improper_drive(lambda l, r: stieltjes_panel(g, weight, l, r), a,
+                          _DRIVE_REL_TOL, x0, [*breakpoints, *locs.tolist()])
     atom_part = float(np.dot(masses, np.asarray(g(locs), dtype=float))) if locs.size else 0.0
     return ImproperResult(res.value + atom_part, res.converged, res.panels, res.tail_estimate)
 
 
-def stieltjes_vs_monotone(f, h, rel_tol: float = 1e-10, x0: float = 1.0,
-                          breakpoints=()) -> ImproperResult:
+def stieltjes_vs_monotone(f, h, x0: float = 1.0, breakpoints=()) -> ImproperResult:
     """integral of f dH over (0, infinity) for nondecreasing callable H."""
-    return _improper_drive(lambda l, r: stieltjes_panel(f, h, l, r), 0.0, rel_tol,
-                           x0, breakpoints)
+    return _improper_drive(lambda l, r: stieltjes_panel(f, h, l, r), 0.0,
+                           _DRIVE_REL_TOL, x0, breakpoints)

@@ -30,6 +30,10 @@ PROBES_DEFAULT = (1e2, 10 ** 2.5, 1e3, 10 ** 3.5, 1e4)
 
 KINDS = ("L", "D", "S", "Sstar", "SF")
 
+# tolerance of every limit-type curve: the membership curves, the SF
+# curves and the unit-increment curves
+CURVE_TOL = 0.05
+
 _TREND_SLACK = 1e-12
 
 # relative slack on the majorant bound, for rounding in the grid sums
@@ -38,8 +42,6 @@ _MAJORANT_SLACK = 1e-9
 # measure_equivalence_check refuses measures whose ratio H1/H2 grows by
 # more than this factor across the probes
 _RATIO_GROWTH_BOUND = 3.0
-# tolerance of its SF and unit-increment curves
-_EQUIVALENCE_TOL = 0.05
 
 
 @dataclass(frozen=True)
@@ -129,11 +131,12 @@ def _strip_mass(G: GridDistribution, xs, fbar) -> np.ndarray:
 
 def membership_curve(kind: str, F: IncrementModel,
                      G: GridDistribution | None = None,
-                     xs=PROBES_DEFAULT, tol: float = 0.05,
+                     xs=PROBES_DEFAULT,
                      grid_cfg: GridConfig = GridConfig()) -> RatioDiagnostic:
     """Ratio curve and verdict for one class membership test.
 
-    Only kind SF takes the grid G, and it requires one.
+    Only kind SF takes the grid G, and it requires one; kind S builds
+    its own grid from `grid_cfg`, out to `grid_cfg.horizon(xs)`.
     """
     xs, fbar = _probe_tails(F, xs)
     if any(b <= a for a, b in zip(xs, xs[1:])):
@@ -147,7 +150,7 @@ def membership_curve(kind: str, F: IncrementModel,
 
     if kind == "L":
         shifted = np.asarray(F.tail_pos(arr + 1.0), dtype=float)
-        return _diagnostic("L", xs, shifted / fbar, 1.0, tol)
+        return _diagnostic("L", xs, shifted / fbar, 1.0, CURVE_TOL)
 
     if kind == "D":
         halved = np.asarray(F.tail_pos(arr / 2.0), dtype=float)
@@ -155,18 +158,18 @@ def membership_curve(kind: str, F: IncrementModel,
         return _diagnostic("D", xs, halved / fbar, None, 0.10)
 
     if kind == "S":
-        grid = GridDistribution.from_model(F, x_max=grid_cfg.x_max,
+        grid = GridDistribution.from_model(F, x_max=grid_cfg.horizon(xs),
                                            ppd=grid_cfg.points_per_decade)
         values = [self_conv_tail(grid, x) / fb for x, fb in zip(xs, fbar)]
-        return _diagnostic("S", xs, values, 2.0, tol)
+        return _diagnostic("S", xs, values, 2.0, CURVE_TOL)
 
     if kind == "Sstar":
         mu = mu_plus(F)
         values = [sstar_integral(F, x) / fb for x, fb in zip(xs, fbar)]
-        return _diagnostic("Sstar", xs, values, 2.0 * mu, tol,
+        return _diagnostic("Sstar", xs, values, 2.0 * mu, CURVE_TOL,
                            extras={"mu_plus": mu})
 
-    return _diagnostic("SF", xs, _conv_tails(G, F, xs) / fbar, 1.0, tol)
+    return _diagnostic("SF", xs, _conv_tails(G, F, xs) / fbar, 1.0, CURVE_TOL)
 
 
 def majorant_check(G: GridDistribution, F: IncrementModel, epsilon: float,
@@ -202,24 +205,15 @@ def majorant_check(G: GridDistribution, F: IncrementModel, epsilon: float,
 
 
 def small_increment_criterion(F: IncrementModel, G: GridDistribution,
-                              xs=PROBES_DEFAULT, tol_small: float = 0.05,
-                              tol_sf: float = 0.05,
-                              require_sstar: bool = True
+                              xs=PROBES_DEFAULT
                               ) -> tuple[RatioDiagnostic, RatioDiagnostic]:
     """Unit-increment criterion: G(x-1, x]/F-bar(x) -> 0 forces the SF
-    ratio -> 1.  Returns (small_increments, sf_curve); the SF verdict is
-    only claimed when the increment curve passes."""
-    if require_sstar:
-        star = membership_curve("Sstar", F, xs=xs)
-        if not star.verdict:
-            raise PreconditionError(
-                "increment criterion assumes the base law passes Sstar")
+    ratio -> 1 when F's class supports it.  Returns (small_increments,
+    sf_curve); the caller establishes F's class and reads both verdicts."""
     xs, fbar = _probe_tails(F, xs)
     small_diag = _diagnostic("unit-increment", xs, _strip_mass(G, xs, fbar),
-                             0.0, tol_small)
-    sf = membership_curve("SF", F, G=G, xs=xs, tol=tol_sf)
-    return small_diag, replace(sf, extras={**sf.extras,
-                                           "claimed": small_diag.verdict})
+                             0.0, CURVE_TOL)
+    return small_diag, membership_curve("SF", F, G=G, xs=xs)
 
 
 def measure_equivalence_check(F: IncrementModel, H1: RenewalMeasure,
@@ -244,8 +238,7 @@ def measure_equivalence_check(F: IncrementModel, H1: RenewalMeasure,
             f"measure ratio grows by factor {growth:.3g} over the probes "
             f"(bound {_RATIO_GROWTH_BOUND:g}); comparability hypothesis fails")
 
-    x_max = max(grid_cfg.x_max, 10.0 * xs[-1])
-    knots = geometric_knots(x_max, grid_cfg.points_per_decade)
+    knots = geometric_knots(grid_cfg.horizon(xs), grid_cfg.points_per_decade)
     out: dict[str, RatioDiagnostic] = {}
     for tag, H in (("h1", H1), ("h2", H2)):
         # route A on the knots, which route B must confirm at every knot
@@ -258,11 +251,10 @@ def measure_equivalence_check(F: IncrementModel, H1: RenewalMeasure,
             raise PreconditionError(f"integrated tail under {H.label} vanishes")
         grid = GridDistribution(knots=knots,
                                 tail_cont=np.minimum(1.0, route_a / i0))
-        out[f"sf_{tag}"] = membership_curve("SF", F, G=grid, xs=xs,
-                                            tol=_EQUIVALENCE_TOL)
+        out[f"sf_{tag}"] = membership_curve("SF", F, G=grid, xs=xs)
         out[f"small_{tag}"] = _diagnostic(f"unit-increment-{tag}", xs,
                                           _strip_mass(grid, xs, fbar),
-                                          0.0, _EQUIVALENCE_TOL)
+                                          0.0, CURVE_TOL)
 
     agree = out["sf_h1"].verdict == out["sf_h2"].verdict
     for key in ("sf_h1", "sf_h2"):

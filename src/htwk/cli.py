@@ -27,9 +27,9 @@ from .classlab import KINDS, PROBES_DEFAULT, membership_curve
 from .distspec import spec_to_model
 from .errors import HtwkError
 from .serialize import write_curve_csv, write_cycles, write_json
-from .tailmath import (GridDistribution, RenewalMeasure, criterion_K,
-                       integrated_tail_curve, renewal_integrated_tail,
-                       truncated_neg_mean)
+from .tailmath import (GridConfig, GridDistribution, RenewalMeasure,
+                       criterion_K, integrated_tail_curve,
+                       renewal_integrated_tail, truncated_neg_mean)
 
 EXIT_OK, EXIT_ERROR, EXIT_INCONCLUSIVE, EXIT_FAILED = 0, 1, 2, 3
 
@@ -158,7 +158,7 @@ def main() -> None:
 @click.option("--config", "config_path", type=click.Path(exists=True, dir_okay=False))
 @click.option("--model", "model_text", help="distribution expression")
 @click.option("--kinds", "kinds_text", help="comma list from L,D,S,Sstar,SF")
-@click.option("--probes", "--probe", "probes_text", help="probe grid")
+@click.option("--probes", "probes_text", help="probe grid")
 @click.option("--out", "out", help="output directory")
 @_guarded
 def classify(config_path, model_text, kinds_text, probes_text, out):
@@ -183,7 +183,7 @@ def classify(config_path, model_text, kinds_text, probes_text, out):
                 raise click.ClickException("SF self-test needs positive mass")
             G = GridDistribution.from_tail(
                 lambda t: np.asarray(model.tail_pos(t), dtype=float) / head,
-                x_max=max(1e6, 10.0 * xs[-1]))
+                x_max=GridConfig().horizon(xs))
         diag = membership_curve(kind, model, G=G, xs=xs)
         write_curve_csv(out_path / f"class_{kind}.csv",
                         ("x", "ratio", "target", "within"), diag.rows())
@@ -203,7 +203,7 @@ def classify(config_path, model_text, kinds_text, probes_text, out):
 @main.command()
 @click.option("--config", "config_path", type=click.Path(exists=True, dir_okay=False))
 @click.option("--model", "model_text")
-@click.option("--probes", "--probe", "probes_text", help="default 0:1e4")
+@click.option("--probes", "probes_text", help="default 0:1e4")
 @click.option("--out", "out")
 @_guarded
 def tails(config_path, model_text, probes_text, out):
@@ -251,7 +251,7 @@ def tails(config_path, model_text, probes_text, out):
 @click.option("--seed", type=int)
 @click.option("--cycles", type=int)
 @click.option("--workers", type=int)
-@click.option("--probes", "--probe", "probes_text")
+@click.option("--probes", "probes_text")
 @click.option("--out", "out")
 @_guarded
 def simulate(config_path, model_text, seed, cycles, workers, probes_text, out):
@@ -309,7 +309,7 @@ _VERIFY_KEYS = {"checks": "checks", "probes": "xs", "cycles": "cycles",
 @click.option("--seed", type=int)
 @click.option("--workers", type=int)
 @click.option("--cycles", type=int)
-@click.option("--probes", "--probe", "probes_text", help="cycle-max probes")
+@click.option("--probes", "probes_text", help="cycle-max probes")
 @click.option("--out", "out")
 @_guarded
 def verify(config_path, model_text, seed, workers, cycles, probes_text, out):
@@ -357,7 +357,7 @@ def verify(config_path, model_text, seed, workers, cycles, probes_text, out):
 @click.option("--seed", type=int)
 @click.option("--reps", type=int)
 @click.option("--workers", type=int)
-@click.option("--probes", "--probe", "probes_text", help="default 1:1e4:16")
+@click.option("--probes", "probes_text", help="default 1:1e4:16")
 @click.option("--raw-reps", "raw_reps", type=int, default=None,
               help="also dump partial-sum points from this many replications")
 @click.option("--out", "out")

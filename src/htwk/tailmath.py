@@ -600,21 +600,23 @@ class TruncatedMean:
     def __call__(self, x):
         arr = np.asarray(x, dtype=float)
         if np.any(arr < 0):
-            raise ValueError("truncated mean is defined for x >= 0")
+            raise PreconditionError("truncated mean is defined for x >= 0")
         return self._law.cdf_integral(-arr, 0.0)
 
     def ratio(self, x):
-        """x/m(x), extended by its limit 1/c at x = 0."""
+        """x/m(x), extended by its limit 1/c at x = 0 and wherever m(x)
+        rounds to 0 at x > 0 (a shifted leaf loses its offset near 0)."""
         arr = np.atleast_1d(np.asarray(x, dtype=float))
         scalar = np.ndim(x) == 0
         if self.c0 <= 0.0:
             raise PreconditionError("x/m(x) undefined: P(xi < 0) = 0")
-        out = np.empty(arr.shape)
-        zero = arr <= 0.0
-        out[zero] = 1.0 / self.c0
-        if np.any(~zero):
-            m = self(arr[~zero])
-            out[~zero] = arr[~zero] / m
+        m = np.zeros(arr.shape)
+        pos = arr > 0.0
+        if np.any(pos):
+            m[pos] = self(arr[pos])
+        live = m > 0.0
+        out = np.full(arr.shape, 1.0 / self.c0)
+        out[live] = arr[live] / m[live]
         return float(out[0]) if scalar else out
 
 
@@ -692,9 +694,8 @@ class RenewalMeasure:
                    atom0=1.0, label="empirical", kinks=tuple(xs.tolist()))
 
 
-# the improper drivers of both routes stop at 1e-10 relative; the two
-# routes must agree within 1e-8 relative wherever neither is clipped
-_ROUTE_REL_TOL = 1e-10
+# the two routes must agree within 1e-8 relative wherever neither is
+# clipped
 _ROUTE_AGREEMENT_TOL = 1e-8
 
 
@@ -711,7 +712,7 @@ def _route_b(model: IncrementModel, measure: RenewalMeasure,
         return np.asarray(measure(np.asarray(t, dtype=float) - x), dtype=float)
 
     return _quad.stieltjes_vs_tail(
-        g, model.tail_pos, a=x, rel_tol=_ROUTE_REL_TOL, x0=max(1.0, x / 8.0),
+        g, model.tail_pos, a=x, x0=max(1.0, x / 8.0),
         atoms=model.pos_atoms,
         breakpoints=[*(b for b in model.pos_breakpoints if b > x),
                      *(x + k for k in measure.kinks if k > 0)])
@@ -737,8 +738,7 @@ def renewal_integrated_tail_forms(model: IncrementModel, measure: RenewalMeasure
         return np.asarray(measure(t), dtype=float) - measure.atom0
 
     shifted = [b - x for b in model.pos_breakpoints if b > x]
-    res_a = _quad.stieltjes_vs_monotone(f_shift, h_cont, rel_tol=_ROUTE_REL_TOL,
-                                        x0=max(1.0, x / 8.0),
+    res_a = _quad.stieltjes_vs_monotone(f_shift, h_cont, x0=max(1.0, x / 8.0),
                                         breakpoints=[*measure.kinks, *shifted])
     if not res_a.converged:
         raise PreconditionError("measure-integrated tail: H dF-bar integral diverges")
@@ -997,7 +997,7 @@ def integrated_tail_curve(model: IncrementModel, K: float, xs) -> np.ndarray:
 def mu_plus(model: IncrementModel) -> float:
     """integral of F-bar over [0, infinity) to 1e-9 relative; raises
     DivergenceError if infinite."""
-    res = _quad.improper_gl(model.tail_pos, a=0.0, rel_tol=1e-9,
+    res = _quad.improper_gl(model.tail_pos, rel_tol=1e-9,
                             breakpoints=model.pos_breakpoints)
     if not res.converged:
         raise DivergenceError("positive-part mean diverges", res.value)
@@ -1050,6 +1050,11 @@ class GridConfig:
     x_max: float = 1e6
     points_per_decade: int = 64
 
+    def horizon(self, xs) -> float:
+        """The horizon of a grid probed at the increasing `xs`: x_max,
+        widened to ten times the last probe."""
+        return max(self.x_max, 10.0 * xs[-1])
+
 
 def geometric_knots(x_max: float = 1e6, ppd: int = 64, x_min: float = 1e-3) -> np.ndarray:
     decades = math.log10(x_max / x_min)
@@ -1075,8 +1080,8 @@ class GridDistribution:
     F-bar(y) - F-bar(x_max), which is not a power law.  For
     `from_tail(lambda t: (1 + t)**-2, x_max=X)` the relative error of
     `tail(y)` is at most 2.1e-4 below X/2 but 0.39% (X = 2) to 0.59%
-    (X = 1e2, 1e4) near 0.95 X.  Callers keep their probes below
-    `x_max/10`.
+    (X = 1e2, 1e4) near 0.95 X.  Callers size the grid with
+    `GridConfig.horizon`, which keeps every probe below `x_max/10`.
     """
 
     knots: np.ndarray

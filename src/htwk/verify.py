@@ -23,10 +23,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .classlab import PROBES_DEFAULT, membership_curve, small_increment_criterion
+from .classlab import (CURVE_TOL, PROBES_DEFAULT, membership_curve,
+                       small_increment_criterion)
 from .errors import DivergenceError, PreconditionError
-from .tailmath import (GridDistribution, IncrementModel, conv_tail, criterion_K,
-                       integrated_tail_curve, truncated_neg_mean)
+from .tailmath import (GridConfig, GridDistribution, IncrementModel, conv_tail,
+                       criterion_K, integrated_tail_curve, truncated_neg_mean)
 from . import walksim as ws
 from .walksim import (BARRIER_DEFAULT, Z95, RngStream, estimate_sup_many,
                       ks_threshold, ks_two_sample, mtau_tail_estimate,
@@ -46,16 +47,12 @@ ANCHOR_REDUCTION = "tail-class-reduction"
 _MIN_HITS = 50
 # replications behind the renewal sum of the ladder-height formula
 _RENEWAL_REPS = 2000
-# tolerances of the base-law membership and unit-increment curves
-_MEMBERSHIP_TOL = 0.05
-_SMALL_TOL = 0.05
 # the pinned verdict bands: the cycle-max ratio, the renewal band's
-# widening, the ladder-tail ratio and the integrated tail's convolution
-# neutrality
+# widening and the ladder-tail ratio; the class curves are judged at
+# classlab's CURVE_TOL
 _TOL_MAIN = 0.2
 _TOL_BAND = 0.15
 _TOL_TAIL = 0.2
-_SF_TOL = 0.05
 # probes of the renewal band and of the ladder-height tail in a full run
 _RENEWAL_XS = (1e3, 1e4)
 _LADDER_XS = (10.0, 50.0, 100.0)
@@ -145,13 +142,6 @@ class VerificationReport:
         }
 
 
-def _sorted_probes(xs) -> tuple[float, ...]:
-    xs = tuple(float(x) for x in xs)
-    if any(b <= a for a, b in zip(xs, xs[1:])):
-        raise PreconditionError("probes must be strictly increasing")
-    return xs
-
-
 # ----------------------------------------------------------------------
 # cycle maximum vs mean-cycle-length times positive tail
 # ----------------------------------------------------------------------
@@ -168,7 +158,9 @@ def cycle_max_report(model: IncrementModel, xs, cycles: int, seed: int,
     convolution with the increment's positive tail.
     """
     t0 = time.perf_counter()
-    xs = _sorted_probes(xs)
+    xs = tuple(float(x) for x in xs)
+    if any(b <= a for a, b in zip(xs, xs[1:])):
+        raise PreconditionError("probes must be strictly increasing")
     stats, rows = mtau_tail_estimate(model, xs, cycles, seed, workers=workers)
     fbar = np.asarray(model.tail_pos(np.asarray(xs)), dtype=float)
     tau_lo = stats.tau_mean - Z95 * stats.tau_se
@@ -201,7 +193,7 @@ def cycle_max_report(model: IncrementModel, xs, cycles: int, seed: int,
     if sup_reps:
         sup = estimate_sup_many(model, sup_reps, seed, workers=workers)
         pi = GridDistribution.from_samples(sup.m_values,
-                                           x_max=max(1e6, 10.0 * xs[-1]))
+                                           x_max=GridConfig().horizon(xs))
         # a probe where F-bar vanishes has no ratio, and it fails
         resolved = fbar > 0.0
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -238,12 +230,13 @@ def cycle_max_report(model: IncrementModel, xs, cycles: int, seed: int,
 # renewal growth band
 # ----------------------------------------------------------------------
 
-def renewal_bound_report(model: IncrementModel, xs, reps: int, seed: int,
+def renewal_bound_report(model: IncrementModel, reps: int, seed: int,
                          workers: int = 1) -> CheckBlock:
-    """Scaled renewal curve b(x) = H(x) m(x) / x against the band
-    [p, 2p]; the band ends are widened by _TOL_BAND on each side."""
+    """Scaled renewal curve b(x) = H(x) m(x) / x at the probes
+    _RENEWAL_XS against the band [p, 2p]; the band ends are widened by
+    _TOL_BAND on each side."""
     t0 = time.perf_counter()
-    xs = _sorted_probes(xs)
+    xs = _RENEWAL_XS
     if not model.has_negative_part:
         raise PreconditionError(
             "descent mean vanishes; the renewal comparison is undefined")
@@ -358,9 +351,10 @@ def ladder_identity_report(model: IncrementModel, reps: int, seed: int,
 # ladder height tail formula
 # ----------------------------------------------------------------------
 
-def gplus_tail_report(model: IncrementModel, xs, reps: int, seed: int,
+def gplus_tail_report(model: IncrementModel, reps: int, seed: int,
                       workers: int = 1) -> CheckBlock:
-    """Conditional ascent-height tail versus its renewal-measure formula.
+    """Conditional ascent-height tail versus its renewal-measure formula,
+    at the probes _LADDER_XS.
 
     Formula side: (F-bar(x) + mean over replications of the sum of
     F-bar(u + x) over observed descent partial sums u) / (1 - p-hat).
@@ -369,9 +363,7 @@ def gplus_tail_report(model: IncrementModel, xs, reps: int, seed: int,
     _TOL_TAIL.
     """
     t0 = time.perf_counter()
-    xs = tuple(float(x) for x in xs)
-    if any(x < 0 for x in xs) or any(b <= a for a, b in zip(xs, xs[1:])):
-        raise PreconditionError("probes must be nonnegative and increasing")
+    xs = _LADDER_XS
     sup = estimate_sup_many(model, reps, seed, workers=workers)
     p_hat = sup.p_hat
     if p_hat >= 1.0:
@@ -461,21 +453,19 @@ def class_reduction_report(model: IncrementModel) -> CheckBlock:
     star = None
     star_note = ()
     try:
-        star = membership_curve("Sstar", model, xs=xs, tol=_MEMBERSHIP_TOL)
+        star = membership_curve("Sstar", model, xs=xs)
     except DivergenceError:
         star_note = ("positive-part mean diverges; integral-criterion "
                      "membership unavailable",)
-    ell = membership_curve("L", model, xs=xs, tol=_MEMBERSHIP_TOL)
-    dee = membership_curve("D", model, xs=xs, tol=_MEMBERSHIP_TOL)
+    ell = membership_curve("L", model, xs=xs)
+    dee = membership_curve("D", model, xs=xs)
     case_a = bool(star.verdict) if star is not None else False
     case_b = bool(ell.verdict) and bool(dee.verdict)
 
     g1 = GridDistribution.from_tail(
         lambda t: integrated_tail_curve(model, K, t),
-        x_max=max(1e6, 10.0 * xs[-1]))
-    small_diag, sf_diag = small_increment_criterion(
-        model, g1, xs=xs, tol_small=_SMALL_TOL, tol_sf=_SF_TOL,
-        require_sstar=False)
+        x_max=GridConfig().horizon(xs))
+    small_diag, sf_diag = small_increment_criterion(model, g1, xs=xs)
 
     verdict = (case_a or case_b) and bool(sf_diag.verdict) \
         and bool(small_diag.verdict)
@@ -484,8 +474,8 @@ def class_reduction_report(model: IncrementModel) -> CheckBlock:
         verdict=bool(verdict), probes=xs,
         scalars={"K": K, "K_finite": True, "case_a": case_a,
                  "case_b": case_b},
-        tolerances={"membership_tol": _MEMBERSHIP_TOL, "sf_tol": _SF_TOL,
-                    "small_tol": _SMALL_TOL},
+        tolerances={"membership_tol": CURVE_TOL, "sf_tol": CURVE_TOL,
+                    "small_tol": CURVE_TOL},
         notes=star_note,
         subchecks=(
             _diag_subblock("base-integral-criterion", star),
@@ -524,14 +514,14 @@ def run_verification(model: IncrementModel, seed: int,
         report.blocks.append(cycle_max_report(
             model, xs, cycles, seed, workers=workers, sup_reps=sup_reps))
     if "renewal" in checks:
-        report.blocks.append(renewal_bound_report(
-            model, _RENEWAL_XS, reps, seed, workers=workers))
+        report.blocks.append(renewal_bound_report(model, reps, seed,
+                                                  workers=workers))
     if "ladder_sum" in checks:
         report.blocks.append(ladder_identity_report(model, reps, seed,
                                                     workers=workers))
     if "ladder_tail" in checks:
-        report.blocks.append(gplus_tail_report(
-            model, _LADDER_XS, reps, seed, workers=workers))
+        report.blocks.append(gplus_tail_report(model, reps, seed,
+                                               workers=workers))
     if "classes" in checks:
         report.blocks.append(class_reduction_report(model))
     return report

@@ -160,7 +160,6 @@ class SupBatch:
 class LadderBatch:
     psi: np.ndarray
     censored: np.ndarray
-    barrier: float
     steps: int
 
     @property
@@ -176,7 +175,6 @@ class RenewalEstimate:
     xs: tuple[float, ...]
     h_values: np.ndarray
     h_se: np.ndarray
-    reps: int
     steps: int
     raw_points: np.ndarray | None = None
     raw_reps: int = 0
@@ -396,7 +394,7 @@ def sample_ladder_many(model: IncrementModel, reps: int, seed: int,
                                   workers, step_budget, barrier=barrier)
     return LadderBatch(psi=np.concatenate([r[0] for r in results]),
                        censored=np.concatenate([r[1] for r in results]),
-                       barrier=barrier, steps=steps)
+                       steps=steps)
 
 
 def renewal_estimate(model: IncrementModel, xs, reps: int, seed: int,
@@ -420,7 +418,7 @@ def renewal_estimate(model: IncrementModel, xs, reps: int, seed: int,
     h = 1.0 + counts.mean(axis=1)
     se = counts.std(axis=1, ddof=1) / math.sqrt(reps) if reps > 1 \
         else np.zeros(len(xs))
-    return RenewalEstimate(xs=xs, h_values=h, h_se=se, reps=reps, steps=steps,
+    return RenewalEstimate(xs=xs, h_values=h, h_se=se, steps=steps,
                            raw_points=raw_points if raw_reps else None,
                            raw_reps=raw_reps)
 

@@ -15,7 +15,6 @@ import pytest
 
 from htwk import spec_to_model
 from htwk.classlab import (
-    PROBES_DEFAULT,
     majorant_check,
     membership_curve,
     small_increment_criterion,
@@ -177,17 +176,15 @@ def test_accept_07_integrated_tail_mechanism(default_model, capsys):
     assert finite
     g1 = GridDistribution.from_tail(
         lambda t: integrated_tail_curve(default_model, K, t), x_max=1e6)
-    small, sf = small_increment_criterion(default_model, g1,
-                                          xs=PROBES_DEFAULT,
-                                          require_sstar=False)
+    small, sf = small_increment_criterion(default_model, g1)
     ok = abs(sf.values[-1] - 1.0) <= 0.05 and small.values[-1] < 0.05
     _verdict(capsys, 7, ok,
              f"sf(1e4)={sf.values[-1]:.4f} increment(1e4)={small.values[-1]:.4f}")
 
 
 def test_accept_08_renewal_growth_band(default_model, capsys):
-    block = renewal_bound_report(default_model, (1e3, 1e4), reps=10 ** 5,
-                                 seed=42, workers=WORKERS)
+    block = renewal_bound_report(default_model, reps=10 ** 5, seed=42,
+                                 workers=WORKERS)
     assert block.tolerances["tol"] == 0.15
     ok = block.verdict is True and all(bool(v) for v in block.columns["pass"])
     b = block.columns["b"]
@@ -209,8 +206,8 @@ def test_accept_09_geometric_sum_identity(default_model, ladder_run, capsys):
 
 
 def test_accept_10_ladder_tail_formula(default_model, capsys):
-    block = gplus_tail_report(default_model, (10.0, 50.0, 100.0),
-                              reps=10 ** 5, seed=42, workers=WORKERS)
+    block = gplus_tail_report(default_model, reps=10 ** 5, seed=42,
+                              workers=WORKERS)
     assert block.tolerances["tol"] == 0.2
     concl = [bool(c) for c in block.columns["conclusive"]]
     ok = block.verdict is True and all(concl)

@@ -86,6 +86,14 @@ def test_two_fold_ratio_of_exponential(expo):
     assert np.isclose(diag.values[-1], 11.0, atol=0.06)
 
 
+def test_two_fold_curve_widens_its_grid_past_the_default_horizon(pareto2):
+    # probes out to 1e7 need a grid out to 1e8, past the default 1e6
+    diag = membership_curve("S", pareto2,
+                            xs=(1e5, 10 ** 5.5, 1e6, 10 ** 6.5, 1e7))
+    assert diag.verdict
+    assert np.allclose(diag.values, 2.0, rtol=0.0, atol=1e-4)
+
+
 def test_symmetric_route_of_heavier_power_law(pareto15):
     diag = membership_curve("Sstar", pareto15)
     assert diag.verdict
@@ -131,16 +139,9 @@ def test_increment_criterion_claims_only_after_base_passes(default_model):
     K, _ = criterion_K(default_model)
     g1 = GridDistribution.from_tail(
         lambda t: integrated_tail_curve(default_model, K, t), x_max=1e6)
-    small, sf = small_increment_criterion(default_model, g1, require_sstar=False)
+    small, sf = small_increment_criterion(default_model, g1)
     assert small.verdict
     assert sf.verdict
-    assert sf.extras["claimed"]
-
-
-def test_increment_criterion_guards_its_hypothesis(expo):
-    grid = GridDistribution.from_model(expo, x_max=1e3)
-    with pytest.raises(PreconditionError, match="Sstar"):
-        small_increment_criterion(expo, grid, xs=(2.0, 4.0, 6.0, 8.0, 10.0))
 
 
 def test_measure_comparison_trivial_agreement(default_model):

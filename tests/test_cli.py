@@ -95,6 +95,14 @@ def test_malformed_number_is_a_one_line_error(runner, tmp_path, line, env, named
     assert res.output.strip() == f"Error: {named}"
 
 
+@pytest.mark.parametrize("command", ["classify", "tails", "simulate", "verify",
+                                     "renewal"])
+def test_probes_has_one_spelling(runner, tmp_path, command):
+    res = runner.invoke(main, [command, "--probe", "1,2", "--out", str(tmp_path)])
+    assert res.exit_code == 1
+    assert "No such option '--probe'" in res.output
+
+
 def test_version_flag(runner):
     res = runner.invoke(main, ["--version"])
     assert res.exit_code == 0
@@ -145,6 +153,15 @@ def test_classify_refuses_self_convolution_with_negative_mass(runner, tmp_path):
             "[0, infinity)") in res.output
 
 
+def test_classify_widens_the_grid_past_the_default_horizon(runner, tmp_path):
+    res = runner.invoke(main, ["classify", "--model", "pareto(2, 1)",
+                               "--kinds", "S,SF", "--probes", "1e5:1e7:5",
+                               "--out", str(tmp_path)])
+    assert res.exit_code == 0, res.output
+    rows = (tmp_path / "class_verdicts.csv").read_text().splitlines()[1:]
+    assert [r.split(",")[2] for r in rows] == ["true", "true"]
+
+
 def test_missing_model_is_a_usage_error(runner, tmp_path):
     res = runner.invoke(main, ["classify", "--out", str(tmp_path)])
     assert res.exit_code == 1
@@ -187,6 +204,15 @@ def test_tails_skips_the_linear_column_when_the_positive_mean_is_infinite(
     lines = (tmp_path / "gh.csv").read_text().splitlines()
     assert lines[0] == "x,gh_scaled"
     assert len(lines) == 4
+
+
+def test_tails_rejects_a_negative_probe_in_one_line(runner, tmp_path):
+    res = runner.invoke(main, ["tails", "--model", DEFAULT_SPEC,
+                               "--probes=-1,5", "--out", str(tmp_path)])
+    assert res.exit_code == 1
+    assert isinstance(res.exception, SystemExit)
+    assert res.output.splitlines()[-1] == (
+        "Error: PreconditionError: truncated mean is defined for x >= 0")
 
 
 # ----------------------------------------------------------------------

@@ -3,7 +3,8 @@ every private module-level name is referenced somewhere, every public
 module-level function and class and every public method of a
 module-level class is read by the package or the benchmark, every
 defaulted parameter of those functions and methods is passed by some
-call in the package or the benchmark (or each is on an explicit
+call in the package or the benchmark, no parameter of theirs gets one
+and the same value from every such call (each scan has an explicit
 allow-list), and the package's `__all__` lists exactly what
 `__init__.py` imports."""
 
@@ -182,21 +183,23 @@ def test_every_public_method_is_read_or_allowed():
     assert [n for n in unread if n not in UNREAD_METHOD_ALLOWED] == []
 
 
-def _defaulted_parameters(tree: ast.Module) -> list[tuple[str, str, int | None]]:
-    """(name, parameter, position) for each defaulted parameter of a
+def _parameters(tree: ast.Module) -> list[tuple[str, str, int | None, ast.expr | None]]:
+    """(name, parameter, position, default) for each parameter of a
     public module-level function or of a public method of a module-level
-    class.  A method's positions do not count self or cls, and a
-    keyword-only parameter has no position."""
+    class, but self, cls, *args and **kwargs.  A method's positions do
+    not count self or cls, a keyword-only parameter has no position, and
+    a parameter without a default has default None."""
     found = []
 
     def scan(fn, name, skip):
         a = fn.args
         positional = [*a.posonlyargs, *a.args]
-        first = len(positional) - len(a.defaults)
-        found.extend((name, arg.arg, i - skip)
-                     for i, arg in enumerate(positional[first:], first))
-        found.extend((name, arg.arg, None)
-                     for arg, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None)
+        defaults = [None] * (len(positional) - len(a.defaults)) + a.defaults
+        found.extend((name, arg.arg, i - skip, d)
+                     for i, (arg, d) in enumerate(zip(positional, defaults))
+                     if i >= skip)
+        found.extend((name, arg.arg, None, d)
+                     for arg, d in zip(a.kwonlyargs, a.kw_defaults))
 
     public = (ast.FunctionDef, ast.AsyncFunctionDef)
     for node in tree.body:
@@ -209,6 +212,13 @@ def _defaulted_parameters(tree: ast.Module) -> list[tuple[str, str, int | None]]
                                  for d in fn.decorator_list)
                     scan(fn, f"{node.name}.{fn.name}", 0 if static else 1)
     return found
+
+
+def _defaulted_parameters(tree: ast.Module) -> list[tuple[str, str, int | None]]:
+    """(name, parameter, position) for each defaulted parameter that
+    `_parameters` lists."""
+    return [(name, param, pos) for name, param, pos, d in _parameters(tree)
+            if d is not None]
 
 
 def unpassed_defaults(sources: dict[str, str], readers: dict[str, str]) -> list[str]:
@@ -281,6 +291,150 @@ def test_every_default_is_passed_or_allowed():
     assert set(UNPASSED_DEFAULT_ALLOWED) <= defined
     unpassed = unpassed_defaults(sources, readers)
     assert [n for n in unpassed if n not in UNPASSED_DEFAULT_ALLOWED] == []
+
+
+def _module_constants(trees) -> dict[str, tuple]:
+    """A value token for each module-level constant: its literal value,
+    or its name when it is no literal.  A name that modules bind to
+    different values is left out."""
+    tokens = {}
+    for tree in trees:
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and len(node.targets) == 1 \
+                    and isinstance(node.targets[0], ast.Name):
+                name = node.targets[0].id
+                token = _literal(node.value) or ("constant", name)
+                tokens.setdefault(name, set()).add(token)
+    return {name: next(iter(t)) for name, t in tokens.items() if len(t) == 1}
+
+
+def _literal(node) -> tuple | None:
+    try:
+        return ("literal", repr(ast.literal_eval(node)))
+    except (ValueError, TypeError):
+        return None
+
+
+def _scoped_calls(tree: ast.Module) -> list[tuple[ast.Call, dict]]:
+    """Every call with its scope: each parameter of an enclosing function
+    that the function never rebinds maps to ("parameter", function,
+    name), and every other name the function or a lambda binds maps to
+    None, which hides a module constant of that name."""
+    calls = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            a = node.args
+            params = [*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg]
+            bound = {n.id for n in ast.walk(node)
+                     if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)}
+            scope = {**scope, **dict.fromkeys(bound)}
+            for p in filter(None, params):
+                keep = not isinstance(node, ast.Lambda) and p.arg not in bound
+                scope[p.arg] = ("parameter", node.name, p.arg) if keep else None
+        elif isinstance(node, ast.Call):
+            calls.append((node, scope))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(tree, {})
+    return calls
+
+
+def fixed_parameters(sources: dict[str, str], readers: dict[str, str]) -> list[str]:
+    """module:name(parameter) for each parameter of a public function or
+    method of `sources` that every call in `sources` and `readers`
+    passes the same value, and some call writes out.  A value is a
+    literal or a module-level constant, written out or left to the
+    default, or a parameter of the calling function that is itself
+    fixed.  Calls match by the called name, and a call that forwards
+    *args or **kwargs passes anything."""
+    trees = {mod: ast.parse(src) for mod, src in sources.items()}
+    every = [*trees.values(), *map(ast.parse, readers.values())]
+    constants = _module_constants(every)
+    by_name = {}
+    for tree in every:
+        for call, scope in _scoped_calls(tree):
+            f = call.func
+            name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+            by_name.setdefault(name, []).append((call, scope))
+
+    def token(node, scope):
+        if isinstance(node, ast.Name) and node.id in scope:
+            return scope[node.id]
+        name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+        return _literal(node) or constants.get(name)
+
+    passed = {}
+    for mod, tree in trees.items():
+        for name, param, pos, default in _parameters(tree):
+            tokens, explicit = [], False
+            for call, scope in by_name.get(name.split(".")[-1], ()):
+                if any(isinstance(a, ast.Starred) for a in call.args) \
+                        or any(k.arg is None for k in call.keywords):
+                    tokens.append(None)
+                    continue
+                arg = next((k.value for k in call.keywords if k.arg == param),
+                           call.args[pos] if pos is not None and pos < len(call.args)
+                           else None)
+                explicit = explicit or arg is not None
+                tokens.append(token(arg, scope) if arg is not None
+                              else default and token(default, {}))
+            if explicit:
+                passed[f"{mod}:{name}({param})"] = (name.split(".")[-1], param, tokens)
+    # a fixed parameter can fix the parameters its value is passed on to
+    found = {}
+    while True:
+        fixed = dict(found.values())
+        now = {}
+        for key, (called, param, tokens) in passed.items():
+            values = {fixed.get(t[1:]) if t and t[0] == "parameter" else t
+                      for t in tokens}
+            if len(values) == 1 and None not in values:
+                now[key] = (called, param), values.pop()
+        if now.keys() == found.keys():
+            return list(now)
+        found = now
+
+
+# parameters that every call passes the same value, each kept for the
+# reason given
+FIXED_PARAMETER_ALLOWED = {
+    "_quad.py:improper_gl(rel_tol)":
+        "mu_plus asks for 1e-9; the quadrature tests run at the 1e-10 default",
+    "classlab.py:majorant_check(epsilon)":
+        "only the benchmark calls it (ROADMAP direction 5)",
+    "classlab.py:measure_equivalence_check(xs)":
+        "only the benchmark calls it (ROADMAP direction 5)",
+    "tailmath.py:IncrementModel.tail_neg(y)":
+        "N-bar's public vocabulary; the tests read it at y > 0",
+}
+
+
+def test_the_scan_sees_a_fixed_parameter():
+    sources = {"a": "K = 0.5\n"
+                    "def f(x, tol=0.5, n=1):\n    pass\n"
+                    "def g(y, t=2):\n    f(y, tol=K, n=t)\n"
+                    "def h(z):\n    z = 3\n    g(z, t=3)\n"
+                    "class C:\n    def m(self, p):\n        pass\n"
+                    "def w(q, r):\n    pass\n"
+                    "f(1, n=3)\ng(2, 3)\nC().m('s')\n"}
+    readers = {"bench": "import a\nargs = ()\na.w(*args)\na.w(1, 2)\n"
+                        "a.C().m('s')\n"}
+    # tol: K and the default are both 0.5; n: g passes on its fixed t;
+    # g(y): h rebinds z before passing it; w: a call forwards *args
+    assert fixed_parameters(sources, readers) == [
+        "a:f(tol)", "a:f(n)", "a:g(t)", "a:C.m(p)"]
+
+
+def test_no_parameter_is_fixed_unless_allowed():
+    sources = {p.name: p.read_text() for p in MODULES}
+    readers = {p.name: p.read_text() for p in BENCH}
+    defined = {f"{mod}:{name}({param})" for mod, src in sources.items()
+               for name, param, _, _ in _parameters(ast.parse(src))}
+    assert set(FIXED_PARAMETER_ALLOWED) <= defined
+    fixed = fixed_parameters(sources, readers)
+    assert [n for n in fixed if n not in FIXED_PARAMETER_ALLOWED] == []
 
 
 def export_problems(source: str) -> list[str]:

@@ -237,6 +237,37 @@ def test_truncated_mean_ratio_limits(default_model):
     assert tm.ratio(3.0) == pytest.approx(3.0, rel=1e-10)
 
 
+# N-bar(y) = 0.5 P(pareto > 2 + y); the shift evaluates m(x) at offsets
+# near -2, where an x below about 2.2e-16 rounds away
+SHIFTED_NEG = ("mix(0.5: pareto(alpha=1.5, kappa=1), "
+               "0.5: shift(2, neg(pareto(alpha=0.5, kappa=1))))")
+
+
+def test_ratio_takes_its_limit_where_m_rounds_to_0():
+    tm = truncated_neg_mean(spec_to_model(SHIFTED_NEG))
+    assert tm(1e-16) == 0.0
+    assert tm.ratio(1e-16) == 1.0 / tm.c0
+    assert tm.ratio(np.array([0.0, 1e-16])).tolist() == [1.0 / tm.c0] * 2
+    # where m is positive the ratio is x/m(x)
+    assert tm.ratio(1e-3) == 1e-3 / tm(1e-3)
+
+
+def test_ratio_measure_tail_is_continuous_where_m_rounds_to_0():
+    model = spec_to_model(SHIFTED_NEG)
+    H = RenewalMeasure.from_ratio(truncated_neg_mean(model))
+    x = np.nextafter(2.0, 0.0)
+    near, below = renewal_integrated_tail(model, H, np.array([x, 2.0 - 1e-9]))
+    assert abs(near - below) <= 3e-9
+    a, b = renewal_integrated_tail_forms(model, H, x)
+    assert np.isclose(a, b, rtol=1e-8)
+    assert np.isclose(a, near, rtol=1e-8)
+
+
+def test_truncated_mean_rejects_a_negative_x(default_model):
+    with pytest.raises(PreconditionError, match="x >= 0"):
+        truncated_neg_mean(default_model)(np.array([-1.0, 5.0]))
+
+
 def test_truncated_mean_with_a_negative_atom():
     model = spec_to_model("mix(0.5: pareto(alpha=1.5, kappa=1), 0.5: neg(point(2)))")
     tm = truncated_neg_mean(model)

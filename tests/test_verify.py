@@ -13,7 +13,6 @@ from htwk.verify import (
     CHECK_NAMES,
     CheckBlock,
     VerificationReport,
-    gplus_tail_report,
     ladder_identity_report,
     cycle_max_report,
     run_verification,
@@ -246,7 +245,5 @@ def test_overall_aggregation_logic():
 def test_probe_and_check_validation(default_model):
     with pytest.raises(PreconditionError, match="increasing"):
         cycle_max_report(default_model, (5.0, 4.0), cycles=10, seed=1)
-    with pytest.raises(PreconditionError, match="increasing"):
-        gplus_tail_report(default_model, (-1.0, 2.0), reps=10, seed=1)
     with pytest.raises(PreconditionError, match="unknown checks"):
         run_verification(default_model, seed=1, checks=("main", "bogus"))

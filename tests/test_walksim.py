@@ -372,8 +372,7 @@ def test_ladder_censor_rate_matches_never_ascending(default_model):
 
 def test_ladder_batch_uncensored_view():
     batch = LadderBatch(psi=np.array([1.5, 0.0, 2.5]),
-                        censored=np.array([False, True, False]),
-                        barrier=10.0, steps=12)
+                        censored=np.array([False, True, False]), steps=12)
     assert batch.censor_rate == pytest.approx(1.0 / 3.0)
     assert np.array_equal(batch.uncensored_psi(), [1.5, 2.5])
 
