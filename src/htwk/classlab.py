@@ -141,6 +141,8 @@ def membership_curve(kind: str, F: IncrementModel,
     xs, fbar = _probe_tails(F, xs)
     if any(b <= a for a, b in zip(xs, xs[1:])):
         raise PreconditionError("probes must be strictly increasing")
+    if xs and xs[0] < 0:
+        raise PreconditionError("probes must be nonnegative")
     if kind not in KINDS:
         raise PreconditionError(f"unknown kind {kind!r}; expected one of {KINDS}")
     if (G is None) == (kind == "SF"):

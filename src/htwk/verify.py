@@ -161,6 +161,8 @@ def cycle_max_report(model: IncrementModel, xs, cycles: int, seed: int,
     xs = tuple(float(x) for x in xs)
     if any(b <= a for a, b in zip(xs, xs[1:])):
         raise PreconditionError("probes must be strictly increasing")
+    if xs and xs[0] < 0:
+        raise PreconditionError("probes must be nonnegative")
     stats, rows = mtau_tail_estimate(model, xs, cycles, seed, workers=workers)
     fbar = np.asarray(model.tail_pos(np.asarray(xs)), dtype=float)
     tau_lo = stats.tau_mean - Z95 * stats.tau_se

@@ -16,7 +16,10 @@ ladder).  Each lockstep step makes exactly one `model.sample` call for
 all live walks, in start order; that call sequence is part of each
 stream's layout.  It keeps a compact active set: finished walks are
 written to their original slots and dropped from the working arrays,
-so memory tracks the surviving population, not the step count.  A
+so memory tracks the surviving population, not the step count.
+Finished walks leave the working arrays by index gathers (`nonzero`,
+then `take`), several times cheaper than boolean indexing on the random
+masks that stop rules give.  A
 cycle shard consumes its stream CHUNK cycles at a time and returns
 aggregates, plus raw columns only on request.
 
@@ -93,8 +96,8 @@ class CycleStats:
         self.m_tau_max = max(self.m_tau_max, float(m_tau.max(initial=0.0)))
         self.zero_m_tau += int(np.count_nonzero(m_tau == 0.0))
         if self.probe_xs:
-            xs = np.asarray(self.probe_xs)
-            self.probe_hits += (m_tau[None, :] > xs[:, None]).sum(axis=1)
+            self.probe_hits += [np.count_nonzero(m_tau > x)
+                                for x in self.probe_xs]
 
     def merge(self, other: "CycleStats") -> None:
         if self.probe_xs != other.probe_xs:
@@ -201,23 +204,29 @@ def _walk(model: IncrementModel, gen: np.random.Generator, n: int, stop,
     steps = 0
     t = 0  # walks move in lockstep, so every live walk has taken t steps
     while idx.size:
-        draws = model.sample(gen, idx.size)
+        # in place, so the step's draws are gone before the live set is
+        # compacted
+        S += model.sample(gen, idx.size)
         steps += idx.size
         if steps > step_budget:
             raise BudgetError(
                 f"step budget {step_budget:g} exceeded at {steps:g} "
                 "increments; the model may not drift to -infinity")
-        S += draws
         t += 1
         np.maximum(Mx, S, out=Mx)
         done = stop(S, Mx)
-        if np.count_nonzero(done):
-            d = idx[done]
-            S_end[d] = S[done]
-            M_end[d] = Mx[done]
+        j = done.nonzero()[0]
+        if j.size:
+            d = idx.take(j)
+            S_end[d] = S.take(j)
+            M_end[d] = Mx.take(j)
             T_end[d] = t
-            keep = np.logical_not(done, out=done)
-            S, Mx, idx = S[keep], Mx[keep], idx[keep]
+            del d, j
+            k = np.logical_not(done, out=done).nonzero()[0]
+            del done
+            S = S.take(k)
+            Mx = Mx.take(k)
+            idx = idx.take(k)
     return S_end, M_end, T_end, steps
 
 
@@ -291,12 +300,14 @@ def _renewal_kernel(model: IncrementModel, gen: np.random.Generator, reps: int,
         steps += used
         cum += chi
         counts[:, idx] += cum[None, :] <= xs_arr[:, None]
+        k = (cum <= pmax).nonzero()[0]
+        cum = cum.take(k)
+        idx = idx.take(k)
         if raw_reps:
-            take = (idx < raw_reps) & (cum <= pmax)
-            if np.any(take):
-                raw.append(cum[take].copy())
-        alive = cum <= pmax
-        cum, idx = cum[alive], idx[alive]
+            # idx stays ascending, so the raw replications lead the live set
+            r = int(np.searchsorted(idx, raw_reps))
+            if r:
+                raw.append(cum[:r].copy())
     raw_points = np.concatenate(raw) if raw else np.empty(0)
     return counts, raw_points, min(raw_reps, reps), steps
 

@@ -113,6 +113,8 @@ def test_kind_arguments_are_policed(pareto2, kind):
         membership_curve("XX", pareto2)
     with pytest.raises(PreconditionError):
         membership_curve(kind, pareto2, xs=(10.0, 10.0))
+    with pytest.raises(PreconditionError, match="nonnegative"):
+        membership_curve(kind, pareto2, xs=(-1.0, 5.0))
 
 
 def test_self_convolution_needs_a_law_without_negative_mass(default_model):

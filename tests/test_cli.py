@@ -215,6 +215,21 @@ def test_tails_rejects_a_negative_probe_in_one_line(runner, tmp_path):
         "Error: PreconditionError: truncated mean is defined for x >= 0")
 
 
+@pytest.mark.parametrize("args", [
+    ["verify", "--model", DEFAULT_SPEC, "--seed", "1", "--cycles", "2000",
+     "--probes=-1,5"],
+    ["classify", "--model", "pareto(2, 1)", "--probes=-1,5,10,20"],
+], ids=["verify", "classify"])
+def test_a_negative_probe_is_a_one_line_error(runner, tmp_path, args):
+    # a probe below 0 is an input error, not a failed verdict or a curve row
+    res = runner.invoke(main, [*args, "--out", str(tmp_path)])
+    assert res.exit_code == 1
+    assert isinstance(res.exception, SystemExit)
+    assert res.output.splitlines() == [
+        "Error: PreconditionError: probes must be nonnegative"]
+    assert not list(tmp_path.glob("*.csv"))
+
+
 # ----------------------------------------------------------------------
 # simulate
 # ----------------------------------------------------------------------

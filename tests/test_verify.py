@@ -245,5 +245,7 @@ def test_overall_aggregation_logic():
 def test_probe_and_check_validation(default_model):
     with pytest.raises(PreconditionError, match="increasing"):
         cycle_max_report(default_model, (5.0, 4.0), cycles=10, seed=1)
+    with pytest.raises(PreconditionError, match="nonnegative"):
+        cycle_max_report(default_model, (-1.0, 5.0), cycles=10, seed=1)
     with pytest.raises(PreconditionError, match="unknown checks"):
         run_verification(default_model, seed=1, checks=("main", "bogus"))

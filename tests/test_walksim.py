@@ -2,6 +2,7 @@
 
 import math
 import pickle
+import tracemalloc
 from concurrent.futures import Future
 
 import numpy as np
@@ -15,7 +16,7 @@ from htwk.errors import BudgetError, PreconditionError, SpecValidationError
 from htwk.serialize import read_cycles, write_cycles
 from htwk.tailmath import (Exponential, IncrementModel, Lognormal, Mixture, Neg,
                            Pareto, PointMass, Shift, Weibull)
-from htwk.verify import DEFAULT_MODEL
+from htwk.verify import DEFAULT_MODEL, LIGHT_CONTROL
 from htwk.walksim import (
     CYCLES,
     LadderBatch,
@@ -137,6 +138,109 @@ def test_sampler_keeps_the_stream_contract(text, n):
     for _ in range(2):  # the second call on a law whose caches are set
         assert np.array_equal(law.sample(gen, n), _reference_draws(law, ref, n))
         assert _plain(gen.bit_generator.state) == _plain(ref.bit_generator.state)
+
+
+# ----------------------------------------------------------------------
+# the lockstep stepper against a boolean-mask reference
+# ----------------------------------------------------------------------
+
+def _reference_walk(law, gen, n, stop):
+    """The lockstep walk spelled out with boolean masks and the reference
+    sampler: one draw per live walk and step, in start order; a walk
+    leaves at the first step where stop(S, M) holds."""
+    S_end, M_end = np.empty(n), np.empty(n)
+    T_end = np.empty(n, dtype=np.int64)
+    S, Mx, idx = np.zeros(n), np.zeros(n), np.arange(n)
+    steps = t = 0
+    while idx.size:
+        S = S + _reference_draws(law, gen, idx.size)
+        steps += idx.size
+        t += 1
+        Mx = np.maximum(Mx, S)
+        done = stop(S, Mx)
+        S_end[idx[done]] = S[done]
+        M_end[idx[done]] = Mx[done]
+        T_end[idx[done]] = t
+        S, Mx, idx = S[~done], Mx[~done], idx[~done]
+    return S_end, M_end, T_end, steps
+
+
+def _reference_renewal(law, gen, reps, xs, raw_reps):
+    """Renewal epochs with boolean masks: each epoch runs one cycle per
+    live replication, and a replication lives while its chi-sum is at
+    or below the last probe."""
+    xs_arr = np.asarray(xs)
+    counts = np.zeros((xs_arr.size, reps), dtype=np.int64)
+    cum, idx = np.zeros(reps), np.arange(reps)
+    raw, steps = [], 0
+    while idx.size:
+        S, _, _, used = _reference_walk(law, gen, idx.size, STOP_RULES["cycles"])
+        steps += used
+        cum = cum + -S
+        counts[:, idx] += cum[None, :] <= xs_arr[:, None]
+        alive = cum <= xs_arr[-1]
+        raw.append(cum[(idx < raw_reps) & alive])
+        cum, idx = cum[alive], idx[alive]
+    return counts, np.concatenate(raw), min(raw_reps, reps), steps
+
+
+# the kernels' stop rules, at a barrier of 100
+STOP_RULES = {
+    "cycles": lambda S, M: S < 0.0,
+    "sup": lambda S, M: S <= M - 100.0,
+    "ladder": lambda S, M: (S > 0.0) | (S <= -100.0),
+}
+WALK_SPECS = [DEFAULT_MODEL, STREAM_SPECS[10]]  # STREAM_SPECS[10] has point(c=0)
+
+
+@pytest.mark.parametrize("n", [1, 7, 5000])
+@pytest.mark.parametrize("text", WALK_SPECS)
+@pytest.mark.parametrize("rule", STOP_RULES)
+def test_walk_matches_the_reference_stepper(rule, text, n):
+    model = spec_to_model(text)
+    gen, ref = RngStream(5, 9, 0).generator(), RngStream(5, 9, 0).generator()
+    got = walksim._walk(model, gen, n, STOP_RULES[rule], 10 ** 9)
+    want = _reference_walk(model.law, ref, n, STOP_RULES[rule])
+    for a, b in zip(got[:3], want[:3], strict=True):
+        assert np.array_equal(a, b)
+    assert got[3] == want[3]
+    assert _plain(gen.bit_generator.state) == _plain(ref.bit_generator.state)
+
+
+@pytest.mark.parametrize("n", [1, 7, 5000])
+@pytest.mark.parametrize("text", WALK_SPECS)
+def test_renewal_epochs_match_the_reference(text, n):
+    model = spec_to_model(text)
+    gen, ref = RngStream(5, 9, 0).generator(), RngStream(5, 9, 0).generator()
+    got = walksim._renewal_kernel(model, gen, n, (1.0, 10.0), 10 ** 9, raw_reps=3)
+    want = _reference_renewal(model.law, ref, n, (1.0, 10.0), 3)
+    assert np.array_equal(got[0], want[0])
+    assert np.array_equal(got[1], want[1])
+    assert got[2:] == want[2:]
+    assert _plain(gen.bit_generator.state) == _plain(ref.bit_generator.state)
+
+
+# tracemalloc peaks of the boolean-mask stepper that `_walk` replaced
+# (commit 2d22199), measured by this test on 2^16 cycles of light-control's
+# stream.  On the light model the peak falls inside the mixture sampler;
+# on the one-leaf law it falls where finished walks leave the working
+# arrays, so a rewrite that keeps the step's draws alive there fails.
+PARENT_PEAKS = {LIGHT_CONTROL: 4_788_392,
+                "shift(-1.5, exponential(rate=1))": 4_551_432}
+
+
+@pytest.mark.parametrize("text", PARENT_PEAKS)
+def test_cycle_kernel_peak_memory_is_no_higher(text):
+    model = spec_to_model(text)
+    model.sample(RngStream(43, CYCLES, 0).generator(), 16)  # fill caches
+    gen = RngStream(43, CYCLES, 0).generator()
+    tracemalloc.start()
+    try:
+        walksim._cycles_kernel(model, gen, 1 << 16, 10 ** 9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= PARENT_PEAKS[text]
 
 
 # ----------------------------------------------------------------------
