@@ -10,7 +10,7 @@ compare measured tails against their predicted asymptotics.
 
 from .errors import (BudgetError, DivergenceError, HorizonError, HtwkError,
                      PreconditionError, SpecSyntaxError, SpecValidationError)
-from .distspec import DistExpr, SourceSpan, format_spec, parse_spec, spec_to_model
+from .distspec import format_spec, parse_spec, spec_to_model
 from .tailmath import (GridConfig, GridDistribution, IncrementModel,
                        RenewalMeasure, TruncatedMean, conv_tail, criterion_K,
                        integrated_tail, integrated_tail_curve, mu_plus,
@@ -36,7 +36,7 @@ __version__ = "0.1.0"
 __all__ = [
     "BudgetError", "DivergenceError", "HorizonError", "HtwkError",
     "PreconditionError", "SpecSyntaxError", "SpecValidationError",
-    "DistExpr", "SourceSpan", "format_spec", "parse_spec", "spec_to_model",
+    "format_spec", "parse_spec", "spec_to_model",
     "GridConfig", "GridDistribution", "IncrementModel", "RenewalMeasure",
     "TruncatedMean", "conv_tail", "criterion_K", "integrated_tail",
     "integrated_tail_curve", "mu_plus", "renewal_integrated_tail",

@@ -129,6 +129,8 @@ def _need_seed(seed, cfg) -> int:
 
 
 def _out_dir(out, cfg) -> Path:
+    """The output directory, created; each command calls it only once
+    its results are computed, so an error leaves nothing behind."""
     path = Path(_opt(out, cfg, "out", "htwk-out"))
     path.mkdir(parents=True, exist_ok=True)
     return path
@@ -171,9 +173,10 @@ def classify(config_path, model_text, kinds_text, probes_text, out):
             raise click.ClickException(
                 f"unknown kind {kind!r}; choose from {','.join(KINDS)}")
     xs = _opt(probes_text, cfg, "probes") or PROBES_DEFAULT
-    out_path = _out_dir(out, cfg)
 
-    verdict_rows = []
+    # every curve is computed before anything is written, so an error in
+    # a later kind leaves no partial output
+    diags = []
     for kind in kinds:
         G = None
         if kind == "SF":
@@ -184,7 +187,10 @@ def classify(config_path, model_text, kinds_text, probes_text, out):
             G = GridDistribution.from_tail(
                 lambda t: np.asarray(model.tail_pos(t), dtype=float) / head,
                 x_max=GridConfig().horizon(xs))
-        diag = membership_curve(kind, model, G=G, xs=xs)
+        diags.append((kind, membership_curve(kind, model, G=G, xs=xs)))
+    out_path = _out_dir(out, cfg)
+    verdict_rows = []
+    for kind, diag in diags:
         write_curve_csv(out_path / f"class_{kind}.csv",
                         ("x", "ratio", "target", "within"), diag.rows())
         target = "bounded" if diag.target is None else "%.12g" % diag.target
@@ -212,20 +218,18 @@ def tails(config_path, model_text, probes_text, out):
     cfg = load_config(config_path) if config_path else {}
     model = spec_to_model(_need_model(model_text, cfg))
     xs = _opt(probes_text, cfg, "probes", "0:1e4")
-    out_path = _out_dir(out, cfg)
 
     K, converged = criterion_K(model)
     click.echo(f"K = {K:.9g}  converged={str(converged).lower()}")
 
     mneg = truncated_neg_mean(model)
     xs_arr = np.asarray(xs)
-    write_curve_csv(out_path / "m.csv", ("x", "m", "x_over_m"),
-                    zip(xs, mneg(xs_arr), mneg.ratio(xs_arr)))
-    files = ["m.csv"]
-
+    # file name -> (header, rows), all computed before anything is written
+    curves = {"m.csv": (("x", "m", "x_over_m"),
+                        zip(xs, mneg(xs_arr), mneg.ratio(xs_arr)))}
     if converged:
         g1 = integrated_tail_curve(model, K, xs_arr)
-        write_curve_csv(out_path / "g1.csv", ("x", "g1"), zip(xs, g1))
+        curves["g1.csv"] = (("x", "g1"), zip(xs, g1))
         gh = {}
         if math.isfinite(model.law.sf_integral(0.0, math.inf)):
             gh["gh_linear"] = renewal_integrated_tail(
@@ -234,11 +238,13 @@ def tails(config_path, model_text, probes_text, out):
             click.echo("positive part has infinite mean; gh_linear column skipped")
         gh["gh_scaled"] = renewal_integrated_tail(
             model, RenewalMeasure.from_ratio(mneg), xs_arr)
-        write_curve_csv(out_path / "gh.csv", ("x", *gh), zip(xs, *gh.values()))
-        files += ["g1.csv", "gh.csv"]
+        curves["gh.csv"] = (("x", *gh), zip(xs, *gh.values()))
     else:
         click.echo("integral criterion diverges; integrated-tail curves skipped")
-    click.echo(f"wrote {', '.join(files)} to {out_path}")
+    out_path = _out_dir(out, cfg)
+    for name, (header, rows) in curves.items():
+        write_curve_csv(out_path / name, header, rows)
+    click.echo(f"wrote {', '.join(curves)} to {out_path}")
 
 
 # ----------------------------------------------------------------------
@@ -264,11 +270,11 @@ def simulate(config_path, model_text, seed, cycles, workers, probes_text, out):
     cycles = _opt(cycles, cfg, "cycles", 100_000)
     workers = _resolve_workers(workers, cfg)
     xs = _opt(probes_text, cfg, "probes") or ()
-    out_path = _out_dir(out, cfg)
 
     result = ws.simulate_cycles(model, cycles, seed, workers=workers,
                                 probes=xs, keep_raw=True)
     st = result.stats
+    out_path = _out_dir(out, cfg)
     write_cycles(out_path / "cycles.bin", seed, result.tau, result.m_tau,
                  result.chi)
     summary = {
@@ -372,10 +378,10 @@ def renewal(config_path, model_text, seed, reps, workers, probes_text,
     workers = _resolve_workers(workers, cfg)
     xs = _opt(probes_text, cfg, "probes", "1:1e4:16")
     raw_reps = _opt(raw_reps, cfg, "raw_reps", 0)
-    out_path = _out_dir(out, cfg)
 
     est = ws.renewal_estimate(model, xs, reps, seed, workers=workers,
                               raw_reps=raw_reps)
+    out_path = _out_dir(out, cfg)
     write_curve_csv(out_path / "renewal.csv", ("x", "h", "h_se"),
                     zip(est.xs, est.h_values, est.h_se))
     files = ["renewal.csv"]

@@ -15,39 +15,20 @@ Combinators: neg(expr), shift(c, expr), mix(w: expr, ...).
 A kind's parameters, their order and their defaults are the fields of
 its law dataclass in `_LAWS`; the field `child` is its one child.
 Numbers are decimal literals with an optional sign and exponent part.
-Parameters may be positional (declared order) or named; the canonical
-printer always emits the named form with defaults resolved, so
-parse(format_spec(e)) == e.
+Parameters may be positional (declared order) or named.  The parser
+builds each node's law as the node closes, so the law constructors are
+the one validation site and parsing returns the validated law.  The
+canonical printer always emits the named form with defaults resolved,
+so parse_spec(format_spec(law)) == law.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import MISSING, dataclass, field, fields, replace
+from dataclasses import MISSING, fields
 
 from .errors import SpecSyntaxError, SpecValidationError
 from . import tailmath
-
-
-@dataclass(frozen=True)
-class SourceSpan:
-    start: int
-    end: int
-
-
-_NO_SPAN = SourceSpan(-1, -1)
-
-
-@dataclass(frozen=True)
-class DistExpr:
-    """One node of a parsed distribution expression."""
-
-    kind: str
-    params: tuple[tuple[str, float], ...] = ()
-    children: tuple["DistExpr", ...] = ()
-    weights: tuple[float, ...] = ()
-    span: SourceSpan = field(compare=False, default=_NO_SPAN)
-
 
 _LAWS = {
     "pareto": tailmath.Pareto,
@@ -59,6 +40,7 @@ _LAWS = {
     "shift": tailmath.Shift,
     "mix": tailmath.Mixture,
 }
+_KINDS = {law: name for name, law in _LAWS.items()}
 
 _TOKEN_RE = re.compile(r"""
     (?P<ws>\s+)
@@ -105,24 +87,30 @@ class _Parser:
                                   (tok[2], tok[2] + max(1, len(tok[1]))))
         return tok
 
-    def parse(self) -> DistExpr:
-        expr = self.parse_expr()
+    def parse(self) -> tailmath.Law:
+        law = self.parse_expr()
         tok = self.peek()
         if tok[0] != "eof":
             raise SpecSyntaxError(f"trailing input {tok[1]!r}",
                                   (tok[2], tok[2] + len(tok[1])))
-        return expr
+        return law
 
-    def parse_expr(self) -> DistExpr:
+    def parse_expr(self) -> tailmath.Law:
+        """One node's law, built once its ')' closes.  A constructor's
+        SpecValidationError is re-raised with the node's source span;
+        children are built first, so the innermost offending node reports."""
         tok = self.expect("name")
         name, start = tok[1], tok[2]
         self.expect("sym", "(")
         if name not in _LAWS:
             raise SpecSyntaxError(f"unknown distribution {name!r}",
                                   (start, start + len(name)))
-        node = self._parse_mix() if name == "mix" else self._parse_args(name, start)
+        kwargs = self._parse_mix() if name == "mix" else self._parse_args(name, start)
         close = self.expect("sym", ")")
-        return replace(node, span=SourceSpan(start, close[2] + 1))
+        try:
+            return _LAWS[name](**kwargs)
+        except SpecValidationError as err:
+            raise SpecValidationError(str(err), (start, close[2] + 1)) from None
 
     def _at(self, sym: str) -> bool:
         return self.peek()[:2] == ("sym", sym)
@@ -131,14 +119,14 @@ class _Parser:
         tok = self.expect("number")
         return float(tok[1])
 
-    def _parse_args(self, name: str, start: int) -> DistExpr:
-        """Parameters, positional then named, and after them the children."""
+    def _parse_args(self, name: str, start: int) -> dict:
+        """Parameters, positional then named, and after them the child,
+        as the law's keyword arguments."""
         law_fields = fields(_LAWS[name])
-        signature = [(f.name, f.default) for f in law_fields if f.name != "child"]
-        n_children = len(law_fields) - len(signature)
-        order = [p for p, _ in signature]
-        values: dict[str, float] = {}
-        children: list[DistExpr] = []
+        order = [f.name for f in law_fields if f.name != "child"]
+        n_children = len(law_fields) - len(order)
+        values = {}
+        children = []
         named_seen = False
         more = not self._at(")")
         while more:
@@ -180,21 +168,18 @@ class _Parser:
             # missing argument
             self.expect("sym", ")")
         name_span = (start, start + len(name))
-        params = []
-        for key, default in signature:
-            if key in values:
-                params.append((key, values[key]))
-            elif default is not MISSING:
-                params.append((key, default))
-            else:
+        for f in law_fields:
+            if f.name in order and f.name not in values and f.default is MISSING:
                 raise SpecSyntaxError(
-                    f"{name} is missing required parameter {key!r}", name_span)
+                    f"{name} is missing required parameter {f.name!r}", name_span)
         if len(children) < n_children:
             raise SpecSyntaxError(f"{name} is missing its child expression",
                                   name_span)
-        return DistExpr(kind=name, params=tuple(params), children=tuple(children))
+        if children:
+            values["child"] = children[0]
+        return values
 
-    def _parse_mix(self) -> DistExpr:
+    def _parse_mix(self) -> dict:
         weights = []
         children = []
         while True:
@@ -205,15 +190,12 @@ class _Parser:
             if not self._at(","):
                 break
             self.next()
-        return DistExpr(kind="mix", weights=tuple(weights),
-                        children=tuple(children))
+        return {"weights": tuple(weights), "children": tuple(children)}
 
 
-def parse_spec(text: str) -> DistExpr:
-    """Parse and validate a distribution expression."""
-    expr = _Parser(text).parse()
-    _to_law(expr)
-    return expr
+def parse_spec(text: str) -> tailmath.Law:
+    """The validated law of a distribution expression."""
+    return _Parser(text).parse()
 
 
 def format_float(v: float) -> str:
@@ -222,45 +204,21 @@ def format_float(v: float) -> str:
     return repr(float(v))
 
 
-def format_spec(expr: DistExpr) -> str:
+def format_spec(law: tailmath.Law) -> str:
     """Canonical text: named parameters, defaults resolved, single spaces."""
-    if expr.kind == "mix":
+    name = _KINDS[type(law)]
+    if name == "mix":
         arms = ", ".join(f"{format_float(w)}: {format_spec(ch)}"
-                         for w, ch in zip(expr.weights, expr.children))
+                         for w, ch in zip(law.weights, law.children))
         return f"mix({arms})"
-    args = [f"{k}={format_float(v)}" for k, v in expr.params]
-    args += [format_spec(ch) for ch in expr.children]
-    return f"{expr.kind}({', '.join(args)})"
+    args = [f"{f.name}={format_float(getattr(law, f.name))}"
+            for f in fields(law) if f.name != "child"]
+    if hasattr(law, "child"):
+        args.append(format_spec(law.child))
+    return f"{name}({', '.join(args)})"
 
 
-def _to_law(expr: DistExpr) -> tailmath.Law:
-    """The law of an expression node.
-
-    The law constructors are the one validation site: a constructor's
-    SpecValidationError is re-raised with the node's source span.
-    Children are built first, so the innermost offending node reports.
-    """
-    children = tuple(_to_law(ch) for ch in expr.children)
-    try:
-        law = _LAWS.get(expr.kind)
-        if law is None:
-            raise SpecValidationError(f"unknown distribution {expr.kind!r}")
-        if expr.kind == "mix":
-            return law(weights=expr.weights, children=children)
-        kwargs = dict(expr.params)
-        if children:
-            kwargs["child"] = children[0]
-        return law(**kwargs)
-    except SpecValidationError as err:
-        span = (expr.span.start, expr.span.end) if expr.span.start >= 0 else None
-        raise SpecValidationError(str(err), span) from None
-
-
-def spec_to_model(spec: str | DistExpr) -> tailmath.IncrementModel:
-    """Build the increment model for an expression (text or parsed).
-
-    A hand-built DistExpr goes through the same law constructors as
-    parsed text, so it cannot smuggle an invalid law past validation.
-    """
-    expr = _Parser(spec).parse() if isinstance(spec, str) else spec
-    return tailmath.IncrementModel(law=_to_law(expr), spec_text=format_spec(expr))
+def spec_to_model(text: str) -> tailmath.IncrementModel:
+    """The increment model of a distribution expression."""
+    law = parse_spec(text)
+    return tailmath.IncrementModel(law=law, spec_text=format_spec(law))

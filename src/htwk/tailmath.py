@@ -309,7 +309,7 @@ class Lognormal(_HalfLineLaw):
         if np.any(pos):
             z = (np.log(np.where(pos, t, 1.0)) - self.mu) / (self.sigma * math.sqrt(2.0))
             out = np.where(pos, 0.5 * special.erfc(z), out)
-        return out if out.shape else float(out)
+        return _float_or_array(out)
 
     def cdf_strict(self, t):
         t = np.asarray(t, dtype=float)
@@ -319,7 +319,7 @@ class Lognormal(_HalfLineLaw):
             return _float_or_array(np.zeros(t.shape))
         from scipy import special
 
-        z =(np.log(np.where(pos, t, 1.0)) - self.mu) / (self.sigma * math.sqrt(2.0))
+        z = (np.log(np.where(pos, t, 1.0)) - self.mu) / (self.sigma * math.sqrt(2.0))
         return _float_or_array(np.where(pos, 0.5 * special.erfc(-z), 0.0))
 
     def _tail_integral(self, lo, hi):
@@ -354,14 +354,10 @@ class PointMass(Law):
     c: float
 
     def sf(self, t):
-        t = np.asarray(t, dtype=float)
-        out = np.where(t < self.c, 1.0, 0.0)
-        return out if out.shape else float(out)
+        return _float_or_array(np.where(np.asarray(t, dtype=float) < self.c, 1.0, 0.0))
 
     def cdf_strict(self, t):
-        t = np.asarray(t, dtype=float)
-        out = np.where(t > self.c, 1.0, 0.0)
-        return out if out.shape else float(out)
+        return _float_or_array(np.where(np.asarray(t, dtype=float) > self.c, 1.0, 0.0))
 
     def sf_integral(self, a, b):
         # the length of [a, b] below c

@@ -281,8 +281,8 @@ def test_accept_12_parser_corpus(capsys):
 
     round_trips = 0
     for text in ROUND_TRIP_CORPUS:
-        tree = parse_spec(text)
-        round_trips += parse_spec(format_spec(tree)) == tree
+        law = parse_spec(text)
+        round_trips += parse_spec(format_spec(law)) == law
 
     spanned = 0
     for text in MALFORMED:

@@ -230,6 +230,24 @@ def test_a_negative_probe_is_a_one_line_error(runner, tmp_path, args):
     assert not list(tmp_path.glob("*.csv"))
 
 
+@pytest.mark.parametrize("args", [
+    ["classify", "--model", DEFAULT_SPEC, "--kinds", "L,S",
+     "--probes", "50,200,1000"],
+    ["classify", "--model", "pareto(2, 1)", "--probes=-1,5"],
+    ["tails", "--model", LIGHT_SPEC],
+    ["simulate", "--model", "pareto(2, 1)", "--seed", "1", "--cycles", "100"],
+    ["renewal", "--model", "pareto(2, 1)", "--seed", "1", "--reps", "100"],
+], ids=["classify-later-kind", "classify-probes", "tails", "simulate", "renewal"])
+def test_a_failed_command_leaves_no_output_behind(runner, tmp_path, args):
+    # every result is computed before the output directory is made, so
+    # neither a partial file nor an empty directory is left behind
+    out = tmp_path / "out"
+    res = runner.invoke(main, [*args, "--out", str(out)])
+    assert res.exit_code == 1
+    assert "Error: PreconditionError" in res.output
+    assert not out.exists()
+
+
 # ----------------------------------------------------------------------
 # simulate
 # ----------------------------------------------------------------------

@@ -6,6 +6,8 @@ from hypothesis import given
 
 from htwk.distspec import format_float, format_spec, parse_spec, spec_to_model
 from htwk.errors import SpecSyntaxError, SpecValidationError
+from htwk.tailmath import Mixture, Neg, Pareto
+from htwk.verify import DEFAULT_MODEL
 
 # Every production: all five leaves, named and positional arguments,
 # defaulted parameters, neg, both shift argument forms, nested shift,
@@ -112,10 +114,10 @@ def test_corpus_has_fifty_expressions():
 
 @pytest.mark.parametrize("text", ROUND_TRIP_CORPUS)
 def test_round_trip(text):
-    expr = parse_spec(text)
-    canon = format_spec(expr)
+    law = parse_spec(text)
+    canon = format_spec(law)
     again = parse_spec(canon)
-    assert again == expr, f"{text!r} -> {canon!r} changed the tree"
+    assert again == law, f"{text!r} -> {canon!r} changed the law"
     assert format_spec(again) == canon
 
 
@@ -152,16 +154,6 @@ def test_semantic_violation_reports_the_offending_node():
     assert text[start:end] == "neg(point(-2))"
 
 
-def test_root_span_covers_the_text():
-    text = "mix(0.5: exponential(rate=1), 0.5: neg(point(2)))"
-    expr = parse_spec(text)
-    assert (expr.span.start, expr.span.end) == (0, len(text))
-    first = expr.children[0]
-    assert text[first.span.start:first.span.end] == "exponential(rate=1)"
-    inner = expr.children[1].children[0]
-    assert text[inner.span.start:inner.span.end] == "point(2)"
-
-
 def test_defaults_are_resolved_in_canonical_text():
     assert format_spec(parse_spec("weibull(0.5)")) == "weibull(shape=0.5, scale=1)"
 
@@ -177,19 +169,13 @@ def test_model_records_canonical_text():
     assert model.spec_text == "pareto(alpha=1.5, kappa=1)"
 
 
-def test_hand_built_tree_cannot_skip_validation():
-    from htwk.distspec import DistExpr
-
-    bad = DistExpr(kind="pareto", params=(("alpha", -1.0), ("kappa", 1.0)))
+def test_parsing_returns_the_validated_law():
+    law = Mixture((0.5, 0.5), (Pareto(1.5, 1.0), Neg(Pareto(0.5, 1.0))))
+    assert parse_spec(DEFAULT_MODEL) == law
+    assert format_spec(law) == DEFAULT_MODEL  # already canonical
+    # a hand-built law meets the same constructor checks as parsed text
     with pytest.raises(SpecValidationError):
-        spec_to_model(bad)
-
-
-def test_hand_built_tree_of_unknown_kind_is_rejected():
-    from htwk.distspec import DistExpr
-
-    with pytest.raises(SpecValidationError, match="unknown distribution"):
-        spec_to_model(DistExpr(kind="gamma"))
+        Pareto(alpha=-1, kappa=1)
 
 
 _positive_param = st.floats(min_value=0.01, max_value=100.0,
@@ -224,5 +210,5 @@ _pos_text = st.recursive(
 def test_round_trip_property(text, wrap_neg):
     if wrap_neg:
         text = f"mix(0.5: {text}, 0.5: neg(exponential(rate=1)))"
-    expr = parse_spec(text)
-    assert parse_spec(format_spec(expr)) == expr
+    law = parse_spec(text)
+    assert parse_spec(format_spec(law)) == law

@@ -5,10 +5,12 @@ module-level class is read by the package or the benchmark, every
 defaulted parameter of those functions and methods is passed by some
 call in the package or the benchmark, no parameter of theirs gets one
 and the same value from every such call (each scan has an explicit
-allow-list), and the package's `__all__` lists exactly what
-`__init__.py` imports."""
+allow-list), the package's `__all__` lists exactly what `__init__.py`
+imports, and the benchmark's tracer finds every name it wraps."""
 
 import ast
+import importlib.util
+import sys
 from pathlib import Path
 
 import pytest
@@ -112,7 +114,6 @@ UNREAD_PUBLIC_ALLOWED = {
     "cli.py:simulate": "click command, registered by its decorator",
     "cli.py:verify": "click command, registered by its decorator",
     "cli.py:renewal": "click command, registered by its decorator",
-    "distspec.py:parse_spec": "public reader of distribution expressions",
     "serialize.py:read_cycles": "public reader of the cycles.bin format",
     "tailmath.py:renewal_integrated_tail_forms":
         "the tests' pointwise reference for the integrated-tail curves",
@@ -467,3 +468,42 @@ def test_the_scan_sees_a_stale_export_list():
 
 def test_package_exports_match_its_imports():
     assert export_problems((SRC / "__init__.py").read_text()) == []
+
+
+def _bindings() -> dict:
+    """Every module-level binding of the loaded htwk modules and every
+    class attribute of the classes they define, keyed by location."""
+    found = {}
+    for name, mod in list(sys.modules.items()):
+        if name != "htwk" and not name.startswith("htwk."):
+            continue
+        for key, value in vars(mod).items():
+            found[(name, key)] = value
+            if isinstance(value, type) and value.__module__ == name:
+                found.update(((name, key, attr), raw)
+                             for attr, raw in vars(value).items())
+    return found
+
+
+def test_the_benchmark_tracer_wraps_and_restores_its_names():
+    # the tracer looks each wrapped name up by getattr or a class's
+    # __dict__, so removing or renaming one of them breaks install()
+    path = SRC.parent.parent / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    import htwk.cli  # noqa: F401  (install loads it; bind it before the snapshot)
+    from htwk import distspec
+
+    before = _bindings()
+    tracer = module.Tracer()
+    try:
+        tracer.install()
+        during = _bindings()
+    finally:
+        tracer.uninstall()
+    assert during[("htwk.distspec", "spec_to_model")].__wrapped__ \
+        is distspec.spec_to_model
+    after = _bindings()
+    assert after.keys() == before.keys()
+    assert [k for k, v in before.items() if after[k] is not v] == []
