@@ -14,7 +14,8 @@ Combinators: neg(expr), shift(c, expr), mix(w: expr, ...).
 
 A kind's parameters, their order and their defaults are the fields of
 its law dataclass in `_LAWS`; the field `child` is its one child.
-Numbers are decimal literals with an optional sign and exponent part.
+Numbers are decimal literals with an optional sign and exponent part;
+a literal beyond the floating-point range (1e400) is a syntax error.
 Parameters may be positional (declared order) or named.  The parser
 builds each node's law as the node closes, so the law constructors are
 the one validation site and parsing returns the validated law.  The
@@ -24,6 +25,7 @@ so parse_spec(format_spec(law)) == law.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import MISSING, fields
 
@@ -117,7 +119,11 @@ class _Parser:
 
     def _parse_number(self) -> float:
         tok = self.expect("number")
-        return float(tok[1])
+        value = float(tok[1])
+        if not math.isfinite(value):
+            raise SpecSyntaxError(f"number {tok[1]!r} is out of range",
+                                  (tok[2], tok[2] + len(tok[1])))
+        return value
 
     def _parse_args(self, name: str, start: int) -> dict:
         """Parameters, positional then named, and after them the child,

@@ -28,6 +28,17 @@ from .errors import (DivergenceError, HorizonError, PreconditionError,
 
 _INF = float("inf")
 
+# the grid layer's dense matrices (the measure-tail curves' x rows and
+# `convolve`'s knot rows) are evaluated a block of rows at a time, with at
+# most this many elements per block unless one row is longer: each
+# temporary is then at most 128 KiB and stays in cache, and peak memory no
+# longer grows with rows x columns.  The value won a sweep from 2^11 to
+# 2^17 on `integrated_tail_curve` and `powers(2)` of the integrated-tail
+# grid (BENCH_22.json): up to 2^13 a curve block is one 4320-column row,
+# and each row pays for a law evaluation; from 2^15 the allocator hands
+# each block's memory back to the system and faults it in again
+_GRID_BLOCK = 1 << 14
+
 
 def _merge_atoms(locs: np.ndarray, masses: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Atoms at equal locations summed into one; locations come back sorted."""
@@ -766,17 +777,15 @@ def _cell_ladder(s_max: float, kinks=()) -> tuple[np.ndarray, np.ndarray]:
 
 # the measure-tail curves: cells reach past 1e13 and hold 64 subcells
 # each; a last ladder panel above 1e-10 of the total that does not
-# shrink geometrically means the integral diverges; rows of x are taken
-# in blocks of at most 2^17 matrix elements (1 MB temporaries).  Rows
-# where the two routes part are evaluated again on 4, 16 and 64 times
-# as many subcells: the error of one Richardson step falls 256-fold
-# each time, and a steep F-bar near t = 0 (pareto(alpha=3) under
-# Lebesgue measure at x = 0) needs it
+# shrink geometrically means the integral diverges.  Rows where the two
+# routes part are evaluated again on 4, 16 and 64 times as many
+# subcells: the error of one Richardson step falls 256-fold each time,
+# and a steep F-bar near t = 0 (pareto(alpha=3) under Lebesgue measure
+# at x = 0) needs it
 _RENEWAL_CURVE_S_MAX = 1e13
 _RENEWAL_CURVE_SUBCELLS = 64
 _RENEWAL_CURVE_REFINED = (256, 1024, 4096)
 _RENEWAL_CURVE_REL_TOL = 1e-10
-_RENEWAL_CURVE_BLOCK = 1 << 17
 
 
 class _CellSet:
@@ -803,9 +812,14 @@ class _CellSet:
 def _ladder_sums(terms, starts, width: int, xs: np.ndarray, what: str) -> np.ndarray:
     """For each x, the sum of the row terms(x) (`width` columns; ladder
     panel k starts at column starts[k]) plus the geometric remainder past
-    the last panel; a remainder that does not shrink raises."""
+    the last panel; a remainder that does not shrink raises.
+
+    The rows are taken `_GRID_BLOCK // width` at a time (at least one),
+    so each temporary holds at most max(_GRID_BLOCK, width) elements.
+    Every row is summed on its own, so the block size leaves each value
+    bit for bit the same."""
     out = np.empty(xs.shape)
-    rows = max(1, _RENEWAL_CURVE_BLOCK // width)
+    rows = max(1, _GRID_BLOCK // width)
     for i in range(0, xs.size, rows):
         per_panel = np.add.reduceat(terms(xs[i:i + rows, None]), starts, axis=1)
         total = per_panel.sum(axis=1)
@@ -1139,18 +1153,40 @@ class GridDistribution:
         return float(self.tail_cont[0] + self.atom_masses.sum() + self.mass_beyond)
 
     def _cont_tail(self, y):
+        # in place, each step in the order of the cell rule's formulas, so
+        # a call makes eleven arrays of y's size rather than about thirty:
+        # freeing a block's temporaries then leaves less for the allocator
+        # to hand back to the system and fault in again on the next block
         y = np.asarray(y, dtype=float)
+        shape = y.shape
+        y = y.reshape(-1)
         k, t = self.knots, self.tail_cont
-        idx = np.clip(np.searchsorted(k, y, side="right") - 1, 0, k.size - 2)
-        l, r = k[idx], k[idx + 1]
-        tl, tr = t[idx], t[idx + 1]
-        beta = self._cell_beta[idx]
+        idx = np.searchsorted(k, y, side="right")
+        idx -= 1
+        np.clip(idx, 0, k.size - 2, out=idx)
+        l, tl = k[idx], t[idx]
+        power, beta = self._cell_power[idx], self._cell_beta[idx]
+        idx += 1
+        r, tr = k[idx], t[idx]
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            lin = tl + (tr - tl) * ((y - l) / (r - l))
-            pw = tl * np.exp(-beta * np.log(np.maximum(y, 1e-300)
-                                            / np.maximum(l, 1e-300)))
-        out = np.where(self._cell_power[idx], pw, lin)
-        return np.where(y <= 0.0, t[0], np.where(y >= k[-1], t[-1], out))
+            # linear: tl + (tr - tl) * ((y - l) / (r - l))
+            out = np.subtract(y, l)
+            r -= l
+            out /= r
+            tr -= tl
+            out *= tr
+            out += tl
+            # power law: tl * exp(-beta * log(max(y, 1e-300) / max(l, 1e-300)))
+            pw = np.maximum(y, 1e-300)
+            pw /= np.maximum(l, 1e-300, out=l)
+            np.log(pw, out=pw)
+            pw *= np.negative(beta, out=beta)
+            np.exp(pw, out=pw)
+            pw *= tl
+        np.copyto(out, pw, where=power)
+        np.copyto(out, t[-1], where=y >= k[-1])
+        np.copyto(out, t[0], where=y <= 0.0)
+        return out.reshape(shape)
 
     def tail(self, y):
         """Total mass strictly above y, for y <= x_max.
@@ -1263,7 +1299,36 @@ class GridDistribution:
 
     # -- convolution -------------------------------------------------------
 
+    def _shifted_tail_sum(self, at: np.ndarray, shifts: np.ndarray,
+                          weights: np.ndarray) -> np.ndarray:
+        """For each point y of `at`, the sum over j of weights[j] times
+        the continuous tail at y - shifts[j].
+
+        The `at x shifts` matrix is evaluated `_GRID_BLOCK // shifts.size`
+        rows at a time (at least one), so its temporaries hold at most
+        max(_GRID_BLOCK, shifts.size) elements each, whatever the size of
+        the grid.
+        """
+        out = np.zeros(at.size)
+        if shifts.size == 0:
+            return out
+        rows = max(1, _GRID_BLOCK // shifts.size)
+        for r0 in range(0, at.size, rows):
+            # below a shift the tail is its value at 0
+            d = np.maximum(at[r0:r0 + rows, None] - shifts, 0.0)
+            out[r0:r0 + rows] = self._cont_tail(d) @ weights
+        return out
+
     def convolve(self, other: "GridDistribution") -> "GridDistribution":
+        """The distribution of the sum of independent draws from both.
+
+        Atom pairs are summed exactly; the rest is each atom shifting the
+        other's continuous part, and this grid's continuous part, as
+        `CONV_REFINE` particles per cell, shifting the other's.  The tail
+        at the union of both knot sets is one `_shifted_tail_sum` per
+        pairing, so a temporary holds at most max(_GRID_BLOCK, particles)
+        elements however many knots meet.
+        """
         knots = np.union1d(self.knots, other.knots)
         m1b, m2b = self.mass_beyond, other.mass_beyond
         tot1, tot2 = self.total_mass, other.total_mass
@@ -1280,24 +1345,10 @@ class GridDistribution:
             beyond += float(masses[~inside].sum())
             new_locs, new_masses = _merge_atoms(locs[inside], masses[inside])
 
-        tail_at = np.zeros(knots.size)
-
-        def add_shifted_cont(grid: "GridDistribution", shifts, weights):
-            # contribution of (shift + continuous part of grid) to the tail
-            nonlocal tail_at
-            shifts = np.asarray(shifts, dtype=float)
-            weights = np.asarray(weights, dtype=float)
-            if shifts.size == 0:
-                return
-            d = knots[:, None] - shifts[None, :]
-            vals = grid._cont_tail(np.maximum(d, 0.0))
-            vals = np.where(d < 0, grid.tail_cont[0], vals)
-            tail_at += vals @ weights
-
-        add_shifted_cont(other, self.atom_locs, self.atom_masses)
-        add_shifted_cont(self, other.atom_locs, other.atom_masses)
         p_locs, p_masses = self.particles(refine=CONV_REFINE, with_atoms=False)
-        add_shifted_cont(other, p_locs, p_masses)
+        tail_at = (other._shifted_tail_sum(knots, self.atom_locs, self.atom_masses)
+                   + self._shifted_tail_sum(knots, other.atom_locs, other.atom_masses)
+                   + other._shifted_tail_sum(knots, p_locs, p_masses))
 
         resolved_tail = float(tail_at[-1])
         beyond += resolved_tail

@@ -215,6 +215,15 @@ def test_tails_rejects_a_negative_probe_in_one_line(runner, tmp_path):
         "Error: PreconditionError: truncated mean is defined for x >= 0")
 
 
+def test_an_infinite_literal_is_a_one_line_error(runner, tmp_path):
+    res = runner.invoke(main, ["tails", "--model", "point(1e400)",
+                               "--out", str(tmp_path)])
+    assert res.exit_code == 1
+    assert isinstance(res.exception, SystemExit)
+    assert res.output.splitlines() == [
+        "Error: SpecSyntaxError: number '1e400' is out of range (at 6:11)"]
+
+
 @pytest.mark.parametrize("args", [
     ["verify", "--model", DEFAULT_SPEC, "--seed", "1", "--cycles", "2000",
      "--probes=-1,5"],

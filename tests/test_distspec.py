@@ -154,6 +154,19 @@ def test_semantic_violation_reports_the_offending_node():
     assert text[start:end] == "neg(point(-2))"
 
 
+@pytest.mark.parametrize("text,literal", [
+    ("pareto(1e400, 1)", "1e400"),
+    ("pareto(alpha=1.5, kappa=-1e309)", "-1e309"),
+    ("mix(1e400: point(0), 0.5: point(1))", "1e400"),
+], ids=["positional", "named", "mixture-weight"])
+def test_a_literal_beyond_the_float_range_is_a_syntax_error(text, literal):
+    # float() reads it as infinity, which no constructor may see
+    with pytest.raises(SpecSyntaxError, match="out of range") as exc:
+        spec_to_model(text)
+    start, end = exc.value.span
+    assert text[start:end] == literal
+
+
 def test_defaults_are_resolved_in_canonical_text():
     assert format_spec(parse_spec("weibull(0.5)")) == "weibull(shape=0.5, scale=1)"
 

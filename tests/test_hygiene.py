@@ -404,9 +404,9 @@ FIXED_PARAMETER_ALLOWED = {
     "_quad.py:improper_gl(rel_tol)":
         "mu_plus asks for 1e-9; the quadrature tests run at the 1e-10 default",
     "classlab.py:majorant_check(epsilon)":
-        "only the benchmark calls it (ROADMAP direction 5)",
+        "only the benchmark calls it (ROADMAP direction 7)",
     "classlab.py:measure_equivalence_check(xs)":
-        "only the benchmark calls it (ROADMAP direction 5)",
+        "only the benchmark calls it (ROADMAP direction 7)",
     "tailmath.py:IncrementModel.tail_neg(y)":
         "N-bar's public vocabulary; the tests read it at y > 0",
 }

@@ -1,6 +1,7 @@
 """Tail calculus against closed forms and scipy quadrature oracles."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -756,6 +757,115 @@ def test_power_respects_the_defect_bound():
     grid = GridDistribution.from_model(model, x_max=1e3)
     with pytest.raises(HorizonError):
         grid.powers(3)
+
+
+def _cell_rule(grid: GridDistribution, y):
+    """The continuous tail by the cell rule's formulas, one array each."""
+    y = np.asarray(y, dtype=float)
+    k, t = grid.knots, grid.tail_cont
+    idx = np.clip(np.searchsorted(k, y, side="right") - 1, 0, k.size - 2)
+    l, r, tl, tr = k[idx], k[idx + 1], t[idx], t[idx + 1]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        lin = tl + (tr - tl) * ((y - l) / (r - l))
+        pw = tl * np.exp(-grid._cell_beta[idx]
+                         * np.log(np.maximum(y, 1e-300) / np.maximum(l, 1e-300)))
+    out = np.where(grid._cell_power[idx], pw, lin)
+    return np.where(y <= 0.0, t[0], np.where(y >= k[-1], t[-1], out))
+
+
+@pytest.mark.parametrize("spec,x_max", [
+    ("pareto(alpha=1.5, kappa=1)", 1e6), ("exponential(rate=1)", 200.0),
+    ("mix(0.3: point(3), 0.7: shift(2, pareto(alpha=1.5, kappa=1)))", 1e4)])
+def test_the_in_place_cell_rule_is_its_formulas_bit_for_bit(spec, x_max):
+    grid = GridDistribution.from_model(spec_to_model(spec), x_max=x_max)
+    rng = np.random.default_rng(3)
+    for y in (rng.uniform(-5.0, 1.2 * x_max, 2000),
+              10.0 ** rng.uniform(-6.0, 7.0, (9, 40)), grid.knots, 3.7, 0.0,
+              np.empty(0)):
+        want = _cell_rule(grid, y)
+        got = grid._cont_tail(y)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.fixture(scope="module")
+def integrated_tail_grid(default_model):
+    """The integrated-tail grid that the majorant check convolves."""
+    K, _ = criterion_K(default_model)
+    return GridDistribution.from_tail(
+        lambda t: integrated_tail_curve(default_model, K, t), x_max=1e6)
+
+
+def _dense_convolve(g: GridDistribution, h: GridDistribution):
+    """`convolve`'s continuous tail and mass beyond the horizon, with every
+    knot x shift matrix evaluated in one piece by `_cell_rule`."""
+    knots = np.union1d(g.knots, h.knots)
+    p_locs, p_masses = g.particles(refine=tailmath.CONV_REFINE, with_atoms=False)
+    tail_at = np.zeros(knots.size)
+    for grid, shifts, weights in ((h, g.atom_locs, g.atom_masses),
+                                  (g, h.atom_locs, h.atom_masses),
+                                  (h, p_locs, p_masses)):
+        if shifts.size:
+            d = knots[:, None] - shifts[None, :]
+            vals = _cell_rule(grid, np.maximum(d, 0.0))
+            tail_at += np.where(d < 0, grid.tail_cont[0], vals) @ weights
+    beyond = (g.mass_beyond * h.total_mass + h.mass_beyond * g.total_mass
+              - g.mass_beyond * h.mass_beyond)
+    locs = (g.atom_locs[:, None] + h.atom_locs[None, :]).ravel()
+    masses = (g.atom_masses[:, None] * h.atom_masses[None, :]).ravel()
+    beyond += float(masses[locs > knots[-1]].sum()) + tail_at[-1]
+    return np.minimum.accumulate(np.maximum(tail_at - tail_at[-1], 0.0)), beyond
+
+
+@pytest.mark.parametrize("which", ["atoms", "integrated-tail"])
+def test_convolve_matches_a_dense_one_shot_evaluation(which, integrated_tail_grid):
+    if which == "atoms":
+        grid = GridDistribution.from_model(
+            spec_to_model("mix(0.3: point(3), 0.2: point(0.5), "
+                          "0.5: shift(2, pareto(alpha=1.5, kappa=1)))"),
+            x_max=1e4, ppd=32)
+    else:
+        grid = integrated_tail_grid
+    got = grid.convolve(grid)
+    tail_cont, beyond = _dense_convolve(grid, grid)
+    assert np.all(np.abs(got.tail_cont - tail_cont) <= 1e-13 * tail_cont)
+    assert got.mass_beyond == pytest.approx(beyond, rel=1e-13, abs=0.0)
+
+
+def test_curves_do_not_depend_on_the_block_size(default_model, monkeypatch):
+    # each row is summed on its own, so the block rule leaves every
+    # value bit for bit the same
+    K, _ = criterion_K(default_model)
+    H = RenewalMeasure.from_ratio(truncated_neg_mean(default_model))
+    xs = geometric_knots(1e6)
+    curves = []
+    for block in (1 << 11, 1 << 17):
+        monkeypatch.setattr(tailmath, "_GRID_BLOCK", block)
+        curves.append((integrated_tail_curve(default_model, K, xs).tobytes(),
+                       renewal_integrated_tail_curve(default_model,
+                                                     RenewalMeasure.lebesgue(),
+                                                     xs[::8]).tobytes(),
+                       renewal_integrated_tail_curve(default_model, H,
+                                                     xs[::8]).tobytes()))
+    assert curves[0] == curves[1]
+
+
+# tracemalloc peak of `powers(2)` on the integrated-tail grid when
+# `convolve` evaluated each knots x particles matrix in one piece (578 x
+# 2308 elements, and about thirty temporaries of that size in the cell
+# rule); in row blocks of 2^14 elements it is 1.2 MiB
+PARENT_POWERS_PEAK = 140_159_748  # 133.7 MiB
+
+
+def test_powers_peak_memory_is_bounded_by_the_block(integrated_tail_grid):
+    integrated_tail_grid.powers(1)  # fill caches
+    tracemalloc.start()
+    try:
+        integrated_tail_grid.powers(2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 2 ** 20 < PARENT_POWERS_PEAK
 
 
 def test_monotone_input_is_required():

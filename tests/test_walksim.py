@@ -415,6 +415,64 @@ def test_stopping_identity_for_finite_mean_control(light_model):
     assert abs(d.mean()) <= 3.0 * d.std(ddof=1) / math.sqrt(d.size)
 
 
+# ----------------------------------------------------------------------
+# exact anchors on the light control
+# ----------------------------------------------------------------------
+#
+# Increments are Exp(1) or -Exp(1/2), each with probability 1/2, so the
+# drift is -1/2.  Both sides are memoryless: the descent undershoot chi is
+# Exp(1/2) and E[tau] = E[chi] / (1/2) = 4 (Wald); a strict ascent
+# overshoots by Exp(1); the descent renewal function is H(x) = 1 + x/2;
+# and P(M > x) = 0.75 exp(-x/4) (the Lundberg root of E[exp(g X)] = 1 is
+# g = 1/4), so a quarter of the walks never ascend.  Seeds, sizes and
+# bounds were fixed before the first run: 4 standard errors on a mean,
+# the 1% Kolmogorov critical distance on a law.
+
+def _ks_distance(sample, cdf, cdf_left) -> float:
+    """sup |F_n - F| for a law F that may have atoms at sample values."""
+    x = np.sort(sample)
+    u = np.unique(x)
+    right = np.searchsorted(x, u, side="right") / x.size
+    left = np.searchsorted(x, u, side="left") / x.size
+    return float(max(np.max(np.abs(right - cdf(u))),
+                     np.max(np.abs(left - cdf_left(u)))))
+
+
+def _ks_law_holds(sample, cdf, cdf_left=None) -> bool:
+    d = _ks_distance(sample, cdf, cdf if cdf_left is None else cdf_left)
+    return d < scipy.stats.kstwo.ppf(0.99, sample.size)
+
+
+def test_cycle_kernel_has_the_light_control_anchors(light_model):
+    res = simulate_cycles(light_model, 20000, seed=101, keep_raw=True)
+    assert abs(res.stats.tau_mean - 4.0) < 4.0 * res.stats.tau_se
+    assert _ks_law_holds(res.chi, lambda x: -np.expm1(-0.5 * x))
+
+
+def test_ladder_kernel_has_the_light_control_anchors(light_model):
+    # a censored walk is 60 below 0, from where it ascends with
+    # probability 0.75 exp(-15) = 2e-7
+    batch = sample_ladder_many(light_model, 20000, seed=102, barrier=60.0)
+    assert abs(batch.censor_rate - 0.25) < 4.0 * math.sqrt(0.25 * 0.75 / 20000)
+    assert _ks_law_holds(batch.uncensored_psi(), lambda x: -np.expm1(-x))
+
+
+def test_renewal_kernel_has_the_light_control_anchors(light_model):
+    est = renewal_estimate(light_model, (1.0, 4.0, 16.0), reps=4000, seed=103)
+    want = 1.0 + 0.5 * np.array(est.xs)
+    assert np.all(np.abs(est.h_values - want) < 4.0 * est.h_se)
+
+
+def test_sup_kernel_has_the_light_control_anchors(light_model):
+    # a record after the walk falls 60 below its maximum has probability
+    # 0.75 exp(-15) = 2e-7; the default barrier of 1e4 would cost about
+    # 2e4 steps a walk
+    batch = estimate_sup_many(light_model, 10000, seed=104, barrier=60.0)
+    assert _ks_law_holds(batch.m_values, lambda x: 1.0 - 0.75 * np.exp(-0.25 * x),
+                         lambda x: np.where(x > 0.0, 1.0 - 0.75 * np.exp(-0.25 * x),
+                                            0.0))
+
+
 def test_merge_refuses_mismatched_probes(default_model):
     a = simulate_cycles(default_model, 100, seed=1, probes=(2.0,)).stats
     b = simulate_cycles(default_model, 100, seed=2, probes=(3.0,)).stats
