@@ -1152,40 +1152,50 @@ class GridDistribution:
     def total_mass(self) -> float:
         return float(self.tail_cont[0] + self.atom_masses.sum() + self.mass_beyond)
 
-    def _cont_tail(self, y):
-        # in place, each step in the order of the cell rule's formulas, so
-        # a call makes eleven arrays of y's size rather than about thirty:
-        # freeing a block's temporaries then leaves less for the allocator
-        # to hand back to the system and fault in again on the next block
+    def _cont_tail(self, y, work=None):
+        # in place, each step in the order of the cell rule's formulas, in
+        # four arrays of y's size plus the cell indices and one mask.
+        # `work`, a (4, y.size) float array, lends those four arrays to a
+        # caller that evaluates block after block: the result is then a
+        # view of work[1], and a block allocates only its cell indices,
+        # so freeing it hands the allocator nothing to return to the
+        # system and fault in again
         y = np.asarray(y, dtype=float)
         shape = y.shape
         y = y.reshape(-1)
+        if work is None:
+            work = np.empty((4, y.size))
+        l, out, a, b = work
         k, t = self.knots, self.tail_cont
         idx = np.searchsorted(k, y, side="right")
         idx -= 1
         np.clip(idx, 0, k.size - 2, out=idx)
-        l, tl = k[idx], t[idx]
-        power, beta = self._cell_power[idx], self._cell_beta[idx]
-        idx += 1
-        r, tr = k[idx], t[idx]
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             # linear: tl + (tr - tl) * ((y - l) / (r - l))
-            out = np.subtract(y, l)
-            r -= l
-            out /= r
-            tr -= tl
-            out *= tr
+            np.take(k, idx, out=l, mode="clip")
+            np.subtract(y, l, out=out)
+            idx += 1
+            np.take(k, idx, out=a, mode="clip")
+            a -= l
+            out /= a
+            np.take(t, idx, out=a, mode="clip")
+            idx -= 1
+            tl = np.take(t, idx, out=b, mode="clip")
+            a -= tl
+            out *= a
             out += tl
             # power law: tl * exp(-beta * log(max(y, 1e-300) / max(l, 1e-300)))
-            pw = np.maximum(y, 1e-300)
+            pw = np.maximum(y, 1e-300, out=a)
             pw /= np.maximum(l, 1e-300, out=l)
             np.log(pw, out=pw)
+            beta = np.take(self._cell_beta, idx, out=l, mode="clip")
             pw *= np.negative(beta, out=beta)
             np.exp(pw, out=pw)
             pw *= tl
-        np.copyto(out, pw, where=power)
-        np.copyto(out, t[-1], where=y >= k[-1])
-        np.copyto(out, t[0], where=y <= 0.0)
+        mask = np.take(self._cell_power, idx, mode="clip")
+        np.copyto(out, pw, where=mask)
+        np.copyto(out, t[-1], where=np.greater_equal(y, k[-1], out=mask))
+        np.copyto(out, t[0], where=np.less_equal(y, 0.0, out=mask))
         return out.reshape(shape)
 
     def tail(self, y):
@@ -1305,18 +1315,24 @@ class GridDistribution:
         the continuous tail at y - shifts[j].
 
         The `at x shifts` matrix is evaluated `_GRID_BLOCK // shifts.size`
-        rows at a time (at least one), so its temporaries hold at most
-        max(_GRID_BLOCK, shifts.size) elements each, whatever the size of
-        the grid.
+        rows at a time (at least one), in five arrays of that many rows
+        allocated once per call, so memory stays at about five times
+        max(_GRID_BLOCK, shifts.size) elements whatever the size of the
+        grid, and the blocks do not churn the allocator.
         """
         out = np.zeros(at.size)
         if shifts.size == 0:
             return out
         rows = max(1, _GRID_BLOCK // shifts.size)
+        d = np.empty((min(rows, at.size), shifts.size))
+        work = np.empty((4, d.size))
         for r0 in range(0, at.size, rows):
+            n = min(rows, at.size - r0)
             # below a shift the tail is its value at 0
-            d = np.maximum(at[r0:r0 + rows, None] - shifts, 0.0)
-            out[r0:r0 + rows] = self._cont_tail(d) @ weights
+            block = np.subtract(at[r0:r0 + n, None], shifts, out=d[:n])
+            np.maximum(block, 0.0, out=block)
+            vals = self._cont_tail(block, work[:, :block.size])
+            out[r0:r0 + n] = vals @ weights
         return out
 
     def convolve(self, other: "GridDistribution") -> "GridDistribution":

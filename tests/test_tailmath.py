@@ -786,6 +786,11 @@ def test_the_in_place_cell_rule_is_its_formulas_bit_for_bit(spec, x_max):
         got = grid._cont_tail(y)
         assert got.shape == want.shape
         assert got.tobytes() == want.tobytes()
+        # the same bits in arrays lent by a caller, the result in row 1
+        work = np.empty((4, np.size(y)))
+        lent = grid._cont_tail(y, work)
+        assert lent.tobytes() == want.tobytes()
+        assert np.size(y) == 0 or np.shares_memory(lent, work[1])
 
 
 @pytest.fixture(scope="module")
