@@ -12,6 +12,17 @@ panel rules over the pieces:
 
 Both rules work to fixed per-piece tolerances.
 
+The driver runs several integrals in lockstep (`stieltjes_vs_tail_many`,
+route B of the integrated tail at many probes): each round, every
+unfinished integral's next panel goes to one call of the panel rule, and
+the Stieltjes rule evaluates all those pieces with one `weight` call and
+one `g` call per Richardson batch, `_GRID_BLOCK` elements at a time
+(one piece's nodes where they alone are more).  Each piece keeps its own
+edges, level sums and Richardson table, and each integral its own stop
+rule, so every value is the one of running the integrals one by one.
+A single integral (`_improper_drive`) and a single piece
+(`stieltjes_panel`) are the one-element cases.
+
 All drivers assume nonnegative integrands, which is what the tail
 calculus produces; the divergence heuristics rely on it.
 """
@@ -22,6 +33,18 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
+
+# the dense evaluations of the panel rule and of the grid layer (the
+# measure-tail curves' x rows and `convolve`'s knot rows) are made a
+# block at a time, with at most this many elements per block unless one
+# row (one piece's nodes) is longer: each temporary is then at most
+# 128 KiB and stays in cache, and peak memory no longer grows with the
+# number of rows.  The value won a sweep from 2^11 to 2^17 on
+# `integrated_tail_curve` and `powers(2)` of the integrated-tail grid
+# (BENCH_22.json): up to 2^13 a curve block is one 4320-column row, and
+# each row pays for a law evaluation; from 2^15 the allocator hands each
+# block's memory back to the system and faults it in again
+_GRID_BLOCK = 1 << 14
 
 
 @functools.cache
@@ -80,7 +103,10 @@ def merge_breakpoints(a: float, b: float, breakpoints) -> np.ndarray:
 
 
 def continuous_tail(tail, locs, masses):
-    """tail(t) minus the masses of the atoms at `locs` (sorted) above t."""
+    """tail(t) minus the masses of the atoms at `locs` (sorted) above t;
+    `tail` itself where there are none (tail(t) - 0.0 is tail(t))."""
+    if not len(locs):
+        return tail
     suffix = np.concatenate([np.cumsum(masses[::-1])[::-1], [0.0]])
 
     def cont(t):
@@ -123,44 +149,88 @@ def geometric_tail(prev, last):
     return np.where(geo, last * r / np.where(geo, 1.0 - r, 1.0), 0.0)
 
 
+class _Geometric:
+    """One improper integral on [a, infinity) over geometric panels of
+    widths x0 * 2**k, each cut at the breakpoints inside it, and its
+    stop rule."""
+
+    __slots__ = ("left", "width", "breakpoints", "acc", "panels", "small", "flat", "prev")
+
+    def __init__(self, a: float, x0: float, breakpoints):
+        self.left = float(a)
+        self.width = float(x0)
+        self.breakpoints = breakpoints
+        self.acc = 0.0
+        self.panels = 0
+        self.small = 0
+        self.flat = 0
+        self.prev = None
+
+    def next_edges(self) -> list[float]:
+        """The next panel's edges, breakpoints included."""
+        return merge_breakpoints(self.left, self.left + self.width,
+                                 self.breakpoints).tolist()
+
+    def add(self, c: float, rel_tol: float) -> ImproperResult | None:
+        """Take the next panel's value; the result once the rule stops."""
+        self.panels += 1
+        self.acc += c
+        scale = abs(self.acc)
+        if c <= rel_tol * scale and (scale > 0.0 or c == 0.0):
+            self.small += 1
+        else:
+            self.small = 0
+        if (self.prev is not None and c >= self.prev * (1.0 - 1e-12)
+                and c > rel_tol * max(scale, 1e-300)):
+            self.flat += 1
+        else:
+            self.flat = 0
+        if self.small >= SMALL_RUN:
+            tail = float(geometric_tail(self.prev, c)) if self.prev is not None else 0.0
+            return ImproperResult(self.acc + tail, True, self.panels, tail)
+        if self.flat >= FLAT_RUN or self.panels == _MAX_PANELS:
+            return ImproperResult(self.acc, False, self.panels, 0.0)
+        self.prev = c
+        self.left += self.width
+        self.width *= _RATIO
+        return None
+
+
+def _drive(rule, starts, rel_tol: float, x0s, breakpoints) -> list[ImproperResult]:
+    """The improper integrals on [starts[i], infinity) in lockstep.
+
+    Each round, every unfinished integral's next panel, cut at its own
+    breakpoints, goes to one call rule(lefts, rights, owners), which
+    returns the value of each piece (lefts[j], rights[j]] of integral
+    owners[j]; an integral adds its pieces' values in order and applies
+    its own stop rule."""
+    runs = [_Geometric(a, x0, bps) for a, x0, bps in zip(starts, x0s, breakpoints)]
+    results: list[ImproperResult | None] = [None] * len(runs)
+    live = list(range(len(runs)))
+    while live:
+        lefts, rights, owners, counts = [], [], [], []
+        for i in live:
+            edges = runs[i].next_edges()
+            lefts += edges[:-1]
+            rights += edges[1:]
+            owners += [i] * (len(edges) - 1)
+            counts.append(len(edges) - 1)
+        values = iter(rule(lefts, rights, owners))
+        for i, count in zip(live, counts):
+            c = 0.0
+            for _ in range(count):
+                c += next(values)
+            results[i] = runs[i].add(c, rel_tol)
+        live = [i for i in live if results[i] is None]
+    return results
+
+
 def _improper_drive(rule, a: float, rel_tol: float, x0: float,
                     breakpoints) -> ImproperResult:
     """Sum rule(l, r) over geometric panels from a, each cut at the
-    breakpoints inside it."""
-    acc = 0.0
-    left = float(a)
-    width = float(x0)
-    small = 0
-    flat = 0
-    prev = None
-    contribs = []
-    for k in range(_MAX_PANELS):
-        right = left + width
-        edges = merge_breakpoints(left, right, breakpoints)
-        c = 0.0
-        for el, er in zip(edges[:-1], edges[1:]):
-            c += rule(float(el), float(er))
-        contribs.append(c)
-        acc += c
-        scale = abs(acc)
-        if c <= rel_tol * scale and (scale > 0.0 or c == 0.0):
-            small += 1
-        else:
-            small = 0
-        if prev is not None and c >= prev * (1.0 - 1e-12) and c > rel_tol * max(scale, 1e-300):
-            flat += 1
-        else:
-            flat = 0
-        if small >= SMALL_RUN:
-            tail = float(geometric_tail(contribs[-2], contribs[-1])) \
-                if len(contribs) >= 2 else 0.0
-            return ImproperResult(acc + tail, True, k + 1, tail)
-        if flat >= FLAT_RUN:
-            return ImproperResult(acc, False, k + 1, 0.0)
-        prev = c
-        left = right
-        width *= _RATIO
-    return ImproperResult(acc, False, _MAX_PANELS, 0.0)
+    breakpoints inside it: `_drive` for one integral."""
+    return _drive(lambda lefts, rights, _: [rule(l, r) for l, r in zip(lefts, rights)],
+                  [a], rel_tol, [x0], [breakpoints])[0]
 
 
 def improper_gl(f, rel_tol: float = _DRIVE_REL_TOL, breakpoints=()) -> ImproperResult:
@@ -191,6 +261,81 @@ def _first_layout():
     return _level_layout(_STIELTJES_LEVELS[:_STIELTJES_BATCH])
 
 
+def _stieltjes_block(g, weight, a, b, rows, layout, tables) -> list[float | None]:
+    """One batch of Richardson levels on the pieces `rows`: one call of
+    `weight` on their edges and one of g(t, rows) on their midpoints,
+    one row of t per piece.  Each piece's table goes on from tables[r],
+    which is updated; the value of each piece that converges, None for
+    the others.  The block's arrays are freed on return."""
+    levels, index, size, starts = layout
+    pa, pb = a[rows, None], b[rows, None]
+    # np.linspace(a, b, n + 1) per level, with its branch for a step
+    # that underflows to 0
+    step = (pb - pa) / size
+    edges = (index * step if step.all()
+             else np.where(step == 0, index / size * (pb - pa), index * step)) + pa
+    edges[:, [s + n for s, n in zip(starts, levels)]] = pb
+    w = np.asarray(weight(edges.ravel()), dtype=float).reshape(edges.shape)
+    # the midpoint of one level's last edge and the next level's first
+    # is evaluated but not read, and so is their weight difference
+    mids = 0.5 * (edges[:, :-1] + edges[:, 1:])
+    gm = np.asarray(g(mids, rows), dtype=float).reshape(mids.shape)
+    # np.diff of each level's weights, all levels in one subtraction
+    dw = w[:, 1:] - w[:, :-1]
+    values = []
+    for r, g_row, dw_row in zip(rows.tolist(), gm, dw):
+        prev = tables[r]
+        value = None
+        for n, s in zip(levels, starts):
+            row = [float(np.dot(g_row[s:s + n], dw_row[s:s + n]))]
+            for j, below in enumerate(prev):
+                factor = 4.0 ** (j + 1)
+                row.append((factor * row[j] - below) / (factor - 1.0))
+            if prev and abs(row[-1] - prev[-1]) <= _STIELTJES_REL_TOL * abs(row[-1]) + 1e-300:
+                value = row[-1]
+                break
+            prev = row
+        tables[r] = prev
+        values.append(value)
+    return values
+
+
+def _stieltjes_pieces(g, weight, a, b) -> list[float]:
+    """`stieltjes_panel` on every piece (a[i], b[i]] at once.
+
+    Each batch of Richardson levels takes the pieces that have not
+    converged yet in blocks of max(1, _GRID_BLOCK // edges per piece),
+    so a call of `weight` or g(t, rows) gets at most _GRID_BLOCK
+    elements or one piece's.  Each piece keeps its own edges, level dots
+    and Richardson table, so its value is the one of evaluating it alone.
+    """
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    out = [0.0] * a.size
+    tables = [[] for _ in out]
+    todo = np.flatnonzero(~(b <= a))
+    for first in range(0, len(_STIELTJES_LEVELS), _STIELTJES_BATCH):
+        if not todo.size:
+            break
+        layout = (_first_layout() if first == 0
+                  else _level_layout(_STIELTJES_LEVELS[first:first + _STIELTJES_BATCH]))
+        per_block = max(1, _GRID_BLOCK // layout[1].size)
+        going_on = []
+        for lo in range(0, todo.size, per_block):
+            rows = todo[lo:lo + per_block]
+            for r, value in zip(rows.tolist(),
+                                _stieltjes_block(g, weight, a, b, rows, layout, tables)):
+                if value is None:
+                    going_on.append(r)
+                else:
+                    out[r] = value
+                    tables[r] = None
+        todo = np.asarray(going_on, dtype=int)
+    for r in todo.tolist():
+        out[r] = tables[r][-1]
+    return out
+
+
 def stieltjes_panel(g, weight, a: float, b: float) -> float:
     """integral of g d(weight) over (a, b] for nondecreasing `weight`.
 
@@ -199,34 +344,10 @@ def stieltjes_panel(g, weight, a: float, b: float) -> float:
     never differentiated.  The levels go a batch at a time: one call of
     `weight` on the edges and one of `g` on the midpoints of every level
     in the batch.  Each level keeps its own edges and its own dot, so the
-    result is the one of evaluating level by level.
+    result is the one of evaluating level by level.  This is the one-piece
+    case of `_stieltjes_pieces`.
     """
-    if b <= a:
-        return 0.0
-    prev = []
-    for first in range(0, len(_STIELTJES_LEVELS), _STIELTJES_BATCH):
-        levels, index, size, starts = (
-            _first_layout() if first == 0
-            else _level_layout(_STIELTJES_LEVELS[first:first + _STIELTJES_BATCH]))
-        # np.linspace(a, b, n + 1) per level, with its branch for a step
-        # that underflows to 0
-        step = (b - a) / size
-        edges = (index * step if step.all()
-                 else np.where(step == 0, index / size * (b - a), index * step)) + a
-        edges[[s + n for s, n in zip(starts, levels)]] = b
-        w = np.asarray(weight(edges), dtype=float)
-        # the midpoint of one level's last edge and the next level's first
-        # is evaluated but not read
-        gm = np.asarray(g(0.5 * (edges[:-1] + edges[1:])), dtype=float)
-        for n, s in zip(levels, starts):
-            row = [float(np.dot(gm[s:s + n], np.diff(w[s:s + n + 1])))]
-            for j, below in enumerate(prev):
-                factor = 4.0 ** (j + 1)
-                row.append((factor * row[j] - below) / (factor - 1.0))
-            if prev and abs(row[-1] - prev[-1]) <= _STIELTJES_REL_TOL * abs(row[-1]) + 1e-300:
-                return row[-1]
-            prev = row
-    return prev[-1]
+    return _stieltjes_pieces(lambda t, _: g(t.ravel()), weight, [a], [b])[0]
 
 
 def stieltjes_vs_tail(g, tail, a: float = 0.0, x0: float = 1.0, atoms=None,
@@ -253,6 +374,41 @@ def stieltjes_vs_tail(g, tail, a: float = 0.0, x0: float = 1.0, atoms=None,
                           _DRIVE_REL_TOL, x0, [*breakpoints, *locs.tolist()])
     atom_part = float(np.dot(masses, np.asarray(g(locs), dtype=float))) if locs.size else 0.0
     return ImproperResult(res.value + atom_part, res.converged, res.panels, res.tail_estimate)
+
+
+def stieltjes_vs_tail_many(g, tail, starts, x0s, atoms, breakpoints) -> list[ImproperResult]:
+    """`stieltjes_vs_tail` for the integrals of g(., i) dF over
+    (starts[i], infinity), run in lockstep, each with its own first panel
+    width x0s[i] and breakpoints; g(t, which) evaluates integrand which[r]
+    on row r of t.
+
+    F's atoms are the (locations, masses) pair `atoms`, sorted; the
+    weight subtracts all of them, which on (starts[i], infinity) is
+    subtracting those above starts[i] bit for bit, and integral i sums
+    its atoms above starts[i] exactly.
+    """
+    locs = np.asarray(atoms[0], dtype=float)
+    masses = np.asarray(atoms[1], dtype=float)
+    cont = continuous_tail(tail, locs, masses)
+
+    def weight(t):
+        return -cont(t)
+
+    def rule(lefts, rights, owners):
+        owners = np.asarray(owners)
+        return _stieltjes_pieces(lambda t, rows: g(t, owners[rows]), weight, lefts, rights)
+
+    if locs.size:
+        breakpoints = [[*bps, *locs.tolist()] for bps in breakpoints]
+    results = _drive(rule, starts, _DRIVE_REL_TOL, x0s, breakpoints)
+    out = []
+    for i, (a, res) in enumerate(zip(starts, results)):
+        keep = locs > a
+        atom_part = (float(np.dot(masses[keep], np.asarray(
+            g(locs[None, keep], np.array([i])), dtype=float)[0])) if keep.any() else 0.0)
+        out.append(ImproperResult(res.value + atom_part, res.converged, res.panels,
+                                  res.tail_estimate))
+    return out
 
 
 def stieltjes_vs_monotone(f, h, x0: float = 1.0, breakpoints=()) -> ImproperResult:

@@ -138,7 +138,7 @@ def membership_curve(kind: str, F: IncrementModel,
     Only kind SF takes the grid G, and it requires one; kind S builds
     its own grid from `grid_cfg`, out to `grid_cfg.horizon(xs)`.
     """
-    xs, fbar = _probe_tails(F, xs)
+    xs = tuple(float(x) for x in xs)
     if any(b <= a for a, b in zip(xs, xs[1:])):
         raise PreconditionError("probes must be strictly increasing")
     if xs and xs[0] < 0:
@@ -148,6 +148,7 @@ def membership_curve(kind: str, F: IncrementModel,
     if (G is None) == (kind == "SF"):
         raise PreconditionError(
             f"kind {kind}: only kind SF takes a grid G, and it requires one")
+    xs, fbar = _probe_tails(F, xs)
     arr = np.asarray(xs)
 
     if kind == "L":

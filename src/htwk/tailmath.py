@@ -28,16 +28,8 @@ from .errors import (DivergenceError, HorizonError, PreconditionError,
 
 _INF = float("inf")
 
-# the grid layer's dense matrices (the measure-tail curves' x rows and
-# `convolve`'s knot rows) are evaluated a block of rows at a time, with at
-# most this many elements per block unless one row is longer: each
-# temporary is then at most 128 KiB and stays in cache, and peak memory no
-# longer grows with rows x columns.  The value won a sweep from 2^11 to
-# 2^17 on `integrated_tail_curve` and `powers(2)` of the integrated-tail
-# grid (BENCH_22.json): up to 2^13 a curve block is one 4320-column row,
-# and each row pays for a law evaluation; from 2^15 the allocator hands
-# each block's memory back to the system and faults it in again
-_GRID_BLOCK = 1 << 14
+# the grid layer's row blocks follow the quadrature's block rule
+_GRID_BLOCK = _quad._GRID_BLOCK
 
 
 def _merge_atoms(locs: np.ndarray, masses: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -94,6 +86,12 @@ class Law:
 def _float_or_array(out):
     out = np.asarray(out, dtype=float)
     return out if out.shape else float(out)
+
+
+def _weighted_sum(arms, value_of):
+    """The sum of w * value_of(law) over the (w, law) pairs `arms`."""
+    return _float_or_array(sum(w * np.asarray(value_of(ch), dtype=float)
+                               for w, ch in arms))
 
 
 def _expm1_less_linear(z):
@@ -477,8 +475,7 @@ class Mixture(Law):
 
     def _weighted(self, value_of):
         """The weighted sum of value_of(child) over the children."""
-        return _float_or_array(sum(w * np.asarray(value_of(ch), dtype=float)
-                                   for w, ch in zip(self.weights, self.children)))
+        return _weighted_sum(zip(self.weights, self.children), value_of)
 
     def sf(self, t):
         t = np.asarray(t, dtype=float)
@@ -544,8 +541,27 @@ class IncrementModel:
     spec_text: str = ""
 
     def tail_pos(self, x):
-        """F-bar(x) = P(xi > x) for x >= 0."""
-        return self.law.sf(x)
+        """F-bar(x) = P(xi > x) for x >= 0.
+
+        Where every x >= 0, a mixture's arms with no mass above 0 add an
+        exact +0.0 to its sf, so only the other arms are summed; any
+        x < 0 reads the whole law."""
+        t = np.asarray(x, dtype=float)
+        arms = self._arms_above_0
+        if arms is None or not np.all(t >= 0.0):
+            return self.law.sf(x)
+        return _weighted_sum(arms, lambda ch: ch.sf(t))
+
+    @cached_property
+    def _arms_above_0(self) -> list[tuple[float, Law]] | None:
+        """The (weight, arm) pairs of a mixture law whose arm has mass
+        above 0; None where that is no arm or every arm, or the law is no
+        mixture."""
+        if not isinstance(self.law, Mixture):
+            return None
+        arms = [(w, ch) for w, ch in zip(self.law.weights, self.law.children)
+                if ch.sf(0.0) > 0]
+        return arms if 0 < len(arms) < len(self.law.children) else None
 
     def tail_neg(self, y):
         """N-bar(y) = P(xi < -y) = P(xi^- > y) for y >= 0."""
@@ -700,13 +716,20 @@ class RenewalMeasure:
 _ROUTE_AGREEMENT_TOL = 1e-8
 
 
+def _route_b_cuts(model: IncrementModel, measure: RenewalMeasure,
+                  x: float) -> list[float]:
+    """Route B's panel cuts at x: F's breakpoints b > x and x + k for
+    the measure's kinks k > 0."""
+    return [*(b for b in model.pos_breakpoints if b > x),
+            *(x + k for k in measure.kinks if k > 0)]
+
+
 def _route_b(model: IncrementModel, measure: RenewalMeasure,
              x: float) -> _quad.ImproperResult:
     """integral of H(t - x) dF(t) over (x, infinity), F's atoms summed
-    exactly, with panels cut at F's breakpoints b > x and at x + k for
-    the measure's kinks k > 0.  Panel widths scale with x, so
-    contributions decay from the first panel; at x = 0 under the ratio
-    measure this is K itself."""
+    exactly, with panels cut at `_route_b_cuts`.  Panel widths scale
+    with x, so contributions decay from the first panel; at x = 0 under
+    the ratio measure this is K itself."""
     x = float(x)
 
     def g(t):
@@ -714,9 +737,7 @@ def _route_b(model: IncrementModel, measure: RenewalMeasure,
 
     return _quad.stieltjes_vs_tail(
         g, model.tail_pos, a=x, x0=max(1.0, x / 8.0),
-        atoms=model.pos_atoms,
-        breakpoints=[*(b for b in model.pos_breakpoints if b > x),
-                     *(x + k for k in measure.kinks if k > 0)])
+        atoms=model.pos_atoms, breakpoints=_route_b_cuts(model, measure, x))
 
 
 def renewal_integrated_tail_forms(model: IncrementModel, measure: RenewalMeasure,
@@ -966,16 +987,22 @@ def integrated_tail(model: IncrementModel, K: float, x):
 
     value(x) = (1/K) * integral over (x, infinity) of ((t-x)/m(t-x)) dF(t),
     clipped to [0, 1]: route B under the ratio measure, the driver that
-    gives K, so value(0) = K/K = 1 exactly.
+    gives K, so value(0) = K/K = 1 exactly.  The probes' integrals run
+    in lockstep (`_quad.stieltjes_vs_tail_many`), each with `_route_b`'s
+    panels, cuts and value.
     """
     if not (K > 0 and math.isfinite(K)):
         raise PreconditionError("integrated tail needs a finite positive criterion constant")
     H = RenewalMeasure.from_ratio(truncated_neg_mean(model))
     xs = np.atleast_1d(np.asarray(x, dtype=float))
     scalar = np.ndim(x) == 0
+    probes = xs.tolist()
+    results = _quad.stieltjes_vs_tail_many(
+        lambda t, which: H(t - xs[which, None]), model.tail_pos, probes,
+        [max(1.0, xi / 8.0) for xi in probes], model.pos_atoms,
+        [_route_b_cuts(model, H, xi) for xi in probes])
     out = np.empty(xs.shape)
-    for i, xi in enumerate(xs):
-        res = _route_b(model, H, xi)
+    for i, res in enumerate(results):
         if not res.converged:
             raise DivergenceError("integrated tail quadrature diverged", res.value)
         out[i] = min(1.0, max(0.0, res.value / K))

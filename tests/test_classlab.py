@@ -117,6 +117,19 @@ def test_kind_arguments_are_policed(pareto2, kind):
         membership_curve(kind, pareto2, xs=(-1.0, 5.0))
 
 
+@pytest.mark.parametrize("kind", ["L", "D", "S", "Sstar"])
+@pytest.mark.parametrize("xs, match", [((-1.0, 5.0), "nonnegative"),
+                                       ((10.0, 10.0), "strictly increasing")],
+                         ids=["negative", "repeated"])
+def test_probes_are_checked_before_the_tail_is_read(pareto2, monkeypatch, kind, xs, match):
+    def unread(x):
+        raise AssertionError(f"F-bar read at {x!r}")
+
+    monkeypatch.setattr(pareto2, "tail_pos", unread)
+    with pytest.raises(PreconditionError, match=match):
+        membership_curve(kind, pareto2, xs=xs)
+
+
 def test_self_convolution_needs_a_law_without_negative_mass(default_model):
     with pytest.raises(PreconditionError, match="grid discretization"):
         membership_curve("S", default_model)

@@ -485,23 +485,29 @@ def _bindings() -> dict:
     return found
 
 
-def test_the_benchmark_tracer_wraps_and_restores_its_names():
+def test_the_benchmark_tracer_wraps_and_restores_its_names(default_model):
     # the tracer looks each wrapped name up by getattr or a class's
-    # __dict__, so removing or renaming one of them breaks install()
+    # __dict__, so removing or renaming one of them breaks install();
+    # its quadrature hook reads the `.panels` and `.converged` of what
+    # `stieltjes_vs_tail` returns on criterion_K's call path
     path = SRC.parent.parent / "perfbench" / "tracer.py"
     spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     import htwk.cli  # noqa: F401  (install loads it; bind it before the snapshot)
-    from htwk import distspec
+    from htwk import distspec, tailmath
 
     before = _bindings()
     tracer = module.Tracer()
     try:
         tracer.install()
         during = _bindings()
+        tailmath.criterion_K(default_model)
     finally:
         tracer.uninstall()
+    panels = [span[4] for span in tracer.spans if span[0] == "quad.stieltjes_vs_tail"]
+    assert len(panels) == 1 and panels[0] > 0
+    assert tracer.counters["quad.unconverged"] == 0
     assert during[("htwk.distspec", "spec_to_model")].__wrapped__ \
         is distspec.spec_to_model
     after = _bindings()

@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 import scipy.integrate
 import scipy.stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from htwk import spec_to_model, tailmath
 from htwk.classlab import PROBES_DEFAULT
@@ -183,6 +185,69 @@ def test_closed_form_positive_mean_diverges_at_alpha_one():
     law = spec_to_model("pareto(alpha=1, kappa=1)").law
     assert law.sf_integral(0.0, np.inf) == np.inf
     assert law.cdf_integral(0.0, np.inf) == np.inf
+
+
+# law trees for the positive-tail arm rule: every leaf kind, `point`,
+# `shift`, `neg` of a law on the half line, and nested `mix`
+_HALF_LINE_LAWS = st.one_of(
+    st.builds(tailmath.Pareto, alpha=st.floats(0.2, 3.0), kappa=st.floats(0.1, 5.0)),
+    st.builds(tailmath.Exponential, rate=st.floats(0.1, 3.0)),
+    st.builds(tailmath.Weibull, shape=st.floats(0.3, 3.0), scale=st.floats(0.2, 4.0)),
+    st.builds(tailmath.Lognormal, mu=st.floats(-1.0, 1.0), sigma=st.floats(0.2, 2.0)),
+    st.builds(tailmath.PointMass, c=st.floats(0.0, 5.0)))
+
+
+def _mixtures(children):
+    def build(arms):
+        total = sum(w for w, _ in arms)
+        return tailmath.Mixture(tuple(w / total for w, _ in arms),
+                                tuple(ch for _, ch in arms))
+    return st.lists(st.tuples(st.floats(0.1, 1.0), children),
+                    min_size=2, max_size=3).map(build)
+
+
+_NONNEGATIVE_LAWS = st.recursive(
+    _HALF_LINE_LAWS, lambda kids: st.one_of(
+        _mixtures(kids), st.builds(tailmath.Shift, c=st.floats(0.0, 3.0), child=kids)),
+    max_leaves=3)
+_LAW_TREES = st.recursive(
+    st.one_of(_HALF_LINE_LAWS, st.builds(tailmath.Neg, child=_NONNEGATIVE_LAWS)),
+    lambda kids: st.one_of(
+        _mixtures(kids), st.builds(tailmath.Shift, c=st.floats(-6.0, 3.0), child=kids)),
+    max_leaves=5)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(law=st.one_of(_mixtures(_LAW_TREES), _LAW_TREES),
+       xs=st.lists(st.floats(0.0, 50.0), min_size=1, max_size=6),
+       below=st.floats(-20.0, -1e-300))
+def test_tail_pos_is_the_law_sf_bit_for_bit(law, xs, below):
+    # the arms skipped at x >= 0 add an exact +0.0; one x < 0 reads the
+    # whole law.  The law's kinks and atoms are probed too
+    model = tailmath.IncrementModel(law)
+    xs = [*xs, 0.0, *(k for k in law.kinks() if k >= 0.0)]
+    for x in (np.array(xs), xs[-1], np.array([*xs, below]), below):
+        got, want = model.tail_pos(x), law.sf(x)
+        assert type(got) is type(want)
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
+def test_tail_pos_skips_the_arms_without_mass_above_zero(default_model):
+    # the negative arm's sf is not called at x >= 0, and is at x < 0
+    neg_arm = default_model.law.children[1]
+    calls = []
+
+    class Counted(tailmath.Neg):
+        def sf(self, t):
+            calls.append(np.shape(t))
+            return super().sf(t)
+
+    model = tailmath.IncrementModel(tailmath.Mixture(
+        default_model.law.weights, (default_model.law.children[0], Counted(neg_arm.child))))
+    model.tail_pos(np.array([0.0, 1.0, 1e3]))
+    assert calls == [()]  # sf(0.0), once, to find the arms
+    model.tail_pos(np.array([-1.0, 1.0]))
+    assert calls == [(), (2,)]
 
 
 ABSTRACT_INTEGRALS = {tailmath.Law.sf_integral, tailmath.Law.cdf_integral,
@@ -391,6 +456,52 @@ def test_integrated_tail_curve_handles_a_positive_atom():
     points = integrated_tail(model, K, xs)
     assert np.allclose(curve, points, rtol=1e-8, atol=0.0)
     assert np.all(curve[xs >= 3.0] == 0.0)
+
+
+POSITIVE_ATOM = ("mix(0.3: pareto(alpha=1.5, kappa=1), 0.2: point(3), "
+                 "0.5: neg(pareto(alpha=0.5, kappa=1)))")
+# the analytic workload's tail probes, and x on both sides of the atom
+LOCKSTEP_PROBES = np.array([*parse_probes("0:1e4:16"), 2.5, 3.0, 3.5])
+
+
+def _per_probe_integrated_tail(model, K, xs):
+    """`integrated_tail` one `_route_b` call per probe."""
+    H = RenewalMeasure.from_ratio(truncated_neg_mean(model))
+    return np.array([min(1.0, max(0.0, tailmath._route_b(model, H, x).value / K))
+                     for x in xs])
+
+
+@pytest.mark.parametrize("spec", [DEFAULT_MODEL, CASE_B, POSITIVE_ATOM],
+                         ids=["default", "case_b", "positive_atom"])
+def test_lockstep_integrated_tail_is_the_per_probe_loop_bit_for_bit(spec):
+    model = spec_to_model(spec)
+    K, _ = criterion_K(model)
+    got = integrated_tail(model, K, LOCKSTEP_PROBES)
+    assert got.tobytes() == _per_probe_integrated_tail(model, K, LOCKSTEP_PROBES).tobytes()
+
+
+# the lockstep holds every probe's driver state and Richardson row at
+# once, a few hundred bytes a probe (about 3.6 KiB for the 16 probes)
+LOCKSTEP_STATE_PER_PROBE = 1024
+
+
+def test_lockstep_integrated_tail_peaks_no_higher_than_the_per_probe_loop(default_model):
+    # the lockstep's panel batches obey the block rule, so beyond its
+    # per-probe state it peaks no higher than one probe at a time (about
+    # 2.3 MB, in a second-batch piece); all pieces of a batch at once
+    # peak at 16.6 MB
+    K, _ = criterion_K(default_model)
+    xs = LOCKSTEP_PROBES[:16]
+    peaks = []
+    for run in (integrated_tail, _per_probe_integrated_tail):
+        run(default_model, K, xs)  # fill caches
+        tracemalloc.start()
+        try:
+            run(default_model, K, xs)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] <= peaks[1] + LOCKSTEP_STATE_PER_PROBE * xs.size
 
 
 def test_integrated_tail_rejects_divergent_constant(default_model):
