@@ -1,27 +1,27 @@
 """Panel quadrature engines used by the tail calculus.
 
-One geometric-panel driver for improper integrals on [a, infinity),
-with explicit convergence/divergence verdicts and tail extrapolation,
-cuts every panel at the breakpoints inside it and sums one of two
-panel rules over the pieces:
+One geometric-panel driver, `_drive`, for improper integrals on
+[a, infinity), with explicit convergence/divergence verdicts and tail
+extrapolation, cuts every panel at the breakpoints inside it and sums
+one of two panel rules over the pieces:
 
 * adaptive Gauss-Legendre for ordinary integrands (`improper_gl`),
-* midpoint Stieltjes sums with Richardson extrapolation for integrals
-  against a monotone weight function given only by its values
-  (`stieltjes_vs_tail`, `stieltjes_vs_monotone`).
+* midpoint Stieltjes sums with Richardson extrapolation
+  (`_stieltjes_pieces`) for integrals against a monotone weight
+  function given only by its values (`stieltjes_vs_tail`,
+  `stieltjes_vs_tail_many`, `stieltjes_vs_monotone`).
 
 Both rules work to fixed per-piece tolerances.
 
-The driver runs several integrals in lockstep (`stieltjes_vs_tail_many`,
-route B of the integrated tail at many probes): each round, every
-unfinished integral's next panel goes to one call of the panel rule, and
-the Stieltjes rule evaluates all those pieces with one `weight` call and
-one `g` call per Richardson batch, `_GRID_BLOCK` elements at a time
-(one piece's nodes where they alone are more).  Each piece keeps its own
-edges, level sums and Richardson table, and each integral its own stop
-rule, so every value is the one of running the integrals one by one.
-A single integral (`_improper_drive`) and a single piece
-(`stieltjes_panel`) are the one-element cases.
+The driver runs its integrals in lockstep (route B of the integrated
+tail at many probes goes through `stieltjes_vs_tail_many`): each round,
+every unfinished integral's next panel goes to one call of the panel
+rule, and the Stieltjes rule evaluates all those pieces with one
+`weight` call and one `g` call per Richardson batch, `_GRID_BLOCK`
+elements at a time (one piece's nodes where they alone are more).  Each
+piece keeps its own edges, level sums and Richardson table, and each
+integral its own stop rule, so every value is the one of running the
+integrals one by one, and a single integral is the one-element case.
 
 All drivers assume nonnegative integrands, which is what the tail
 calculus produces; the divergence heuristics rely on it.
@@ -58,7 +58,7 @@ def _gl_nodes() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 # Per-piece tolerances: Gauss-Legendre to 1e-12 relative (32 against 64
 # nodes), Stieltjes to 1e-11 relative with 16 to 8192 midpoint subpanels.
-# The improper drivers stop at 1e-10 relative unless `improper_gl` is
+# The improper driver stops at 1e-10 relative unless `improper_gl` is
 # told otherwise.
 _GL_REL_TOL = 1e-12
 _STIELTJES_REL_TOL = 1e-11
@@ -225,27 +225,10 @@ def _drive(rule, starts, rel_tol: float, x0s, breakpoints) -> list[ImproperResul
     return results
 
 
-def _improper_drive(rule, a: float, rel_tol: float, x0: float,
-                    breakpoints) -> ImproperResult:
-    """Sum rule(l, r) over geometric panels from a, each cut at the
-    breakpoints inside it: `_drive` for one integral."""
-    return _drive(lambda lefts, rights, _: [rule(l, r) for l, r in zip(lefts, rights)],
-                  [a], rel_tol, [x0], [breakpoints])[0]
-
-
 def improper_gl(f, rel_tol: float = _DRIVE_REL_TOL, breakpoints=()) -> ImproperResult:
     """integral of f over [0, infinity) with geometric panels from width 1."""
-    return _improper_drive(lambda l, r: gl_adaptive(f, l, r), 0.0, rel_tol, 1.0,
-                           breakpoints)
-
-
-def _level_layout(levels):
-    """Subpanel levels end to end: every level's edge indices 0..n as
-    floats, each index's n, and where each level starts."""
-    counts = [n + 1 for n in levels]
-    index = np.concatenate([np.arange(c, dtype=float) for c in counts])
-    size = np.repeat(np.asarray(levels, dtype=float), counts)
-    return levels, index, size, np.cumsum([0, *counts[:-1]]).tolist()
+    return _drive(lambda lefts, rights, _: [gl_adaptive(f, l, r) for l, r in zip(lefts, rights)],
+                  [0.0], rel_tol, [1.0], [breakpoints])[0]
 
 
 # Richardson levels 16, 32, ..., 8192, evaluated five at a time
@@ -255,10 +238,15 @@ _STIELTJES_LEVELS = [_STIELTJES_N0 << k for k in range(
 
 
 @functools.cache
-def _first_layout():
-    """The first batch's layout, built on first use and kept; the second
-    batch's is built each time a panel needs it."""
-    return _level_layout(_STIELTJES_LEVELS[:_STIELTJES_BATCH])
+def _batch_layout(first: int):
+    """The batch of levels from _STIELTJES_LEVELS[first] end to end:
+    the levels, every level's edge indices 0..n as floats, each index's
+    n, and where each level starts.  Built on first use and kept."""
+    levels = _STIELTJES_LEVELS[first:first + _STIELTJES_BATCH]
+    counts = [n + 1 for n in levels]
+    index = np.concatenate([np.arange(c, dtype=float) for c in counts])
+    size = np.repeat(np.asarray(levels, dtype=float), counts)
+    return levels, index, size, np.cumsum([0, *counts[:-1]]).tolist()
 
 
 def _stieltjes_block(g, weight, a, b, rows, layout, tables) -> list[float | None]:
@@ -301,13 +289,20 @@ def _stieltjes_block(g, weight, a, b, rows, layout, tables) -> list[float | None
 
 
 def _stieltjes_pieces(g, weight, a, b) -> list[float]:
-    """`stieltjes_panel` on every piece (a[i], b[i]] at once.
+    """integral of g d(weight) over every piece (a[i], b[i]] at once,
+    for nondecreasing `weight`; g(t, rows) evaluates the integrand of
+    piece rows[r] on row r of t.
 
-    Each batch of Richardson levels takes the pieces that have not
-    converged yet in blocks of max(1, _GRID_BLOCK // edges per piece),
-    so a call of `weight` or g(t, rows) gets at most _GRID_BLOCK
-    elements or one piece's.  Each piece keeps its own edges, level dots
-    and Richardson table, so its value is the one of evaluating it alone.
+    Midpoint Stieltjes sums on uniform subpanels, accelerated by a
+    Richardson (Romberg-style) table; `weight` is only ever evaluated,
+    never differentiated.  The levels go a batch at a time: one call of
+    `weight` on the edges and one of g on the midpoints of every level
+    in the batch.  Each batch takes the pieces that have not converged
+    yet in blocks of max(1, _GRID_BLOCK // edges per piece), so a call
+    of `weight` or g(t, rows) gets at most _GRID_BLOCK elements or one
+    piece's.  Each piece keeps its own edges, level dots
+    and Richardson table, so its value is the one of evaluating it alone,
+    level by level.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -317,8 +312,7 @@ def _stieltjes_pieces(g, weight, a, b) -> list[float]:
     for first in range(0, len(_STIELTJES_LEVELS), _STIELTJES_BATCH):
         if not todo.size:
             break
-        layout = (_first_layout() if first == 0
-                  else _level_layout(_STIELTJES_LEVELS[first:first + _STIELTJES_BATCH]))
+        layout = _batch_layout(first)
         per_block = max(1, _GRID_BLOCK // layout[1].size)
         going_on = []
         for lo in range(0, todo.size, per_block):
@@ -336,18 +330,15 @@ def _stieltjes_pieces(g, weight, a, b) -> list[float]:
     return out
 
 
-def stieltjes_panel(g, weight, a: float, b: float) -> float:
-    """integral of g d(weight) over (a, b] for nondecreasing `weight`.
+def _stieltjes_rule(g, weight):
+    """The `_drive` rule that hands a round's pieces to one
+    `_stieltjes_pieces` call; g(t, which) evaluates integrand which[r]
+    on row r of t."""
+    def rule(lefts, rights, owners):
+        owners = np.asarray(owners)
+        return _stieltjes_pieces(lambda t, rows: g(t, owners[rows]), weight, lefts, rights)
 
-    Midpoint Stieltjes sums on uniform subpanels, accelerated by a
-    Richardson (Romberg-style) table; `weight` is only ever evaluated,
-    never differentiated.  The levels go a batch at a time: one call of
-    `weight` on the edges and one of `g` on the midpoints of every level
-    in the batch.  Each level keeps its own edges and its own dot, so the
-    result is the one of evaluating level by level.  This is the one-piece
-    case of `_stieltjes_pieces`.
-    """
-    return _stieltjes_pieces(lambda t, _: g(t.ravel()), weight, [a], [b])[0]
+    return rule
 
 
 def stieltjes_vs_tail(g, tail, a: float = 0.0, x0: float = 1.0, atoms=None,
@@ -359,53 +350,36 @@ def stieltjes_vs_tail(g, tail, a: float = 0.0, x0: float = 1.0, atoms=None,
     Atom contributions are summed exactly and the continuous remainder
     is integrated against tail(t) - sum of atom masses above t.
     """
-    locs = masses = np.empty(0)
-    if atoms is not None:
-        locs = np.asarray(atoms[0], dtype=float)
-        masses = np.asarray(atoms[1], dtype=float)
-        keep = locs > a
-        locs, masses = locs[keep], masses[keep]
-    cont = continuous_tail(tail, locs, masses)
-
-    def weight(t):
-        return -cont(t)
-
-    res = _improper_drive(lambda l, r: stieltjes_panel(g, weight, l, r), a,
-                          _DRIVE_REL_TOL, x0, [*breakpoints, *locs.tolist()])
-    atom_part = float(np.dot(masses, np.asarray(g(locs), dtype=float))) if locs.size else 0.0
-    return ImproperResult(res.value + atom_part, res.converged, res.panels, res.tail_estimate)
+    return stieltjes_vs_tail_many(lambda t, _: g(t.ravel()), tail, [a], [x0], atoms,
+                                  [breakpoints])[0]
 
 
 def stieltjes_vs_tail_many(g, tail, starts, x0s, atoms, breakpoints) -> list[ImproperResult]:
-    """`stieltjes_vs_tail` for the integrals of g(., i) dF over
-    (starts[i], infinity), run in lockstep, each with its own first panel
-    width x0s[i] and breakpoints; g(t, which) evaluates integrand which[r]
-    on row r of t.
+    """The integrals of g(., i) dF over (starts[i], infinity), as
+    `stieltjes_vs_tail` defines them, run in lockstep, each with its own
+    first panel width x0s[i] and breakpoints; g(t, which) evaluates
+    integrand which[r] on row r of t.
 
-    F's atoms are the (locations, masses) pair `atoms`, sorted; the
-    weight subtracts all of them, which on (starts[i], infinity) is
+    F's atoms are the (locations, masses) pair `atoms`, sorted, or None;
+    the weight subtracts all of them, which on (starts[i], infinity) is
     subtracting those above starts[i] bit for bit, and integral i sums
     its atoms above starts[i] exactly.
     """
-    locs = np.asarray(atoms[0], dtype=float)
-    masses = np.asarray(atoms[1], dtype=float)
+    locs, masses = (np.asarray(v, dtype=float)
+                    for v in (atoms if atoms is not None else ((), ())))
     cont = continuous_tail(tail, locs, masses)
 
     def weight(t):
         return -cont(t)
 
-    def rule(lefts, rights, owners):
-        owners = np.asarray(owners)
-        return _stieltjes_pieces(lambda t, rows: g(t, owners[rows]), weight, lefts, rights)
-
     if locs.size:
         breakpoints = [[*bps, *locs.tolist()] for bps in breakpoints]
-    results = _drive(rule, starts, _DRIVE_REL_TOL, x0s, breakpoints)
+    results = _drive(_stieltjes_rule(g, weight), starts, _DRIVE_REL_TOL, x0s, breakpoints)
     out = []
     for i, (a, res) in enumerate(zip(starts, results)):
         keep = locs > a
         atom_part = (float(np.dot(masses[keep], np.asarray(
-            g(locs[None, keep], np.array([i])), dtype=float)[0])) if keep.any() else 0.0)
+            g(locs[None, keep], np.array([i])), dtype=float).ravel())) if keep.any() else 0.0)
         out.append(ImproperResult(res.value + atom_part, res.converged, res.panels,
                                   res.tail_estimate))
     return out
@@ -413,5 +387,5 @@ def stieltjes_vs_tail_many(g, tail, starts, x0s, atoms, breakpoints) -> list[Imp
 
 def stieltjes_vs_monotone(f, h, x0: float = 1.0, breakpoints=()) -> ImproperResult:
     """integral of f dH over (0, infinity) for nondecreasing callable H."""
-    return _improper_drive(lambda l, r: stieltjes_panel(f, h, l, r), 0.0,
-                           _DRIVE_REL_TOL, x0, breakpoints)
+    return _drive(_stieltjes_rule(lambda t, _: f(t.ravel()), h), [0.0], _DRIVE_REL_TOL,
+                  [x0], [breakpoints])[0]

@@ -716,28 +716,29 @@ class RenewalMeasure:
 _ROUTE_AGREEMENT_TOL = 1e-8
 
 
-def _route_b_cuts(model: IncrementModel, measure: RenewalMeasure,
-                  x: float) -> list[float]:
-    """Route B's panel cuts at x: F's breakpoints b > x and x + k for
-    the measure's kinks k > 0."""
-    return [*(b for b in model.pos_breakpoints if b > x),
-            *(x + k for k in measure.kinks if k > 0)]
+def _panel_plan(model: IncrementModel, measure: RenewalMeasure,
+                x: float) -> tuple[float, float, list[float]]:
+    """The panels of route B at x: the start x, the first panel's width
+    max(1, x/8), which route A shares (widths scale with x, so
+    contributions decay from the first panel), and route B's cuts, F's
+    breakpoints b > x and x + k for the measure's kinks k > 0."""
+    x = float(x)
+    return x, max(1.0, x / 8.0), [*(b for b in model.pos_breakpoints if b > x),
+                                  *(x + k for k in measure.kinks if k > 0)]
 
 
 def _route_b(model: IncrementModel, measure: RenewalMeasure,
              x: float) -> _quad.ImproperResult:
     """integral of H(t - x) dF(t) over (x, infinity), F's atoms summed
-    exactly, with panels cut at `_route_b_cuts`.  Panel widths scale
-    with x, so contributions decay from the first panel; at x = 0 under
-    the ratio measure this is K itself."""
-    x = float(x)
+    exactly, on the panels of `_panel_plan`.  At x = 0 under the ratio
+    measure this is K itself."""
+    x, x0, cuts = _panel_plan(model, measure, x)
 
     def g(t):
         return np.asarray(measure(np.asarray(t, dtype=float) - x), dtype=float)
 
-    return _quad.stieltjes_vs_tail(
-        g, model.tail_pos, a=x, x0=max(1.0, x / 8.0),
-        atoms=model.pos_atoms, breakpoints=_route_b_cuts(model, measure, x))
+    return _quad.stieltjes_vs_tail(g, model.tail_pos, a=x, x0=x0, atoms=model.pos_atoms,
+                                   breakpoints=cuts)
 
 
 def renewal_integrated_tail_forms(model: IncrementModel, measure: RenewalMeasure,
@@ -750,7 +751,7 @@ def renewal_integrated_tail_forms(model: IncrementModel, measure: RenewalMeasure
     measure's kinks k.  They agree by integration by parts; computing
     them on independent panelings is the identity check.
     """
-    x = float(x)
+    x, x0, _ = _panel_plan(model, measure, x)
     fbar_x = float(model.tail_pos(x))
 
     def f_shift(t):
@@ -760,7 +761,7 @@ def renewal_integrated_tail_forms(model: IncrementModel, measure: RenewalMeasure
         return np.asarray(measure(t), dtype=float) - measure.atom0
 
     shifted = [b - x for b in model.pos_breakpoints if b > x]
-    res_a = _quad.stieltjes_vs_monotone(f_shift, h_cont, x0=max(1.0, x / 8.0),
+    res_a = _quad.stieltjes_vs_monotone(f_shift, h_cont, x0=x0,
                                         breakpoints=[*measure.kinks, *shifted])
     if not res_a.converged:
         raise PreconditionError("measure-integrated tail: H dF-bar integral diverges")
@@ -988,19 +989,19 @@ def integrated_tail(model: IncrementModel, K: float, x):
     value(x) = (1/K) * integral over (x, infinity) of ((t-x)/m(t-x)) dF(t),
     clipped to [0, 1]: route B under the ratio measure, the driver that
     gives K, so value(0) = K/K = 1 exactly.  The probes' integrals run
-    in lockstep (`_quad.stieltjes_vs_tail_many`), each with `_route_b`'s
-    panels, cuts and value.
+    in lockstep (`_quad.stieltjes_vs_tail_many`), each with
+    `_panel_plan`'s panels and `_route_b`'s value.
     """
     if not (K > 0 and math.isfinite(K)):
         raise PreconditionError("integrated tail needs a finite positive criterion constant")
     H = RenewalMeasure.from_ratio(truncated_neg_mean(model))
     xs = np.atleast_1d(np.asarray(x, dtype=float))
     scalar = np.ndim(x) == 0
-    probes = xs.tolist()
+    plans = [_panel_plan(model, H, xi) for xi in xs.tolist()]
+    starts, x0s, cuts = zip(*plans) if plans else ((), (), ())
     results = _quad.stieltjes_vs_tail_many(
-        lambda t, which: H(t - xs[which, None]), model.tail_pos, probes,
-        [max(1.0, xi / 8.0) for xi in probes], model.pos_atoms,
-        [_route_b_cuts(model, H, xi) for xi in probes])
+        lambda t, which: H(t - xs[which, None]), model.tail_pos, starts, x0s,
+        model.pos_atoms, cuts)
     out = np.empty(xs.shape)
     for i, res in enumerate(results):
         if not res.converged:

@@ -489,7 +489,10 @@ def test_the_benchmark_tracer_wraps_and_restores_its_names(default_model):
     # the tracer looks each wrapped name up by getattr or a class's
     # __dict__, so removing or renaming one of them breaks install();
     # its quadrature hook reads the `.panels` and `.converged` of what
-    # `stieltjes_vs_tail` returns on criterion_K's call path
+    # `stieltjes_vs_tail` returns on criterion_K's call path (once), of
+    # what `improper_gl` returns on mu_plus's, and of what
+    # `stieltjes_vs_monotone` and `stieltjes_vs_tail` return on
+    # renewal_integrated_tail_forms's
     path = SRC.parent.parent / "perfbench" / "tracer.py"
     spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
     module = importlib.util.module_from_spec(spec)
@@ -497,16 +500,25 @@ def test_the_benchmark_tracer_wraps_and_restores_its_names(default_model):
     import htwk.cli  # noqa: F401  (install loads it; bind it before the snapshot)
     from htwk import distspec, tailmath
 
+    def quad_spans():
+        return sorted((span[0], span[4] > 0) for span in tracer.spans
+                      if span[0].startswith("quad."))
+
+    H = tailmath.RenewalMeasure.from_ratio(tailmath.truncated_neg_mean(default_model))
     before = _bindings()
     tracer = module.Tracer()
     try:
         tracer.install()
         during = _bindings()
         tailmath.criterion_K(default_model)
+        criterion_spans = quad_spans()
+        tailmath.mu_plus(default_model)
+        tailmath.renewal_integrated_tail_forms(default_model, H, 10.0)
     finally:
         tracer.uninstall()
-    panels = [span[4] for span in tracer.spans if span[0] == "quad.stieltjes_vs_tail"]
-    assert len(panels) == 1 and panels[0] > 0
+    assert criterion_spans == [("quad.stieltjes_vs_tail", True)]
+    assert quad_spans() == [("quad.improper_gl", True), ("quad.stieltjes_vs_monotone", True),
+                            ("quad.stieltjes_vs_tail", True), ("quad.stieltjes_vs_tail", True)]
     assert tracer.counters["quad.unconverged"] == 0
     assert during[("htwk.distspec", "spec_to_model")].__wrapped__ \
         is distspec.spec_to_model

@@ -13,7 +13,6 @@ from htwk._quad import (
     gl_panels,
     improper_gl,
     merge_breakpoints,
-    stieltjes_panel,
     stieltjes_vs_monotone,
     stieltjes_vs_tail,
 )
@@ -230,18 +229,73 @@ PANEL_CASES = {
 }
 
 
+def _one_piece(g, weight, a, b):
+    """`_stieltjes_pieces` on the one piece (a, b]."""
+    return _quad._stieltjes_pieces(lambda t, _: g(t.ravel()), weight, [a], [b])[0]
+
+
+def _stieltjes_pieces_reference(g, weight, a, b):
+    """`_stieltjes_pieces` piece by piece, each level by level."""
+    return [_stieltjes_panel_reference(lambda t: np.asarray(g(t[None, :], np.array([i])),
+                                                            dtype=float).ravel(),
+                                       weight, ai, bi)
+            for i, (ai, bi) in enumerate(zip(a, b))]
+
+
+def _recorded_blocks(monkeypatch):
+    """Record the rows and the layout of every `_stieltjes_block` call."""
+    calls = []
+    block = _quad._stieltjes_block
+
+    def recording(g, weight, a, b, rows, layout, tables):
+        calls.append((rows.tolist(), layout))
+        return block(g, weight, a, b, rows, layout, tables)
+
+    monkeypatch.setattr(_quad, "_stieltjes_block", recording)
+    return calls
+
+
 @pytest.mark.parametrize("case", PANEL_CASES)
-def test_batched_stieltjes_panel_equals_level_by_level(case):
+def test_one_stieltjes_piece_equals_level_by_level(case):
     g, weight, a, b, _ = PANEL_CASES[case]
-    assert stieltjes_panel(g, weight, a, b) == _stieltjes_panel_reference(g, weight, a, b)
+    assert _one_piece(g, weight, a, b) == _stieltjes_panel_reference(g, weight, a, b)
 
 
 @pytest.mark.parametrize("case", PANEL_CASES)
-def test_stieltjes_panel_calls_g_and_weight_once_per_batch(case):
+def test_one_stieltjes_piece_calls_g_and_weight_once_per_batch(case):
     g, weight, a, b, calls = PANEL_CASES[case]
     counts = {"g": 0, "weight": 0}
-    stieltjes_panel(_counted(g, counts, "g"), _counted(weight, counts, "weight"), a, b)
+    _one_piece(_counted(g, counts, "g"), _counted(weight, counts, "weight"), a, b)
     assert counts == {"g": calls, "weight": calls}
+
+
+def test_stieltjes_pieces_in_one_call_equal_level_by_level(monkeypatch):
+    # every case as one piece of a single call; each block's weight call
+    # evaluates each row with the weight of the case that owns it
+    cases = list(PANEL_CASES.values())
+    blocks = _recorded_blocks(monkeypatch)
+
+    def weight(t):
+        rows = blocks[-1][0]
+        return np.concatenate([np.asarray(cases[r][1](edges), dtype=float)
+                               for r, edges in zip(rows, t.reshape(len(rows), -1))])
+
+    def g(t, rows):
+        return np.concatenate([np.asarray(cases[r][0](mids), dtype=float)
+                               for r, mids in zip(rows.tolist(), t)])
+
+    got = _quad._stieltjes_pieces(g, weight, [c[2] for c in cases], [c[3] for c in cases])
+    assert got == [_stieltjes_panel_reference(*c[:4]) for c in cases]
+
+
+def test_pieces_reaching_8192_subpanels_share_one_layout(monkeypatch):
+    blocks = _recorded_blocks(monkeypatch)
+    g, weight, a, b, _ = PANEL_CASES["jump_to_cap"]
+    _one_piece(g, weight, a, b)
+    _one_piece(g, weight, a, b)
+    layouts = [layout for _, layout in blocks]
+    assert len(layouts) == 4 and layouts[1][0][-1] == _quad._STIELTJES_N_MAX
+    assert layouts[2] is layouts[0] and layouts[3] is layouts[1]
 
 
 def test_stieltjes_drivers_equal_level_by_level_panels(monkeypatch):
@@ -258,7 +312,7 @@ def test_stieltjes_drivers_equal_level_by_level_panels(monkeypatch):
                 stieltjes_vs_monotone(_exp_decay, lambda t: np.sqrt(t)))
 
     got = run()
-    monkeypatch.setattr(_quad, "stieltjes_panel", _stieltjes_panel_reference)
+    monkeypatch.setattr(_quad, "_stieltjes_pieces", _stieltjes_pieces_reference)
     assert got == run()
 
 

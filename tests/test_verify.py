@@ -198,22 +198,31 @@ def test_two_sided_route_without_the_integral_criterion(case_b_model):
 
 def test_unconverged_quadrature_is_only_the_two_reported_divergences(
         monkeypatch, default_model, case_b_model, k_divergent_model):
-    # of every improper integral behind the three class-reduction fixtures,
-    # exactly two do not converge: route B of k_divergent's criterion_K and
-    # case_b's positive-part mean (mu_plus), each with its panel count and
-    # its partial sum
-    drive = _quad._improper_drive
+    # of every improper integral that `_drive` runs, one by one or in
+    # lockstep, behind the three class-reduction fixtures, exactly two do
+    # not converge: route B of k_divergent's criterion_K and case_b's
+    # positive-part mean (mu_plus), each named by its outermost `_quad`
+    # frame, with its panel count and its partial sum
+    drive = _quad._drive
     unconverged = []
     current = []
 
-    def recording(*args, **kwargs):
-        res = drive(*args, **kwargs)
-        if not res.converged:
-            unconverged.append((current[-1], sys._getframe(1).f_code.co_name,
-                                res.panels, res.value))
-        return res
+    def outermost_quad_frame():
+        name = None
+        frame = sys._getframe()
+        while frame is not None:
+            if frame.f_globals.get("__name__") == _quad.__name__:
+                name = frame.f_code.co_name
+            frame = frame.f_back
+        return name
 
-    monkeypatch.setattr(_quad, "_improper_drive", recording)
+    def recording(*args, **kwargs):
+        results = drive(*args, **kwargs)
+        unconverged.extend((current[-1], outermost_quad_frame(), res.panels, res.value)
+                           for res in results if not res.converged)
+        return results
+
+    monkeypatch.setattr(_quad, "_drive", recording)
     for name, model in (("default", default_model), ("case_b", case_b_model),
                         ("k_divergent", k_divergent_model)):
         current.append(name)
