@@ -58,11 +58,13 @@ def _gl_nodes() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 # Per-piece tolerances: Gauss-Legendre to 1e-12 relative (32 against 64
 # nodes), Stieltjes to 1e-11 relative with 16 to 8192 midpoint subpanels.
-# The improper driver stops at 1e-10 relative unless `improper_gl` is
-# told otherwise.
+# The improper driver stops at 1e-10 relative for the Stieltjes
+# integrals and at 1e-9 for `improper_gl`, which gives the positive-part
+# mean.
 _GL_REL_TOL = 1e-12
 _STIELTJES_REL_TOL = 1e-11
 _DRIVE_REL_TOL = 1e-10
+_IMPROPER_GL_REL_TOL = 1e-9
 _STIELTJES_N0 = 16
 _STIELTJES_N_MAX = 8192
 
@@ -225,10 +227,10 @@ def _drive(rule, starts, rel_tol: float, x0s, breakpoints) -> list[ImproperResul
     return results
 
 
-def improper_gl(f, rel_tol: float = _DRIVE_REL_TOL, breakpoints=()) -> ImproperResult:
+def improper_gl(f, breakpoints=()) -> ImproperResult:
     """integral of f over [0, infinity) with geometric panels from width 1."""
     return _drive(lambda lefts, rights, _: [gl_adaptive(f, l, r) for l, r in zip(lefts, rights)],
-                  [0.0], rel_tol, [1.0], [breakpoints])[0]
+                  [0.0], _IMPROPER_GL_REL_TOL, [1.0], [breakpoints])[0]
 
 
 # Richardson levels 16, 32, ..., 8192, evaluated five at a time

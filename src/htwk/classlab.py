@@ -122,11 +122,14 @@ def _conv_tails(G: GridDistribution, F: IncrementModel, xs) -> np.ndarray:
     return np.array([conv_tail(G, F, x) for x in xs])
 
 
-def _strip_mass(G: GridDistribution, xs, fbar) -> np.ndarray:
-    """G(x - 1, x] / F-bar(x) at each probe."""
-    arr = np.asarray(xs)
-    return (np.asarray(G.tail(arr - 1.0), dtype=float)
-            - np.asarray(G.tail(arr), dtype=float)) / fbar
+def probe_grid(xs) -> tuple[float, ...]:
+    """The probes as floats, checked nonnegative and strictly increasing."""
+    xs = tuple(float(x) for x in xs)
+    if any(b <= a for a, b in zip(xs, xs[1:])):
+        raise PreconditionError("probes must be strictly increasing")
+    if xs and xs[0] < 0:
+        raise PreconditionError("probes must be nonnegative")
+    return xs
 
 
 def membership_curve(kind: str, F: IncrementModel,
@@ -138,11 +141,7 @@ def membership_curve(kind: str, F: IncrementModel,
     Only kind SF takes the grid G, and it requires one; kind S builds
     its own grid from `grid_cfg`, out to `grid_cfg.horizon(xs)`.
     """
-    xs = tuple(float(x) for x in xs)
-    if any(b <= a for a, b in zip(xs, xs[1:])):
-        raise PreconditionError("probes must be strictly increasing")
-    if xs and xs[0] < 0:
-        raise PreconditionError("probes must be nonnegative")
+    xs = probe_grid(xs)
     if kind not in KINDS:
         raise PreconditionError(f"unknown kind {kind!r}; expected one of {KINDS}")
     if (G is None) == (kind == "SF"):
@@ -214,8 +213,10 @@ def small_increment_criterion(F: IncrementModel, G: GridDistribution,
     ratio -> 1 when F's class supports it.  Returns (small_increments,
     sf_curve); the caller establishes F's class and reads both verdicts."""
     xs, fbar = _probe_tails(F, xs)
-    small_diag = _diagnostic("unit-increment", xs, _strip_mass(G, xs, fbar),
-                             0.0, CURVE_TOL)
+    arr = np.asarray(xs)
+    strip = (np.asarray(G.tail(arr - 1.0), dtype=float)
+             - np.asarray(G.tail(arr), dtype=float)) / fbar
+    small_diag = _diagnostic("unit-increment", xs, strip, 0.0, CURVE_TOL)
     return small_diag, membership_curve("SF", F, G=G, xs=xs)
 
 
@@ -228,9 +229,10 @@ def measure_equivalence_check(F: IncrementModel, H1: RenewalMeasure,
 
     Precondition: H1(x)/H2(x) stays within a bounded band over the
     probes (growth by more than `_RATIO_GROWTH_BOUND` across them fails).
-    Emits the SF curve and the unit-increment curve for each measure.
+    Emits the SF curve and the unit-increment curve for each measure,
+    from `small_increment_criterion` on its integrated-tail grid.
     """
-    xs, fbar = _probe_tails(F, xs)
+    xs, _ = _probe_tails(F, xs)
     arr = np.asarray(xs)
     q = np.asarray(H1(arr), dtype=float) / np.asarray(H2(arr), dtype=float)
     if not np.all(np.isfinite(q)) or np.min(q) <= 0:
@@ -254,10 +256,8 @@ def measure_equivalence_check(F: IncrementModel, H1: RenewalMeasure,
             raise PreconditionError(f"integrated tail under {H.label} vanishes")
         grid = GridDistribution(knots=knots,
                                 tail_cont=np.minimum(1.0, route_a / i0))
-        out[f"sf_{tag}"] = membership_curve("SF", F, G=grid, xs=xs)
-        out[f"small_{tag}"] = _diagnostic(f"unit-increment-{tag}", xs,
-                                          _strip_mass(grid, xs, fbar),
-                                          0.0, CURVE_TOL)
+        small, sf = small_increment_criterion(F, grid, xs)
+        out[f"sf_{tag}"], out[f"small_{tag}"] = sf, small
 
     agree = out["sf_h1"].verdict == out["sf_h2"].verdict
     for key in ("sf_h1", "sf_h2"):

@@ -262,33 +262,27 @@ class Weibull(_HalfLineLaw):
         t = np.maximum(np.asarray(t, dtype=float), 0.0)
         return -np.expm1(-((t / self.scale) ** self.shape))
 
-    def _tail_integral(self, lo, hi):
+    def _gamma_mass(self, a, lo, hi):
+        """scale Gamma(1+1/shape) times the mass of [lo', hi'] under
+        Gamma(a), where t' = (t/scale)^shape.  The lower regularized
+        gamma differences that mass where it is below 1/2 at hi', the
+        upper one elsewhere, so neither difference cancels."""
         from scipy import special
 
-        # with u = (t/scale)^shape the integral is scale Gamma(1+1/shape)
-        # times the mass of [lo', hi'] under Gamma(1/shape); the lower
-        # regularized gamma differences that mass where it is below 1/2
-        # at hi', the upper one elsewhere, so neither difference cancels
-        a = 1.0 / self.shape
         u_lo = (lo / self.scale) ** self.shape
         u_hi = (hi / self.scale) ** self.shape
         p_hi = special.gammainc(a, u_hi)
         mass = np.where(p_hi < 0.5, p_hi - special.gammainc(a, u_lo),
                         special.gammaincc(a, u_lo) - special.gammaincc(a, u_hi))
-        return self.scale * special.gamma(1.0 + a) * mass
+        return self.scale * special.gamma(1.0 + 1.0 / self.shape) * mass
+
+    def _tail_integral(self, lo, hi):
+        # substituting u = (t/scale)^shape, the mass is under Gamma(1/shape)
+        return self._gamma_mass(1.0 / self.shape, lo, hi)
 
     def _partial_mean(self, lo, hi):
-        from scipy import special
-
-        # scale Gamma(1+1/shape) times the mass of [lo', hi'] under
-        # Gamma(1+1/shape), with the same choice of tail as above
-        a = 1.0 + 1.0 / self.shape
-        u_lo = (lo / self.scale) ** self.shape
-        u_hi = (hi / self.scale) ** self.shape
-        p_hi = special.gammainc(a, u_hi)
-        mass = np.where(p_hi < 0.5, p_hi - special.gammainc(a, u_lo),
-                        special.gammaincc(a, u_lo) - special.gammaincc(a, u_hi))
-        return self.scale * special.gamma(a) * mass
+        # and under Gamma(1+1/shape) for the partial mean
+        return self._gamma_mass(1.0 + 1.0 / self.shape, lo, hi)
 
     def _quantile(self, u):
         # scale (-log1p(-u))^(1/shape)
@@ -652,13 +646,12 @@ def truncated_neg_mean(model: IncrementModel) -> TruncatedMean:
 class RenewalMeasure:
     """Nondecreasing mass function H(t) = mass of [0, t] on the half line.
 
-    `atom0` is the mass sitting at exactly 0 (the 0th renewal for
-    empirical renewal functions; the limit of t/m(t) for the ratio
-    measure).  `fn` must return values that already include it.
+    H(0) is the mass sitting at exactly 0: the 0th renewal for empirical
+    renewal functions, the limit 1/c of t/m(t) for the ratio measure,
+    and none for Lebesgue measure.
     """
 
     fn: Callable
-    atom0: float = 0.0
     label: str = ""
     kinks: tuple[float, ...] = ()
 
@@ -670,14 +663,13 @@ class RenewalMeasure:
 
     @classmethod
     def lebesgue(cls):
-        return cls(fn=lambda t: np.asarray(t, dtype=float), atom0=0.0, label="lebesgue")
+        return cls(fn=lambda t: np.asarray(t, dtype=float), label="lebesgue")
 
     @classmethod
     def from_ratio(cls, tm: TruncatedMean):
         """H(t) = t/m(t), continuously extended by 1/c at 0; it has kinks
         where N-bar jumps or kinks."""
-        return cls(fn=tm.ratio, atom0=1.0 / tm.c0, label="ratio-to-mean",
-                   kinks=tm.breakpoints)
+        return cls(fn=tm.ratio, label="ratio-to-mean", kinks=tm.breakpoints)
 
     @classmethod
     def from_points(cls, xs, hs):
@@ -708,7 +700,7 @@ class RenewalMeasure:
             return out
 
         return cls(fn=lambda t: fn(np.atleast_1d(np.asarray(t, dtype=float))).reshape(np.shape(t)),
-                   atom0=1.0, label="empirical", kinks=tuple(xs.tolist()))
+                   label="empirical", kinks=tuple(xs.tolist()))
 
 
 # the two routes must agree within 1e-8 relative wherever neither is
@@ -753,19 +745,20 @@ def renewal_integrated_tail_forms(model: IncrementModel, measure: RenewalMeasure
     """
     x, x0, _ = _panel_plan(model, measure, x)
     fbar_x = float(model.tail_pos(x))
+    h0 = measure(0.0)
 
     def f_shift(t):
         return np.asarray(model.tail_pos(np.asarray(t, dtype=float) + x), dtype=float)
 
     def h_cont(t):
-        return np.asarray(measure(t), dtype=float) - measure.atom0
+        return np.asarray(measure(t), dtype=float) - h0
 
     shifted = [b - x for b in model.pos_breakpoints if b > x]
     res_a = _quad.stieltjes_vs_monotone(f_shift, h_cont, x0=x0,
                                         breakpoints=[*measure.kinks, *shifted])
     if not res_a.converged:
         raise PreconditionError("measure-integrated tail: H dF-bar integral diverges")
-    route_a = measure.atom0 * fbar_x + res_a.value
+    route_a = h0 * fbar_x + res_a.value
 
     res_b = _route_b(model, measure, x)
     if not res_b.converged:
@@ -778,23 +771,6 @@ def renewal_integrated_tail(model: IncrementModel, measure: RenewalMeasure, x):
     `two_route_curve`, clipped."""
     out = np.minimum(1.0, two_route_curve(model, measure, x))
     return float(out[0]) if np.ndim(x) == 0 else out
-
-
-def _cell_ladder(s_max: float, kinks=()) -> tuple[np.ndarray, np.ndarray]:
-    """Shared cells on [0, s] with s >= s_max for the measure-tail curves.
-
-    The ladder's panels have widths 0.5, 1, 2, 4, ...; kinks strictly
-    inside it cut panels into cells.  Returns the cell edges and, for
-    each cell, the index of the ladder panel that holds it.
-    """
-    ladder = [0.0]
-    width = 0.5
-    while ladder[-1] < s_max:
-        ladder.append(ladder[-1] + width)
-        width *= 2.0
-    ladder = np.asarray(ladder)
-    edges = np.union1d(ladder, [k for k in kinks if 0.0 < k < ladder[-1]])
-    return edges, np.searchsorted(ladder, edges[:-1], side="right") - 1
 
 
 # the measure-tail curves: cells reach past 1e13 and hold 64 subcells
@@ -813,13 +789,23 @@ _RENEWAL_CURVE_REL_TOL = 1e-10
 class _CellSet:
     """The shared cells of the rows with one cut set, and H on them.
 
-    Cells are the doubling ladder cut at the measure's kinks and at
-    `cuts`; each holds `n_sub` uniform subcells, and H is evaluated
-    once at every subcell edge.
+    The ladder's panels, of widths 0.5, 1, 2, 4, ..., reach
+    `_RENEWAL_CURVE_S_MAX`; the measure's kinks and `cuts` strictly
+    inside it cut them into cells.  Each cell holds `n_sub` uniform
+    subcells, and H is evaluated once at every subcell edge.
     """
 
     def __init__(self, measure: RenewalMeasure, cuts, n_sub: int):
-        edges, panel = _cell_ladder(_RENEWAL_CURVE_S_MAX, [*measure.kinks, *cuts])
+        ladder = [0.0]
+        width = 0.5
+        while ladder[-1] < _RENEWAL_CURVE_S_MAX:
+            ladder.append(ladder[-1] + width)
+            width *= 2.0
+        ladder = np.asarray(ladder)
+        edges = np.union1d(ladder, [k for k in (*measure.kinks, *cuts)
+                                    if 0.0 < k < ladder[-1]])
+        # the ladder panel that holds each cell
+        panel = np.searchsorted(ladder, edges[:-1], side="right") - 1
         a, b = edges[:-1, None], edges[1:, None]
         sub = a + (b - a) * np.linspace(0.0, 1.0, n_sub + 1)
         sub[:, -1] = edges[1:]
@@ -893,10 +879,10 @@ def _measure_tail_curves(model: IncrementModel, measure: RenewalMeasure, xs,
     """Route A, and route B if `with_b`, of the measure-integrated tail
     for a whole x array, unclipped:
 
-        A(x) = atom0 F-bar_c(x) + integral of F-bar_c(t + x) dH_c(t) + S(x),
+        A(x) = H(0) F-bar_c(x) + integral of F-bar_c(t + x) dH_c(t) + S(x),
         B(x) = integral of H(t) d[-F-bar_c(t + x)] + S(x),
 
-    where H_c = H - atom0, F-bar_c is F-bar without its atoms, and S(x)
+    where H_c = H - H(0), F-bar_c is F-bar without its atoms, and S(x)
     sums m_a H(a - x) exactly over F's atoms a > x.  Each row's cells are
     the doubling ladder cut at the measure's kinks and at b - x for F's
     breakpoints b > x, so F-bar(t + x) is smooth inside every cell; rows
@@ -917,7 +903,7 @@ def _measure_tail_curves(model: IncrementModel, measure: RenewalMeasure, xs,
         cells = _CellSet(measure, cuts, n_sub)
         for out, route in zip(outs, routes):
             out[rows] = route(cells, fbar_cont, xs[rows])
-    outs[0] += measure.atom0 * fbar_cont(xs)
+    outs[0] += measure(0.0) * fbar_cont(xs)
     if locs.size:
         d = locs[None, :] - xs[:, None]
         h_at = measure(np.maximum(d, 0.0).ravel()).reshape(d.shape)
@@ -1029,8 +1015,7 @@ def integrated_tail_curve(model: IncrementModel, K: float, xs) -> np.ndarray:
 def mu_plus(model: IncrementModel) -> float:
     """integral of F-bar over [0, infinity) to 1e-9 relative; raises
     DivergenceError if infinite."""
-    res = _quad.improper_gl(model.tail_pos, rel_tol=1e-9,
-                            breakpoints=model.pos_breakpoints)
+    res = _quad.improper_gl(model.tail_pos, breakpoints=model.pos_breakpoints)
     if not res.converged:
         raise DivergenceError("positive-part mean diverges", res.value)
     return res.value
@@ -1088,11 +1073,16 @@ class GridConfig:
         return max(self.x_max, 10.0 * xs[-1])
 
 
-def geometric_knots(x_max: float = 1e6, ppd: int = 64, x_min: float = 1e-3) -> np.ndarray:
-    decades = math.log10(x_max / x_min)
+# the first knot past 0
+_KNOT_MIN = 1e-3
+
+
+def geometric_knots(x_max: float = 1e6, ppd: int = 64) -> np.ndarray:
+    """0, then `ppd` knots per decade from `_KNOT_MIN` to x_max."""
+    decades = math.log10(x_max / _KNOT_MIN)
     count = max(2, int(math.ceil(decades * ppd)))
-    ladder = np.logspace(math.log10(x_min), math.log10(x_max), count + 1)
-    ladder[0] = x_min
+    ladder = np.logspace(math.log10(_KNOT_MIN), math.log10(x_max), count + 1)
+    ladder[0] = _KNOT_MIN
     ladder[-1] = x_max
     return np.concatenate([[0.0], ladder])
 
@@ -1241,13 +1231,13 @@ class GridDistribution:
 
     # -- particle view ----------------------------------------------------
 
-    def particles(self, refine: int = 4, hi: float | None = None,
-                  with_atoms: bool = True) -> tuple[np.ndarray, np.ndarray]:
+    def particles(self, refine: int = 4,
+                  hi: float | None = None) -> tuple[np.ndarray, np.ndarray]:
         """Representative locations and masses of the restriction to
         [0, hi], atoms kept exactly and each continuous cell split into
         `refine` subcells placed at their interpolation-rule centroids."""
         hi = self.x_max if hi is None else min(float(hi), self.x_max)
-        a_keep = (self.atom_locs <= hi) & with_atoms
+        a_keep = self.atom_locs <= hi
         a_locs = self.atom_locs[a_keep]
         a_mass = self.atom_masses[a_keep]
 
@@ -1366,12 +1356,12 @@ class GridDistribution:
     def convolve(self, other: "GridDistribution") -> "GridDistribution":
         """The distribution of the sum of independent draws from both.
 
-        Atom pairs are summed exactly; the rest is each atom shifting the
-        other's continuous part, and this grid's continuous part, as
-        `CONV_REFINE` particles per cell, shifting the other's.  The tail
-        at the union of both knot sets is one `_shifted_tail_sum` per
-        pairing, so a temporary holds at most max(_GRID_BLOCK, particles)
-        elements however many knots meet.
+        Atom pairs are summed exactly; the rest is the other's atoms
+        shifting this grid's continuous part, and this grid's atoms and
+        continuous part, as `CONV_REFINE` particles per cell, shifting
+        the other's.  The tail at the union of both knot sets is one
+        `_shifted_tail_sum` per pairing, so a temporary holds at most
+        max(_GRID_BLOCK, particles) elements however many knots meet.
         """
         knots = np.union1d(self.knots, other.knots)
         m1b, m2b = self.mass_beyond, other.mass_beyond
@@ -1389,10 +1379,8 @@ class GridDistribution:
             beyond += float(masses[~inside].sum())
             new_locs, new_masses = _merge_atoms(locs[inside], masses[inside])
 
-        p_locs, p_masses = self.particles(refine=CONV_REFINE, with_atoms=False)
-        tail_at = (other._shifted_tail_sum(knots, self.atom_locs, self.atom_masses)
-                   + self._shifted_tail_sum(knots, other.atom_locs, other.atom_masses)
-                   + other._shifted_tail_sum(knots, p_locs, p_masses))
+        tail_at = (other._shifted_tail_sum(knots, *self.particles(refine=CONV_REFINE))
+                   + self._shifted_tail_sum(knots, other.atom_locs, other.atom_masses))
 
         resolved_tail = float(tail_at[-1])
         beyond += resolved_tail
@@ -1429,17 +1417,19 @@ def _check_horizon(grid: GridDistribution, x: float) -> None:
                            f"with unresolved mass {grid.mass_beyond:.3e}")
 
 
+def _particle_sum(grid: GridDistribution, x: float, tail) -> float:
+    """integral over [0, x] of G(du) tail(x - u) for x >= 0, a Stieltjes
+    sum over the grid's particles on [0, x], `PROBE_REFINE` per cell."""
+    locs, masses = grid.particles(refine=PROBE_REFINE, hi=x)
+    return float(np.dot(masses, np.asarray(tail(x - locs), dtype=float)))
+
+
 def conv_tail(grid: GridDistribution, model: IncrementModel, x: float) -> float:
     """integral over [0, x] of G(du) F-bar(x - u), a Stieltjes sum over
     grid cells with centroid representatives."""
     x = float(x)
     _check_horizon(grid, x)
-    if x < 0:
-        return 0.0
-    locs, masses = grid.particles(refine=PROBE_REFINE, hi=x)
-    if locs.size == 0:
-        return 0.0
-    return float(np.dot(masses, np.asarray(model.tail_pos(x - locs), dtype=float)))
+    return 0.0 if x < 0 else _particle_sum(grid, x, model.tail_pos)
 
 
 def self_conv_tail(grid: GridDistribution, x: float) -> float:
@@ -1448,8 +1438,4 @@ def self_conv_tail(grid: GridDistribution, x: float) -> float:
     _check_horizon(grid, x)
     if x < 0:
         return float(min(1.0, grid.total_mass ** 2))
-    locs, masses = grid.particles(refine=PROBE_REFINE, hi=x)
-    head = float(grid.tail(x))
-    if locs.size == 0:
-        return head
-    return head + float(np.dot(masses, grid.tail(x - locs)))
+    return float(grid.tail(x)) + _particle_sum(grid, x, grid.tail)

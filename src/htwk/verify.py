@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .classlab import (CURVE_TOL, PROBES_DEFAULT, membership_curve,
-                       small_increment_criterion)
+                       probe_grid, small_increment_criterion)
 from .errors import DivergenceError, PreconditionError
 from .tailmath import (GridConfig, GridDistribution, IncrementModel, conv_tail,
                        criterion_K, integrated_tail_curve, truncated_neg_mean)
@@ -158,11 +158,7 @@ def cycle_max_report(model: IncrementModel, xs, cycles: int, seed: int,
     convolution with the increment's positive tail.
     """
     t0 = time.perf_counter()
-    xs = tuple(float(x) for x in xs)
-    if any(b <= a for a, b in zip(xs, xs[1:])):
-        raise PreconditionError("probes must be strictly increasing")
-    if xs and xs[0] < 0:
-        raise PreconditionError("probes must be nonnegative")
+    xs = probe_grid(xs)
     stats, rows = mtau_tail_estimate(model, xs, cycles, seed, workers=workers)
     fbar = np.asarray(model.tail_pos(np.asarray(xs)), dtype=float)
     tau_lo = stats.tau_mean - Z95 * stats.tau_se

@@ -269,7 +269,6 @@ UNPASSED_DEFAULT_ALLOWED = {
         "ACCEPT-06 and the class tests run the light law's S curve on a short grid",
     "classlab.py:majorant_check(xs)":
         "the light law's majorant test needs probes where no anchor exists",
-    "tailmath.py:geometric_knots(x_min)": "the knot ladder's range test",
 }
 
 
@@ -401,8 +400,6 @@ def fixed_parameters(sources: dict[str, str], readers: dict[str, str]) -> list[s
 # parameters that every call passes the same value, each kept for the
 # reason given
 FIXED_PARAMETER_ALLOWED = {
-    "_quad.py:improper_gl(rel_tol)":
-        "mu_plus asks for 1e-9; the quadrature tests run at the 1e-10 default",
     "classlab.py:majorant_check(epsilon)":
         "only the benchmark calls it (ROADMAP direction 7)",
     "classlab.py:measure_equivalence_check(xs)":

@@ -551,6 +551,18 @@ def test_zero_measure_gives_zero_tail(default_model):
     assert abs(b) < 1e-14
 
 
+def test_route_a_reads_the_mass_at_zero_from_the_measure(default_model):
+    # H(t) = 1 + t is Lebesgue measure plus a unit atom at 0, so both
+    # routes give F-bar(x) + integral of F-bar over (x, infinity)
+    unit = RenewalMeasure(fn=lambda t: 1.0 + np.asarray(t, dtype=float), label="unit")
+    x = 3.0
+    a, b = renewal_integrated_tail_forms(default_model, unit, x)
+    # 0.5 (1 + x)^-1.5 + (1 + x)^-0.5
+    want = 0.5 * (1.0 + x) ** -1.5 + (1.0 + x) ** -0.5
+    assert a == pytest.approx(want, rel=1e-10)
+    assert b == pytest.approx(want, rel=1e-10)
+
+
 def test_interpolated_measure_passes_through_probes():
     H = RenewalMeasure.from_points([1.0, 10.0, 100.0], [2.0, 5.0, 11.0])
     assert np.allclose(H(np.array([1.0, 10.0, 100.0])), [2.0, 5.0, 11.0])
@@ -713,6 +725,22 @@ def test_symmetric_self_convolution_integral():
     assert sstar_integral(model, 0.0) == 0.0
 
 
+@pytest.mark.parametrize("x", [3.0, 5.0, 10.0, 100.0])
+def test_symmetric_integral_cuts_at_a_positive_kink(x):
+    # F-bar kinks at 2, so the integrand kinks at y = 2 and y = x - 2;
+    # the symmetric half takes whichever of them lies below x/2
+    model = spec_to_model("mix(0.5: shift(2, pareto(alpha=1.5, kappa=1)), "
+                          "0.5: neg(pareto(alpha=0.5, kappa=1)))")
+    assert model.pos_breakpoints == [2.0]
+
+    def integrand(y):
+        return float(model.tail_pos(x - y)) * float(model.tail_pos(y))
+
+    want, _ = scipy.integrate.quad(integrand, 0.0, x, points=[2.0, x - 2.0],
+                                   epsabs=0.0, epsrel=1e-13, limit=200)
+    assert sstar_integral(model, x) == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
 def test_symmetric_integral_approaches_twice_the_mean():
     model = spec_to_model("pareto(alpha=1.5, kappa=1)")
     x = 1e4
@@ -726,9 +754,9 @@ def test_symmetric_integral_approaches_twice_the_mean():
 
 
 def test_knot_ladder_spans_the_requested_range():
-    knots = geometric_knots(1e4, ppd=8, x_min=1e-2)
+    knots = geometric_knots(1e4, ppd=8)
     assert knots[0] == 0.0
-    assert knots[1] == 1e-2
+    assert knots[1] == 1e-3
     assert knots[-1] == 1e4
     assert np.all(np.diff(knots) > 0)
 
@@ -770,11 +798,6 @@ def test_grid_from_model_puts_an_atom_beyond_the_horizon_in_mass_beyond():
     assert np.allclose(grid.tail(ys), free.tail(ys) + 0.5, rtol=0.0, atol=1e-12)
 
 
-def _sorted_particles(locs, masses):
-    order = np.lexsort((masses, locs))
-    return locs[order], masses[order]
-
-
 @pytest.mark.parametrize("hi", [3.0, 7.5, 1.3],
                          ids=["atom-at-hi", "atom-inside", "atom-past-hi"])
 def test_sub_range_particles_carry_the_range_mass(hi):
@@ -783,14 +806,9 @@ def test_sub_range_particles_carry_the_range_mass(hi):
     locs, masses = grid.particles(refine=4, hi=hi)
     assert masses.sum() == pytest.approx(grid.total_mass - grid.tail(hi), rel=1e-12)
     assert np.all((locs >= 0.0) & (locs <= hi))
-    # with_atoms=False drops exactly the atom, and nothing else
-    c_locs, c_masses = grid.particles(refine=4, hi=hi, with_atoms=False)
-    if hi >= 3.0:
-        c_locs = np.append(c_locs, 3.0)
-        c_masses = np.append(c_masses, 0.5)
-    for got, exp in zip(_sorted_particles(locs, masses),
-                        _sorted_particles(c_locs, c_masses)):
-        assert np.array_equal(got, exp)
+    # the atom at 3 is one particle, exactly when it lies in [0, hi]
+    atom = (locs == 3.0) & (masses == 0.5)
+    assert int(atom.sum()) == (1 if hi >= 3.0 else 0)
 
 
 def test_sample_grid_matches_empirical_frequencies():
@@ -849,6 +867,19 @@ def test_conv_tail_with_point_mass_is_exact(default_model):
     for x in (3.0, 50.0):
         want = float(default_model.tail_pos(x - 2.0))
         assert conv_tail(grid, default_model, x) == pytest.approx(want, rel=1e-14)
+
+
+def test_conv_tails_below_and_at_the_first_particle(integrated_tail_grid, default_model):
+    G = integrated_tail_grid
+    assert G.atom_locs.size == 0
+    # below 0 there is no particle to sum, and X1 + X2 > x whenever both
+    # draws exist, which they do with probability total_mass^2
+    assert conv_tail(G, default_model, -1.0) == 0.0
+    assert self_conv_tail(G, -1.0) == min(1.0, G.total_mass ** 2)
+    # at 0 the grid has no particle in [0, 0], which leaves the head term
+    assert G.particles(refine=tailmath.PROBE_REFINE, hi=0.0)[0].size == 0
+    assert conv_tail(G, default_model, 0.0) == 0.0
+    assert self_conv_tail(G, 0.0) == G.tail(0.0)
 
 
 def test_horizon_violations_raise():
@@ -916,11 +947,9 @@ def _dense_convolve(g: GridDistribution, h: GridDistribution):
     """`convolve`'s continuous tail and mass beyond the horizon, with every
     knot x shift matrix evaluated in one piece by `_cell_rule`."""
     knots = np.union1d(g.knots, h.knots)
-    p_locs, p_masses = g.particles(refine=tailmath.CONV_REFINE, with_atoms=False)
     tail_at = np.zeros(knots.size)
-    for grid, shifts, weights in ((h, g.atom_locs, g.atom_masses),
-                                  (g, h.atom_locs, h.atom_masses),
-                                  (h, p_locs, p_masses)):
+    for grid, (shifts, weights) in ((h, g.particles(refine=tailmath.CONV_REFINE)),
+                                    (g, (h.atom_locs, h.atom_masses))):
         if shifts.size:
             d = knots[:, None] - shifts[None, :]
             vals = _cell_rule(grid, np.maximum(d, 0.0))

@@ -15,6 +15,7 @@ from htwk.verify import (
     VerificationReport,
     ladder_identity_report,
     cycle_max_report,
+    renewal_bound_report,
     run_verification,
     class_reduction_report,
 )
@@ -171,6 +172,18 @@ def test_sparse_hits_give_no_verdict(default_model):
                               xs=(500.0, 1000.0), cycles=2000, sup_reps=0)
     assert report.blocks[0].verdict is None
     assert report.overall() is None
+
+
+def test_renewal_band_is_not_identified_when_the_maximum_is_always_zero():
+    # a walk with no positive step never rises above 0, so the Wilson
+    # interval of p = P(M = 0) reaches 1 and the band [p, 2p] is unknown
+    model = spec_to_model("neg(pareto(alpha=0.5, kappa=1))")
+    block = renewal_bound_report(model, reps=200, seed=1)
+    assert block.scalars["p_hat"] == 1.0
+    assert block.scalars["p_hi"] >= 1.0
+    assert block.verdict is None
+    assert block.notes == ("zero-maximum probability interval touches {0,1}; "
+                           "band is not identified",)
 
 
 def test_divergent_criterion_reports_red_with_no_claims(k_divergent_model):
