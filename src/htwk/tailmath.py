@@ -16,8 +16,9 @@ renewal measures, never through a 0/0.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Callable
 
 import numpy as np
@@ -524,6 +525,126 @@ class Mixture(Law):
 
 
 # ----------------------------------------------------------------------
+# scalar sampling from a read-ahead uniform tape
+# ----------------------------------------------------------------------
+
+# Each rule below draws n values of one node of the law tree as a list,
+# spending the tape's uniforms in the order the node's `sample` spends
+# its generator's.  They are module-level functions bound by `partial`,
+# so a model that holds its compiled sampler still pickles.
+
+def _leaf_draws(k, tape, n):
+    p = tape.pos
+    tape.pos = p + n
+    return tape.q[k][p:p + n].tolist()
+
+
+def _point_draws(c, tape, n):
+    return [c] * n
+
+
+def _mixture_draws(cuts, arms, tape, n):
+    # bisect_right(cuts, u) is the child whose mask takes u in
+    # Mixture.sample; each child draws for all its walks, in child order
+    p = tape.pos
+    tape.pos = p + n
+    pick = [bisect_right(cuts, u) for u in tape.u[p:p + n].tolist()]
+    if n == 1:  # the commonest tail step needs no merge
+        return arms[pick[0]](tape, 1)
+    draws = [iter(arm(tape, k)) if (k := pick.count(j)) else None
+             for j, arm in enumerate(arms)]
+    return [next(draws[j]) for j in pick]
+
+
+def _compile_scalar(law: Law, leaves: list, post: tuple = ()
+                    ) -> tuple[int, Callable] | None:
+    """(most uniforms one draw spends, draw rule) of a law whose draws
+    then go through the steps `post` in order, each None for a negation
+    or the offset a shift adds.  Neg and shift pass their step down to
+    the leaves, where it is the same numpy operation on a chunk of
+    quantiles as on a step's draws.  Each (inverse-transform leaf,
+    steps) pair is appended to `leaves` once, and the rule reads its
+    values by its index there.  None where some leaf spends its stream
+    otherwise (lognormal's normals)."""
+    if isinstance(law, Mixture):
+        arms = [_compile_scalar(ch, leaves, post) for ch in law.children]
+        if None in arms:
+            return None
+        return (1 + max(need for need, _ in arms),
+                partial(_mixture_draws, law._cumw[:-1], [a for _, a in arms]))
+    if isinstance(law, Neg):
+        return _compile_scalar(law.child, leaves, (None, *post))
+    if isinstance(law, Shift):
+        return _compile_scalar(law.child, leaves, (float(law.c), *post))
+    if isinstance(law, PointMass):
+        c = float(law.c)
+        for step in post:
+            c = -c if step is None else c + step
+        return 0, partial(_point_draws, c)
+    if isinstance(law, _HalfLineLaw) and type(law).sample is _HalfLineLaw.sample:
+        if (law, post) not in leaves:
+            leaves.append((law, post))
+        return 1, partial(_leaf_draws, leaves.index((law, post)))
+    return None
+
+
+def _leaf_values(leaf: _HalfLineLaw, post: tuple, u: np.ndarray) -> np.ndarray:
+    """The leaf's quantiles of the uniforms u through the steps `post`."""
+    v = leaf._quantile(u.copy())
+    for step in post:
+        if step is None:
+            np.negative(v, out=v)
+        else:
+            v += step
+    return v
+
+
+class _UniformTape:
+    """A generator's uniforms read ahead at least `chunk` at a time,
+    with each inverse-transform leaf's values of them taken by the leaf's
+    own numpy `_quantile` and its neg and shift steps, so a scalar draw
+    has the vector draw's bits.  `IncrementModel.sample(tape, n)` spends them in the stream
+    contract's order; spent uniforms are dropped at the next read, and
+    `close` puts the generator where the same draws from it leave it."""
+
+    def __init__(self, model: IncrementModel, gen: np.random.Generator,
+                 chunk: int):
+        self.leaves, self.need, self.draw = model._scalar_sampler
+        self.gen = gen
+        self.chunk = chunk
+        self.state = gen.bit_generator.state
+        self.u = np.empty(0)
+        self.q = [np.empty(0) for _ in self.leaves]
+        self.pos = 0
+        self.dropped = 0
+
+    def draws(self, n: int) -> list[float]:
+        if self.u.size - self.pos < n * self.need:
+            self._read(max(self.chunk, n * self.need))
+        return self.draw(self, n)
+
+    def _read(self, k: int) -> None:
+        p = self.pos
+        r = self.gen.random(k)
+        self.q = [np.concatenate((q[p:], _leaf_values(leaf, post, r)))
+                  for q, (leaf, post) in zip(self.q, self.leaves)]
+        self.u = np.concatenate((self.u[p:], r))
+        self.dropped += p
+        self.pos = 0
+
+    def close(self) -> None:
+        """Restore the generator's state at the tape's start and redraw
+        the uniforms spent since, a chunk at a time."""
+        left = self.dropped + self.pos
+        self.gen.bit_generator.state = self.state
+        buf = np.empty(min(left, self.chunk))
+        while left:
+            k = min(left, buf.size)
+            self.gen.random(out=buf[:k])
+            left -= k
+
+
+# ----------------------------------------------------------------------
 # increment model
 # ----------------------------------------------------------------------
 
@@ -561,8 +682,21 @@ class IncrementModel:
         """N-bar(y) = P(xi < -y) = P(xi^- > y) for y >= 0."""
         return self.law.cdf_strict(-np.asarray(y, dtype=float))
 
-    def sample(self, gen: np.random.Generator, n: int) -> np.ndarray:
+    def sample(self, gen: np.random.Generator | _UniformTape, n: int) -> np.ndarray:
+        """n draws of the law from a generator, or from a `_UniformTape`
+        of one, which spends the same uniforms for the same draws."""
+        if isinstance(gen, _UniformTape):
+            return np.array(gen.draws(n))
         return self.law.sample(gen, n)
+
+    @cached_property
+    def _scalar_sampler(self) -> tuple[list, int, Callable] | None:
+        """((inverse-transform leaf, steps) pairs, most uniforms one draw
+        spends, draw rule) for a `_UniformTape`; None for a law with a
+        lognormal leaf."""
+        leaves: list[tuple[Law, tuple]] = []
+        plan = _compile_scalar(self.law, leaves)
+        return None if plan is None else (leaves, *plan)
 
     @cached_property
     def infinite_neg_mean(self) -> bool:

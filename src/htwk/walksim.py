@@ -13,8 +13,15 @@ lockstep and stops each at the first step where the kernel's stop rule
 holds (a first descent for cycles, a fall of `barrier` below the
 running maximum for sup, a strict ascent or a fall to -barrier for
 ladder).  Each lockstep step makes exactly one `model.sample` call for
-all live walks, in start order; that call sequence is part of each
-stream's layout.  It keeps a compact active set: finished walks are
+all live walks, in start order.  The stream's layout is the order in
+which those calls spend its uniforms, not how they are read: once at
+most _TAIL_WALKS walks are live, `_walk_tail` steps them in plain
+Python, drawing from a `tailmath._UniformTape` that reads the
+uniforms ahead in chunks and then puts the generator back where the
+spent draws leave it, so every draw and the generator's final state
+are the vector path's bit for bit.  A law with a lognormal leaf, whose
+normals are not one uniform each, stays on the vector path.  The
+vector steps keep a compact active set: finished walks are
 written to their original slots and dropped from the working arrays,
 so memory tracks the surviving population, not the step count.
 Finished walks leave the working arrays by index gathers (`nonzero`,
@@ -37,7 +44,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BudgetError, PreconditionError
-from .tailmath import IncrementModel
+from .tailmath import IncrementModel, _UniformTape
 
 # stream purposes: one lane per experiment family
 CYCLES, SUP, LADDER, RENEWAL, NU = range(5)
@@ -46,6 +53,8 @@ STEP_BUDGET_DEFAULT = 10 ** 9
 # cycles a shard simulates per kernel call; part of each shard's stream layout
 CHUNK = 1 << 20
 BARRIER_DEFAULT = 1e4
+# live walks at or below which `_walk` steps in plain Python
+_TAIL_WALKS = 32
 ESCAPE_FLAG_LEVEL = 1e-4
 
 Z95 = 1.959963984540054
@@ -193,7 +202,8 @@ def _walk(model: IncrementModel, gen: np.random.Generator, n: int, stop,
     where stop(S, M) holds for its position S and running maximum M.
 
     Returns (S, M, T) of every walk at its stopping step, in start
-    order, and the number of increments drawn.
+    order, and the number of increments drawn.  Once at most
+    _TAIL_WALKS walks are live, `_walk_tail` moves the rest.
     """
     S_end = np.empty(n)
     M_end = np.empty(n)
@@ -203,15 +213,18 @@ def _walk(model: IncrementModel, gen: np.random.Generator, n: int, stop,
     idx = np.arange(n)
     steps = 0
     t = 0  # walks move in lockstep, so every live walk has taken t steps
+    tail = _TAIL_WALKS if model._scalar_sampler is not None else 0
     while idx.size:
+        if idx.size <= tail:
+            steps = _walk_tail(model, gen, stop, step_budget, steps, t,
+                               zip(S.tolist(), Mx.tolist(), idx.tolist()),
+                               (S_end, M_end, T_end))
+            break
         # in place, so the step's draws are gone before the live set is
         # compacted
         S += model.sample(gen, idx.size)
         steps += idx.size
-        if steps > step_budget:
-            raise BudgetError(
-                f"step budget {step_budget:g} exceeded at {steps:g} "
-                "increments; the model may not drift to -infinity")
+        _check_budget(steps, step_budget)
         t += 1
         np.maximum(Mx, S, out=Mx)
         done = stop(S, Mx)
@@ -228,6 +241,50 @@ def _walk(model: IncrementModel, gen: np.random.Generator, n: int, stop,
             Mx = Mx.take(k)
             idx = idx.take(k)
     return S_end, M_end, T_end, steps
+
+
+def _walk_tail(model: IncrementModel, gen: np.random.Generator, stop,
+               step_budget: int, steps: int, t: int, live, ends) -> int:
+    """`_walk`'s steps in plain Python for its last few walks, given as
+    (S, M, slot) after t steps; writes each walk's (S, M, T) into the
+    arrays `ends` at its slot and returns the steps.
+
+    The draws come from a `_UniformTape` of gen that reads at least
+    8 * _TAIL_WALKS uniforms at a time, and gen is left as the same
+    draws leave it, even when the budget runs out.  The budget check and
+    `np.maximum`'s result (M on a tie, NaN once S is NaN) are the vector
+    steps' own.
+    """
+    S_end, M_end, T_end = ends
+    live = list(live)
+    tape = _UniformTape(model, gen, 8 * _TAIL_WALKS)
+    try:
+        while live:
+            draws = model.sample(tape, len(live)).tolist()
+            steps += len(live)
+            _check_budget(steps, step_budget)
+            t += 1
+            kept = []
+            for (s, m, i), x in zip(live, draws):
+                s += x
+                m = m if m >= s else s
+                if stop(s, m):
+                    S_end[i] = s
+                    M_end[i] = m
+                    T_end[i] = t
+                else:
+                    kept.append((s, m, i))
+            live = kept
+    finally:
+        tape.close()
+    return steps
+
+
+def _check_budget(steps: int, step_budget: int) -> None:
+    if steps > step_budget:
+        raise BudgetError(
+            f"step budget {step_budget:g} exceeded at {steps:g} "
+            "increments; the model may not drift to -infinity")
 
 
 def _cycles_kernel(model: IncrementModel, gen: np.random.Generator, n: int,

@@ -6,7 +6,8 @@ defaulted parameter of those functions and methods is passed by some
 call in the package or the benchmark, no parameter of theirs gets one
 and the same value from every such call (each scan has an explicit
 allow-list), the package's `__all__` lists exactly what `__init__.py`
-imports, and the benchmark's tracer finds every name it wraps."""
+imports, the package reads no environment variable but `HTWK_WORKERS`,
+and the benchmark's tracer finds every name it wraps."""
 
 import ast
 import importlib.util
@@ -465,6 +466,60 @@ def test_the_scan_sees_a_stale_export_list():
 
 def test_package_exports_match_its_imports():
     assert export_problems((SRC / "__init__.py").read_text()) == []
+
+
+_ENV_NAMES = {"environ", "environb", "getenv", "getenvb"}
+
+
+def environment_reads(source: str) -> list[str]:
+    """The key of each use of the process environment (`os.environ`,
+    `os.getenv` and their bytes forms, also imported bare), in source
+    order; a use whose key is no string literal, such as a loop over
+    `os.environ`, reads as '?'."""
+    tree = ast.parse(source)
+    parent = {child: node for node in ast.walk(tree)
+              for child in ast.iter_child_nodes(node)}
+
+    def literal(node):
+        ok = isinstance(node, ast.Constant) and isinstance(node.value, str)
+        return node.value if ok else "?"
+
+    keys = []
+    for node in ast.walk(tree):
+        name = (node.attr if isinstance(node, ast.Attribute)
+                else node.id if isinstance(node, ast.Name) else None)
+        if name not in _ENV_NAMES:
+            continue
+        up = parent.get(node)
+        if isinstance(up, ast.Subscript) and up.value is node:
+            key = literal(up.slice)
+        elif isinstance(up, ast.Call) and up.func is node and up.args:
+            key = literal(up.args[0])
+        elif (isinstance(up, ast.Attribute) and up.attr == "get"
+              and isinstance(parent.get(up), ast.Call) and parent[up].args):
+            key = literal(parent[up].args[0])
+        else:
+            key = "?"
+        keys.append((node.lineno, node.col_offset, key))
+    return [key for _, _, key in sorted(keys)]
+
+
+def test_the_scan_sees_an_environment_read():
+    source = ("import os\nfrom os import environ, getenv\n"
+              "a = os.environ.get('HTWK_WORKERS')\nb = os.environ['HTWK_TAIL']\n"
+              "c = os.getenv('X', '1')\nd = environ.get(name)\n"
+              "e = dict(os.environ)\nf = getenv('Y')\n")
+    assert environment_reads(source) == ["HTWK_WORKERS", "HTWK_TAIL", "X",
+                                         "?", "?", "Y"]
+
+
+def test_the_package_reads_no_environment_variable_but_the_worker_count():
+    # a tuning value belongs in code or in a documented option, never in
+    # a hidden environment knob
+    reads = {p.name: environment_reads(p.read_text()) for p in PACKAGE}
+    assert reads["cli.py"] == ["HTWK_WORKERS"]
+    assert {mod: [k for k in keys if k != "HTWK_WORKERS"]
+            for mod, keys in reads.items()} == {mod: [] for mod in reads}
 
 
 def _bindings() -> dict:

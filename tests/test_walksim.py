@@ -104,6 +104,22 @@ def _reference_draws(law, gen, n):
     raise TypeError(f"no reference sampler for {law!r}")
 
 
+@pytest.mark.parametrize("text", ["pareto(alpha=1.5, kappa=1)",
+                                  "pareto(alpha=0.5, kappa=1)",
+                                  "exponential(rate=0.7)", "weibull(shape=2.5)",
+                                  "weibull(shape=0.5, scale=3)"])
+def test_leaf_quantiles_do_not_depend_on_slice_length_or_offset(text):
+    # the scalar tail reads a leaf's quantiles of a whole chunk one by
+    # one, where the array path takes them on each step's sub-count
+    law = spec_to_model(text).law
+    u = RngStream(3, 9, 0).generator().random(39 * 40)
+    whole = law._quantile(u.copy())
+    for width in range(1, 40):
+        parts = [law._quantile(u[i:i + width].copy())
+                 for i in range(0, u.size, width)]
+        assert np.array_equal(np.concatenate(parts), whole), width
+
+
 def _plain(state):
     """A bit generator's state with its arrays as lists, comparable by ==."""
     if isinstance(state, dict):
@@ -190,14 +206,42 @@ STOP_RULES = {
     "sup": lambda S, M: S <= M - 100.0,
     "ladder": lambda S, M: (S > 0.0) | (S <= -100.0),
 }
-WALK_SPECS = [DEFAULT_MODEL, STREAM_SPECS[10]]  # STREAM_SPECS[10] has point(c=0)
+# n = 1 and 7 walk in the scalar tail only, n = 5000 in lockstep arrays
+# first.  STREAM_SPECS[10] has point(c=0); the third spec reaches point,
+# shift, weibull, a nested mix and both negative leaves through the
+# tail, and the fourth a neg over a mix and two steps over a point; the
+# lognormal leaf of the last keeps its walks in arrays.
+WALK_SPECS = [
+    DEFAULT_MODEL,
+    STREAM_SPECS[10],
+    "mix(0.3: point(c=0.5), 0.3: shift(0.2, weibull(shape=0.5, scale=1)), "
+    "0.4: mix(0.5: neg(pareto(alpha=0.5, kappa=1)), 0.5: neg(exponential(rate=1))))",
+    "mix(0.5: shift(-1, neg(mix(0.5: shift(0.5, point(c=1)), "
+    "0.5: pareto(alpha=0.5, kappa=1)))), 0.5: exponential(rate=1))",
+    "mix(0.5: lognormal(mu=0, sigma=1), 0.5: neg(pareto(alpha=0.5, kappa=1)))",
+]
+
+
+def _tape_calls(monkeypatch) -> list[int]:
+    """Record the size of each `IncrementModel.sample` call that reads a
+    uniform tape rather than a generator."""
+    calls = []
+    sample = IncrementModel.sample
+
+    def recording(self, gen, n):
+        if not isinstance(gen, np.random.Generator):
+            calls.append(n)
+        return sample(self, gen, n)
+    monkeypatch.setattr(IncrementModel, "sample", recording)
+    return calls
 
 
 @pytest.mark.parametrize("n", [1, 7, 5000])
 @pytest.mark.parametrize("text", WALK_SPECS)
 @pytest.mark.parametrize("rule", STOP_RULES)
-def test_walk_matches_the_reference_stepper(rule, text, n):
+def test_walk_matches_the_reference_stepper(rule, text, n, monkeypatch):
     model = spec_to_model(text)
+    tape_calls = _tape_calls(monkeypatch)
     gen, ref = RngStream(5, 9, 0).generator(), RngStream(5, 9, 0).generator()
     got = walksim._walk(model, gen, n, STOP_RULES[rule], 10 ** 9)
     want = _reference_walk(model.law, ref, n, STOP_RULES[rule])
@@ -205,6 +249,9 @@ def test_walk_matches_the_reference_stepper(rule, text, n):
         assert np.array_equal(a, b)
     assert got[3] == want[3]
     assert _plain(gen.bit_generator.state) == _plain(ref.bit_generator.state)
+    # the tail takes over at _TAIL_WALKS live walks, except under lognormal
+    assert bool(tape_calls) == ("lognormal" not in text)
+    assert all(k <= walksim._TAIL_WALKS for k in tape_calls)
 
 
 @pytest.mark.parametrize("n", [1, 7, 5000])
@@ -243,6 +290,22 @@ def test_cycle_kernel_peak_memory_is_no_higher(text):
     assert peak <= PARENT_PEAKS[text]
 
 
+def test_scalar_tail_drops_its_spent_uniforms(default_model):
+    # sup walks at the default barrier spend thousands of steps in the
+    # tail.  The array-only stepper peaked at about 5 KiB here and a tape
+    # that drops spent uniforms at about 25 KiB; one that keeps them all
+    # holds three arrays of every uniform read and goes over the bound
+    estimate_sup_many(default_model, 2, seed=1)  # fill caches
+    tracemalloc.start()
+    try:
+        batch = estimate_sup_many(default_model, 20, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert batch.steps > 2000
+    assert peak <= 64 * 1024
+
+
 # ----------------------------------------------------------------------
 # driver preconditions and budgets
 # ----------------------------------------------------------------------
@@ -262,6 +325,36 @@ def test_step_budget_is_enforced(default_model):
         simulate_cycles(default_model, 100000, seed=3, step_budget=100)
     with pytest.raises(BudgetError):
         simulate_cycles(default_model, 1, seed=3, step_budget=0)
+
+
+def _step_counts(T_end):
+    """The running increment count after each lockstep step of walks
+    that stop at the steps T_end, with the live count at that step."""
+    live = np.bincount(T_end)[::-1].cumsum()[::-1][1:]
+    return live.cumsum(), live
+
+
+@pytest.mark.parametrize("kind", ["cycles", "sup"])
+def test_budget_runs_out_inside_the_tail_where_the_stepper_does(default_model,
+                                                               kind):
+    # 3 cycles step in the tail only; 40 sup walks start in arrays
+    n, purpose = {"cycles": (3, CYCLES), "sup": (40, walksim.SUP)}[kind]
+    run = {"cycles": lambda **kw: simulate_cycles(default_model, n, seed=4, **kw),
+           "sup": lambda **kw: estimate_sup_many(default_model, n, seed=4,
+                                                 barrier=100.0, **kw)}[kind]
+    _, _, T, need = _reference_walk(default_model.law,
+                                    RngStream(4, purpose, 0).generator(), n,
+                                    STOP_RULES[kind])
+    counts, live = _step_counts(T)
+    assert counts[-1] == need
+    tail = (live <= walksim._TAIL_WALKS).nonzero()[0]
+    at = int(counts[tail[tail.size // 2]])
+    assert int(counts[tail[0]]) < at < need
+    with pytest.raises(BudgetError) as err:
+        run(step_budget=at - 1)
+    assert str(err.value) == (f"step budget {at - 1:g} exceeded at {at:g} "
+                              "increments; the model may not drift to -infinity")
+    assert _steps(run(step_budget=need)) == need
 
 
 def test_replication_count_must_be_positive(default_model):
