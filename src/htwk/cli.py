@@ -113,13 +113,6 @@ def _resolve_workers(flag, cfg: dict) -> int:
     return _opt(flag, cfg, "workers", 1)
 
 
-def _need_model(model_text, cfg) -> str:
-    text = _opt(model_text, cfg, "model")
-    if not text:
-        raise click.ClickException("no model: pass --model or a config with model=")
-    return text
-
-
 def _need_seed(seed, cfg) -> int:
     value = _opt(seed, cfg, "seed")
     if value is None:
@@ -136,37 +129,49 @@ def _out_dir(out, cfg) -> Path:
     return path
 
 
-def _guarded(fn):
-    @functools.wraps(fn)
-    def inner(*args, **kwargs):
-        try:
-            return fn(*args, **kwargs)
-        except HtwkError as e:
-            raise click.ClickException(f"{type(e).__name__}: {e}") from e
-    return inner
-
-
 @click.group()
 @click.version_option(version=__version__, prog_name="htwk")
 def main() -> None:
     """Numerical laboratory for heavy-tailed random walk cycles."""
 
 
+def _command(*options):
+    """Register the decorated function as a subcommand with its own
+    options between the shared --config, --model and --out.  It is
+    called as fn(cfg, model, out, **own options) with the config loaded
+    and the model parsed; an HtwkError becomes a one-line error."""
+    def register(fn):
+        @functools.wraps(fn)
+        def command(config_path, model_text, out, **kwargs):
+            cfg = load_config(config_path) if config_path else {}
+            text = _opt(model_text, cfg, "model")
+            if not text:
+                raise click.ClickException(
+                    "no model: pass --model or a config with model=")
+            try:
+                return fn(cfg, spec_to_model(text), out, **kwargs)
+            except HtwkError as e:
+                raise click.ClickException(f"{type(e).__name__}: {e}") from e
+        shared = (
+            click.option("--config", "config_path",
+                         type=click.Path(exists=True, dir_okay=False)),
+            click.option("--model", "model_text", help="distribution expression"),
+            *options,
+            click.option("--out", help="output directory"))
+        for option in reversed(shared):
+            command = option(command)
+        return main.command()(command)
+    return register
+
+
 # ----------------------------------------------------------------------
 # classify
 # ----------------------------------------------------------------------
 
-@main.command()
-@click.option("--config", "config_path", type=click.Path(exists=True, dir_okay=False))
-@click.option("--model", "model_text", help="distribution expression")
-@click.option("--kinds", "kinds_text", help="comma list from L,D,S,Sstar,SF")
-@click.option("--probes", "probes_text", help="probe grid")
-@click.option("--out", "out", help="output directory")
-@_guarded
-def classify(config_path, model_text, kinds_text, probes_text, out):
+@_command(click.option("--kinds", "kinds_text", help="comma list from L,D,S,Sstar,SF"),
+          click.option("--probes", "probes_text", help="probe grid"))
+def classify(cfg, model, out, kinds_text, probes_text):
     """Membership ratio curves for distribution classes."""
-    cfg = load_config(config_path) if config_path else {}
-    model = spec_to_model(_need_model(model_text, cfg))
     kinds = _opt(kinds_text, cfg, "kinds", "L,D,S,Sstar")
     for kind in kinds:
         if kind not in KINDS:
@@ -206,17 +211,10 @@ def classify(config_path, model_text, kinds_text, probes_text, out):
 # tails
 # ----------------------------------------------------------------------
 
-@main.command()
-@click.option("--config", "config_path", type=click.Path(exists=True, dir_okay=False))
-@click.option("--model", "model_text")
-@click.option("--probes", "probes_text", help="default 0:1e4")
-@click.option("--out", "out")
-@_guarded
-def tails(config_path, model_text, probes_text, out):
+@_command(click.option("--probes", "probes_text", help="default 0:1e4"))
+def tails(cfg, model, out, probes_text):
     """Analytic curves: truncated mean, integral criterion, integrated
     tails against linear and scaled renewal weights."""
-    cfg = load_config(config_path) if config_path else {}
-    model = spec_to_model(_need_model(model_text, cfg))
     xs = _opt(probes_text, cfg, "probes", "0:1e4")
 
     K, converged = criterion_K(model)
@@ -251,21 +249,14 @@ def tails(config_path, model_text, probes_text, out):
 # simulate
 # ----------------------------------------------------------------------
 
-@main.command()
-@click.option("--config", "config_path", type=click.Path(exists=True, dir_okay=False))
-@click.option("--model", "model_text")
-@click.option("--seed", type=int)
-@click.option("--cycles", type=int)
-@click.option("--workers", type=int)
-@click.option("--probes", "probes_text")
-@click.option("--out", "out")
-@_guarded
-def simulate(config_path, model_text, seed, cycles, workers, probes_text, out):
+@_command(click.option("--seed", type=int),
+          click.option("--cycles", type=int),
+          click.option("--workers", type=int),
+          click.option("--probes", "probes_text"))
+def simulate(cfg, model, out, seed, cycles, workers, probes_text):
     """Sample cycles to a columnar file plus a JSON summary.
 
     Raw columns cost 24 bytes per cycle in memory and on disk."""
-    cfg = load_config(config_path) if config_path else {}
-    model = spec_to_model(_need_model(model_text, cfg))
     seed = _need_seed(seed, cfg)
     cycles = _opt(cycles, cfg, "cycles", 100_000)
     workers = _resolve_workers(workers, cfg)
@@ -296,9 +287,12 @@ def simulate(config_path, model_text, seed, cycles, workers, probes_text, out):
 # verify
 # ----------------------------------------------------------------------
 
+# the printed label of a verdict
+_LABELS = {True: "pass", False: "FAIL", None: "inconclusive"}
+
+
 def _echo_block(block, depth=0) -> None:
-    mark = {True: "pass", False: "FAIL", None: "inconclusive"}[block.verdict]
-    click.echo(f"{'  ' * depth}[{mark}] {block.name}")
+    click.echo(f"{'  ' * depth}[{_LABELS[block.verdict]}] {block.name}")
     for sub in block.subchecks:
         _echo_block(sub, depth + 1)
 
@@ -309,19 +303,12 @@ _VERIFY_KEYS = {"checks": "checks", "probes": "xs", "cycles": "cycles",
                 "reps": "reps", "sup_reps": "sup_reps"}
 
 
-@main.command()
-@click.option("--config", "config_path", type=click.Path(exists=True, dir_okay=False))
-@click.option("--model", "model_text")
-@click.option("--seed", type=int)
-@click.option("--workers", type=int)
-@click.option("--cycles", type=int)
-@click.option("--probes", "probes_text", help="cycle-max probes")
-@click.option("--out", "out")
-@_guarded
-def verify(config_path, model_text, seed, workers, cycles, probes_text, out):
+@_command(click.option("--seed", type=int),
+          click.option("--workers", type=int),
+          click.option("--cycles", type=int),
+          click.option("--probes", "probes_text", help="cycle-max probes"))
+def verify(cfg, model, out, seed, workers, cycles, probes_text):
     """Run the verification suite and write report.json."""
-    cfg = load_config(config_path) if config_path else {}
-    model = spec_to_model(_need_model(model_text, cfg))
     seed = _need_seed(seed, cfg)
     flags = {"probes": probes_text, "cycles": cycles}
     kwargs = {arg: _opt(flags.get(key), cfg, key)
@@ -345,7 +332,7 @@ def verify(config_path, model_text, seed, workers, cycles, probes_text, out):
                             ("x", *cols), zip(block.probes, *cols.values()))
         _echo_block(block)
     overall = report.overall()
-    click.echo(f"overall: { {True: 'pass', False: 'FAIL', None: 'inconclusive'}[overall] }")
+    click.echo(f"overall: {_LABELS[overall]}")
     click.echo(f"wrote report.json (experiment {report.experiment_id}) to {out_path}")
     if overall is False:
         raise SystemExit(EXIT_FAILED)
@@ -357,22 +344,14 @@ def verify(config_path, model_text, seed, workers, cycles, probes_text, out):
 # renewal
 # ----------------------------------------------------------------------
 
-@main.command()
-@click.option("--config", "config_path", type=click.Path(exists=True, dir_okay=False))
-@click.option("--model", "model_text")
-@click.option("--seed", type=int)
-@click.option("--reps", type=int)
-@click.option("--workers", type=int)
-@click.option("--probes", "probes_text", help="default 1:1e4:16")
-@click.option("--raw-reps", "raw_reps", type=int, default=None,
-              help="also dump partial-sum points from this many replications")
-@click.option("--out", "out")
-@_guarded
-def renewal(config_path, model_text, seed, reps, workers, probes_text,
-            raw_reps, out):
+@_command(click.option("--seed", type=int),
+          click.option("--reps", type=int),
+          click.option("--workers", type=int),
+          click.option("--probes", "probes_text", help="default 1:1e4:16"),
+          click.option("--raw-reps", type=int,
+                       help="also dump partial-sum points from this many replications"))
+def renewal(cfg, model, out, seed, reps, workers, probes_text, raw_reps):
     """Estimate the descent renewal function on a probe grid."""
-    cfg = load_config(config_path) if config_path else {}
-    model = spec_to_model(_need_model(model_text, cfg))
     seed = _need_seed(seed, cfg)
     reps = _opt(reps, cfg, "reps", 10_000)
     workers = _resolve_workers(workers, cfg)

@@ -162,8 +162,9 @@ def test_classify_widens_the_grid_past_the_default_horizon(runner, tmp_path):
     assert [r.split(",")[2] for r in rows] == ["true", "true"]
 
 
-def test_missing_model_is_a_usage_error(runner, tmp_path):
-    res = runner.invoke(main, ["classify", "--out", str(tmp_path)])
+@pytest.mark.parametrize("command", sorted(main.commands))
+def test_missing_model_is_a_usage_error(runner, tmp_path, command):
+    res = runner.invoke(main, [command, "--out", str(tmp_path)])
     assert res.exit_code == 1
     assert "no model" in res.output
 
@@ -215,8 +216,9 @@ def test_tails_rejects_a_negative_probe_in_one_line(runner, tmp_path):
         "Error: PreconditionError: truncated mean is defined for x >= 0")
 
 
-def test_an_infinite_literal_is_a_one_line_error(runner, tmp_path):
-    res = runner.invoke(main, ["tails", "--model", "point(1e400)",
+@pytest.mark.parametrize("command", sorted(main.commands))
+def test_an_infinite_literal_is_a_one_line_error(runner, tmp_path, command):
+    res = runner.invoke(main, [command, "--model", "point(1e400)",
                                "--out", str(tmp_path)])
     assert res.exit_code == 1
     assert isinstance(res.exception, SystemExit)

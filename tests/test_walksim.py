@@ -566,6 +566,65 @@ def test_sup_kernel_has_the_light_control_anchors(light_model):
                                             0.0))
 
 
+# ----------------------------------------------------------------------
+# the memoryless control in the paper's regime
+# ----------------------------------------------------------------------
+#
+# Increments are Exp(1) or -Lomax(1/2, 1), each with probability 1/2: the
+# negative part has infinite mean, as in the paper, while the positive
+# arm is memoryless.  So a strict ascent overshoots 0 by Exp(1), and with
+# p = P(M = 0), the chance that no ascent comes, duality gives
+# E[tau] = 1/p.  p has no closed form, so the kernels are held to each
+# other.  p is near 0.38, so a walk 60 below 0 (ladder) or below its
+# maximum (sup) rises that far again with probability about
+# 0.62 exp(-60 p) < 1e-9.  Seed, sizes and bounds were fixed before the
+# first run: 3 combined standard errors on a difference, the 1%
+# Kolmogorov critical distance on a law.
+
+MEMORYLESS = "mix(0.5: exponential(rate=1), 0.5: neg(pareto(alpha=0.5, kappa=1)))"
+MEMORYLESS_SEED = 111
+MEMORYLESS_LADDER_REPS = 20000
+
+
+@pytest.fixture(scope="module")
+def memoryless_model():
+    return spec_to_model(MEMORYLESS)
+
+
+@pytest.fixture(scope="module")
+def memoryless_ladder(memoryless_model):
+    return sample_ladder_many(memoryless_model, MEMORYLESS_LADDER_REPS,
+                              seed=MEMORYLESS_SEED, barrier=60.0)
+
+
+def _binomial_var(rate: float, n: int) -> float:
+    return rate * (1.0 - rate) / n
+
+
+def test_memoryless_censor_rate_times_mean_cycle_length_is_one(
+        memoryless_model, memoryless_ladder):
+    st = simulate_cycles(memoryless_model, 20000, seed=MEMORYLESS_SEED).stats
+    c = memoryless_ladder.censor_rate
+    se = math.sqrt(st.tau_mean ** 2 * _binomial_var(c, MEMORYLESS_LADDER_REPS)
+                   + c ** 2 * st.tau_se ** 2)
+    assert abs(c * st.tau_mean - 1.0) <= 3.0 * se
+
+
+def test_memoryless_ascent_heights_are_exp_one(memoryless_ladder):
+    assert _ks_law_holds(memoryless_ladder.uncensored_psi(),
+                         lambda x: -np.expm1(-x))
+
+
+def test_memoryless_zero_maximum_meets_the_censor_rate(memoryless_model,
+                                                       memoryless_ladder):
+    sup = estimate_sup_many(memoryless_model, 10000, seed=MEMORYLESS_SEED,
+                            barrier=60.0)
+    c = memoryless_ladder.censor_rate
+    se = math.sqrt(_binomial_var(sup.p_hat, 10000)
+                   + _binomial_var(c, MEMORYLESS_LADDER_REPS))
+    assert abs(sup.p_hat - c) <= 3.0 * se
+
+
 def test_merge_refuses_mismatched_probes(default_model):
     a = simulate_cycles(default_model, 100, seed=1, probes=(2.0,)).stats
     b = simulate_cycles(default_model, 100, seed=2, probes=(3.0,)).stats
