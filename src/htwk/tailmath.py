@@ -89,6 +89,17 @@ def _float_or_array(out):
     return out if out.shape else float(out)
 
 
+def _difference_and_error(x, c):
+    """fl(x - c) and its rounding error (x - c) - fl(x - c), exactly
+    (Knuth's TwoSum); the error is 0 where x is infinite."""
+    x = np.asarray(x, dtype=float)
+    d = x - c
+    with np.errstate(invalid="ignore"):
+        z = d - x
+        err = (x - (d - z)) - (c + z)
+    return d, np.where(np.isfinite(x), err, 0.0)
+
+
 def _weighted_sum(arms, value_of):
     """The sum of w * value_of(law) over the (w, law) pairs `arms`."""
     return _float_or_array(sum(w * np.asarray(value_of(ch), dtype=float)
@@ -432,13 +443,30 @@ class Shift(Law):
     def cdf_strict(self, t):
         return self.child.cdf_strict(np.asarray(t, dtype=float) - self.c)
 
+    def _integral(self, a, b, child_integral, integrand_beside):
+        """child_integral over the exact interval [a - c, b - c]: its
+        rounded ends' integral plus, at each end, the sliver the rounding
+        cut off or added times the integrand beside that end, so a short
+        interval keeps its length where a - c and b - c round together."""
+        sa, ea = _difference_and_error(a, self.c)
+        sb, eb = _difference_and_error(b, self.c)
+        core = child_integral(sa, sb)
+        if not (np.any(ea) or np.any(eb)):
+            return core
+        return _float_or_array(core + eb * integrand_beside(sb, eb)
+                               - ea * integrand_beside(sa, ea))
+
     def sf_integral(self, a, b):
-        return self.child.sf_integral(np.asarray(a, dtype=float) - self.c,
-                                      np.asarray(b, dtype=float) - self.c)
+        # P(X > t) just below y is P(X >= y), the sf at y's predecessor
+        return self._integral(a, b, self.child.sf_integral,
+                              lambda y, e: self.child.sf(
+                                  np.where(e < 0, np.nextafter(y, -np.inf), y)))
 
     def cdf_integral(self, a, b):
-        return self.child.cdf_integral(np.asarray(a, dtype=float) - self.c,
-                                       np.asarray(b, dtype=float) - self.c)
+        # P(X < t) just above y is P(X <= y), cdf_strict at y's successor
+        return self._integral(a, b, self.child.cdf_integral,
+                              lambda y, e: self.child.cdf_strict(
+                                  np.where(e > 0, np.nextafter(y, np.inf), y)))
 
     def atoms(self):
         locs, masses = self.child.atoms()
@@ -750,7 +778,7 @@ class TruncatedMean:
 
     def ratio(self, x):
         """x/m(x), extended by its limit 1/c at x = 0 and wherever m(x)
-        rounds to 0 at x > 0 (a shifted leaf loses its offset near 0)."""
+        underflows to 0 at x > 0."""
         arr = np.atleast_1d(np.asarray(x, dtype=float))
         scalar = np.ndim(x) == 0
         if self.c0 <= 0.0:

@@ -16,7 +16,9 @@ from htwk.cli import parse_probes
 from htwk.errors import DivergenceError, HorizonError, PreconditionError
 from htwk.tailmath import (
     GridDistribution,
+    PointMass,
     RenewalMeasure,
+    Shift,
     conv_tail,
     criterion_K,
     geometric_knots,
@@ -304,18 +306,51 @@ def test_truncated_mean_ratio_limits(default_model):
 
 
 # N-bar(y) = 0.5 P(pareto > 2 + y); the shift evaluates m(x) at offsets
-# near -2, where an x below about 2.2e-16 rounds away
+# near -2, where an x below about 2.2e-16 rounds away from -2 - x
 SHIFTED_NEG = ("mix(0.5: pareto(alpha=1.5, kappa=1), "
                "0.5: shift(2, neg(pareto(alpha=0.5, kappa=1))))")
 
 
-def test_ratio_takes_its_limit_where_m_rounds_to_0():
+def test_ratio_meets_its_limit_where_m_is_tiny():
     tm = truncated_neg_mean(spec_to_model(SHIFTED_NEG))
-    assert tm(1e-16) == 0.0
-    assert tm.ratio(1e-16) == 1.0 / tm.c0
-    assert tm.ratio(np.array([0.0, 1e-16])).tolist() == [1.0 / tm.c0] * 2
+    assert tm(1e-16) > 0.0
+    assert tm.ratio(1e-16) == pytest.approx(1.0 / tm.c0, rel=1e-12)
+    assert np.allclose(tm.ratio(np.array([0.0, 1e-16])), 1.0 / tm.c0,
+                       rtol=1e-12, atol=0.0)
+    # m underflows to 0 at the smallest subnormal, where the ratio is its limit
+    tm_sub = truncated_neg_mean(spec_to_model("neg(pareto(alpha=0.5, kappa=1))"))
+    assert tm_sub(5e-324) == 0.0
+    assert tm_sub.ratio(5e-324) == 1.0 / tm_sub.c0
     # where m is positive the ratio is x/m(x)
     assert tm.ratio(1e-3) == 1e-3 / tm(1e-3)
+
+
+# both arms shifted: m(x) = 0.5 * 2 (sqrt(4 + x) - 2) = x / (sqrt(4 + x) + 2)
+SHIFTED_BOTH = ("mix(0.5: shift(2, pareto(alpha=1.5, kappa=1)), "
+                "0.5: shift(3, neg(pareto(alpha=0.5, kappa=1))))")
+
+
+@pytest.mark.parametrize("x", [1e-16, 2.2e-16, 1e-15, 1e-8, 5e-8, 1.0])
+def test_a_shifted_arm_keeps_the_length_of_a_short_interval(x):
+    # -x - 3 rounds to -3 for x below half an ulp of 3, and loses digits
+    # of x above it
+    tm = truncated_neg_mean(spec_to_model(SHIFTED_BOTH))
+    want = x / (math.sqrt(4.0 + x) + 2.0)
+    assert tm(x) == pytest.approx(want, rel=1e-12, abs=0.0)
+    assert tm(np.array([x]))[0] == tm(x)
+
+
+def test_shifted_integrals_keep_the_sliver_beside_an_atom():
+    # an atom at 0 shifted from -3: -1e-16 - 3 rounds to the child's atom,
+    # so the sliver's integrand is P(X < t) = 0 below 0 and 1 above, and
+    # P(X > t) the reverse
+    law = Shift(c=3.0, child=PointMass(c=-3.0))
+    eps = 1e-16
+    assert law.cdf_integral(-eps, 0.0) == 0.0
+    assert law.cdf_integral(0.0, eps) == eps
+    assert law.sf_integral(-eps, 0.0) == eps
+    assert law.sf_integral(0.0, eps) == 0.0
+    assert law.cdf_integral(-eps, eps) == eps
 
 
 def test_ratio_measure_tail_is_continuous_where_m_rounds_to_0():

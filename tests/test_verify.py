@@ -7,14 +7,16 @@ import sys
 import numpy as np
 import pytest
 
-from htwk import _quad, spec_to_model
+from htwk import _quad, spec_to_model, walksim
 from htwk.errors import PreconditionError
 from htwk.verify import (
     CHECK_NAMES,
+    DEFAULT_MODEL,
     CheckBlock,
     VerificationReport,
     ladder_identity_report,
     cycle_max_report,
+    gplus_tail_report,
     renewal_bound_report,
     run_verification,
     class_reduction_report,
@@ -165,6 +167,30 @@ def test_wrong_success_probability_is_detected(default_model):
     with pytest.raises(PreconditionError, match="geometric"):
         ladder_identity_report(default_model, reps=100, seed=1,
                                p_override=1.5)
+
+
+def test_the_sup_blocks_share_one_ensemble_and_keep_their_numbers(
+        monkeypatch):
+    # renewal, ladder_sum and ladder_tail read the same all-time-maximum
+    # ensemble; a run draws it once, and each block's numbers equal
+    # those of its report function on a model of its own
+    calls = []
+    kernel = walksim._sup_kernel
+
+    def counting(*args, **kwargs):
+        calls.append(args[2])
+        return kernel(*args, **kwargs)
+
+    monkeypatch.setattr(walksim, "_sup_kernel", counting)
+    report = run_verification(spec_to_model(DEFAULT_MODEL), seed=42,
+                              checks=("renewal", "ladder_sum", "ladder_tail"),
+                              reps=2000)
+    assert calls == [2000]
+    alone = [report_fn(spec_to_model(DEFAULT_MODEL), 2000, 42).to_dict()
+             for report_fn in (renewal_bound_report, ladder_identity_report,
+                               gplus_tail_report)]
+    assert len(calls) == 4
+    assert [b.to_dict() for b in report.blocks] == alone
 
 
 def test_sparse_hits_give_no_verdict(default_model):

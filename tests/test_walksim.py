@@ -1,5 +1,6 @@
 """Simulation layer: kernels, sharding, streams, and the statistics helpers."""
 
+import gc
 import math
 import pickle
 import tracemalloc
@@ -290,15 +291,17 @@ def test_cycle_kernel_peak_memory_is_no_higher(text):
     assert peak <= PARENT_PEAKS[text]
 
 
-def test_scalar_tail_drops_its_spent_uniforms(default_model):
+def test_scalar_tail_drops_its_spent_uniforms():
     # sup walks at the default barrier spend thousands of steps in the
     # tail.  The array-only stepper peaked at about 5 KiB here and a tape
     # that drops spent uniforms at about 25 KiB; one that keeps them all
-    # holds three arrays of every uniform read and goes over the bound
-    estimate_sup_many(default_model, 2, seed=1)  # fill caches
+    # holds three arrays of every uniform read and goes over the bound.
+    # A model of its own, so no earlier test's ensemble is reused
+    model = spec_to_model(DEFAULT_MODEL)
+    estimate_sup_many(model, 2, seed=1)  # fill caches
     tracemalloc.start()
     try:
-        batch = estimate_sup_many(default_model, 20, seed=1)
+        batch = estimate_sup_many(model, 20, seed=1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -335,14 +338,14 @@ def _step_counts(T_end):
 
 
 @pytest.mark.parametrize("kind", ["cycles", "sup"])
-def test_budget_runs_out_inside_the_tail_where_the_stepper_does(default_model,
-                                                               kind):
+def test_budget_runs_out_inside_the_tail_where_the_stepper_does(kind):
     # 3 cycles step in the tail only; 40 sup walks start in arrays
     n, purpose = {"cycles": (3, CYCLES), "sup": (40, walksim.SUP)}[kind]
-    run = {"cycles": lambda **kw: simulate_cycles(default_model, n, seed=4, **kw),
-           "sup": lambda **kw: estimate_sup_many(default_model, n, seed=4,
+    model = spec_to_model(DEFAULT_MODEL)
+    run = {"cycles": lambda **kw: simulate_cycles(model, n, seed=4, **kw),
+           "sup": lambda **kw: estimate_sup_many(model, n, seed=4,
                                                  barrier=100.0, **kw)}[kind]
-    _, _, T, need = _reference_walk(default_model.law,
+    _, _, T, need = _reference_walk(model.law,
                                     RngStream(4, purpose, 0).generator(), n,
                                     STOP_RULES[kind])
     counts, live = _step_counts(T)
@@ -435,26 +438,27 @@ def _arrays(result):
 
 
 @pytest.mark.parametrize("driver", DRIVERS)
-def test_budget_covers_all_shards(default_model, driver):
+def test_budget_covers_all_shards(driver):
     run = DRIVERS[driver]
-    first = run(default_model, workers=2)
+    model = spec_to_model(DEFAULT_MODEL)
+    first = run(model, workers=2)
     need = _steps(first)
-    again = run(default_model, workers=2, step_budget=need)
+    again = run(model, workers=2, step_budget=need)
     assert _steps(again) == need
     assert all(np.array_equal(a, b)
                for a, b in zip(_arrays(again), _arrays(first), strict=True))
     with pytest.raises(BudgetError, match="over all shards"):
-        run(default_model, workers=2, step_budget=need - 1)
+        run(model, workers=2, step_budget=need - 1)
 
 
-def test_hand_built_model_runs_on_workers(default_model):
+def test_hand_built_model_runs_on_workers():
     # workers receive the model itself, so it needs no spec text
     law = Mixture(weights=(0.5, 0.5),
                   children=(Pareto(alpha=1.5, kappa=1.0),
                             Neg(Pareto(alpha=0.5, kappa=1.0))))
     built = IncrementModel(law=law)
     assert built.spec_text == ""
-    _assert_same_worker_runs(built, default_model)
+    _assert_same_worker_runs(built, spec_to_model(DEFAULT_MODEL))
 
 
 def test_sampled_model_runs_on_workers():
@@ -467,6 +471,7 @@ def test_sampled_model_runs_on_workers():
 
 
 def _assert_same_worker_runs(model, reference):
+    # both models fresh, so each sup run draws its ensemble
     for driver in ("cycles", "sup"):
         a = DRIVERS[driver](model, workers=2)
         b = DRIVERS[driver](reference, workers=2)
@@ -659,6 +664,54 @@ def test_sup_batch_probability_and_flags(default_model):
     assert lo < p < hi
     assert batch.escape_estimate < 0.01
     assert np.array_equal(batch.hit_zero, batch.m_values == 0.0)
+
+
+def test_a_repeated_sup_call_shares_its_ensemble_read_only():
+    model = spec_to_model(DEFAULT_MODEL)
+    first = estimate_sup_many(model, 500, seed=11, barrier=100.0)
+    again = estimate_sup_many(model, 500, seed=11, barrier=100.0)
+    assert first.steps > 0 and again.steps == 0
+    assert again.m_values is first.m_values
+    assert not again.m_values.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        again.m_values[0] = 1.0
+    # a fresh model of the same spec draws the same values again
+    fresh = estimate_sup_many(spec_to_model(DEFAULT_MODEL), 500, seed=11,
+                              barrier=100.0)
+    assert fresh.steps == first.steps
+    assert np.array_equal(fresh.m_values, first.m_values)
+
+
+SUP_ARGS = {"reps": 500, "seed": 11, "barrier": 100.0, "workers": 1,
+            "step_budget": walksim.STEP_BUDGET_DEFAULT}
+
+
+@pytest.mark.parametrize("arg, other", [
+    ("reps", 499), ("seed", 12), ("barrier", 99.0), ("workers", 2),
+    ("step_budget", 10 ** 8)])
+def test_a_sup_call_with_any_argument_changed_draws_again(arg, other):
+    model = spec_to_model(DEFAULT_MODEL)
+    estimate_sup_many(model, **SUP_ARGS)
+    changed = estimate_sup_many(model, **{**SUP_ARGS, arg: other})
+    assert changed.steps > 0
+    # the changed call replaced the stored ensemble
+    assert estimate_sup_many(model, **SUP_ARGS).steps > 0
+
+
+def test_the_sup_memo_holds_one_ensemble_per_model_and_dies_with_it():
+    model, other = spec_to_model(DEFAULT_MODEL), spec_to_model(DEFAULT_MODEL)
+    gc.collect()
+    before = len(walksim._SUP_MEMO)
+    for seed in (1, 2, 3):
+        estimate_sup_many(model, 50, seed=seed, barrier=100.0)
+    estimate_sup_many(other, 50, seed=1, barrier=100.0)
+    assert len(walksim._SUP_MEMO) == before + 2
+    assert walksim._SUP_MEMO[model][0] == (50, 3, 100.0, 1,
+                                           walksim.STEP_BUDGET_DEFAULT)
+    del model
+    gc.collect()
+    assert len(walksim._SUP_MEMO) == before + 1
+    assert other in walksim._SUP_MEMO
 
 
 def test_sup_bias_flag_trips_on_barrier_hits():
