@@ -16,6 +16,7 @@ renewal measures, never through a 0/0.
 from __future__ import annotations
 
 import math
+import threading
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property, partial
@@ -119,6 +120,10 @@ def _expm1_less_linear(z):
     return np.where(near, 0.5 * zn * zn * series, np.expm1(z) - z)
 
 
+# an interval [lo, hi] is short where this many times hi - lo is below lo
+_SHORT_INTERVAL = 8
+
+
 class _HalfLineLaw(Law):
     """A continuous law on [0, infinity): sf is 1 below 0, and each
     subclass gives the integral of sf over a part of the half line."""
@@ -136,13 +141,32 @@ class _HalfLineLaw(Law):
 
     def _excess_mean(self, lo, hi):
         """E[X - lo; lo < X < hi] for 0 <= lo <= hi <= infinity; a law
-        whose closed form gives it directly overrides this difference,
-        which cancels where hi - lo is short against lo."""
-        return self._partial_mean(lo, hi) - lo * (self.cdf_strict(hi) - self.cdf_strict(lo))
+        whose closed form gives it directly overrides this.  Here it is
+        the partial mean less lo (F(hi) - F(lo)), a difference that
+        cancels where hi - lo is short against lo; on such an interval it
+        is the same excess as the integral of F(hi) - F(t) over [lo, hi],
+        by fixed 32-node Gauss-Legendre, whose integrand is smooth there.
+        The integrand is taken as sf(t) - sf(hi) where F(hi) >= 1/2, so
+        that it is a difference of the smaller tail's values."""
+        lo, hi = np.broadcast_arrays(np.asarray(lo, dtype=float),
+                                     np.asarray(hi, dtype=float))
+        gain = self.cdf_strict(hi) - self.cdf_strict(lo)
+        out = np.asarray(self._partial_mean(lo, hi) - lo * gain, dtype=float)
+        short = (hi - lo) * _SHORT_INTERVAL < lo
+        if np.any(short):
+            a, b = lo[short], hi[short]
+            nodes, w32, _ = _quad._gl_nodes()
+            t = a[:, None] + (b - a)[:, None] * nodes[:32]
+            f_b = self.cdf_strict(b)[:, None]
+            gap = np.where(f_b < 0.5, f_b - self.cdf_strict(t),
+                           self.sf(t) - self.sf(b)[:, None])
+            out[short] = (b - a) * (gap @ w32)
+        return out
 
     def sample(self, gen, n):
         """Inverse-transform draws, one uniform each: the subclass's
-        `_quantile(u)` overwrites the uniforms u with the law's quantiles
+        `_quantile(u, out, negate)` writes the law's quantiles of the
+        uniforms u, or their negations, into out, by default u itself,
         and returns them; a law without one overrides this."""
         return self._quantile(gen.random(n))
 
@@ -212,14 +236,21 @@ class Pareto(_HalfLineLaw):
             j = j + _expm1_less_linear(s * L) / s
         return self.sf(lo) * a * (k + lo) * j
 
-    def _quantile(self, u):
+    def _quantile(self, u, out=None, negate=False):
         # kappa ((1 - u)^(-1/alpha) - 1); `**=` takes the scalar fast
-        # paths of `**` (alpha = 1 is a reciprocal)
-        np.subtract(1.0, u, out=u)
-        u **= -1.0 / self.alpha
-        u -= 1.0
-        u *= self.kappa
-        return u
+        # paths of `**` (alpha = 1 is a reciprocal).  Negated, the
+        # difference is 1 - (1 - u)^(-1/alpha): rounding is symmetric in
+        # sign, so that is the same number negated, and a kappa of 1
+        # multiplies exactly
+        v = np.subtract(1.0, u, out=u if out is None else out)
+        v **= -1.0 / self.alpha
+        if negate:
+            np.subtract(1.0, v, out=v)
+        else:
+            v -= 1.0
+        if self.kappa != 1.0:
+            v *= self.kappa
+        return v
 
 
 @dataclass(frozen=True)
@@ -248,13 +279,16 @@ class Exponential(_HalfLineLaw):
         u = np.minimum(self.rate * (hi - lo), 50.0)
         return self.sf(lo) * np.exp(-u) * _expm1_less_linear(u) / self.rate
 
-    def _quantile(self, u):
+    def _quantile(self, u, out=None, negate=False):
         # -log1p(-u) / rate; rounding to nearest is symmetric in sign, so
-        # log1p(-u) / -rate is the same number
-        np.negative(u, out=u)
-        np.log1p(u, out=u)
-        u /= -self.rate
-        return u
+        # log1p(-u) / -rate is the same number, and log1p(-u) / rate its
+        # negation; a divisor of 1 divides exactly
+        v = np.negative(u, out=u if out is None else out)
+        np.log1p(v, out=v)
+        d = self.rate if negate else -self.rate
+        if d != 1.0:
+            v /= d
+        return v
 
 
 @dataclass(frozen=True)
@@ -296,14 +330,18 @@ class Weibull(_HalfLineLaw):
         # and under Gamma(1+1/shape) for the partial mean
         return self._gamma_mass(1.0 + 1.0 / self.shape, lo, hi)
 
-    def _quantile(self, u):
-        # scale (-log1p(-u))^(1/shape)
-        np.negative(u, out=u)
-        np.log1p(u, out=u)
-        np.negative(u, out=u)
-        u **= 1.0 / self.shape
-        u *= self.scale
-        return u
+    def _quantile(self, u, out=None, negate=False):
+        # scale (-log1p(-u))^(1/shape); negated, the factor is -scale,
+        # since rounding is symmetric in sign, and a factor of 1
+        # multiplies exactly
+        v = np.negative(u, out=u if out is None else out)
+        np.log1p(v, out=v)
+        np.negative(v, out=v)
+        v **= 1.0 / self.shape
+        c = -self.scale if negate else self.scale
+        if c != 1.0:
+            v *= c
+        return v
 
 
 @dataclass(frozen=True)
@@ -481,6 +519,15 @@ class Shift(Law):
         return v
 
 
+def _choice_masks(u: np.ndarray, cuts) -> list[np.ndarray]:
+    """Each child's mask of a mixture's choice uniforms u, given the
+    cumulative weights but the last, `cuts`: child j takes the u with
+    cuts[j-1] <= u < cuts[j], and the last child every u >= cuts[-1]."""
+    upto = [u < c for c in cuts]
+    return [upto[0], *(b ^ a for a, b in zip(upto, upto[1:])),
+            np.logical_not(upto[-1])]
+
+
 @dataclass(frozen=True)
 class Mixture(Law):
     weights: tuple[float, ...]
@@ -542,10 +589,7 @@ class Mixture(Law):
         are scattered through its mask's indices, several times cheaper
         than a boolean index on a random mask."""
         u = gen.random(n)
-        upto = [u < c for c in self._cumw[:-1]]  # u < cumw[j]
-        masks = [upto[0], *(b ^ a for a, b in zip(upto, upto[1:])),
-                 np.logical_not(upto[-1])]
-        for mask, ch in zip(masks, self.children):
+        for mask, ch in zip(_choice_masks(u, self._cumw[:-1]), self.children):
             ix = mask.nonzero()[0]
             if ix.size:
                 u[ix] = ch.sample(gen, ix.size)
@@ -553,30 +597,36 @@ class Mixture(Law):
 
 
 # ----------------------------------------------------------------------
-# scalar sampling from a read-ahead uniform tape
+# a generator's uniforms read ahead, at their stream positions
 # ----------------------------------------------------------------------
 
-# Each rule below draws n values of one node of the law tree as a list,
-# spending the tape's uniforms in the order the node's `sample` spends
-# its generator's.  They are module-level functions bound by `partial`,
-# so a model that holds its compiled sampler still pickles.
+# Each node of the law tree has two rules that draw n of its values from
+# a `_UniformTape`, spending the tape's uniforms in the order the node's
+# `sample` spends its generator's: a list rule for the scalar tail's few
+# walks and an array rule for a lockstep step.  They are module-level
+# functions bound by `partial`, so a model that holds its compiled
+# sampler still pickles.
 
-def _leaf_draws(k, tape, n):
-    p = tape.pos
-    tape.pos = p + n
-    return tape.q[k][p:p + n].tolist()
+def _leaf_list(row, tape, n):
+    return tape.take(row, n).tolist()
 
 
-def _point_draws(c, tape, n):
+def _leaf_array(row, tape, n):
+    return tape.take(row, n)
+
+
+def _point_list(c, tape, n):
     return [c] * n
 
 
-def _mixture_draws(cuts, arms, tape, n):
+def _point_array(c, tape, n):
+    return np.full(n, c)
+
+
+def _mixture_list(cuts, arms, tape, n):
     # bisect_right(cuts, u) is the child whose mask takes u in
     # Mixture.sample; each child draws for all its walks, in child order
-    p = tape.pos
-    tape.pos = p + n
-    pick = [bisect_right(cuts, u) for u in tape.u[p:p + n].tolist()]
+    pick = [bisect_right(cuts, u) for u in tape.take(0, n).tolist()]
     if n == 1:  # the commonest tail step needs no merge
         return arms[pick[0]](tape, 1)
     draws = [iter(arm(tape, k)) if (k := pick.count(j)) else None
@@ -584,42 +634,61 @@ def _mixture_draws(cuts, arms, tape, n):
     return [next(draws[j]) for j in pick]
 
 
-def _compile_scalar(law: Law, leaves: list, post: tuple = ()
-                    ) -> tuple[int, Callable] | None:
-    """(most uniforms one draw spends, draw rule) of a law whose draws
-    then go through the steps `post` in order, each None for a negation
-    or the offset a shift adds.  Neg and shift pass their step down to
-    the leaves, where it is the same numpy operation on a chunk of
-    quantiles as on a step's draws.  Each (inverse-transform leaf,
-    steps) pair is appended to `leaves` once, and the rule reads its
-    values by its index there.  None where some leaf spends its stream
-    otherwise (lognormal's normals)."""
+def _mixture_array(cuts, arms, tape, n):
+    # the masks are set before the first child reads the tape
+    masks = _choice_masks(tape.take(0, n), cuts)
+    out = np.empty(n)
+    for mask, arm in zip(masks, arms):
+        ix = mask.nonzero()[0]
+        if ix.size:
+            out[ix] = arm(tape, ix.size)
+    return out
+
+
+def _compile_tape(law: Law, leaves: list, post: tuple = ()
+                  ) -> tuple[Callable, Callable] | None:
+    """(list rule, array rule) of a law whose draws then go through the
+    steps `post` in order, each None for a negation or the offset a
+    shift adds.  Neg and shift pass their step down to the leaves, where
+    it is the same numpy operation on a chunk of quantiles as on a
+    step's draws.  Each (inverse-transform leaf, steps) pair is appended
+    to `leaves` once, and its rules read the tape's row 1 + its index
+    there.  None where some leaf spends its stream otherwise
+    (lognormal's normals)."""
     if isinstance(law, Mixture):
-        arms = [_compile_scalar(ch, leaves, post) for ch in law.children]
+        arms = [_compile_tape(ch, leaves, post) for ch in law.children]
         if None in arms:
             return None
-        return (1 + max(need for need, _ in arms),
-                partial(_mixture_draws, law._cumw[:-1], [a for _, a in arms]))
+        lists, arrays = zip(*arms)
+        cuts = law._cumw[:-1]
+        return (partial(_mixture_list, cuts, list(lists)),
+                partial(_mixture_array, cuts, list(arrays)))
     if isinstance(law, Neg):
-        return _compile_scalar(law.child, leaves, (None, *post))
+        return _compile_tape(law.child, leaves, (None, *post))
     if isinstance(law, Shift):
-        return _compile_scalar(law.child, leaves, (float(law.c), *post))
+        return _compile_tape(law.child, leaves, (float(law.c), *post))
     if isinstance(law, PointMass):
         c = float(law.c)
         for step in post:
             c = -c if step is None else c + step
-        return 0, partial(_point_draws, c)
+        return partial(_point_list, c), partial(_point_array, c)
     if isinstance(law, _HalfLineLaw) and type(law).sample is _HalfLineLaw.sample:
         if (law, post) not in leaves:
             leaves.append((law, post))
-        return 1, partial(_leaf_draws, leaves.index((law, post)))
+        row = 1 + leaves.index((law, post))
+        return partial(_leaf_list, row), partial(_leaf_array, row)
     return None
 
 
-def _leaf_values(leaf: _HalfLineLaw, post: tuple, u: np.ndarray) -> np.ndarray:
-    """The leaf's quantiles of the uniforms u through the steps `post`."""
-    v = leaf._quantile(u.copy())
-    for step in post:
+def _leaf_values(leaf: _HalfLineLaw, post: tuple, u: np.ndarray,
+                 out: np.ndarray) -> np.ndarray:
+    """The leaf's quantiles of the uniforms u through the steps `post`,
+    computed in out.  A negation first in `post` is the quantile's own,
+    the same bits in fewer numpy calls: the read-ahead helper's calls
+    are what the walk pays for it, in the interpreter lock."""
+    negate = post[:1] == (None,)
+    v = leaf._quantile(u, out, negate)
+    for step in post[1:] if negate else post:
         if step is None:
             np.negative(v, out=v)
         else:
@@ -627,49 +696,229 @@ def _leaf_values(leaf: _HalfLineLaw, post: tuple, u: np.ndarray) -> np.ndarray:
     return v
 
 
+def _philox_seek(bg: np.random.Philox, start: dict, p: int) -> None:
+    """Put the Philox bit generator bg where p outputs drawn from the
+    state `start` leave it, in O(1): spend the buffered outputs, advance
+    whole 4-output blocks and draw the rest of the last block, so that
+    the state, buffer included, is the sequential draws' own."""
+    pos = start["buffer_pos"]
+    if p <= 4 - pos:
+        bg.state = {**start, "buffer_pos": pos + p}
+        return
+    blocks, rest = divmod(p - (4 - pos) - 1, 4)
+    bg.state = {**start, "buffer_pos": 4}
+    bg.advance(blocks)
+    bg.random_raw(rest + 1)
+    # advance clears the spare 32-bit output, which no double reads
+    bg.state = {**bg.state, "has_uint32": start["has_uint32"],
+                "uinteger": start["uinteger"]}
+
+
+# chunk sizes of a tape in uniforms: the power of two at or above eight
+# times its walk count, within these bounds.  A read-ahead ring holds
+# _SLOTS chunks of uniforms and of each leaf's values, 2.25 MiB for two
+# leaves at the largest chunk; each numpy call of the helper's costs the
+# walk a handoff of the interpreter lock, and on verify-quick's walks
+# chunks of 2^14, 2^15 and 2^16 uniforms saved about 10, 20 and 26% of
+# the time against the array sampler
+_CHUNK_MIN, _CHUNK_MAX = 1 << 8, 1 << 15
+_SLOTS = 3
+# leaf values are read ahead only for chunks at least this many chunks
+# past the reader's
+_LEAF_LEAD = 1
+# the fewest and the most values of a row that the reader computes at
+# once; pieces of a 2^15-uniform chunk (256 KiB) raised the peak memory
+# of a 500 000-walk run by 2.3 MiB over the array sampler's, through
+# the allocator, and pieces of 2^12 do not
+_READ, _READ_MAX = 256, 1 << 12
+# counts up to which a tape draws by the list rules
+_LIST_DRAWS = 32
+_EMPTY = np.empty(0)
+
+
 class _UniformTape:
-    """A generator's uniforms read ahead at least `chunk` at a time,
-    with each inverse-transform leaf's values of them taken by the leaf's
-    own numpy `_quantile` and its neg and shift steps, so a scalar draw
-    has the vector draw's bits.  `IncrementModel.sample(tape, n)` spends them in the stream
-    contract's order; spent uniforms are dropped at the next read, and
-    `close` puts the generator where the same draws from it leave it."""
+    """A Philox generator's uniforms from its current position on, cut
+    into chunks at fixed stream positions, with each inverse-transform
+    leaf's values of them taken by the leaf's own numpy `_quantile` and
+    its neg and shift steps, so every draw has the vector draw's bits.
+    `IncrementModel.sample(tape, n)` spends them in the stream contract's
+    order, and `close` puts the generator where the same draws from it
+    leave it, in O(1).
+
+    The tape reads rows: row 0 holds the uniforms, row 1 + i leaf i's
+    values of them.  With `ahead`, a helper thread starts at the first
+    read that one chunk can hold: a walk's first steps may read far more
+    than the ring holds, and their arrays set the run's peak memory.  It
+    fills a ring of _SLOTS chunks, which the reader allocates then, with
+    the chunks after the reader's: their uniforms first, then, while
+    every free slot holds its chunk's uniforms, the leaf values of the
+    chunks at least _LEAF_LEAD past the reader's.  It writes a slot in
+    place, publishes each row by its tag and leaves the slot alone until
+    the reader has moved past its chunk; its own generator seeks only
+    past the chunks the reader reached first.  The reader never waits: a
+    row that is not published where it reads it computes itself from
+    its stream position on, the uniforms from its own generator and a
+    leaf's values from those uniforms.  So no draw depends on which
+    thread computed it."""
 
     def __init__(self, model: IncrementModel, gen: np.random.Generator,
-                 chunk: int):
-        self.leaves, self.need, self.draw = model._scalar_sampler
+                 walks: int, ahead: bool = False):
+        self.leaves, self.list_rule, self.array_rule = model._scalar_sampler
         self.gen = gen
-        self.chunk = chunk
-        self.state = gen.bit_generator.state
-        self.u = np.empty(0)
-        self.q = [np.empty(0) for _ in self.leaves]
-        self.pos = 0
-        self.dropped = 0
+        self.start = gen.bit_generator.state
+        self.chunk = min(_CHUNK_MAX, max(_CHUNK_MIN, 1 << (8 * walks - 1).bit_length()))
+        self.pos = 0  # stream position of the next uniform
+        # per row, read-only values and the positions [lo, end) they
+        # cover, all in the current chunk
+        self._rows = [(_EMPTY, 0, 0)] * (1 + len(self.leaves))
+        self._end = 0  # end of the current chunk
+        self._gen_at = 0  # stream position of gen
+        self.front = 0  # the reader's chunk
+        self._ahead = ahead  # whether a helper is still to start
+        self._helper = None
 
-    def draws(self, n: int) -> list[float]:
-        if self.u.size - self.pos < n * self.need:
-            self._read(max(self.chunk, n * self.need))
-        return self.draw(self, n)
+    def _start_helper(self) -> None:
+        """Allocate the ring and start the helper after the reader's
+        chunk."""
+        self._ahead = False
+        ring = np.empty((_SLOTS, 1 + len(self.leaves), self.chunk))
+        self._ring = (ring, ring.view())  # the helper's, and the reader's
+        self._ring[1].flags.writeable = False
+        # the chunk whose values each slot's rows hold, once published
+        self._tags = [[-1] * (1 + len(self.leaves)) for _ in range(_SLOTS)]
+        self._cond = threading.Condition()
+        self._closed = False
+        self.front = max(self._end - 1, 0) // self.chunk
+        self._helper = threading.Thread(target=self._read_ahead,
+                                        name="htwk-read-ahead", daemon=True)
+        self._helper.start()
 
-    def _read(self, k: int) -> None:
+    def sample(self, n: int) -> np.ndarray:
+        """The law's next n draws as a new array."""
+        if n <= _LIST_DRAWS:
+            return np.array(self.list_rule(self, n))
+        v = self.array_rule(self, n)
+        return v if v.base is None else v.copy()
+
+    def take(self, row: int, n: int) -> np.ndarray:
+        """Row `row`'s values at the next n stream positions: a read-only
+        view where one piece holds them, valid until the next take."""
+        arr, lo, end = self._rows[row]
         p = self.pos
-        r = self.gen.random(k)
-        self.q = [np.concatenate((q[p:], _leaf_values(leaf, post, r)))
-                  for q, (leaf, post) in zip(self.q, self.leaves)]
-        self.u = np.concatenate((self.u[p:], r))
-        self.dropped += p
-        self.pos = 0
+        if p + n <= end:
+            self.pos = p + n
+            return arr[p - lo:p - lo + n]
+        if self._ahead and n <= self.chunk:
+            self._start_helper()
+        out = None
+        done = 0
+        while True:
+            p = self.pos
+            if p >= self._end:
+                self._enter(p // self.chunk)
+            arr, lo, end = self._rows[row]
+            if p >= end:
+                arr, lo, end = self._fill(row, n - done)
+            k = min(n - done, end - p)
+            piece = arr[p - lo:p - lo + k]
+            self.pos = p + k
+            if out is None:
+                if k == n:
+                    return piece
+                out = np.empty(n)
+            out[done:done + k] = piece
+            done += k
+            if done == n:
+                return out
+
+    def _enter(self, j: int) -> None:
+        """Make chunk j the current one, which frees the previous one's
+        slot for the helper."""
+        lo = j * self.chunk
+        self._end = lo + self.chunk
+        self._rows = [(_EMPTY, lo, lo)] * len(self._rows)
+        if self._helper is not None:
+            with self._cond:
+                self.front = j
+                self._cond.notify()
+
+    def _fill(self, row: int, n: int) -> tuple[np.ndarray, int, int]:
+        """Set row `row`'s piece to its values from the current position
+        on: the rest of the chunk's where the helper has published them,
+        else n of them, but at least _READ and at most _READ_MAX and no
+        more than the chunk holds, computed here."""
+        p, end = self.pos, self._end
+        if self._helper is not None:
+            j = p // self.chunk
+            s = j % _SLOTS
+            if self._tags[s][row] == j:
+                got = self._rows[row] = (self._ring[1][s, row],
+                                         end - self.chunk, end)
+                return got
+        m = min(end - p, max(min(n, _READ_MAX), _READ))
+        if row == 0:
+            if self._gen_at != p:
+                _philox_seek(self.gen.bit_generator, self.start, p)
+            v = self.gen.random(m)
+            self._gen_at = p + m
+        else:
+            u, lo, u_end = self._rows[0]
+            if p >= u_end:
+                u, lo, u_end = self._fill(0, m)
+            leaf, post = self.leaves[row - 1]
+            u = u[p - lo:min(u_end, p + m) - lo]
+            v = _leaf_values(leaf, post, u, np.empty(u.size))
+        v.flags.writeable = False
+        got = self._rows[row] = (v, p, p + v.size)
+        return got
+
+    def _read_ahead(self) -> None:
+        """The helper's loop: each turn, one free slot's uniforms, or one
+        chunk's leaf values, or a wait for the reader to move on."""
+        bg = np.random.Philox(0)  # any seed: its state is seeked below
+        gen = np.random.Generator(bg)
+        ring, tags, C = self._ring[0], self._tags, self.chunk
+        nu, at = 0, -1  # the next chunk to draw, and where bg's stream stands
+        while True:
+            with self._cond:
+                while True:
+                    if self._closed:
+                        return
+                    f = self.front
+                    nu = max(nu, f + 1)
+                    if nu < f + _SLOTS:  # chunk nu's slot is free
+                        job = nu
+                        break
+                    job = next((k for k in range(f + 1 + _LEAF_LEAD, nu)
+                                if tags[k % _SLOTS][-1] != k), None)
+                    if job is not None:
+                        break
+                    self._cond.wait()
+            s = job % _SLOTS
+            if job == nu:
+                if at != job * C:
+                    _philox_seek(bg, self.start, job * C)
+                gen.random(out=ring[s, 0])
+                tags[s][0] = job
+                nu = job + 1
+                at = nu * C
+                continue
+            for row, (leaf, post) in enumerate(self.leaves, 1):
+                if self.front > job - 1 - _LEAF_LEAD or self._closed:
+                    break
+                if tags[s][row] != job:
+                    _leaf_values(leaf, post, ring[s, 0], ring[s, row])
+                    tags[s][row] = job
 
     def close(self) -> None:
-        """Restore the generator's state at the tape's start and redraw
-        the uniforms spent since, a chunk at a time."""
-        left = self.dropped + self.pos
-        self.gen.bit_generator.state = self.state
-        buf = np.empty(min(left, self.chunk))
-        while left:
-            k = min(left, buf.size)
-            self.gen.random(out=buf[:k])
-            left -= k
+        """Stop and join the helper, and put the generator where the
+        draws spent from the tape leave it."""
+        if self._helper is not None:
+            with self._cond:
+                self._closed = True
+                self._cond.notify()
+            self._helper.join()
+        _philox_seek(self.gen.bit_generator, self.start, self.pos)
 
 
 # ----------------------------------------------------------------------
@@ -714,17 +963,16 @@ class IncrementModel:
         """n draws of the law from a generator, or from a `_UniformTape`
         of one, which spends the same uniforms for the same draws."""
         if isinstance(gen, _UniformTape):
-            return np.array(gen.draws(n))
+            return gen.sample(n)
         return self.law.sample(gen, n)
 
     @cached_property
-    def _scalar_sampler(self) -> tuple[list, int, Callable] | None:
-        """((inverse-transform leaf, steps) pairs, most uniforms one draw
-        spends, draw rule) for a `_UniformTape`; None for a law with a
-        lognormal leaf."""
+    def _scalar_sampler(self) -> tuple[list, Callable, Callable] | None:
+        """((inverse-transform leaf, steps) pairs, list rule, array rule)
+        for a `_UniformTape`; None for a law with a lognormal leaf."""
         leaves: list[tuple[Law, tuple]] = []
-        plan = _compile_scalar(self.law, leaves)
-        return None if plan is None else (leaves, *plan)
+        rules = _compile_tape(self.law, leaves)
+        return None if rules is None else (leaves, *rules)
 
     @cached_property
     def infinite_neg_mean(self) -> bool:

@@ -6,7 +6,15 @@ a fixed (seed, worker count, configuration) triple.  One runner,
 `_run_sharded`, splits a batch into shards: each worker receives the
 model and its shard's generator, every kernel returns its step count
 last, and the run-wide step budget is checked there once.  Results are
-reduced in stream-index order regardless of scheduling.
+reduced in stream-index order regardless of scheduling.  A run of one
+shard, of a law whose every leaf spends one uniform per draw, on a
+process whose CPU affinity holds at least two CPUs, reads its stream
+through a `tailmath._UniformTape` whose helper thread draws chunks of
+it ahead of the walk; the walk never waits for the helper and draws a
+chunk that is not ready itself at the chunk's stream position, so no
+draw depends on which thread computed it.  Runs of several shards draw
+from their generators on the walk's thread, as does a kernel handed a
+bare generator.
 
 One stepper, `_walk`, moves every batch of walks: it steps them in
 lockstep and stops each at the first step where the kernel's stop rule
@@ -16,19 +24,19 @@ ladder).  Each lockstep step makes exactly one `model.sample` call for
 all live walks, in start order.  The stream's layout is the order in
 which those calls spend its uniforms, not how they are read: once at
 most _TAIL_WALKS walks are live, `_walk_tail` steps them in plain
-Python, drawing from a `tailmath._UniformTape` that reads the
-uniforms ahead in chunks and then puts the generator back where the
-spent draws leave it, so every draw and the generator's final state
-are the vector path's bit for bit.  A law with a lognormal leaf, whose
-normals are not one uniform each, stays on the vector path.  The
-vector steps keep a compact active set: finished walks are
-written to their original slots and dropped from the working arrays,
-so memory tracks the surviving population, not the step count.
-Finished walks leave the working arrays by index gathers (`nonzero`,
-then `take`), several times cheaper than boolean indexing on the random
-masks that stop rules give.  A
-cycle shard consumes its stream CHUNK cycles at a time and returns
-aggregates, plus raw columns only on request.
+Python, drawing from the run's tape, or from a tape of its own over a
+bare generator, which reads the uniforms ahead in chunks and then
+puts the generator back where the spent draws leave it; so every draw
+and the generator's final state are the vector path's bit for bit.  A
+law with a lognormal leaf, whose normals are not one uniform each,
+stays on the vector path.  The vector steps keep a compact active set:
+finished walks are written to their original slots and dropped from
+the working arrays, so memory tracks the surviving population, not the
+step count.  Finished walks leave the working arrays by index gathers
+(`nonzero`, then `take`), several times cheaper than boolean indexing
+on the random masks that stop rules give.  A cycle shard consumes its
+stream CHUNK cycles at a time and returns aggregates, plus raw columns
+only on request.
 
 Each kernel has one entry, its batch driver (`simulate_cycles`,
 `estimate_sup_many`, `sample_ladder_many`, `renewal_estimate`); a
@@ -42,6 +50,7 @@ since it draws nothing.
 from __future__ import annotations
 
 import math
+import os
 import weakref
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -201,10 +210,12 @@ class RenewalEstimate:
 # batch kernels (single stream)
 # ----------------------------------------------------------------------
 
-def _walk(model: IncrementModel, gen: np.random.Generator, n: int, stop,
-          step_budget: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+def _walk(model: IncrementModel, gen: np.random.Generator | _UniformTape,
+          n: int, stop, step_budget: int
+          ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
     """Step n walks from 0 in lockstep; each stops at the first step
     where stop(S, M) holds for its position S and running maximum M.
+    The draws come from a Philox generator or from a run's tape of one.
 
     Returns (S, M, T) of every walk at its stopping step, in start
     order, and the number of increments drawn.  Once at most
@@ -248,21 +259,22 @@ def _walk(model: IncrementModel, gen: np.random.Generator, n: int, stop,
     return S_end, M_end, T_end, steps
 
 
-def _walk_tail(model: IncrementModel, gen: np.random.Generator, stop,
-               step_budget: int, steps: int, t: int, live, ends) -> int:
+def _walk_tail(model: IncrementModel, gen: np.random.Generator | _UniformTape,
+               stop, step_budget: int, steps: int, t: int, live, ends) -> int:
     """`_walk`'s steps in plain Python for its last few walks, given as
     (S, M, slot) after t steps; writes each walk's (S, M, T) into the
     arrays `ends` at its slot and returns the steps.
 
-    The draws come from a `_UniformTape` of gen that reads at least
-    8 * _TAIL_WALKS uniforms at a time, and gen is left as the same
-    draws leave it, even when the budget runs out.  The budget check and
+    The draws come from the run's tape, or from a `_UniformTape` of a
+    bare generator gen that leaves gen as the same draws leave it, even
+    when the budget runs out.  The budget check and
     `np.maximum`'s result (M on a tie, NaN once S is NaN) are the vector
     steps' own.
     """
     S_end, M_end, T_end = ends
     live = list(live)
-    tape = _UniformTape(model, gen, 8 * _TAIL_WALKS)
+    tape = gen if isinstance(gen, _UniformTape) else _UniformTape(model, gen,
+                                                                 len(live))
     try:
         while live:
             draws = model.sample(tape, len(live)).tolist()
@@ -281,7 +293,8 @@ def _walk_tail(model: IncrementModel, gen: np.random.Generator, stop,
                     kept.append((s, m, i))
             live = kept
     finally:
-        tape.close()
+        if tape is not gen:
+            tape.close()
     return steps
 
 
@@ -292,7 +305,8 @@ def _check_budget(steps: int, step_budget: int) -> None:
             "increments; the model may not drift to -infinity")
 
 
-def _cycles_kernel(model: IncrementModel, gen: np.random.Generator, n: int,
+def _cycles_kernel(model: IncrementModel,
+                   gen: np.random.Generator | _UniformTape, n: int,
                    step_budget: int
                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
     """Simulate n independent cycles; returns (tau, m_tau, chi, steps)."""
@@ -300,7 +314,8 @@ def _cycles_kernel(model: IncrementModel, gen: np.random.Generator, n: int,
     return T, M, -S, steps
 
 
-def _cycles_shard(model: IncrementModel, gen: np.random.Generator, n: int,
+def _cycles_shard(model: IncrementModel,
+                  gen: np.random.Generator | _UniformTape, n: int,
                   probes: tuple[float, ...], keep_raw: bool, step_budget: int
                   ) -> tuple[CycleStats, list, int]:
     """n cycles from one stream, CHUNK at a time, under one step budget.
@@ -321,15 +336,17 @@ def _cycles_shard(model: IncrementModel, gen: np.random.Generator, n: int,
     return stats, raws, stats.steps
 
 
-def _sup_kernel(model: IncrementModel, gen: np.random.Generator, n: int,
-                barrier: float, step_budget: int) -> tuple[np.ndarray, int]:
+def _sup_kernel(model: IncrementModel, gen: np.random.Generator | _UniformTape,
+                n: int, barrier: float, step_budget: int
+                ) -> tuple[np.ndarray, int]:
     """Running maxima stopped once the walk falls `barrier` below them."""
     _, M, _, steps = _walk(model, gen, n, lambda S, M: S <= M - barrier,
                            step_budget)
     return M, steps
 
 
-def _ladder_kernel(model: IncrementModel, gen: np.random.Generator, n: int,
+def _ladder_kernel(model: IncrementModel,
+                   gen: np.random.Generator | _UniformTape, n: int,
                    barrier: float, step_budget: int
                    ) -> tuple[np.ndarray, np.ndarray, int]:
     """First strict ascent height psi, or censoring at -barrier."""
@@ -340,7 +357,8 @@ def _ladder_kernel(model: IncrementModel, gen: np.random.Generator, n: int,
     return np.where(up, S, 0.0), ~up, steps
 
 
-def _renewal_kernel(model: IncrementModel, gen: np.random.Generator, reps: int,
+def _renewal_kernel(model: IncrementModel,
+                    gen: np.random.Generator | _UniformTape, reps: int,
                     xs: tuple[float, ...], step_budget: int, raw_reps: int = 0
                     ) -> tuple[np.ndarray, np.ndarray, int, int]:
     """Renewal counts of the descent ladder heights chi.
@@ -389,11 +407,20 @@ def _shard_sizes(total: int, workers: int) -> list[int]:
     return [base + (1 if i < extra else 0) for i in range(workers)]
 
 
+def _spare_cpu() -> bool:
+    """Whether this process may run on at least two CPUs."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0)) >= 2
+    return (os.cpu_count() or 1) >= 2
+
+
 def _run_sharded(kernel, model: IncrementModel, total: int, seed: int,
                  purpose: int, workers: int, step_budget: int,
                  lead: dict | None = None, **kwargs) -> tuple[list, int]:
     """Run kernel(model, gen, size, **kwargs) on each shard's stream;
-    shard 0 also receives the keyword arguments in `lead`.
+    shard 0 also receives the keyword arguments in `lead`.  A run of one
+    shard hands the kernel a read-ahead tape of its generator where the
+    law and the CPUs allow one (see the module docstring).
 
     Returns the shard results in stream-index order and their summed
     step count, which every kernel returns last.  Each shard stops at
@@ -407,7 +434,14 @@ def _run_sharded(kernel, model: IncrementModel, total: int, seed: int,
     shard_kwargs = [{**kwargs, "step_budget": step_budget} for _ in sizes]
     shard_kwargs[0].update(lead or {})
     if len(sizes) == 1:
-        results = [kernel(model, gens[0], sizes[0], **shard_kwargs[0])]
+        source = gens[0]
+        if model._scalar_sampler is not None and _spare_cpu():
+            source = _UniformTape(model, source, sizes[0], ahead=True)
+        try:
+            results = [kernel(model, source, sizes[0], **shard_kwargs[0])]
+        finally:
+            if source is not gens[0]:
+                source.close()
     else:
         with ProcessPoolExecutor(max_workers=len(sizes)) as pool:
             futures = [pool.submit(kernel, model, gen, size, **kw)

@@ -1,7 +1,21 @@
+import threading
+
 import pytest
 
 from htwk import spec_to_model
 from htwk.verify import CASE_B, DEFAULT_MODEL, K_DIVERGENT, LIGHT_CONTROL
+
+
+@pytest.fixture(autouse=True)
+def no_thread_outlives_its_test():
+    """Fail a test that leaves a thread running, such as a read-ahead
+    helper that its run did not join."""
+    before = set(threading.enumerate())
+    yield
+    left = [t.name for t in threading.enumerate()
+            if t not in before and t.is_alive()]
+    if left:
+        pytest.fail(f"threads left running: {left}")
 
 
 @pytest.fixture(scope="session")

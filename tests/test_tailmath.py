@@ -171,6 +171,26 @@ def test_law_integrals_are_vectorized(spec):
                            rtol=1e-15, atol=0.0)
 
 
+@pytest.mark.parametrize("spec", ["weibull(shape=2.5, scale=1.5)",
+                                  "lognormal(mu=0.3, sigma=1.2)"])
+@pytest.mark.parametrize("lo, hi", [(1.0, 1.0 + 1e-8), (3.0, 3.0 + 1e-6),
+                                    (1.0, 1.001), (1e-3, 1e-3 + 1e-9)])
+def test_cdf_integral_keeps_its_digits_on_a_short_interval(spec, lo, hi):
+    # the partial mean less lo (F(hi) - F(lo)) lost lo / (hi - lo) of
+    # the digits here: 2.3e-8 and 1.2e-8 relative on [1, 1 + 1e-8]
+    mpmath = pytest.importorskip("mpmath")
+    law = spec_to_model(spec).law
+    with mpmath.workdps(40):
+        if isinstance(law, tailmath.Weibull):
+            cdf = lambda t: -mpmath.expm1(-(t / law.scale) ** law.shape)
+        else:
+            cdf = lambda t: mpmath.ncdf((mpmath.log(t) - law.mu) / law.sigma)
+        want = mpmath.quad(cdf, [mpmath.mpf(lo), mpmath.mpf(hi)])
+        got = law.cdf_integral(lo, hi)
+        assert float(abs(got - want) / want) <= 1e-13
+        assert law.cdf_integral(np.array([lo, 0.0]), np.array([hi, hi]))[0] == got
+
+
 @pytest.mark.parametrize("spec", [
     "pareto(alpha=1.5, kappa=1)", "pareto(alpha=2.5, kappa=0.5)",
     "exponential(rate=0.7)", "weibull(shape=0.6, scale=2)",

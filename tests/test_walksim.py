@@ -3,6 +3,9 @@
 import gc
 import math
 import pickle
+import sys
+import threading
+import time
 import tracemalloc
 from concurrent.futures import Future
 
@@ -12,11 +15,11 @@ import scipy.stats
 from hypothesis import given
 from hypothesis import strategies as st
 
-from htwk import spec_to_model, walksim
+from htwk import spec_to_model, tailmath, walksim
 from htwk.errors import BudgetError, PreconditionError, SpecValidationError
 from htwk.serialize import read_cycles, write_cycles
 from htwk.tailmath import (Exponential, IncrementModel, Lognormal, Mixture, Neg,
-                           Pareto, PointMass, Shift, Weibull)
+                           Pareto, PointMass, Shift, Weibull, _UniformTape)
 from htwk.verify import DEFAULT_MODEL, LIGHT_CONTROL
 from htwk.walksim import (
     CYCLES,
@@ -237,34 +240,211 @@ def _tape_calls(monkeypatch) -> list[int]:
     return calls
 
 
+class _HeldCondition:
+    """A tape's condition that puts its helper thread to sleep before
+    each of its turns, so that the reader reaches most chunks first."""
+
+    def __init__(self, cond, helper):
+        self.cond, self.helper = cond, helper
+
+    def __enter__(self):
+        if threading.current_thread() is self.helper:
+            time.sleep(0.002)
+        return self.cond.__enter__()
+
+    def __exit__(self, *exc):
+        return self.cond.__exit__(*exc)
+
+    def wait(self):
+        self.cond.wait()
+
+    def notify(self):
+        self.cond.notify()
+
+
+def _no_second_tape(*args, **kwargs):
+    raise AssertionError("a walk opened a tape of its own")
+
+
+def _source(source, model, gen, walks, monkeypatch):
+    """What a kernel draws from: gen itself, as on a worker of a sharded
+    run, or a one-shard run's read-ahead source over gen with its helper
+    absent, present or held back; a walk that opens a tape of its own
+    beside a source fails.  A law that a source cannot serve (lognormal)
+    gets gen, as `_run_sharded` gives it."""
+    if source == "generator" or model._scalar_sampler is None:
+        return gen
+    if source == "held":
+        real = _UniformTape._read_ahead
+
+        def held(tape):
+            tape._cond = _HeldCondition(tape._cond, threading.current_thread())
+            real(tape)
+        monkeypatch.setattr(_UniformTape, "_read_ahead", held)
+    tape = _UniformTape(model, gen, walks, ahead=source != "absent")
+    monkeypatch.setattr(_UniformTape, "__init__", _no_second_tape)
+    return tape
+
+
+def _close(src):
+    if isinstance(src, _UniformTape):
+        src.close()
+
+
+SOURCES = ["generator", "absent", "present", "held"]
+
+
+@pytest.mark.parametrize("source", SOURCES)
 @pytest.mark.parametrize("n", [1, 7, 5000])
 @pytest.mark.parametrize("text", WALK_SPECS)
 @pytest.mark.parametrize("rule", STOP_RULES)
-def test_walk_matches_the_reference_stepper(rule, text, n, monkeypatch):
+def test_walk_matches_the_reference_stepper(rule, text, n, source, monkeypatch):
     model = spec_to_model(text)
     tape_calls = _tape_calls(monkeypatch)
     gen, ref = RngStream(5, 9, 0).generator(), RngStream(5, 9, 0).generator()
-    got = walksim._walk(model, gen, n, STOP_RULES[rule], 10 ** 9)
+    src = _source(source, model, gen, n, monkeypatch)
+    try:
+        got = walksim._walk(model, src, n, STOP_RULES[rule], 10 ** 9)
+    finally:
+        _close(src)
     want = _reference_walk(model.law, ref, n, STOP_RULES[rule])
     for a, b in zip(got[:3], want[:3], strict=True):
         assert np.array_equal(a, b)
     assert got[3] == want[3]
     assert _plain(gen.bit_generator.state) == _plain(ref.bit_generator.state)
-    # the tail takes over at _TAIL_WALKS live walks, except under lognormal
+    # the tail takes over at _TAIL_WALKS live walks, except under
+    # lognormal; a source feeds the lockstep steps too
     assert bool(tape_calls) == ("lognormal" not in text)
-    assert all(k <= walksim._TAIL_WALKS for k in tape_calls)
+    if src is gen:
+        assert all(k <= walksim._TAIL_WALKS for k in tape_calls)
 
 
+@pytest.mark.parametrize("chunk", [None, 256])
+@pytest.mark.parametrize("source", SOURCES)
 @pytest.mark.parametrize("n", [1, 7, 5000])
 @pytest.mark.parametrize("text", WALK_SPECS)
-def test_renewal_epochs_match_the_reference(text, n):
+def test_renewal_epochs_match_the_reference(text, n, source, chunk, monkeypatch):
+    # a source serves every epoch's walk; 256-uniform chunks make most
+    # reads cross a chunk's end
+    if chunk:
+        monkeypatch.setattr(tailmath, "_CHUNK_MAX", chunk)
     model = spec_to_model(text)
     gen, ref = RngStream(5, 9, 0).generator(), RngStream(5, 9, 0).generator()
-    got = walksim._renewal_kernel(model, gen, n, (1.0, 10.0), 10 ** 9, raw_reps=3)
+    src = _source(source, model, gen, n, monkeypatch)
+    try:
+        got = walksim._renewal_kernel(model, src, n, (1.0, 10.0), 10 ** 9,
+                                      raw_reps=3)
+    finally:
+        _close(src)
     want = _reference_renewal(model.law, ref, n, (1.0, 10.0), 3)
     assert np.array_equal(got[0], want[0])
     assert np.array_equal(got[1], want[1])
     assert got[2:] == want[2:]
+    assert _plain(gen.bit_generator.state) == _plain(ref.bit_generator.state)
+
+
+# ----------------------------------------------------------------------
+# the read-ahead source of one-shard runs
+# ----------------------------------------------------------------------
+
+def test_sources_on_threads_of_their_own_keep_every_draw():
+    # three walks at once, each on its own thread with its own source and
+    # helper, while the interpreter switches threads every microsecond
+    model = spec_to_model(DEFAULT_MODEL)
+    model.sample(RngStream(1, 9, 0).generator(), 16)  # fill caches
+    assert model._scalar_sampler is not None
+    got = {}
+
+    def run(seed):
+        gen = RngStream(seed, 9, 0).generator()
+        tape = _UniformTape(model, gen, 20000, ahead=True)
+        try:
+            walked = walksim._walk(model, tape, 20000, STOP_RULES["sup"], 10 ** 9)
+        finally:
+            tape.close()
+        got[seed] = walked, _plain(gen.bit_generator.state)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run, args=(seed,)) for seed in range(3)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=300)
+        assert not any(t.is_alive() for t in threads)
+    finally:
+        sys.setswitchinterval(interval)
+    for seed in range(3):
+        ref = RngStream(seed, 9, 0).generator()
+        want = _reference_walk(model.law, ref, 20000, STOP_RULES["sup"])
+        walked, state = got[seed]
+        for a, b in zip(walked[:3], want[:3], strict=True):
+            assert np.array_equal(a, b)
+        assert walked[3] == want[3]
+        assert state == _plain(ref.bit_generator.state)
+
+
+SEEK_LENGTHS = [*range(10), *(4 * k + d for k in (1, 2, 3, 25, 2500)
+                              for d in (-1, 1)), 10 ** 5 + 3]
+
+
+@pytest.mark.parametrize("buffer_pos", range(5))
+def test_a_chunk_drawn_at_its_position_is_the_sequential_stream(buffer_pos):
+    # a start whose buffer still holds its last 4 - buffer_pos outputs,
+    # with a spare 32-bit output that doubles leave alone
+    bg = np.random.Philox(2024)
+    bg.random_raw(5)
+    start = {**bg.state, "buffer_pos": buffer_pos, "has_uint32": 1,
+             "uinteger": 77}
+    for p in SEEK_LENGTHS:
+        seq = np.random.Philox(1)
+        seq.state = start
+        want = np.random.Generator(seq).random(p + 9)[p:]
+        at = np.random.Philox(1)
+        tailmath._philox_seek(at, start, p)
+        assert np.array_equal(np.random.Generator(at).random(9), want), p
+        assert _plain(at.state) == _plain(seq.state), p
+
+
+def test_a_seek_matches_a_spawn_keyed_stream_far_out():
+    gen = RngStream(11, walksim.SUP, 0).generator()
+    start = gen.bit_generator.state
+    want = gen.random(999_983 + 5)[-5:]
+    at = np.random.Philox(1)
+    tailmath._philox_seek(at, start, 999_983)
+    assert np.array_equal(np.random.Generator(at).random(5), want)
+    assert _plain(at.state) == _plain(gen.bit_generator.state)
+
+
+def test_the_reader_takes_published_chunks_read_only():
+    model = spec_to_model(DEFAULT_MODEL)
+    (leaf, post), _ = model._scalar_sampler[0]
+    gen = RngStream(8, 9, 0).generator()
+    u = RngStream(8, 9, 0).generator().random(3 * 256)
+    tape = _UniformTape(model, gen, 20, ahead=True)
+    assert tape.chunk == 256
+    try:
+        # the first read starts the helper and draws chunk 0 here; a view
+        # is valid until the next take, so each is checked at once
+        own = tape.take(0, 256)
+        assert np.array_equal(own, u[:256])
+        assert not np.shares_memory(own, tape._ring[0])
+        # the helper draws chunks 1 and 2 and then the leaf values of the
+        # one a chunk past the reader's, 2
+        deadline = time.monotonic() + 30
+        while tape._tags[2][-1] != 2:
+            assert time.monotonic() < deadline
+            time.sleep(0.001)
+        values = tailmath._leaf_values(leaf, post, u[512:], np.empty(256))
+        for row, want in ((0, u[256:512]), (1, values)):
+            got = tape.take(row, 256)
+            assert np.shares_memory(got, tape._ring[0])
+            assert not got.flags.writeable
+            assert np.array_equal(got, want)
+    finally:
+        tape.close()
+    ref = RngStream(8, 9, 0).generator()
+    ref.random(3 * 256)
     assert _plain(gen.bit_generator.state) == _plain(ref.bit_generator.state)
 
 
@@ -435,6 +615,58 @@ def _steps(result):
 
 def _arrays(result):
     return [v for v in vars(result).values() if isinstance(v, np.ndarray)]
+
+
+def _record_tapes(monkeypatch) -> list:
+    """Record every tape opened, in order."""
+    tapes = []
+    init = _UniformTape.__init__
+
+    def recording(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        tapes.append(self)
+    monkeypatch.setattr(_UniformTape, "__init__", recording)
+    return tapes
+
+
+@pytest.mark.parametrize("driver", DRIVERS)
+def test_one_shard_runs_draw_the_same_with_or_without_read_ahead(driver,
+                                                                 monkeypatch):
+    tapes = _record_tapes(monkeypatch)
+    runs = []
+    for spare in (False, True):
+        monkeypatch.setattr(walksim, "_spare_cpu", lambda spare=spare: spare)
+        runs.append(DRIVERS[driver](spec_to_model(DEFAULT_MODEL)))
+    assert [t for t in tapes if t._helper is not None] == tapes[-1:]
+    assert _steps(runs[0]) == _steps(runs[1])
+    assert all(np.array_equal(a, b)
+               for a, b in zip(_arrays(runs[0]), _arrays(runs[1]), strict=True))
+
+
+def test_read_ahead_runs_on_one_shard_of_a_one_uniform_law(monkeypatch):
+    tapes = _record_tapes(monkeypatch)
+    monkeypatch.setattr(walksim, "_spare_cpu", lambda: True)
+    lognormal = spec_to_model("mix(0.5: lognormal(mu=0, sigma=1), "
+                              "0.5: neg(pareto(alpha=0.5, kappa=1)))")
+    simulate_cycles(lognormal, 2000, seed=1)
+    simulate_cycles(spec_to_model(DEFAULT_MODEL), 2000, seed=1, workers=2)
+    assert tapes == []
+    simulate_cycles(spec_to_model(DEFAULT_MODEL), 2000, seed=1)
+    assert [t._helper is not None for t in tapes] == [True]
+    monkeypatch.setattr(walksim, "_spare_cpu", lambda: False)
+    simulate_cycles(spec_to_model(DEFAULT_MODEL), 2000, seed=1)
+    assert all(t._helper is None for t in tapes[1:])
+
+
+def test_a_one_shard_run_over_its_budget_joins_its_helper(monkeypatch):
+    tapes = _record_tapes(monkeypatch)
+    monkeypatch.setattr(walksim, "_spare_cpu", lambda: True)
+    with pytest.raises(BudgetError):
+        estimate_sup_many(spec_to_model(DEFAULT_MODEL), 5000, seed=2,
+                          step_budget=30000)
+    assert tapes[0]._helper is not None
+    assert not tapes[0]._helper.is_alive()
+    assert tapes[0].pos > 30000  # it ran out mid-walk, past the first step
 
 
 @pytest.mark.parametrize("driver", DRIVERS)
