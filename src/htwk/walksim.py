@@ -20,8 +20,12 @@ One stepper, `_walk`, moves every batch of walks: it steps them in
 lockstep and stops each at the first step where the kernel's stop rule
 holds (a first descent for cycles, a fall of `barrier` below the
 running maximum for sup, a strict ascent or a fall to -barrier for
-ladder).  Each lockstep step makes exactly one `model.sample` call for
-all live walks, in start order.  The stream's layout is the order in
+ladder).  A stopped walk retires, unless the kernel's restart rule
+starts it again from 0 in its slot: the renewal walks each replication
+on through all its cycles, so a run lasts as long as its longest
+replication.  Each lockstep step makes exactly one `model.sample` call
+for all live walks, in start order, whether a walk is on its first
+cycle or a later one.  The stream's layout is the order in
 which those calls spend its uniforms, not how they are read: once at
 most _TAIL_WALKS walks are live, `_walk_tail` steps them in plain
 Python, drawing from the run's tape, or from a tape of its own over a
@@ -211,13 +215,18 @@ class RenewalEstimate:
 # ----------------------------------------------------------------------
 
 def _walk(model: IncrementModel, gen: np.random.Generator | _UniformTape,
-          n: int, stop, step_budget: int
+          n: int, stop, step_budget: int, restart=None
           ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
     """Step n walks from 0 in lockstep; each stops at the first step
     where stop(S, M) holds for its position S and running maximum M.
     The draws come from a Philox generator or from a run's tape of one.
 
-    Returns (S, M, T) of every walk at its stopping step, in start
+    With a restart rule, restart(slots, S) is called once per step on
+    the walks that stop there, in start order, and returns a boolean
+    array: a walk marked True starts again from S = M = 0 in its slot
+    at the next step, and the others retire.
+
+    Returns (S, M, T) of every walk at the step it retires, in start
     order, and the number of increments drawn.  Once at most
     _TAIL_WALKS walks are live, `_walk_tail` moves the rest.
     """
@@ -234,7 +243,7 @@ def _walk(model: IncrementModel, gen: np.random.Generator | _UniformTape,
         if idx.size <= tail:
             steps = _walk_tail(model, gen, stop, step_budget, steps, t,
                                zip(S.tolist(), Mx.tolist(), idx.tolist()),
-                               (S_end, M_end, T_end))
+                               (S_end, M_end, T_end), restart)
             break
         # in place, so the step's draws are gone before the live set is
         # compacted
@@ -245,6 +254,13 @@ def _walk(model: IncrementModel, gen: np.random.Generator | _UniformTape,
         np.maximum(Mx, S, out=Mx)
         done = stop(S, Mx)
         j = done.nonzero()[0]
+        if j.size and restart is not None:
+            again = restart(idx.take(j), S.take(j))
+            r = j[again]
+            S[r] = 0.0
+            Mx[r] = 0.0
+            done[r] = False
+            j = j[~again]
         if j.size:
             d = idx.take(j)
             S_end[d] = S.take(j)
@@ -260,10 +276,12 @@ def _walk(model: IncrementModel, gen: np.random.Generator | _UniformTape,
 
 
 def _walk_tail(model: IncrementModel, gen: np.random.Generator | _UniformTape,
-               stop, step_budget: int, steps: int, t: int, live, ends) -> int:
+               stop, step_budget: int, steps: int, t: int, live, ends,
+               restart=None) -> int:
     """`_walk`'s steps in plain Python for its last few walks, given as
-    (S, M, slot) after t steps; writes each walk's (S, M, T) into the
-    arrays `ends` at its slot and returns the steps.
+    (S, M, slot) after t steps, under the same restart rule; writes each
+    retiring walk's (S, M, T) into the arrays `ends` at its slot and
+    returns the steps.
 
     The draws come from the run's tape, or from a `_UniformTape` of a
     bare generator gen that leaves gen as the same draws leave it, even
@@ -281,17 +299,30 @@ def _walk_tail(model: IncrementModel, gen: np.random.Generator | _UniformTape,
             steps += len(live)
             _check_budget(steps, step_budget)
             t += 1
-            kept = []
+            walks = []
+            stopped = []  # positions in walks of the walks that stop
             for (s, m, i), x in zip(live, draws):
                 s += x
                 m = m if m >= s else s
                 if stop(s, m):
+                    stopped.append(len(walks))
+                walks.append((s, m, i))
+            if not stopped:
+                live = walks
+                continue
+            again = (restart(np.array([walks[k][2] for k in stopped]),
+                             np.array([walks[k][0] for k in stopped])).tolist()
+                     if restart is not None else [False] * len(stopped))
+            for k, a in zip(stopped, again):
+                s, m, i = walks[k]
+                if a:
+                    walks[k] = (0.0, 0.0, i)
+                else:
                     S_end[i] = s
                     M_end[i] = m
                     T_end[i] = t
-                else:
-                    kept.append((s, m, i))
-            live = kept
+                    walks[k] = None
+            live = [w for w in walks if w is not None]
     finally:
         if tape is not gen:
             tape.close()
@@ -363,33 +394,41 @@ def _renewal_kernel(model: IncrementModel,
                     ) -> tuple[np.ndarray, np.ndarray, int, int]:
     """Renewal counts of the descent ladder heights chi.
 
+    Each replication is one continuing walk: when a cycle ends at S < 0,
+    its chi-sum grows by chi = -S, and while the sum is at or below the
+    last probe the walk starts its next cycle from 0 in the same slot;
+    otherwise it leaves.
+
     Returns (counts matrix probes x reps, raw partial-sum points from
-    the first raw_reps replications, how many replications that is,
-    steps).  Counts exclude the n=0 term; callers add 1.
+    the first raw_reps replications in the order they arise, how many
+    replications that is, steps).  Counts exclude the n=0 term; callers
+    add 1.
     """
     xs_arr = np.asarray(xs, dtype=float)
-    pmax = float(xs_arr[-1])
-    counts = np.zeros((xs_arr.size, reps), dtype=np.int64)
+    last = xs_arr.size
     cum = np.zeros(reps)
-    idx = np.arange(reps)
+    # hits[j, r]: replication r's partial sums with exactly j probes
+    # below them; row `last` takes each replication's leaving sum
+    hits = np.zeros((last + 1, reps), dtype=np.int64)
+    flat_hits = hits.reshape(-1)
     raw: list[np.ndarray] = []
-    steps = 0
-    while idx.size:
-        _, _, chi, used = _cycles_kernel(model, gen, idx.size,
-                                         step_budget=step_budget - steps)
-        steps += used
-        cum += chi
-        counts[:, idx] += cum[None, :] <= xs_arr[:, None]
-        k = (cum <= pmax).nonzero()[0]
-        cum = cum.take(k)
-        idx = idx.take(k)
+
+    def renew(slots: np.ndarray, S: np.ndarray) -> np.ndarray:
+        c = cum[slots] - S
+        cum[slots] = c
+        level = xs_arr.searchsorted(c)
+        again = level < last  # at or below the last probe
+        at = level * reps
+        at += slots
+        flat_hits[at] += 1  # one stop per slot and step, so no index repeats
         if raw_reps:
-            # idx stays ascending, so the raw replications lead the live set
-            r = int(np.searchsorted(idx, raw_reps))
-            if r:
-                raw.append(cum[:r].copy())
+            raw.append(c[again & (slots < raw_reps)])
+        return again
+
+    _, _, _, steps = _walk(model, gen, reps, lambda S, M: S < 0.0,
+                           step_budget, restart=renew)
     raw_points = np.concatenate(raw) if raw else np.empty(0)
-    return counts, raw_points, min(raw_reps, reps), steps
+    return hits[:last].cumsum(axis=0), raw_points, min(raw_reps, reps), steps
 
 
 # ----------------------------------------------------------------------
@@ -527,8 +566,10 @@ def renewal_estimate(model: IncrementModel, xs, reps: int, seed: int,
     """Estimate the descent renewal function on probes.
 
     H(x) = 1 + mean count of partial chi-sums at or below x; the n=0
-    renewal contributes the leading 1.  Raw partial-sum points are
-    collected from the first `raw_reps` replications of stream 0.
+    renewal contributes the leading 1.  Each replication is one
+    continuing walk through its descent cycles (see `_renewal_kernel`).
+    Raw partial-sum points are collected from the first `raw_reps`
+    replications of stream 0.
     """
     xs = tuple(sorted(float(x) for x in xs))
     if any(x < 0 for x in xs):

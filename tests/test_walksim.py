@@ -186,22 +186,49 @@ def _reference_walk(law, gen, n, stop):
 
 
 def _reference_renewal(law, gen, reps, xs, raw_reps):
-    """Renewal epochs with boolean masks: each epoch runs one cycle per
-    live replication, and a replication lives while its chi-sum is at
-    or below the last probe."""
+    """The renewal as one continuing walk per replication, spelled out
+    with boolean masks and the reference sampler: one draw per live
+    replication and step, in start order.  A cycle ends at S < 0 and
+    adds chi = -S to its replication's sum; while the sum is at or below
+    the last probe the walk goes on from S = 0, and otherwise the
+    replication leaves.  Raw points are each step's sums that stay, in
+    start order.  Returns (counts, raw points, replications, steps, and
+    the step at which each replication left)."""
+    xs_arr = np.asarray(xs)
+    counts = np.zeros((xs_arr.size, reps), dtype=np.int64)
+    S, cum = np.zeros(reps), np.zeros(reps)
+    live, T_end = np.ones(reps, dtype=bool), np.zeros(reps, dtype=np.int64)
+    raw, steps, t = [], 0, 0
+    while live.any():
+        S[live] += _reference_draws(law, gen, int(live.sum()))
+        steps += int(live.sum())
+        t += 1
+        ended = live & (S < 0.0)
+        cum[ended] -= S[ended]
+        S[ended] = 0.0
+        counts[:, ended] += cum[ended] <= xs_arr[:, None]
+        left = ended & ~(cum <= xs_arr[-1])
+        raw.append(cum[ended & ~left & (np.arange(reps) < raw_reps)])
+        T_end[left] = t
+        live &= ~left
+    return counts, np.concatenate(raw), min(raw_reps, reps), steps, T_end
+
+
+def _epoch_renewal(law, gen, reps, xs):
+    """The renewal's earlier layout, in epochs: each epoch runs one cycle
+    per live replication through the reference stepper, and a
+    replication lives while its chi-sum is at or below the last probe.
+    Returns the counts."""
     xs_arr = np.asarray(xs)
     counts = np.zeros((xs_arr.size, reps), dtype=np.int64)
     cum, idx = np.zeros(reps), np.arange(reps)
-    raw, steps = [], 0
     while idx.size:
-        S, _, _, used = _reference_walk(law, gen, idx.size, STOP_RULES["cycles"])
-        steps += used
+        S, _, _, _ = _reference_walk(law, gen, idx.size, STOP_RULES["cycles"])
         cum = cum + -S
         counts[:, idx] += cum[None, :] <= xs_arr[:, None]
         alive = cum <= xs_arr[-1]
-        raw.append(cum[(idx < raw_reps) & alive])
         cum, idx = cum[alive], idx[alive]
-    return counts, np.concatenate(raw), min(raw_reps, reps), steps
+    return counts
 
 
 # the kernels' stop rules, at a barrier of 100
@@ -323,9 +350,9 @@ def test_walk_matches_the_reference_stepper(rule, text, n, source, monkeypatch):
 @pytest.mark.parametrize("source", SOURCES)
 @pytest.mark.parametrize("n", [1, 7, 5000])
 @pytest.mark.parametrize("text", WALK_SPECS)
-def test_renewal_epochs_match_the_reference(text, n, source, chunk, monkeypatch):
-    # a source serves every epoch's walk; 256-uniform chunks make most
-    # reads cross a chunk's end
+def test_renewal_walk_matches_the_reference(text, n, source, chunk, monkeypatch):
+    # a source serves the whole walk, restarts included; 256-uniform
+    # chunks make most reads cross a chunk's end
     if chunk:
         monkeypatch.setattr(tailmath, "_CHUNK_MAX", chunk)
     model = spec_to_model(text)
@@ -339,8 +366,23 @@ def test_renewal_epochs_match_the_reference(text, n, source, chunk, monkeypatch)
     want = _reference_renewal(model.law, ref, n, (1.0, 10.0), 3)
     assert np.array_equal(got[0], want[0])
     assert np.array_equal(got[1], want[1])
-    assert got[2:] == want[2:]
+    assert got[2:] == want[2:4]
     assert _plain(gen.bit_generator.state) == _plain(ref.bit_generator.state)
+
+
+# H at probes that a replication passes in a few cycles (light control,
+# H(x) = 1 + x/2) and in a few dozen (default model).  Seeds, sizes and
+# the bound of 3 combined standard errors were fixed before the first run.
+@pytest.mark.parametrize("text, xs", [(DEFAULT_MODEL, (1.0, 10.0, 100.0)),
+                                      (LIGHT_CONTROL, (1.0, 4.0, 16.0))])
+def test_renewal_walk_has_the_law_of_the_epoch_order(text, xs):
+    model = spec_to_model(text)
+    est = renewal_estimate(model, xs, reps=4000, seed=61)
+    counts = _epoch_renewal(model.law, RngStream(62, walksim.RENEWAL, 0).generator(),
+                            4000, xs)
+    h = 1.0 + counts.mean(axis=1)
+    se = counts.std(axis=1, ddof=1) / math.sqrt(4000)
+    assert np.all(np.abs(est.h_values - h) <= 3.0 * np.hypot(est.h_se, se))
 
 
 # ----------------------------------------------------------------------
@@ -517,17 +559,23 @@ def _step_counts(T_end):
     return live.cumsum(), live
 
 
-@pytest.mark.parametrize("kind", ["cycles", "sup"])
+@pytest.mark.parametrize("kind", ["cycles", "sup", "renewal"])
 def test_budget_runs_out_inside_the_tail_where_the_stepper_does(kind):
-    # 3 cycles step in the tail only; 40 sup walks start in arrays
-    n, purpose = {"cycles": (3, CYCLES), "sup": (40, walksim.SUP)}[kind]
+    # 3 cycles step in the tail only; 40 sup walks and 40 renewal
+    # replications start in arrays
+    n, purpose = {"cycles": (3, CYCLES), "sup": (40, walksim.SUP),
+                  "renewal": (40, walksim.RENEWAL)}[kind]
     model = spec_to_model(DEFAULT_MODEL)
     run = {"cycles": lambda **kw: simulate_cycles(model, n, seed=4, **kw),
            "sup": lambda **kw: estimate_sup_many(model, n, seed=4,
-                                                 barrier=100.0, **kw)}[kind]
-    _, _, T, need = _reference_walk(model.law,
-                                    RngStream(4, purpose, 0).generator(), n,
-                                    STOP_RULES[kind])
+                                                 barrier=100.0, **kw),
+           "renewal": lambda **kw: renewal_estimate(model, (1.0, 100.0),
+                                                    reps=n, seed=4, **kw)}[kind]
+    ref = RngStream(4, purpose, 0).generator()
+    if kind == "renewal":
+        *_, need, T = _reference_renewal(model.law, ref, n, (1.0, 100.0), 0)
+    else:
+        _, _, T, need = _reference_walk(model.law, ref, n, STOP_RULES[kind])
     counts, live = _step_counts(T)
     assert counts[-1] == need
     tail = (live <= walksim._TAIL_WALKS).nonzero()[0]
@@ -658,12 +706,16 @@ def test_read_ahead_runs_on_one_shard_of_a_one_uniform_law(monkeypatch):
     assert all(t._helper is None for t in tapes[1:])
 
 
-def test_a_one_shard_run_over_its_budget_joins_its_helper(monkeypatch):
+@pytest.mark.parametrize("driver", ["sup", "renewal"])
+def test_a_one_shard_run_over_its_budget_joins_its_helper(driver, monkeypatch):
     tapes = _record_tapes(monkeypatch)
     monkeypatch.setattr(walksim, "_spare_cpu", lambda: True)
+    run = {"sup": lambda m, **kw: estimate_sup_many(m, 5000, seed=2, **kw),
+           "renewal": lambda m, **kw: renewal_estimate(m, (1.0, 10.0),
+                                                       reps=5000, seed=2,
+                                                       **kw)}[driver]
     with pytest.raises(BudgetError):
-        estimate_sup_many(spec_to_model(DEFAULT_MODEL), 5000, seed=2,
-                          step_budget=30000)
+        run(spec_to_model(DEFAULT_MODEL), step_budget=30000)
     assert tapes[0]._helper is not None
     assert not tapes[0]._helper.is_alive()
     assert tapes[0].pos > 30000  # it ran out mid-walk, past the first step
