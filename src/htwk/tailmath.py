@@ -49,11 +49,12 @@ def _merge_atoms(locs: np.ndarray, masses: np.ndarray) -> tuple[np.ndarray, np.n
 # ----------------------------------------------------------------------
 
 class Law:
-    """A real-valued law given by its survival function and a sampler.
+    """A real-valued law given by its survival function.
 
-    Each law states its sf, cdf_strict, atoms, kinks, sampler and the
-    closed-form integrals of sf and cdf_strict; whether it has mass below
-    a point or a finite mean on either side is read from these.
+    Each law states its sf, cdf_strict, atoms, kinks and the closed-form
+    integrals of sf and cdf_strict; whether it has mass below a point or
+    a finite mean on either side is read from these.  Its draws come from
+    the rules `_compile_tape` builds from the law tree.
     """
 
     def sf(self, t):
@@ -69,9 +70,6 @@ class Law:
 
     def kinks(self) -> list[float]:
         """Locations where sf is not smooth: kinks and atoms."""
-        raise NotImplementedError
-
-    def sample(self, gen: np.random.Generator, n: int) -> np.ndarray:
         raise NotImplementedError
 
     def sf_integral(self, a, b):
@@ -126,7 +124,10 @@ _SHORT_INTERVAL = 8
 
 class _HalfLineLaw(Law):
     """A continuous law on [0, infinity): sf is 1 below 0, and each
-    subclass gives the integral of sf over a part of the half line."""
+    subclass gives the integral of sf over a part of the half line and
+    its inverse transform: `_quantile(u, out, negate)` writes the law's
+    quantiles of the uniforms u, or their negations, into out, by
+    default u itself, and returns them."""
 
     def kinks(self):
         return [0.0]
@@ -162,13 +163,6 @@ class _HalfLineLaw(Law):
                            self.sf(t) - self.sf(b)[:, None])
             out[short] = (b - a) * (gap @ w32)
         return out
-
-    def sample(self, gen, n):
-        """Inverse-transform draws, one uniform each: the subclass's
-        `_quantile(u, out, negate)` writes the law's quantiles of the
-        uniforms u, or their negations, into out, by default u itself,
-        and returns them; a law without one overrides this."""
-        return self._quantile(gen.random(n))
 
     def sf_integral(self, a, b):
         a = np.asarray(a, dtype=float)
@@ -394,12 +388,17 @@ class Lognormal(_HalfLineLaw):
                         special.ndtr(z_hi) - special.ndtr(z_lo))
         return math.exp(self.mu + 0.5 * self.sigma ** 2) * mass
 
-    def sample(self, gen, n):
-        # exp(mu + sigma z) from n standard normals
-        v = gen.standard_normal(n)
+    def _quantile(self, u, out=None, negate=False):
+        # exp(mu + sigma ndtri(u)); negated, the same number negated
+        from scipy import special
+
+        v = special.ndtri(u, out=u if out is None else out)
         v *= self.sigma
         v += self.mu
-        return np.exp(v, out=v)
+        np.exp(v, out=v)
+        if negate:
+            np.negative(v, out=v)
+        return v
 
 
 @dataclass(frozen=True)
@@ -425,9 +424,6 @@ class PointMass(Law):
 
     def kinks(self):
         return [self.c]
-
-    def sample(self, gen, n):
-        return np.full(n, self.c, dtype=float)
 
 
 @dataclass(frozen=True)
@@ -460,10 +456,6 @@ class Neg(Law):
 
     def kinks(self):
         return [-k for k in self.child.kinks()]
-
-    def sample(self, gen, n):
-        v = self.child.sample(gen, n)
-        return np.negative(v, out=v)
 
 
 @dataclass(frozen=True)
@@ -512,11 +504,6 @@ class Shift(Law):
 
     def kinks(self):
         return [k + self.c for k in self.child.kinks()]
-
-    def sample(self, gen, n):
-        v = self.child.sample(gen, n)
-        v += self.c
-        return v
 
 
 def _choice_masks(u: np.ndarray, cuts) -> list[np.ndarray]:
@@ -579,33 +566,20 @@ class Mixture(Law):
     def _cumw(self) -> tuple[float, ...]:
         return tuple(np.cumsum(self.weights).tolist())
 
-    def sample(self, gen, n):
-        """n choice uniforms, then each child's draws in child order.
-
-        Child j takes the u with cumw[j-1] <= u < cumw[j], and the last
-        child every u >= cumw[-2]: `searchsorted(cumw, u, "right")`
-        clipped to the last child.  The masks are set first, so the
-        draws overwrite the spent uniforms in place; each child's draws
-        are scattered through its mask's indices, several times cheaper
-        than a boolean index on a random mask."""
-        u = gen.random(n)
-        for mask, ch in zip(_choice_masks(u, self._cumw[:-1]), self.children):
-            ix = mask.nonzero()[0]
-            if ix.size:
-                u[ix] = ch.sample(gen, ix.size)
-        return u
-
 
 # ----------------------------------------------------------------------
-# a generator's uniforms read ahead, at their stream positions
+# the draw rules, and the uniforms they read
 # ----------------------------------------------------------------------
 
 # Each node of the law tree has two rules that draw n of its values from
-# a `_UniformTape`, spending the tape's uniforms in the order the node's
-# `sample` spends its generator's: a list rule for the scalar tail's few
-# walks and an array rule for a lockstep step.  They are module-level
-# functions bound by `partial`, so a model that holds its compiled
-# sampler still pickles.
+# a `_UniformTape` or a bare generator's `_GeneratorRows`, spending its
+# uniforms in the stream contract's order: a mixture spends n choice
+# uniforms and then draws each child's values for the uniforms it took,
+# in child order; an inverse-transform leaf spends one uniform per draw,
+# a point none, and neg and shift transform their child's draws.  A list
+# rule serves the scalar tail's few walks and an array rule a lockstep
+# step or a generator.  They are module-level functions bound by
+# `partial`, so a model that holds its compiled rules still pickles.
 
 def _leaf_list(row, tape, n):
     return tape.take(row, n).tolist()
@@ -625,7 +599,7 @@ def _point_array(c, tape, n):
 
 def _mixture_list(cuts, arms, tape, n):
     # bisect_right(cuts, u) is the child whose mask takes u in
-    # Mixture.sample; each child draws for all its walks, in child order
+    # `_choice_masks`; each child draws for all its walks, in child order
     pick = [bisect_right(cuts, u) for u in tape.take(0, n).tolist()]
     if n == 1:  # the commonest tail step needs no merge
         return arms[pick[0]](tape, 1)
@@ -635,7 +609,9 @@ def _mixture_list(cuts, arms, tape, n):
 
 
 def _mixture_array(cuts, arms, tape, n):
-    # the masks are set before the first child reads the tape
+    # the masks are set before the first child reads the tape; each
+    # child's draws are scattered through its mask's indices, several
+    # times cheaper than a boolean index on a random mask
     masks = _choice_masks(tape.take(0, n), cuts)
     out = np.empty(n)
     for mask, arm in zip(masks, arms):
@@ -646,20 +622,17 @@ def _mixture_array(cuts, arms, tape, n):
 
 
 def _compile_tape(law: Law, leaves: list, post: tuple = ()
-                  ) -> tuple[Callable, Callable] | None:
+                  ) -> tuple[Callable, Callable]:
     """(list rule, array rule) of a law whose draws then go through the
     steps `post` in order, each None for a negation or the offset a
     shift adds.  Neg and shift pass their step down to the leaves, where
     it is the same numpy operation on a chunk of quantiles as on a
     step's draws.  Each (inverse-transform leaf, steps) pair is appended
     to `leaves` once, and its rules read the tape's row 1 + its index
-    there.  None where some leaf spends its stream otherwise
-    (lognormal's normals)."""
+    there."""
     if isinstance(law, Mixture):
-        arms = [_compile_tape(ch, leaves, post) for ch in law.children]
-        if None in arms:
-            return None
-        lists, arrays = zip(*arms)
+        lists, arrays = zip(*(_compile_tape(ch, leaves, post)
+                              for ch in law.children))
         cuts = law._cumw[:-1]
         return (partial(_mixture_list, cuts, list(lists)),
                 partial(_mixture_array, cuts, list(arrays)))
@@ -672,12 +645,10 @@ def _compile_tape(law: Law, leaves: list, post: tuple = ()
         for step in post:
             c = -c if step is None else c + step
         return partial(_point_list, c), partial(_point_array, c)
-    if isinstance(law, _HalfLineLaw) and type(law).sample is _HalfLineLaw.sample:
-        if (law, post) not in leaves:
-            leaves.append((law, post))
-        row = 1 + leaves.index((law, post))
-        return partial(_leaf_list, row), partial(_leaf_array, row)
-    return None
+    if (law, post) not in leaves:  # a `_HalfLineLaw`
+        leaves.append((law, post))
+    row = 1 + leaves.index((law, post))
+    return partial(_leaf_list, row), partial(_leaf_array, row)
 
 
 def _leaf_values(leaf: _HalfLineLaw, post: tuple, u: np.ndarray,
@@ -763,7 +734,7 @@ class _UniformTape:
 
     def __init__(self, model: IncrementModel, gen: np.random.Generator,
                  walks: int, ahead: bool = False):
-        self.leaves, self.list_rule, self.array_rule = model._scalar_sampler
+        self.leaves, self.list_rule, self.array_rule = model._draw_rules
         self.gen = gen
         self.start = gen.bit_generator.state
         self.chunk = min(_CHUNK_MAX, max(_CHUNK_MIN, 1 << (8 * walks - 1).bit_length()))
@@ -921,6 +892,22 @@ class _UniformTape:
         _philox_seek(self.gen.bit_generator, self.start, self.pos)
 
 
+class _GeneratorRows:
+    """A bare generator read by the array rules as a tape's rows: each
+    request draws its n uniforms at once, and a leaf's row takes its
+    values of them in place, with no chunks and no seeks."""
+
+    def __init__(self, leaves: list, gen: np.random.Generator):
+        self.leaves, self.gen = leaves, gen
+
+    def take(self, row: int, n: int) -> np.ndarray:
+        u = self.gen.random(n)
+        if row == 0:
+            return u
+        leaf, post = self.leaves[row - 1]
+        return _leaf_values(leaf, post, u, u)
+
+
 # ----------------------------------------------------------------------
 # increment model
 # ----------------------------------------------------------------------
@@ -960,19 +947,20 @@ class IncrementModel:
         return self.law.cdf_strict(-np.asarray(y, dtype=float))
 
     def sample(self, gen: np.random.Generator | _UniformTape, n: int) -> np.ndarray:
-        """n draws of the law from a generator, or from a `_UniformTape`
-        of one, which spends the same uniforms for the same draws."""
+        """n draws of the law by its draw rules, from a generator or from
+        a `_UniformTape` of one, which spends the same uniforms for the
+        same draws."""
         if isinstance(gen, _UniformTape):
             return gen.sample(n)
-        return self.law.sample(gen, n)
+        leaves, _, array_rule = self._draw_rules
+        return array_rule(_GeneratorRows(leaves, gen), n)
 
     @cached_property
-    def _scalar_sampler(self) -> tuple[list, Callable, Callable] | None:
+    def _draw_rules(self) -> tuple[list, Callable, Callable]:
         """((inverse-transform leaf, steps) pairs, list rule, array rule)
-        for a `_UniformTape`; None for a law with a lognormal leaf."""
+        of the law, from `_compile_tape`."""
         leaves: list[tuple[Law, tuple]] = []
-        rules = _compile_tape(self.law, leaves)
-        return None if rules is None else (leaves, *rules)
+        return (leaves, *_compile_tape(self.law, leaves))
 
     @cached_property
     def infinite_neg_mean(self) -> bool:

@@ -7,12 +7,11 @@ a fixed (seed, worker count, configuration) triple.  One runner,
 model and its shard's generator, every kernel returns its step count
 last, and the run-wide step budget is checked there once.  Results are
 reduced in stream-index order regardless of scheduling.  A run of one
-shard, of a law whose every leaf spends one uniform per draw, on a
-process whose CPU affinity holds at least two CPUs, reads its stream
-through a `tailmath._UniformTape` whose helper thread draws chunks of
-it ahead of the walk; the walk never waits for the helper and draws a
-chunk that is not ready itself at the chunk's stream position, so no
-draw depends on which thread computed it.  Runs of several shards draw
+shard, on a process whose CPU affinity holds at least two CPUs, reads
+its stream through a `tailmath._UniformTape` whose helper thread draws
+chunks of it ahead of the walk; the walk never waits for the helper
+and draws a chunk that is not ready itself at the chunk's stream
+position, so no draw depends on which thread computed it.  Runs of several shards draw
 from their generators on the walk's thread, as does a kernel handed a
 bare generator.
 
@@ -31,12 +30,10 @@ most _TAIL_WALKS walks are live, `_walk_tail` steps them in plain
 Python, drawing from the run's tape, or from a tape of its own over a
 bare generator, which reads the uniforms ahead in chunks and then
 puts the generator back where the spent draws leave it; so every draw
-and the generator's final state are the vector path's bit for bit.  A
-law with a lognormal leaf, whose normals are not one uniform each,
-stays on the vector path.  The vector steps keep a compact active set:
-finished walks are written to their original slots and dropped from
-the working arrays, so memory tracks the surviving population, not the
-step count.  Finished walks leave the working arrays by index gathers
+and the generator's final state are the vector path's bit for bit.
+The vector steps keep a compact active set: finished walks are written
+to their original slots and dropped from the working arrays, so memory
+tracks the surviving population, not the step count.  Finished walks leave the working arrays by index gathers
 (`nonzero`, then `take`), several times cheaper than boolean indexing
 on the random masks that stop rules give.  A cycle shard consumes its
 stream CHUNK cycles at a time and returns aggregates, plus raw columns
@@ -238,9 +235,8 @@ def _walk(model: IncrementModel, gen: np.random.Generator | _UniformTape,
     idx = np.arange(n)
     steps = 0
     t = 0  # walks move in lockstep, so every live walk has taken t steps
-    tail = _TAIL_WALKS if model._scalar_sampler is not None else 0
     while idx.size:
-        if idx.size <= tail:
+        if idx.size <= _TAIL_WALKS:
             steps = _walk_tail(model, gen, stop, step_budget, steps, t,
                                zip(S.tolist(), Mx.tolist(), idx.tolist()),
                                (S_end, M_end, T_end), restart)
@@ -459,7 +455,7 @@ def _run_sharded(kernel, model: IncrementModel, total: int, seed: int,
     """Run kernel(model, gen, size, **kwargs) on each shard's stream;
     shard 0 also receives the keyword arguments in `lead`.  A run of one
     shard hands the kernel a read-ahead tape of its generator where the
-    law and the CPUs allow one (see the module docstring).
+    CPUs allow one (see the module docstring).
 
     Returns the shard results in stream-index order and their summed
     step count, which every kernel returns last.  Each shard stops at
@@ -474,7 +470,7 @@ def _run_sharded(kernel, model: IncrementModel, total: int, seed: int,
     shard_kwargs[0].update(lead or {})
     if len(sizes) == 1:
         source = gens[0]
-        if model._scalar_sampler is not None and _spare_cpu():
+        if _spare_cpu():
             source = _UniformTape(model, source, sizes[0], ahead=True)
         try:
             results = [kernel(model, source, sizes[0], **shard_kwargs[0])]

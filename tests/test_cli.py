@@ -31,13 +31,20 @@ def runner():
 # ----------------------------------------------------------------------
 
 def test_cli_start_up_does_not_import_scipy():
-    # only the Weibull and lognormal integrals and tails need scipy.special;
-    # neg checks its lognormal child for mass below 0 without it
+    # only the Weibull and lognormal integrals and tails and the lognormal
+    # quantile need scipy.special; neg checks its lognormal child for mass
+    # below 0 without it, and compiling the draw rules draws nothing
     code = ("import sys, htwk.cli\n"
             "from htwk.distspec import spec_to_model\n"
+            "from htwk.tailmath import _UniformTape\n"
             "from htwk.verify import DEFAULT_MODEL\n"
-            "spec_to_model(DEFAULT_MODEL)\n"
-            "spec_to_model('neg(lognormal(mu=0, sigma=1))')\n"
+            "from htwk.walksim import RngStream\n"
+            "model = spec_to_model(DEFAULT_MODEL)\n"
+            "model.sample(RngStream(1, 0).generator(), 1000)\n"
+            "tape = _UniformTape(model, RngStream(2, 0).generator(), 1000)\n"
+            "model.sample(tape, 1000)\n"
+            "tape.close()\n"
+            "spec_to_model('neg(lognormal(mu=0, sigma=1))')._draw_rules\n"
             "print('scipy' in sys.modules)\n")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True, cwd=REPO,

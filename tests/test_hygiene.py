@@ -5,9 +5,11 @@ module-level class is read by the package or the benchmark, every
 defaulted parameter of those functions and methods is passed by some
 call in the package or the benchmark, no parameter of theirs gets one
 and the same value from every such call (each scan has an explicit
-allow-list), the package's `__all__` lists exactly what `__init__.py`
-imports, the package reads no environment variable but `HTWK_WORKERS`,
-and the benchmark's tracer finds every name it wraps."""
+allow-list), no class in `tailmath` but the increment model and its
+uniform tape defines `sample`, the package's `__all__` lists exactly
+what `__init__.py` imports, the package reads no environment variable
+but `HTWK_WORKERS`, and the benchmark's tracer finds every name it
+wraps."""
 
 import ast
 import importlib.util
@@ -183,6 +185,29 @@ def test_every_public_method_is_read_or_allowed():
     assert set(UNREAD_METHOD_ALLOWED) <= defined
     unread = unread_public_methods(sources, readers)
     assert [n for n in unread if n not in UNREAD_METHOD_ALLOWED] == []
+
+
+def classes_defining(source: str, method: str) -> list[str]:
+    """The module-level classes of `source` that define `method`."""
+    return [cls.name for cls in ast.parse(source).body
+            if isinstance(cls, ast.ClassDef)
+            and any(isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and node.name == method for node in cls.body)]
+
+
+def test_the_scan_sees_a_second_sampler():
+    source = ("class A:\n    def sample(self):\n        pass\n"
+              "class B(A):\n    def draw(self):\n        pass\n"
+              "class C(B):\n    async def sample(self):\n        pass\n")
+    assert classes_defining(source, "sample") == ["A", "C"]
+
+
+def test_only_the_model_and_the_tape_define_sample():
+    # every law draws through the rules `_compile_tape` builds; a law
+    # class with a sampler of its own would be a second implementation
+    # of the stream contract
+    source = (SRC / "tailmath.py").read_text()
+    assert classes_defining(source, "sample") == ["_UniformTape", "IncrementModel"]
 
 
 def _parameters(tree: ast.Module) -> list[tuple[str, str, int | None, ast.expr | None]]:

@@ -1,5 +1,6 @@
 """Simulation layer: kernels, sharding, streams, and the statistics helpers."""
 
+import dataclasses
 import gc
 import math
 import pickle
@@ -11,11 +12,12 @@ from concurrent.futures import Future
 
 import numpy as np
 import pytest
+import scipy.special
 import scipy.stats
 from hypothesis import given
 from hypothesis import strategies as st
 
-from htwk import spec_to_model, tailmath, walksim
+from htwk import distspec, spec_to_model, tailmath, walksim
 from htwk.errors import BudgetError, PreconditionError, SpecValidationError
 from htwk.serialize import read_cycles, write_cycles
 from htwk.tailmath import (Exponential, IncrementModel, Lognormal, Mixture, Neg,
@@ -79,7 +81,7 @@ def _reference_draws(law, gen, n):
     """The stream contract spelled out: a mixture spends n choice
     uniforms (`searchsorted` clipped to the last child), then draws each
     child in child order; leaves are out-of-place inverse transforms of
-    one uniform each, lognormal exponentiates standard normals, a point
+    one uniform each (lognormal's through the normal quantile), a point
     draws nothing, and neg and shift transform their child's draws."""
     if isinstance(law, Mixture):
         pick = np.minimum(np.searchsorted(np.cumsum(law.weights), gen.random(n),
@@ -96,9 +98,9 @@ def _reference_draws(law, gen, n):
         return law.c + _reference_draws(law.child, gen, n)
     if isinstance(law, PointMass):
         return np.full(n, law.c)
-    if isinstance(law, Lognormal):
-        return np.exp(law.mu + law.sigma * gen.standard_normal(n))
     u = gen.random(n)
+    if isinstance(law, Lognormal):
+        return np.exp(law.mu + law.sigma * scipy.special.ndtri(u))
     if isinstance(law, Pareto):
         return law.kappa * ((1.0 - u) ** (-1.0 / law.alpha) - 1.0)
     if isinstance(law, Exponential):
@@ -111,7 +113,8 @@ def _reference_draws(law, gen, n):
 @pytest.mark.parametrize("text", ["pareto(alpha=1.5, kappa=1)",
                                   "pareto(alpha=0.5, kappa=1)",
                                   "exponential(rate=0.7)", "weibull(shape=2.5)",
-                                  "weibull(shape=0.5, scale=3)"])
+                                  "weibull(shape=0.5, scale=3)",
+                                  "lognormal(mu=0.3, sigma=1.1)"])
 def test_leaf_quantiles_do_not_depend_on_slice_length_or_offset(text):
     # the scalar tail reads a leaf's quantiles of a whole chunk one by
     # one, where the array path takes them on each step's sub-count
@@ -153,11 +156,26 @@ STREAM_SPECS = [
 @pytest.mark.parametrize("n", [1, 7, 4096])
 @pytest.mark.parametrize("text", STREAM_SPECS)
 def test_sampler_keeps_the_stream_contract(text, n):
-    law = spec_to_model(text).law
+    model = spec_to_model(text)
     gen, ref = RngStream(11, 9, 0).generator(), RngStream(11, 9, 0).generator()
-    for _ in range(2):  # the second call on a law whose caches are set
-        assert np.array_equal(law.sample(gen, n), _reference_draws(law, ref, n))
+    for _ in range(2):  # the second call on a model whose caches are set
+        assert np.array_equal(model.sample(gen, n),
+                              _reference_draws(model.law, ref, n))
         assert _plain(gen.bit_generator.state) == _plain(ref.bit_generator.state)
+
+
+LEAF_KINDS = [kind for kind, cls in distspec._LAWS.items()
+              if not {"child", "children"} & {f.name for f in dataclasses.fields(cls)}]
+
+
+@pytest.mark.parametrize("kind", LEAF_KINDS)
+def test_every_leaf_compiles_to_draw_rules(kind):
+    # 1 is a value of every leaf parameter
+    cls = distspec._LAWS[kind]
+    law = cls(**{f.name: 1.0 for f in dataclasses.fields(cls)
+                 if f.default is dataclasses.MISSING})
+    rules = tailmath._compile_tape(law, [])
+    assert rules is not None and all(map(callable, rules))
 
 
 # ----------------------------------------------------------------------
@@ -240,8 +258,8 @@ STOP_RULES = {
 # n = 1 and 7 walk in the scalar tail only, n = 5000 in lockstep arrays
 # first.  STREAM_SPECS[10] has point(c=0); the third spec reaches point,
 # shift, weibull, a nested mix and both negative leaves through the
-# tail, and the fourth a neg over a mix and two steps over a point; the
-# lognormal leaf of the last keeps its walks in arrays.
+# tail, the fourth a neg over a mix and two steps over a point, and the
+# last a lognormal leaf.
 WALK_SPECS = [
     DEFAULT_MODEL,
     STREAM_SPECS[10],
@@ -297,9 +315,8 @@ def _source(source, model, gen, walks, monkeypatch):
     """What a kernel draws from: gen itself, as on a worker of a sharded
     run, or a one-shard run's read-ahead source over gen with its helper
     absent, present or held back; a walk that opens a tape of its own
-    beside a source fails.  A law that a source cannot serve (lognormal)
-    gets gen, as `_run_sharded` gives it."""
-    if source == "generator" or model._scalar_sampler is None:
+    beside a source fails."""
+    if source == "generator":
         return gen
     if source == "held":
         real = _UniformTape._read_ahead
@@ -339,9 +356,9 @@ def test_walk_matches_the_reference_stepper(rule, text, n, source, monkeypatch):
         assert np.array_equal(a, b)
     assert got[3] == want[3]
     assert _plain(gen.bit_generator.state) == _plain(ref.bit_generator.state)
-    # the tail takes over at _TAIL_WALKS live walks, except under
-    # lognormal; a source feeds the lockstep steps too
-    assert bool(tape_calls) == ("lognormal" not in text)
+    # the tail takes over at _TAIL_WALKS live walks; a source feeds the
+    # lockstep steps too
+    assert tape_calls
     if src is gen:
         assert all(k <= walksim._TAIL_WALKS for k in tape_calls)
 
@@ -394,7 +411,6 @@ def test_sources_on_threads_of_their_own_keep_every_draw():
     # helper, while the interpreter switches threads every microsecond
     model = spec_to_model(DEFAULT_MODEL)
     model.sample(RngStream(1, 9, 0).generator(), 16)  # fill caches
-    assert model._scalar_sampler is not None
     got = {}
 
     def run(seed):
@@ -460,7 +476,7 @@ def test_a_seek_matches_a_spawn_keyed_stream_far_out():
 
 def test_the_reader_takes_published_chunks_read_only():
     model = spec_to_model(DEFAULT_MODEL)
-    (leaf, post), _ = model._scalar_sampler[0]
+    (leaf, post), _ = model._draw_rules[0]
     gen = RngStream(8, 9, 0).generator()
     u = RngStream(8, 9, 0).generator().random(3 * 256)
     tape = _UniformTape(model, gen, 20, ahead=True)
@@ -691,19 +707,19 @@ def test_one_shard_runs_draw_the_same_with_or_without_read_ahead(driver,
                for a, b in zip(_arrays(runs[0]), _arrays(runs[1]), strict=True))
 
 
-def test_read_ahead_runs_on_one_shard_of_a_one_uniform_law(monkeypatch):
+def test_read_ahead_runs_on_one_shard_with_a_spare_cpu(monkeypatch):
     tapes = _record_tapes(monkeypatch)
     monkeypatch.setattr(walksim, "_spare_cpu", lambda: True)
+    simulate_cycles(spec_to_model(DEFAULT_MODEL), 2000, seed=1, workers=2)
+    assert tapes == []
     lognormal = spec_to_model("mix(0.5: lognormal(mu=0, sigma=1), "
                               "0.5: neg(pareto(alpha=0.5, kappa=1)))")
     simulate_cycles(lognormal, 2000, seed=1)
-    simulate_cycles(spec_to_model(DEFAULT_MODEL), 2000, seed=1, workers=2)
-    assert tapes == []
     simulate_cycles(spec_to_model(DEFAULT_MODEL), 2000, seed=1)
-    assert [t._helper is not None for t in tapes] == [True]
+    assert [t._helper is not None for t in tapes] == [True, True]
     monkeypatch.setattr(walksim, "_spare_cpu", lambda: False)
     simulate_cycles(spec_to_model(DEFAULT_MODEL), 2000, seed=1)
-    assert all(t._helper is None for t in tapes[1:])
+    assert all(t._helper is None for t in tapes[2:])
 
 
 @pytest.mark.parametrize("driver", ["sup", "renewal"])
