@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 import threading
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property, partial
 from typing import Callable
@@ -571,41 +570,21 @@ class Mixture(Law):
 # the draw rules, and the uniforms they read
 # ----------------------------------------------------------------------
 
-# Each node of the law tree has two rules that draw n of its values from
+# Each node of the law tree has one rule that draws n of its values from
 # a `_UniformTape` or a bare generator's `_GeneratorRows`, spending its
 # uniforms in the stream contract's order: a mixture spends n choice
 # uniforms and then draws each child's values for the uniforms it took,
 # in child order; an inverse-transform leaf spends one uniform per draw,
-# a point none, and neg and shift transform their child's draws.  A list
-# rule serves the scalar tail's few walks and an array rule a lockstep
-# step or a generator.  They are module-level functions bound by
-# `partial`, so a model that holds its compiled rules still pickles.
-
-def _leaf_list(row, tape, n):
-    return tape.take(row, n).tolist()
-
+# a point none, and neg and shift transform their child's draws.  The
+# rules are module-level functions bound by `partial`, so a model that
+# holds its compiled rules still pickles.
 
 def _leaf_array(row, tape, n):
     return tape.take(row, n)
 
 
-def _point_list(c, tape, n):
-    return [c] * n
-
-
 def _point_array(c, tape, n):
     return np.full(n, c)
-
-
-def _mixture_list(cuts, arms, tape, n):
-    # bisect_right(cuts, u) is the child whose mask takes u in
-    # `_choice_masks`; each child draws for all its walks, in child order
-    pick = [bisect_right(cuts, u) for u in tape.take(0, n).tolist()]
-    if n == 1:  # the commonest tail step needs no merge
-        return arms[pick[0]](tape, 1)
-    draws = [iter(arm(tape, k)) if (k := pick.count(j)) else None
-             for j, arm in enumerate(arms)]
-    return [next(draws[j]) for j in pick]
 
 
 def _mixture_array(cuts, arms, tape, n):
@@ -621,21 +600,17 @@ def _mixture_array(cuts, arms, tape, n):
     return out
 
 
-def _compile_tape(law: Law, leaves: list, post: tuple = ()
-                  ) -> tuple[Callable, Callable]:
-    """(list rule, array rule) of a law whose draws then go through the
-    steps `post` in order, each None for a negation or the offset a
-    shift adds.  Neg and shift pass their step down to the leaves, where
-    it is the same numpy operation on a chunk of quantiles as on a
-    step's draws.  Each (inverse-transform leaf, steps) pair is appended
-    to `leaves` once, and its rules read the tape's row 1 + its index
+def _compile_tape(law: Law, leaves: list, post: tuple = ()) -> Callable:
+    """The draw rule of a law whose draws then go through the steps
+    `post` in order, each None for a negation or the offset a shift
+    adds.  Neg and shift pass their step down to the leaves, where it is
+    the same numpy operation on a chunk of quantiles as on a step's
+    draws.  Each (inverse-transform leaf, steps) pair is appended to
+    `leaves` once, and its rule reads the tape's row 1 + its index
     there."""
     if isinstance(law, Mixture):
-        lists, arrays = zip(*(_compile_tape(ch, leaves, post)
-                              for ch in law.children))
-        cuts = law._cumw[:-1]
-        return (partial(_mixture_list, cuts, list(lists)),
-                partial(_mixture_array, cuts, list(arrays)))
+        return partial(_mixture_array, law._cumw[:-1],
+                       [_compile_tape(ch, leaves, post) for ch in law.children])
     if isinstance(law, Neg):
         return _compile_tape(law.child, leaves, (None, *post))
     if isinstance(law, Shift):
@@ -644,11 +619,10 @@ def _compile_tape(law: Law, leaves: list, post: tuple = ()
         c = float(law.c)
         for step in post:
             c = -c if step is None else c + step
-        return partial(_point_list, c), partial(_point_array, c)
+        return partial(_point_array, c)
     if (law, post) not in leaves:  # a `_HalfLineLaw`
         leaves.append((law, post))
-    row = 1 + leaves.index((law, post))
-    return partial(_leaf_list, row), partial(_leaf_array, row)
+    return partial(_leaf_array, 1 + leaves.index((law, post)))
 
 
 def _leaf_values(leaf: _HalfLineLaw, post: tuple, u: np.ndarray,
@@ -702,8 +676,6 @@ _LEAF_LEAD = 1
 # of a 500 000-walk run by 2.3 MiB over the array sampler's, through
 # the allocator, and pieces of 2^12 do not
 _READ, _READ_MAX = 256, 1 << 12
-# counts up to which a tape draws by the list rules
-_LIST_DRAWS = 32
 _EMPTY = np.empty(0)
 
 
@@ -717,24 +689,24 @@ class _UniformTape:
     leave it, in O(1).
 
     The tape reads rows: row 0 holds the uniforms, row 1 + i leaf i's
-    values of them.  With `ahead`, a helper thread starts at the first
-    read that one chunk can hold: a walk's first steps may read far more
-    than the ring holds, and their arrays set the run's peak memory.  It
-    fills a ring of _SLOTS chunks, which the reader allocates then, with
-    the chunks after the reader's: their uniforms first, then, while
-    every free slot holds its chunk's uniforms, the leaf values of the
-    chunks at least _LEAF_LEAD past the reader's.  It writes a slot in
-    place, publishes each row by its tag and leaves the slot alone until
-    the reader has moved past its chunk; its own generator seeks only
-    past the chunks the reader reached first.  The reader never waits: a
+    values of them.  A helper thread starts at the first read that one
+    chunk can hold: a walk's first steps may read far more than the ring
+    holds, and their arrays set the run's peak memory.  It fills a ring
+    of _SLOTS chunks, which the reader allocates then, with the chunks
+    after the reader's: their uniforms first, then, while every free
+    slot holds its chunk's uniforms, the leaf values of the chunks at
+    least _LEAF_LEAD past the reader's.  It writes a slot in place,
+    publishes each row by its tag and leaves the slot alone until the
+    reader has moved past its chunk; its own generator seeks only past
+    the chunks the reader reached first.  The reader never waits: a
     row that is not published where it reads it computes itself from
     its stream position on, the uniforms from its own generator and a
     leaf's values from those uniforms.  So no draw depends on which
     thread computed it."""
 
     def __init__(self, model: IncrementModel, gen: np.random.Generator,
-                 walks: int, ahead: bool = False):
-        self.leaves, self.list_rule, self.array_rule = model._draw_rules
+                 walks: int):
+        self.leaves = model._draw_rules[0]
         self.gen = gen
         self.start = gen.bit_generator.state
         self.chunk = min(_CHUNK_MAX, max(_CHUNK_MIN, 1 << (8 * walks - 1).bit_length()))
@@ -745,7 +717,7 @@ class _UniformTape:
         self._end = 0  # end of the current chunk
         self._gen_at = 0  # stream position of gen
         self.front = 0  # the reader's chunk
-        self._ahead = ahead  # whether a helper is still to start
+        self._ahead = True  # whether a helper is still to start
         self._helper = None
 
     def _start_helper(self) -> None:
@@ -763,13 +735,6 @@ class _UniformTape:
         self._helper = threading.Thread(target=self._read_ahead,
                                         name="htwk-read-ahead", daemon=True)
         self._helper.start()
-
-    def sample(self, n: int) -> np.ndarray:
-        """The law's next n draws as a new array."""
-        if n <= _LIST_DRAWS:
-            return np.array(self.list_rule(self, n))
-        v = self.array_rule(self, n)
-        return v if v.base is None else v.copy()
 
     def take(self, row: int, n: int) -> np.ndarray:
         """Row `row`'s values at the next n stream positions: a read-only
@@ -893,7 +858,7 @@ class _UniformTape:
 
 
 class _GeneratorRows:
-    """A bare generator read by the array rules as a tape's rows: each
+    """A bare generator read by the draw rules as a tape's rows: each
     request draws its n uniforms at once, and a leaf's row takes its
     values of them in place, with no chunks and no seeks."""
 
@@ -947,20 +912,21 @@ class IncrementModel:
         return self.law.cdf_strict(-np.asarray(y, dtype=float))
 
     def sample(self, gen: np.random.Generator | _UniformTape, n: int) -> np.ndarray:
-        """n draws of the law by its draw rules, from a generator or from
-        a `_UniformTape` of one, which spends the same uniforms for the
-        same draws."""
+        """n draws of the law as a new array, by its draw rule, from a
+        generator or from a `_UniformTape` of one, which spends the same
+        uniforms for the same draws."""
+        leaves, rule = self._draw_rules
         if isinstance(gen, _UniformTape):
-            return gen.sample(n)
-        leaves, _, array_rule = self._draw_rules
-        return array_rule(_GeneratorRows(leaves, gen), n)
+            v = rule(gen, n)
+            return v if v.base is None else v.copy()
+        return rule(_GeneratorRows(leaves, gen), n)
 
     @cached_property
-    def _draw_rules(self) -> tuple[list, Callable, Callable]:
-        """((inverse-transform leaf, steps) pairs, list rule, array rule)
-        of the law, from `_compile_tape`."""
+    def _draw_rules(self) -> tuple[list, Callable]:
+        """((inverse-transform leaf, steps) pairs, draw rule) of the law,
+        from `_compile_tape`."""
         leaves: list[tuple[Law, tuple]] = []
-        return (leaves, *_compile_tape(self.law, leaves))
+        return leaves, _compile_tape(self.law, leaves)
 
     @cached_property
     def infinite_neg_mean(self) -> bool:

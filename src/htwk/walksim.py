@@ -11,9 +11,9 @@ shard, on a process whose CPU affinity holds at least two CPUs, reads
 its stream through a `tailmath._UniformTape` whose helper thread draws
 chunks of it ahead of the walk; the walk never waits for the helper
 and draws a chunk that is not ready itself at the chunk's stream
-position, so no draw depends on which thread computed it.  Runs of several shards draw
-from their generators on the walk's thread, as does a kernel handed a
-bare generator.
+position, so no draw depends on which thread computed it.  Runs of
+several shards draw from their generators on the walk's thread, as
+does a kernel handed a bare generator.
 
 One stepper, `_walk`, moves every batch of walks: it steps them in
 lockstep and stops each at the first step where the kernel's stop rule
@@ -23,21 +23,18 @@ ladder).  A stopped walk retires, unless the kernel's restart rule
 starts it again from 0 in its slot: the renewal walks each replication
 on through all its cycles, so a run lasts as long as its longest
 replication.  Each lockstep step makes exactly one `model.sample` call
-for all live walks, in start order, whether a walk is on its first
-cycle or a later one.  The stream's layout is the order in
-which those calls spend its uniforms, not how they are read: once at
-most _TAIL_WALKS walks are live, `_walk_tail` steps them in plain
-Python, drawing from the run's tape, or from a tape of its own over a
-bare generator, which reads the uniforms ahead in chunks and then
-puts the generator back where the spent draws leave it; so every draw
-and the generator's final state are the vector path's bit for bit.
-The vector steps keep a compact active set: finished walks are written
-to their original slots and dropped from the working arrays, so memory
-tracks the surviving population, not the step count.  Finished walks leave the working arrays by index gathers
-(`nonzero`, then `take`), several times cheaper than boolean indexing
-on the random masks that stop rules give.  A cycle shard consumes its
-stream CHUNK cycles at a time and returns aggregates, plus raw columns
-only on request.
+for all live walks, in start order, down to the last live walk, and
+whether a walk is on its first cycle or a later one.  The stream's
+layout is the order in which those calls spend its uniforms, not how
+they are read, so a tape and a bare generator give the same draws and
+leave the generator in the same state.  The steps keep a compact
+active set: finished walks are written to their original slots and
+dropped from the working arrays, so memory tracks the surviving
+population, not the step count.  Finished walks leave the working
+arrays by index gathers (`nonzero`, then `take`), several times
+cheaper than boolean indexing on the random masks that stop rules
+give.  A cycle shard consumes its stream CHUNK cycles at a time and
+returns aggregates, plus raw columns only on request.
 
 Each kernel has one entry, its batch driver (`simulate_cycles`,
 `estimate_sup_many`, `sample_ladder_many`, `renewal_estimate`); a
@@ -68,8 +65,6 @@ STEP_BUDGET_DEFAULT = 10 ** 9
 # cycles a shard simulates per kernel call; part of each shard's stream layout
 CHUNK = 1 << 20
 BARRIER_DEFAULT = 1e4
-# live walks at or below which `_walk` steps in plain Python
-_TAIL_WALKS = 32
 ESCAPE_FLAG_LEVEL = 1e-4
 
 Z95 = 1.959963984540054
@@ -216,7 +211,9 @@ def _walk(model: IncrementModel, gen: np.random.Generator | _UniformTape,
           ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
     """Step n walks from 0 in lockstep; each stops at the first step
     where stop(S, M) holds for its position S and running maximum M.
-    The draws come from a Philox generator or from a run's tape of one.
+    Each step draws for every live walk, down to the last one, in one
+    `model.sample` call, from a Philox generator or from a run's tape
+    of one.
 
     With a restart rule, restart(slots, S) is called once per step on
     the walks that stop there, in start order, and returns a boolean
@@ -224,8 +221,7 @@ def _walk(model: IncrementModel, gen: np.random.Generator | _UniformTape,
     at the next step, and the others retire.
 
     Returns (S, M, T) of every walk at the step it retires, in start
-    order, and the number of increments drawn.  Once at most
-    _TAIL_WALKS walks are live, `_walk_tail` moves the rest.
+    order, and the number of increments drawn.
     """
     S_end = np.empty(n)
     M_end = np.empty(n)
@@ -236,11 +232,6 @@ def _walk(model: IncrementModel, gen: np.random.Generator | _UniformTape,
     steps = 0
     t = 0  # walks move in lockstep, so every live walk has taken t steps
     while idx.size:
-        if idx.size <= _TAIL_WALKS:
-            steps = _walk_tail(model, gen, stop, step_budget, steps, t,
-                               zip(S.tolist(), Mx.tolist(), idx.tolist()),
-                               (S_end, M_end, T_end), restart)
-            break
         # in place, so the step's draws are gone before the live set is
         # compacted
         S += model.sample(gen, idx.size)
@@ -269,60 +260,6 @@ def _walk(model: IncrementModel, gen: np.random.Generator | _UniformTape,
             Mx = Mx.take(k)
             idx = idx.take(k)
     return S_end, M_end, T_end, steps
-
-
-def _walk_tail(model: IncrementModel, gen: np.random.Generator | _UniformTape,
-               stop, step_budget: int, steps: int, t: int, live, ends,
-               restart=None) -> int:
-    """`_walk`'s steps in plain Python for its last few walks, given as
-    (S, M, slot) after t steps, under the same restart rule; writes each
-    retiring walk's (S, M, T) into the arrays `ends` at its slot and
-    returns the steps.
-
-    The draws come from the run's tape, or from a `_UniformTape` of a
-    bare generator gen that leaves gen as the same draws leave it, even
-    when the budget runs out.  The budget check and
-    `np.maximum`'s result (M on a tie, NaN once S is NaN) are the vector
-    steps' own.
-    """
-    S_end, M_end, T_end = ends
-    live = list(live)
-    tape = gen if isinstance(gen, _UniformTape) else _UniformTape(model, gen,
-                                                                 len(live))
-    try:
-        while live:
-            draws = model.sample(tape, len(live)).tolist()
-            steps += len(live)
-            _check_budget(steps, step_budget)
-            t += 1
-            walks = []
-            stopped = []  # positions in walks of the walks that stop
-            for (s, m, i), x in zip(live, draws):
-                s += x
-                m = m if m >= s else s
-                if stop(s, m):
-                    stopped.append(len(walks))
-                walks.append((s, m, i))
-            if not stopped:
-                live = walks
-                continue
-            again = (restart(np.array([walks[k][2] for k in stopped]),
-                             np.array([walks[k][0] for k in stopped])).tolist()
-                     if restart is not None else [False] * len(stopped))
-            for k, a in zip(stopped, again):
-                s, m, i = walks[k]
-                if a:
-                    walks[k] = (0.0, 0.0, i)
-                else:
-                    S_end[i] = s
-                    M_end[i] = m
-                    T_end[i] = t
-                    walks[k] = None
-            live = [w for w in walks if w is not None]
-    finally:
-        if tape is not gen:
-            tape.close()
-    return steps
 
 
 def _check_budget(steps: int, step_budget: int) -> None:
@@ -471,7 +408,7 @@ def _run_sharded(kernel, model: IncrementModel, total: int, seed: int,
     if len(sizes) == 1:
         source = gens[0]
         if _spare_cpu():
-            source = _UniformTape(model, source, sizes[0], ahead=True)
+            source = _UniformTape(model, source, sizes[0])
         try:
             results = [kernel(model, source, sizes[0], **shard_kwargs[0])]
         finally:

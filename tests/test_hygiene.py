@@ -5,11 +5,11 @@ module-level class is read by the package or the benchmark, every
 defaulted parameter of those functions and methods is passed by some
 call in the package or the benchmark, no parameter of theirs gets one
 and the same value from every such call (each scan has an explicit
-allow-list), no class in `tailmath` but the increment model and its
-uniform tape defines `sample`, the package's `__all__` lists exactly
-what `__init__.py` imports, the package reads no environment variable
-but `HTWK_WORKERS`, and the benchmark's tracer finds every name it
-wraps."""
+allow-list), no class in `tailmath` but the increment model defines
+`sample` and `walksim` calls `.sample(` at one site only, the
+package's `__all__` lists exactly what `__init__.py` imports, the
+package reads no environment variable but `HTWK_WORKERS`, and the
+benchmark's tracer finds every name it wraps."""
 
 import ast
 import importlib.util
@@ -202,12 +202,34 @@ def test_the_scan_sees_a_second_sampler():
     assert classes_defining(source, "sample") == ["A", "C"]
 
 
-def test_only_the_model_and_the_tape_define_sample():
+def test_only_the_model_defines_sample():
     # every law draws through the rules `_compile_tape` builds; a law
     # class with a sampler of its own would be a second implementation
     # of the stream contract
     source = (SRC / "tailmath.py").read_text()
-    assert classes_defining(source, "sample") == ["_UniformTape", "IncrementModel"]
+    assert classes_defining(source, "sample") == ["IncrementModel"]
+
+
+def sample_call_lines(source: str) -> list[int]:
+    """The lines of `source` that call a `.sample(` method."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Call)
+                  and isinstance(node.func, ast.Attribute)
+                  and node.func.attr == "sample")
+
+
+def test_the_scan_sees_a_second_sample_call():
+    source = ("def walk(model, gen, n):\n"
+              "    s = model.sample(gen, n)\n"
+              "    sample = model.sample\n"
+              "    return s + [m.sample(gen, 1) for m in (model,)][0]\n")
+    assert sample_call_lines(source) == [2, 4]
+
+
+def test_walksim_has_one_stepper():
+    # `_walk` draws every step of every kernel with one `model.sample`
+    # call; a second call site would be a second stepper
+    assert len(sample_call_lines((SRC / "walksim.py").read_text())) == 1
 
 
 def _parameters(tree: ast.Module) -> list[tuple[str, str, int | None, ast.expr | None]]:

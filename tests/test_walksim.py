@@ -116,8 +116,8 @@ def _reference_draws(law, gen, n):
                                   "weibull(shape=0.5, scale=3)",
                                   "lognormal(mu=0.3, sigma=1.1)"])
 def test_leaf_quantiles_do_not_depend_on_slice_length_or_offset(text):
-    # the scalar tail reads a leaf's quantiles of a whole chunk one by
-    # one, where the array path takes them on each step's sub-count
+    # a tape takes a leaf's quantiles of a whole chunk, or of a piece of
+    # it, where a bare generator takes them on each step's sub-count
     law = spec_to_model(text).law
     u = RngStream(3, 9, 0).generator().random(39 * 40)
     whole = law._quantile(u.copy())
@@ -174,8 +174,7 @@ def test_every_leaf_compiles_to_draw_rules(kind):
     cls = distspec._LAWS[kind]
     law = cls(**{f.name: 1.0 for f in dataclasses.fields(cls)
                  if f.default is dataclasses.MISSING})
-    rules = tailmath._compile_tape(law, [])
-    assert rules is not None and all(map(callable, rules))
+    assert callable(tailmath._compile_tape(law, []))
 
 
 # ----------------------------------------------------------------------
@@ -255,11 +254,11 @@ STOP_RULES = {
     "sup": lambda S, M: S <= M - 100.0,
     "ladder": lambda S, M: (S > 0.0) | (S <= -100.0),
 }
-# n = 1 and 7 walk in the scalar tail only, n = 5000 in lockstep arrays
-# first.  STREAM_SPECS[10] has point(c=0); the third spec reaches point,
-# shift, weibull, a nested mix and both negative leaves through the
-# tail, the fourth a neg over a mix and two steps over a point, and the
-# last a lognormal leaf.
+# n = 1 and 7 walk with few live walks from the start, n = 5000 with
+# thousands first.  STREAM_SPECS[10] has point(c=0); the third spec
+# reaches point, shift, weibull, a nested mix and both negative leaves
+# on steps of a single walk, the fourth a neg over a mix and two steps
+# over a point, and the last a lognormal leaf.
 WALK_SPECS = [
     DEFAULT_MODEL,
     STREAM_SPECS[10],
@@ -271,15 +270,13 @@ WALK_SPECS = [
 ]
 
 
-def _tape_calls(monkeypatch) -> list[int]:
-    """Record the size of each `IncrementModel.sample` call that reads a
-    uniform tape rather than a generator."""
+def _sample_sources(monkeypatch) -> list:
+    """Record the source that each `IncrementModel.sample` call reads."""
     calls = []
     sample = IncrementModel.sample
 
     def recording(self, gen, n):
-        if not isinstance(gen, np.random.Generator):
-            calls.append(n)
+        calls.append(gen)
         return sample(self, gen, n)
     monkeypatch.setattr(IncrementModel, "sample", recording)
     return calls
@@ -314,9 +311,10 @@ def _no_second_tape(*args, **kwargs):
 def _source(source, model, gen, walks, monkeypatch):
     """What a kernel draws from: gen itself, as on a worker of a sharded
     run, or a one-shard run's read-ahead source over gen with its helper
-    absent, present or held back; a walk that opens a tape of its own
-    beside a source fails."""
+    absent, present or held back; a walk that opens a tape of its own,
+    beside a source or over gen, fails."""
     if source == "generator":
+        monkeypatch.setattr(_UniformTape, "__init__", _no_second_tape)
         return gen
     if source == "held":
         real = _UniformTape._read_ahead
@@ -325,7 +323,8 @@ def _source(source, model, gen, walks, monkeypatch):
             tape._cond = _HeldCondition(tape._cond, threading.current_thread())
             real(tape)
         monkeypatch.setattr(_UniformTape, "_read_ahead", held)
-    tape = _UniformTape(model, gen, walks, ahead=source != "absent")
+    tape = _UniformTape(model, gen, walks)
+    tape._ahead = source != "absent"
     monkeypatch.setattr(_UniformTape, "__init__", _no_second_tape)
     return tape
 
@@ -344,7 +343,7 @@ SOURCES = ["generator", "absent", "present", "held"]
 @pytest.mark.parametrize("rule", STOP_RULES)
 def test_walk_matches_the_reference_stepper(rule, text, n, source, monkeypatch):
     model = spec_to_model(text)
-    tape_calls = _tape_calls(monkeypatch)
+    sources = _sample_sources(monkeypatch)
     gen, ref = RngStream(5, 9, 0).generator(), RngStream(5, 9, 0).generator()
     src = _source(source, model, gen, n, monkeypatch)
     try:
@@ -356,11 +355,8 @@ def test_walk_matches_the_reference_stepper(rule, text, n, source, monkeypatch):
         assert np.array_equal(a, b)
     assert got[3] == want[3]
     assert _plain(gen.bit_generator.state) == _plain(ref.bit_generator.state)
-    # the tail takes over at _TAIL_WALKS live walks; a source feeds the
-    # lockstep steps too
-    assert tape_calls
-    if src is gen:
-        assert all(k <= walksim._TAIL_WALKS for k in tape_calls)
+    # the source feeds every step, down to the last live walk
+    assert sources and all(s is src for s in sources)
 
 
 @pytest.mark.parametrize("chunk", [None, 256])
@@ -415,7 +411,7 @@ def test_sources_on_threads_of_their_own_keep_every_draw():
 
     def run(seed):
         gen = RngStream(seed, 9, 0).generator()
-        tape = _UniformTape(model, gen, 20000, ahead=True)
+        tape = _UniformTape(model, gen, 20000)
         try:
             walked = walksim._walk(model, tape, 20000, STOP_RULES["sup"], 10 ** 9)
         finally:
@@ -479,7 +475,7 @@ def test_the_reader_takes_published_chunks_read_only():
     (leaf, post), _ = model._draw_rules[0]
     gen = RngStream(8, 9, 0).generator()
     u = RngStream(8, 9, 0).generator().random(3 * 256)
-    tape = _UniformTape(model, gen, 20, ahead=True)
+    tape = _UniformTape(model, gen, 20)
     assert tape.chunk == 256
     try:
         # the first read starts the helper and draws chunk 0 here; a view
@@ -506,6 +502,21 @@ def test_the_reader_takes_published_chunks_read_only():
     assert _plain(gen.bit_generator.state) == _plain(ref.bit_generator.state)
 
 
+@pytest.mark.parametrize("text", ["pareto(alpha=1.5, kappa=1)", DEFAULT_MODEL])
+def test_draws_from_a_tape_are_new_arrays(text):
+    # a one-leaf law's rule returns the tape's own read-only view
+    model = spec_to_model(text)
+    tape = _UniformTape(model, RngStream(8, 9, 0).generator(), 20)
+    try:
+        first = model.sample(tape, 8)
+        kept = first.copy()
+        model.sample(tape, 600)  # past the first 256-uniform chunk
+        assert first.flags.writeable
+        assert np.array_equal(first, kept)
+    finally:
+        tape.close()
+
+
 # tracemalloc peaks of the boolean-mask stepper that `_walk` replaced
 # (commit 2d22199), measured by this test on 2^16 cycles of light-control's
 # stream.  On the light model the peak falls inside the mixture sampler;
@@ -529,12 +540,13 @@ def test_cycle_kernel_peak_memory_is_no_higher(text):
     assert peak <= PARENT_PEAKS[text]
 
 
-def test_scalar_tail_drops_its_spent_uniforms():
-    # sup walks at the default barrier spend thousands of steps in the
-    # tail.  The array-only stepper peaked at about 5 KiB here and a tape
-    # that drops spent uniforms at about 25 KiB; one that keeps them all
-    # holds three arrays of every uniform read and goes over the bound.
-    # A model of its own, so no earlier test's ensemble is reused
+def test_a_few_walk_run_drops_its_spent_uniforms():
+    # 20 sup walks at the default barrier take thousands of steps.  Over
+    # a bare generator the run peaked at about 6 KiB here, and over a
+    # read-ahead tape that drops spent uniforms at about 39 KiB, its ring
+    # included; a tape that kept them all would hold three arrays of
+    # every uniform read and go over the bound.  A model of its own, so
+    # no earlier test's ensemble is reused
     model = spec_to_model(DEFAULT_MODEL)
     estimate_sup_many(model, 2, seed=1)  # fill caches
     tracemalloc.start()
@@ -576,9 +588,10 @@ def _step_counts(T_end):
 
 
 @pytest.mark.parametrize("kind", ["cycles", "sup", "renewal"])
-def test_budget_runs_out_inside_the_tail_where_the_stepper_does(kind):
-    # 3 cycles step in the tail only; 40 sup walks and 40 renewal
-    # replications start in arrays
+def test_budget_runs_out_among_few_live_walks_where_the_stepper_does(kind):
+    # the budget runs out at a step with at most 32 live walks: 3 cycles
+    # never have more, and 40 sup walks and 40 renewal replications
+    # reach such a step after steps with more
     n, purpose = {"cycles": (3, CYCLES), "sup": (40, walksim.SUP),
                   "renewal": (40, walksim.RENEWAL)}[kind]
     model = spec_to_model(DEFAULT_MODEL)
@@ -594,9 +607,9 @@ def test_budget_runs_out_inside_the_tail_where_the_stepper_does(kind):
         _, _, T, need = _reference_walk(model.law, ref, n, STOP_RULES[kind])
     counts, live = _step_counts(T)
     assert counts[-1] == need
-    tail = (live <= walksim._TAIL_WALKS).nonzero()[0]
-    at = int(counts[tail[tail.size // 2]])
-    assert int(counts[tail[0]]) < at < need
+    few = (live <= 32).nonzero()[0]
+    at = int(counts[few[few.size // 2]])
+    assert int(counts[few[0]]) < at < need
     with pytest.raises(BudgetError) as err:
         run(step_budget=at - 1)
     assert str(err.value) == (f"step budget {at - 1:g} exceeded at {at:g} "
@@ -701,7 +714,7 @@ def test_one_shard_runs_draw_the_same_with_or_without_read_ahead(driver,
     for spare in (False, True):
         monkeypatch.setattr(walksim, "_spare_cpu", lambda spare=spare: spare)
         runs.append(DRIVERS[driver](spec_to_model(DEFAULT_MODEL)))
-    assert [t for t in tapes if t._helper is not None] == tapes[-1:]
+    assert [t._helper is not None for t in tapes] == [True]
     assert _steps(runs[0]) == _steps(runs[1])
     assert all(np.array_equal(a, b)
                for a, b in zip(_arrays(runs[0]), _arrays(runs[1]), strict=True))
@@ -719,7 +732,7 @@ def test_read_ahead_runs_on_one_shard_with_a_spare_cpu(monkeypatch):
     assert [t._helper is not None for t in tapes] == [True, True]
     monkeypatch.setattr(walksim, "_spare_cpu", lambda: False)
     simulate_cycles(spec_to_model(DEFAULT_MODEL), 2000, seed=1)
-    assert all(t._helper is None for t in tapes[2:])
+    assert tapes[2:] == []
 
 
 @pytest.mark.parametrize("driver", ["sup", "renewal"])
