@@ -14,7 +14,6 @@ from __future__ import annotations
 import datetime
 import functools
 import math
-import os
 from pathlib import Path
 
 import click
@@ -104,13 +103,6 @@ def _opt(flag, cfg: dict, key: str, default=None):
     the key's _CONFIG_KEYS entry; None if none of them is set."""
     raw = flag if flag is not None else cfg.get(key, default)
     return None if raw is None else _cast(key, raw, _CONFIG_KEYS[key])
-
-
-def _resolve_workers(flag, cfg: dict) -> int:
-    env = os.environ.get("HTWK_WORKERS")
-    if flag is None and "workers" not in cfg and env:
-        return _cast("HTWK_WORKERS", env, _CONFIG_KEYS["workers"])
-    return _opt(flag, cfg, "workers", 1)
 
 
 def _need_seed(seed, cfg) -> int:
@@ -259,7 +251,7 @@ def simulate(cfg, model, out, seed, cycles, workers, probes_text):
     Raw columns cost 24 bytes per cycle in memory and on disk."""
     seed = _need_seed(seed, cfg)
     cycles = _opt(cycles, cfg, "cycles", 100_000)
-    workers = _resolve_workers(workers, cfg)
+    workers = _opt(workers, cfg, "workers", 1)
     xs = _opt(probes_text, cfg, "probes") or ()
 
     result = ws.simulate_cycles(model, cycles, seed, workers=workers,
@@ -310,12 +302,12 @@ _VERIFY_KEYS = {"checks": "checks", "probes": "xs", "cycles": "cycles",
 def verify(cfg, model, out, seed, workers, cycles, probes_text):
     """Run the verification suite and write report.json."""
     seed = _need_seed(seed, cfg)
+    workers = _opt(workers, cfg, "workers", 1)
     flags = {"probes": probes_text, "cycles": cycles}
     kwargs = {arg: _opt(flags.get(key), cfg, key)
               for key, arg in _VERIFY_KEYS.items()
               if flags.get(key) is not None or key in cfg}
-    report = vf.run_verification(model, seed, workers=_resolve_workers(workers, cfg),
-                                 **kwargs)
+    report = vf.run_verification(model, seed, workers=workers, **kwargs)
     out_path = _out_dir(out, cfg)
     write_json(out_path / "report.json", report.to_dict())
     write_json(out_path / "report.runtime.json", {
@@ -354,7 +346,7 @@ def renewal(cfg, model, out, seed, reps, workers, probes_text, raw_reps):
     """Estimate the descent renewal function on a probe grid."""
     seed = _need_seed(seed, cfg)
     reps = _opt(reps, cfg, "reps", 10_000)
-    workers = _resolve_workers(workers, cfg)
+    workers = _opt(workers, cfg, "workers", 1)
     xs = _opt(probes_text, cfg, "probes", "1:1e4:16")
     raw_reps = _opt(raw_reps, cfg, "raw_reps", 0)
 

@@ -30,9 +30,9 @@ from .errors import DivergenceError, PreconditionError
 from .tailmath import (GridConfig, GridDistribution, IncrementModel, conv_tail,
                        criterion_K, integrated_tail_curve, truncated_neg_mean)
 from . import walksim as ws
-from .walksim import (BARRIER_DEFAULT, Z95, RngStream, estimate_sup_many,
-                      ks_threshold, ks_two_sample, mtau_tail_estimate,
-                      renewal_estimate, sample_ladder_many, wilson_interval)
+from .walksim import (Z95, RngStream, estimate_sup_many, ks_threshold,
+                      ks_two_sample, mtau_tail_estimate, renewal_estimate,
+                      sample_ladder_many, wilson_interval)
 
 SCHEMA = "htwk-report/1"
 
@@ -377,7 +377,7 @@ def gplus_tail_report(model: IncrementModel, reps: int, seed: int,
     if unc.size == 0:
         raise PreconditionError("no uncensored ascents; increase reps")
     rr = min(_RENEWAL_REPS, reps)
-    ren = renewal_estimate(model, (BARRIER_DEFAULT,), rr, seed,
+    ren = renewal_estimate(model, (ws.BARRIER_DEFAULT,), rr, seed,
                            workers=workers, raw_reps=rr)
     u = ren.raw_points
 

@@ -5,15 +5,15 @@ All randomness flows through counter-based Philox streams keyed by
 a fixed (seed, worker count, configuration) triple.  One runner,
 `_run_sharded`, splits a batch into shards: each worker receives the
 model and its shard's generator, every kernel returns its step count
-last, and the run-wide step budget is checked there once.  Results are
-reduced in stream-index order regardless of scheduling.  A run of one
-shard, on a process whose CPU affinity holds at least two CPUs, reads
-its stream through a `tailmath._UniformTape` whose helper thread draws
-chunks of it ahead of the walk; the walk never waits for the helper
-and draws a chunk that is not ready itself at the chunk's stream
-position, so no draw depends on which thread computed it.  Runs of
-several shards draw from their generators on the walk's thread, as
-does a kernel handed a bare generator.
+last, and the run-wide step budget, `STEP_BUDGET_DEFAULT`, is checked
+there once.  Results are reduced in stream-index order regardless of
+scheduling.  A run of one shard, on a process whose CPU affinity holds
+at least two CPUs, reads its stream through a `tailmath._UniformTape`
+whose helper thread draws chunks of it ahead of the walk; the walk
+never waits for the helper and draws a chunk that is not ready itself
+at the chunk's stream position, so no draw depends on which thread
+computed it.  Runs of several shards draw from their generators on the
+walk's thread, as does a kernel handed a bare generator.
 
 One stepper, `_walk`, moves every batch of walks: it steps them in
 lockstep and stops each at the first step where the kernel's stop rule
@@ -262,11 +262,11 @@ def _walk(model: IncrementModel, gen: np.random.Generator | _UniformTape,
     return S_end, M_end, T_end, steps
 
 
-def _check_budget(steps: int, step_budget: int) -> None:
+def _check_budget(steps: int, step_budget: int, scope: str = "") -> None:
     if steps > step_budget:
         raise BudgetError(
             f"step budget {step_budget:g} exceeded at {steps:g} "
-            "increments; the model may not drift to -infinity")
+            f"increments{scope}; the model may not drift to -infinity")
 
 
 def _cycles_kernel(model: IncrementModel,
@@ -387,22 +387,24 @@ def _spare_cpu() -> bool:
 
 
 def _run_sharded(kernel, model: IncrementModel, total: int, seed: int,
-                 purpose: int, workers: int, step_budget: int,
-                 lead: dict | None = None, **kwargs) -> tuple[list, int]:
+                 purpose: int, workers: int, lead: dict | None = None,
+                 **kwargs) -> tuple[list, int]:
     """Run kernel(model, gen, size, **kwargs) on each shard's stream;
     shard 0 also receives the keyword arguments in `lead`.  A run of one
     shard hands the kernel a read-ahead tape of its generator where the
     CPUs allow one (see the module docstring).
 
     Returns the shard results in stream-index order and their summed
-    step count, which every kernel returns last.  Each shard stops at
-    the whole budget on its own; the run-wide check here catches the
-    sharded runs whose shards each stay within it.
+    step count, which every kernel returns last.  Every shard receives
+    `STEP_BUDGET_DEFAULT` as read at this call and stops at the whole
+    budget on its own; the run-wide check here catches the sharded runs
+    whose shards each stay within it.
     """
     if total < 1:
         raise PreconditionError("replication count must be at least 1")
     sizes = _shard_sizes(total, min(max(1, int(workers)), total))
     gens = [RngStream(seed, purpose, i).generator() for i in range(len(sizes))]
+    step_budget = STEP_BUDGET_DEFAULT
     shard_kwargs = [{**kwargs, "step_budget": step_budget} for _ in sizes]
     shard_kwargs[0].update(lead or {})
     if len(sizes) == 1:
@@ -420,28 +422,24 @@ def _run_sharded(kernel, model: IncrementModel, total: int, seed: int,
                        for gen, size, kw in zip(gens, sizes, shard_kwargs)]
             results = [f.result() for f in futures]
     steps = sum(r[-1] for r in results)
-    if steps > step_budget:
-        raise BudgetError(
-            f"step budget {step_budget:g} exceeded at {steps:g} increments "
-            "over all shards; the model may not drift to -infinity")
+    _check_budget(steps, step_budget, " over all shards")
     return results, steps
 
 
 def simulate_cycles(model: IncrementModel, cycles: int, seed: int,
-                    workers: int = 1, probes=(), keep_raw: bool = False,
-                    step_budget: int = STEP_BUDGET_DEFAULT) -> CycleResult:
+                    workers: int = 1, probes=(), keep_raw: bool = False
+                    ) -> CycleResult:
     """Cycle ensemble with streaming aggregates.
 
     Raw per-cycle arrays are returned only when keep_raw is set (memory
     is 24 bytes per cycle); aggregates and probe exceedance counts are
-    always collected.  The step budget applies to the whole run, summed
-    over its shards.
+    always collected.  `STEP_BUDGET_DEFAULT` bounds the whole run,
+    summed over its shards.
     """
     _require_negative_part(model)
     probes = tuple(float(x) for x in probes)
     shards, _ = _run_sharded(_cycles_shard, model, cycles, seed, CYCLES,
-                             workers, step_budget, probes=probes,
-                             keep_raw=keep_raw)
+                             workers, probes=probes, keep_raw=keep_raw)
     stats = shards[0][0]
     for other, _, _ in shards[1:]:
         stats.merge(other)
@@ -457,24 +455,23 @@ _SUP_MEMO: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 def estimate_sup_many(model: IncrementModel, reps: int, seed: int,
-                      barrier: float = BARRIER_DEFAULT, workers: int = 1,
-                      step_budget: int = STEP_BUDGET_DEFAULT) -> SupBatch:
-    """Truncated all-time maxima of `reps` walks on the SUP streams.
+                      workers: int = 1) -> SupBatch:
+    """All-time maxima of `reps` walks on the SUP streams, truncated at
+    `BARRIER_DEFAULT` below the running maximum.
 
-    The values are read-only and shared: a call whose arguments equal
-    the previous call's on the same model object returns that call's
-    array with `steps` 0, the increments it drew; any other call draws
-    and replaces the stored ensemble.
+    The values are read-only and shared: a call whose arguments, barrier
+    and step budget equal the previous call's on the same model object
+    returns that call's array with `steps` 0, the increments it drew;
+    any other call draws and replaces the stored ensemble.
     """
-    if barrier <= 0:
-        raise PreconditionError("barrier must be positive")
     _require_negative_part(model)
-    key = (reps, seed, barrier, workers, step_budget)
+    barrier = BARRIER_DEFAULT
+    key = (reps, seed, barrier, workers, STEP_BUDGET_DEFAULT)
     last = _SUP_MEMO.get(model)
     if last is not None and last[0] == key:
         return SupBatch(m_values=last[1], barrier=barrier, steps=0)
     results, steps = _run_sharded(_sup_kernel, model, reps, seed, SUP, workers,
-                                  step_budget, barrier=barrier)
+                                  barrier=barrier)
     m_values = np.concatenate([r[0] for r in results])
     m_values.flags.writeable = False
     _SUP_MEMO[model] = (key, m_values)
@@ -482,20 +479,18 @@ def estimate_sup_many(model: IncrementModel, reps: int, seed: int,
 
 
 def sample_ladder_many(model: IncrementModel, reps: int, seed: int,
-                       barrier: float = BARRIER_DEFAULT, workers: int = 1,
-                       step_budget: int = STEP_BUDGET_DEFAULT) -> LadderBatch:
-    if barrier <= 0:
-        raise PreconditionError("barrier must be positive")
+                       workers: int = 1) -> LadderBatch:
+    """First strict ascent heights of `reps` walks on the LADDER
+    streams, censored at a fall to -`BARRIER_DEFAULT`."""
     results, steps = _run_sharded(_ladder_kernel, model, reps, seed, LADDER,
-                                  workers, step_budget, barrier=barrier)
+                                  workers, barrier=BARRIER_DEFAULT)
     return LadderBatch(psi=np.concatenate([r[0] for r in results]),
                        censored=np.concatenate([r[1] for r in results]),
                        steps=steps)
 
 
 def renewal_estimate(model: IncrementModel, xs, reps: int, seed: int,
-                     workers: int = 1, raw_reps: int = 0,
-                     step_budget: int = STEP_BUDGET_DEFAULT) -> RenewalEstimate:
+                     workers: int = 1, raw_reps: int = 0) -> RenewalEstimate:
     """Estimate the descent renewal function on probes.
 
     H(x) = 1 + mean count of partial chi-sums at or below x; the n=0
@@ -509,8 +504,7 @@ def renewal_estimate(model: IncrementModel, xs, reps: int, seed: int,
         raise PreconditionError("renewal probes must be nonnegative")
     _require_negative_part(model)
     results, steps = _run_sharded(_renewal_kernel, model, reps, seed, RENEWAL,
-                                  workers, step_budget,
-                                  lead={"raw_reps": raw_reps}, xs=xs)
+                                  workers, lead={"raw_reps": raw_reps}, xs=xs)
     counts = np.concatenate([r[0] for r in results], axis=1)
     _, raw_points, raw_reps, _ = results[0]
     h = 1.0 + counts.mean(axis=1)

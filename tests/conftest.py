@@ -2,7 +2,7 @@ import threading
 
 import pytest
 
-from htwk import spec_to_model
+from htwk import spec_to_model, walksim
 from htwk.verify import CASE_B, DEFAULT_MODEL, K_DIVERGENT, LIGHT_CONTROL
 
 
@@ -16,6 +16,21 @@ def no_thread_outlives_its_test():
             if t not in before and t.is_alive()]
     if left:
         pytest.fail(f"threads left running: {left}")
+
+
+# the walk constants that a test may set, by the keyword that sets them
+_WALK_CONSTANTS = {"step_budget": "STEP_BUDGET_DEFAULT",
+                   "barrier": "BARRIER_DEFAULT"}
+
+
+@pytest.fixture
+def walk_constants(monkeypatch):
+    """Set walksim's step budget or barrier until the test ends:
+    walk_constants(step_budget=..., barrier=...)."""
+    def set_constants(**values):
+        for key, value in values.items():
+            monkeypatch.setattr(walksim, _WALK_CONSTANTS[key], value)
+    return set_constants
 
 
 @pytest.fixture(scope="session")

@@ -88,15 +88,15 @@ def test_load_config_shapes(tmp_path):
     assert err.value.format_message() == f"{unknown}:2: unknown config key 'tol_main'"
 
 
-@pytest.mark.parametrize("line,env,named", [
-    ("cycles = lots", {}, "bad value for cycles: 'lots'"),
-    ("", {"HTWK_WORKERS": "two"}, "bad value for HTWK_WORKERS: 'two'"),
-], ids=["config-line", "environment"])
-def test_malformed_number_is_a_one_line_error(runner, tmp_path, line, env, named):
+@pytest.mark.parametrize("line,named", [
+    ("cycles = lots", "bad value for cycles: 'lots'"),
+    ("workers = two", "bad value for workers: 'two'"),
+], ids=["config-line", "worker-count"])
+def test_malformed_number_is_a_one_line_error(runner, tmp_path, line, named):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(f"model = pareto(2, 1)\nseed = 1\n{line}\n")
     res = runner.invoke(main, ["simulate", "--config", str(cfg),
-                               "--out", str(tmp_path)], env=env)
+                               "--out", str(tmp_path)])
     assert res.exit_code == 1
     assert isinstance(res.exception, SystemExit)
     assert res.output.strip() == f"Error: {named}"
@@ -296,18 +296,6 @@ def test_simulate_requires_a_seed(runner, tmp_path):
                                "--out", str(tmp_path)])
     assert res.exit_code == 1
     assert "no seed" in res.output
-
-
-def test_worker_count_from_environment_matches_flag(runner, tmp_path):
-    d1, d2 = tmp_path / "flag", tmp_path / "env"
-    base = ["simulate", "--model", DEFAULT_SPEC, "--seed", "9",
-            "--cycles", "2000"]
-    res = runner.invoke(main, base + ["--workers", "2", "--out", str(d1)])
-    assert res.exit_code == 0, res.output
-    res = runner.invoke(main, base + ["--out", str(d2)],
-                        env={"HTWK_WORKERS": "2"})
-    assert res.exit_code == 0, res.output
-    assert (d1 / "cycles.bin").read_bytes() == (d2 / "cycles.bin").read_bytes()
 
 
 # ----------------------------------------------------------------------

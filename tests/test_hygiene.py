@@ -8,8 +8,8 @@ and the same value from every such call (each scan has an explicit
 allow-list), no class in `tailmath` but the increment model defines
 `sample` and `walksim` calls `.sample(` at one site only, the
 package's `__all__` lists exactly what `__init__.py` imports, the
-package reads no environment variable but `HTWK_WORKERS`, and the
-benchmark's tracer finds every name it wraps."""
+package reads no environment variable, and the benchmark's tracer
+finds every name it wraps."""
 
 import ast
 import importlib.util
@@ -305,14 +305,6 @@ def unpassed_defaults(sources: dict[str, str], readers: dict[str, str]) -> list[
 UNPASSED_DEFAULT_ALLOWED = {
     "verify.py:ladder_identity_report(p_override)":
         "ACCEPT-09's negative control, a deliberately wrong success probability",
-    "walksim.py:simulate_cycles(step_budget)": "the step-budget tests",
-    "walksim.py:estimate_sup_many(step_budget)": "the step-budget tests",
-    "walksim.py:sample_ladder_many(step_budget)": "the step-budget tests",
-    "walksim.py:renewal_estimate(step_budget)": "the step-budget tests",
-    "walksim.py:estimate_sup_many(barrier)":
-        "the barrier validation and bias-flag tests",
-    "walksim.py:sample_ladder_many(barrier)":
-        "the barrier validation and censoring tests",
     "classlab.py:membership_curve(grid_cfg)":
         "ACCEPT-06 and the class tests run the light law's S curve on a short grid",
     "classlab.py:majorant_check(xs)":
@@ -560,13 +552,11 @@ def test_the_scan_sees_an_environment_read():
                                          "?", "?", "Y"]
 
 
-def test_the_package_reads_no_environment_variable_but_the_worker_count():
+def test_the_package_reads_no_environment_variable():
     # a tuning value belongs in code or in a documented option, never in
     # a hidden environment knob
     reads = {p.name: environment_reads(p.read_text()) for p in PACKAGE}
-    assert reads["cli.py"] == ["HTWK_WORKERS"]
-    assert {mod: [k for k in keys if k != "HTWK_WORKERS"]
-            for mod, keys in reads.items()} == {mod: [] for mod in reads}
+    assert reads == {p.name: [] for p in PACKAGE}
 
 
 def _bindings() -> dict:

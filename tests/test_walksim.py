@@ -1,14 +1,16 @@
 """Simulation layer: kernels, sharding, streams, and the statistics helpers."""
 
 import dataclasses
+import functools
 import gc
 import math
+import multiprocessing
 import pickle
 import sys
 import threading
 import time
 import tracemalloc
-from concurrent.futures import Future
+from concurrent.futures import Future, ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -573,11 +575,13 @@ def test_cycle_needs_a_negative_part():
         renewal_estimate(one_sided, (1.0,), reps=10, seed=1)
 
 
-def test_step_budget_is_enforced(default_model):
+def test_step_budget_is_enforced(default_model, walk_constants):
+    walk_constants(step_budget=100)
     with pytest.raises(BudgetError):
-        simulate_cycles(default_model, 100000, seed=3, step_budget=100)
+        simulate_cycles(default_model, 100000, seed=3)
+    walk_constants(step_budget=0)
     with pytest.raises(BudgetError):
-        simulate_cycles(default_model, 1, seed=3, step_budget=0)
+        simulate_cycles(default_model, 1, seed=3)
 
 
 def _step_counts(T_end):
@@ -588,18 +592,19 @@ def _step_counts(T_end):
 
 
 @pytest.mark.parametrize("kind", ["cycles", "sup", "renewal"])
-def test_budget_runs_out_among_few_live_walks_where_the_stepper_does(kind):
+def test_budget_runs_out_among_few_live_walks_where_the_stepper_does(
+        kind, walk_constants):
     # the budget runs out at a step with at most 32 live walks: 3 cycles
     # never have more, and 40 sup walks and 40 renewal replications
     # reach such a step after steps with more
     n, purpose = {"cycles": (3, CYCLES), "sup": (40, walksim.SUP),
                   "renewal": (40, walksim.RENEWAL)}[kind]
     model = spec_to_model(DEFAULT_MODEL)
-    run = {"cycles": lambda **kw: simulate_cycles(model, n, seed=4, **kw),
-           "sup": lambda **kw: estimate_sup_many(model, n, seed=4,
-                                                 barrier=100.0, **kw),
-           "renewal": lambda **kw: renewal_estimate(model, (1.0, 100.0),
-                                                    reps=n, seed=4, **kw)}[kind]
+    walk_constants(barrier=100.0)
+    run = {"cycles": lambda: simulate_cycles(model, n, seed=4),
+           "sup": lambda: estimate_sup_many(model, n, seed=4),
+           "renewal": lambda: renewal_estimate(model, (1.0, 100.0),
+                                               reps=n, seed=4)}[kind]
     ref = RngStream(4, purpose, 0).generator()
     if kind == "renewal":
         *_, need, T = _reference_renewal(model.law, ref, n, (1.0, 100.0), 0)
@@ -610,23 +615,18 @@ def test_budget_runs_out_among_few_live_walks_where_the_stepper_does(kind):
     few = (live <= 32).nonzero()[0]
     at = int(counts[few[few.size // 2]])
     assert int(counts[few[0]]) < at < need
+    walk_constants(step_budget=at - 1)
     with pytest.raises(BudgetError) as err:
-        run(step_budget=at - 1)
+        run()
     assert str(err.value) == (f"step budget {at - 1:g} exceeded at {at:g} "
                               "increments; the model may not drift to -infinity")
-    assert _steps(run(step_budget=need)) == need
+    walk_constants(step_budget=need)
+    assert _steps(run()) == need
 
 
 def test_replication_count_must_be_positive(default_model):
     with pytest.raises(PreconditionError):
         estimate_sup_many(default_model, 0, seed=1)
-
-
-def test_barrier_must_be_positive(default_model):
-    with pytest.raises(PreconditionError, match="barrier"):
-        estimate_sup_many(default_model, 10, seed=1, barrier=0.0)
-    with pytest.raises(PreconditionError, match="barrier"):
-        sample_ladder_many(default_model, 10, seed=1, barrier=-1.0)
 
 
 # ----------------------------------------------------------------------
@@ -657,8 +657,8 @@ def test_cycle_aggregates_and_raw_columns_agree(default_model, workers):
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-def test_chunked_shards_keep_stats_stream_and_budget(default_model,
-                                                     monkeypatch, workers):
+def test_chunked_shards_keep_stats_stream_and_budget(default_model, monkeypatch,
+                                                     walk_constants, workers):
     monkeypatch.setattr(walksim, "CHUNK", 4096)
     res = simulate_cycles(default_model, 10000, seed=7, workers=workers,
                           probes=(2.0, 10.0), keep_raw=True)
@@ -669,18 +669,19 @@ def test_chunked_shards_keep_stats_stream_and_budget(default_model,
     assert np.array_equal(res.m_tau[:4096], head.m_tau)
     # the budget covers the whole run, across shards and chunks
     need = res.stats.steps
-    again = simulate_cycles(default_model, 10000, seed=7, workers=workers,
-                            step_budget=need)
+    walk_constants(step_budget=need)
+    again = simulate_cycles(default_model, 10000, seed=7, workers=workers)
     assert again.stats.steps == need
+    walk_constants(step_budget=need - 1)
     with pytest.raises(BudgetError):
-        simulate_cycles(default_model, 10000, seed=7, workers=workers,
-                        step_budget=need - 1)
+        simulate_cycles(default_model, 10000, seed=7, workers=workers)
 
 
+# the sup and ladder drivers run at a barrier of 100
 DRIVERS = {
     "cycles": lambda m, **kw: simulate_cycles(m, 10000, seed=7, keep_raw=True, **kw),
-    "sup": lambda m, **kw: estimate_sup_many(m, 4000, seed=7, barrier=100.0, **kw),
-    "ladder": lambda m, **kw: sample_ladder_many(m, 4000, seed=7, barrier=100.0, **kw),
+    "sup": lambda m, **kw: estimate_sup_many(m, 4000, seed=7, **kw),
+    "ladder": lambda m, **kw: sample_ladder_many(m, 4000, seed=7, **kw),
     "renewal": lambda m, **kw: renewal_estimate(m, (1.0, 10.0), reps=2000, seed=9,
                                                 raw_reps=50, **kw),
 }
@@ -707,8 +708,9 @@ def _record_tapes(monkeypatch) -> list:
 
 
 @pytest.mark.parametrize("driver", DRIVERS)
-def test_one_shard_runs_draw_the_same_with_or_without_read_ahead(driver,
-                                                                 monkeypatch):
+def test_one_shard_runs_draw_the_same_with_or_without_read_ahead(
+        driver, monkeypatch, walk_constants):
+    walk_constants(barrier=100.0)
     tapes = _record_tapes(monkeypatch)
     runs = []
     for spare in (False, True):
@@ -736,50 +738,75 @@ def test_read_ahead_runs_on_one_shard_with_a_spare_cpu(monkeypatch):
 
 
 @pytest.mark.parametrize("driver", ["sup", "renewal"])
-def test_a_one_shard_run_over_its_budget_joins_its_helper(driver, monkeypatch):
+def test_a_one_shard_run_over_its_budget_joins_its_helper(driver, monkeypatch,
+                                                          walk_constants):
     tapes = _record_tapes(monkeypatch)
     monkeypatch.setattr(walksim, "_spare_cpu", lambda: True)
-    run = {"sup": lambda m, **kw: estimate_sup_many(m, 5000, seed=2, **kw),
-           "renewal": lambda m, **kw: renewal_estimate(m, (1.0, 10.0),
-                                                       reps=5000, seed=2,
-                                                       **kw)}[driver]
+    run = {"sup": lambda m: estimate_sup_many(m, 5000, seed=2),
+           "renewal": lambda m: renewal_estimate(m, (1.0, 10.0), reps=5000,
+                                                 seed=2)}[driver]
+    walk_constants(step_budget=30000)
     with pytest.raises(BudgetError):
-        run(spec_to_model(DEFAULT_MODEL), step_budget=30000)
+        run(spec_to_model(DEFAULT_MODEL))
     assert tapes[0]._helper is not None
     assert not tapes[0]._helper.is_alive()
     assert tapes[0].pos > 30000  # it ran out mid-walk, past the first step
 
 
 @pytest.mark.parametrize("driver", DRIVERS)
-def test_budget_covers_all_shards(driver):
+def test_budget_covers_all_shards(driver, walk_constants):
+    walk_constants(barrier=100.0)
     run = DRIVERS[driver]
     model = spec_to_model(DEFAULT_MODEL)
     first = run(model, workers=2)
     need = _steps(first)
-    again = run(model, workers=2, step_budget=need)
+    walk_constants(step_budget=need)
+    again = run(model, workers=2)
     assert _steps(again) == need
     assert all(np.array_equal(a, b)
                for a, b in zip(_arrays(again), _arrays(first), strict=True))
+    walk_constants(step_budget=need - 1)
     with pytest.raises(BudgetError, match="over all shards"):
-        run(model, workers=2, step_budget=need - 1)
+        run(model, workers=2)
 
 
-def test_hand_built_model_runs_on_workers():
+def test_the_step_budget_reaches_spawned_workers(monkeypatch, walk_constants):
+    # a spawned worker imports walksim afresh, with its own budget of
+    # 1e9; it stops at the budget set here only if the budget travels in
+    # its shard's arguments, and then raises the shard's own message,
+    # not the run-wide one
+    monkeypatch.setattr(walksim, "ProcessPoolExecutor", functools.partial(
+        ProcessPoolExecutor, mp_context=multiprocessing.get_context("spawn")))
+    walk_constants(barrier=100.0)
+    model = spec_to_model(DEFAULT_MODEL)
+    size = _shard_sizes(40, 2)[0]
+    ref = RngStream(4, walksim.SUP, 0).generator()
+    *_, need = _reference_walk(model.law, ref, size, STOP_RULES["sup"])
+    walk_constants(step_budget=need - 1)
+    with pytest.raises(BudgetError) as err:
+        estimate_sup_many(model, 40, seed=4, workers=2)
+    assert str(err.value).startswith(f"step budget {need - 1:g} exceeded at ")
+    assert "over all shards" not in str(err.value)
+
+
+def test_hand_built_model_runs_on_workers(walk_constants):
     # workers receive the model itself, so it needs no spec text
     law = Mixture(weights=(0.5, 0.5),
                   children=(Pareto(alpha=1.5, kappa=1.0),
                             Neg(Pareto(alpha=0.5, kappa=1.0))))
     built = IncrementModel(law=law)
     assert built.spec_text == ""
+    walk_constants(barrier=100.0)
     _assert_same_worker_runs(built, spec_to_model(DEFAULT_MODEL))
 
 
-def test_sampled_model_runs_on_workers():
+def test_sampled_model_runs_on_workers(walk_constants):
     # a law that has sampled carries its filled caches through pickling
     warm = spec_to_model(DEFAULT_MODEL)
     warm.sample(RngStream(1, 9, 0).generator(), 16)
     warm = pickle.loads(pickle.dumps(warm))
     assert "_cumw" in vars(warm.law)
+    walk_constants(barrier=100.0)
     _assert_same_worker_runs(warm, spec_to_model(DEFAULT_MODEL))
 
 
@@ -860,10 +887,11 @@ def test_cycle_kernel_has_the_light_control_anchors(light_model):
     assert _ks_law_holds(res.chi, lambda x: -np.expm1(-0.5 * x))
 
 
-def test_ladder_kernel_has_the_light_control_anchors(light_model):
+def test_ladder_kernel_has_the_light_control_anchors(light_model, walk_constants):
     # a censored walk is 60 below 0, from where it ascends with
     # probability 0.75 exp(-15) = 2e-7
-    batch = sample_ladder_many(light_model, 20000, seed=102, barrier=60.0)
+    walk_constants(barrier=60.0)
+    batch = sample_ladder_many(light_model, 20000, seed=102)
     assert abs(batch.censor_rate - 0.25) < 4.0 * math.sqrt(0.25 * 0.75 / 20000)
     assert _ks_law_holds(batch.uncensored_psi(), lambda x: -np.expm1(-x))
 
@@ -874,11 +902,12 @@ def test_renewal_kernel_has_the_light_control_anchors(light_model):
     assert np.all(np.abs(est.h_values - want) < 4.0 * est.h_se)
 
 
-def test_sup_kernel_has_the_light_control_anchors(light_model):
+def test_sup_kernel_has_the_light_control_anchors(light_model, walk_constants):
     # a record after the walk falls 60 below its maximum has probability
     # 0.75 exp(-15) = 2e-7; the default barrier of 1e4 would cost about
     # 2e4 steps a walk
-    batch = estimate_sup_many(light_model, 10000, seed=104, barrier=60.0)
+    walk_constants(barrier=60.0)
+    batch = estimate_sup_many(light_model, 10000, seed=104)
     assert _ks_law_holds(batch.m_values, lambda x: 1.0 - 0.75 * np.exp(-0.25 * x),
                          lambda x: np.where(x > 0.0, 1.0 - 0.75 * np.exp(-0.25 * x),
                                             0.0))
@@ -911,8 +940,10 @@ def memoryless_model():
 
 @pytest.fixture(scope="module")
 def memoryless_ladder(memoryless_model):
-    return sample_ladder_many(memoryless_model, MEMORYLESS_LADDER_REPS,
-                              seed=MEMORYLESS_SEED, barrier=60.0)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(walksim, "BARRIER_DEFAULT", 60.0)
+        return sample_ladder_many(memoryless_model, MEMORYLESS_LADDER_REPS,
+                                  seed=MEMORYLESS_SEED)
 
 
 def _binomial_var(rate: float, n: int) -> float:
@@ -934,9 +965,10 @@ def test_memoryless_ascent_heights_are_exp_one(memoryless_ladder):
 
 
 def test_memoryless_zero_maximum_meets_the_censor_rate(memoryless_model,
-                                                       memoryless_ladder):
-    sup = estimate_sup_many(memoryless_model, 10000, seed=MEMORYLESS_SEED,
-                            barrier=60.0)
+                                                       memoryless_ladder,
+                                                       walk_constants):
+    walk_constants(barrier=60.0)
+    sup = estimate_sup_many(memoryless_model, 10000, seed=MEMORYLESS_SEED)
     c = memoryless_ladder.censor_rate
     se = math.sqrt(_binomial_var(sup.p_hat, 10000)
                    + _binomial_var(c, MEMORYLESS_LADDER_REPS))
@@ -968,7 +1000,7 @@ def test_exceedance_rows_have_wilson_intervals(default_model):
 # ----------------------------------------------------------------------
 
 def test_sup_batch_probability_and_flags(default_model):
-    batch = estimate_sup_many(default_model, 20000, seed=5, barrier=1e4)
+    batch = estimate_sup_many(default_model, 20000, seed=5)
     assert batch.m_values.size == 20000
     assert np.all(batch.m_values >= 0.0)
     p = batch.p_hat
@@ -979,30 +1011,30 @@ def test_sup_batch_probability_and_flags(default_model):
     assert np.array_equal(batch.hit_zero, batch.m_values == 0.0)
 
 
-def test_a_repeated_sup_call_shares_its_ensemble_read_only():
+def test_a_repeated_sup_call_shares_its_ensemble_read_only(walk_constants):
+    walk_constants(barrier=100.0)
     model = spec_to_model(DEFAULT_MODEL)
-    first = estimate_sup_many(model, 500, seed=11, barrier=100.0)
-    again = estimate_sup_many(model, 500, seed=11, barrier=100.0)
+    first = estimate_sup_many(model, 500, seed=11)
+    again = estimate_sup_many(model, 500, seed=11)
     assert first.steps > 0 and again.steps == 0
     assert again.m_values is first.m_values
     assert not again.m_values.flags.writeable
     with pytest.raises(ValueError, match="read-only"):
         again.m_values[0] = 1.0
     # a fresh model of the same spec draws the same values again
-    fresh = estimate_sup_many(spec_to_model(DEFAULT_MODEL), 500, seed=11,
-                              barrier=100.0)
+    fresh = estimate_sup_many(spec_to_model(DEFAULT_MODEL), 500, seed=11)
     assert fresh.steps == first.steps
     assert np.array_equal(fresh.m_values, first.m_values)
 
 
-SUP_ARGS = {"reps": 500, "seed": 11, "barrier": 100.0, "workers": 1,
-            "step_budget": walksim.STEP_BUDGET_DEFAULT}
+SUP_ARGS = {"reps": 500, "seed": 11, "workers": 1}
 
 
-@pytest.mark.parametrize("arg, other", [
-    ("reps", 499), ("seed", 12), ("barrier", 99.0), ("workers", 2),
-    ("step_budget", 10 ** 8)])
-def test_a_sup_call_with_any_argument_changed_draws_again(arg, other):
+@pytest.mark.parametrize("arg, other", [("reps", 499), ("seed", 12),
+                                        ("workers", 2)])
+def test_a_sup_call_with_any_argument_changed_draws_again(arg, other,
+                                                          walk_constants):
+    walk_constants(barrier=100.0)
     model = spec_to_model(DEFAULT_MODEL)
     estimate_sup_many(model, **SUP_ARGS)
     changed = estimate_sup_many(model, **{**SUP_ARGS, arg: other})
@@ -1011,13 +1043,30 @@ def test_a_sup_call_with_any_argument_changed_draws_again(arg, other):
     assert estimate_sup_many(model, **SUP_ARGS).steps > 0
 
 
-def test_the_sup_memo_holds_one_ensemble_per_model_and_dies_with_it():
+@pytest.mark.parametrize("constant, other", [("barrier", 99.0),
+                                             ("step_budget", 10 ** 8)])
+def test_a_sup_call_with_a_changed_constant_draws_again(constant, other,
+                                                        walk_constants):
+    stored = {"barrier": 100.0, "step_budget": walksim.STEP_BUDGET_DEFAULT}
+    walk_constants(**stored)
+    model = spec_to_model(DEFAULT_MODEL)
+    estimate_sup_many(model, **SUP_ARGS)
+    walk_constants(**{constant: other})
+    assert estimate_sup_many(model, **SUP_ARGS).steps > 0
+    # the changed call replaced the stored ensemble
+    walk_constants(**stored)
+    assert estimate_sup_many(model, **SUP_ARGS).steps > 0
+
+
+def test_the_sup_memo_holds_one_ensemble_per_model_and_dies_with_it(
+        walk_constants):
+    walk_constants(barrier=100.0)
     model, other = spec_to_model(DEFAULT_MODEL), spec_to_model(DEFAULT_MODEL)
     gc.collect()
     before = len(walksim._SUP_MEMO)
     for seed in (1, 2, 3):
-        estimate_sup_many(model, 50, seed=seed, barrier=100.0)
-    estimate_sup_many(other, 50, seed=1, barrier=100.0)
+        estimate_sup_many(model, 50, seed=seed)
+    estimate_sup_many(other, 50, seed=1)
     assert len(walksim._SUP_MEMO) == before + 2
     assert walksim._SUP_MEMO[model][0] == (50, 3, 100.0, 1,
                                            walksim.STEP_BUDGET_DEFAULT)
@@ -1041,8 +1090,8 @@ def test_sup_bias_flag_trips_on_barrier_hits():
 def test_ladder_censor_rate_matches_never_ascending(default_model):
     # the walk either climbs above zero once or drifts away forever, so
     # the deep-censor rate estimates the same event as a zero maximum
-    ladder = sample_ladder_many(default_model, 20000, seed=5, barrier=1e4)
-    sup = estimate_sup_many(default_model, 20000, seed=5, barrier=1e4)
+    ladder = sample_ladder_many(default_model, 20000, seed=5)
+    sup = estimate_sup_many(default_model, 20000, seed=5)
     c, p = ladder.censor_rate, sup.p_hat
     se = math.sqrt(c * (1 - c) / 20000) + math.sqrt(p * (1 - p) / 20000)
     assert abs(c - p) < 3.0 * se
