@@ -789,6 +789,26 @@ def test_the_step_budget_reaches_spawned_workers(monkeypatch, walk_constants):
     assert "over all shards" not in str(err.value)
 
 
+def test_the_barrier_reaches_spawned_workers(monkeypatch, walk_constants):
+    # a spawned worker imports walksim afresh, with its own barrier of
+    # 1e4; its ladder heights are censored at the barrier set here only
+    # if the barrier travels in its shard's arguments
+    monkeypatch.setattr(walksim, "ProcessPoolExecutor", functools.partial(
+        ProcessPoolExecutor, mp_context=multiprocessing.get_context("spawn")))
+    walk_constants(barrier=100.0)
+    model = spec_to_model(DEFAULT_MODEL)
+    batch = sample_ladder_many(model, 400, seed=6, workers=2)
+    psi, censored = [], []
+    for i, size in enumerate(_shard_sizes(400, 2)):
+        ref = RngStream(6, walksim.LADDER, i).generator()
+        S, *_ = _reference_walk(model.law, ref, size, STOP_RULES["ladder"])
+        psi.append(np.where(S > 0.0, S, 0.0))
+        censored.append(S <= 0.0)
+    assert np.any(batch.censored)
+    assert np.array_equal(batch.censored, np.concatenate(censored))
+    assert np.array_equal(batch.psi, np.concatenate(psi))
+
+
 def test_hand_built_model_runs_on_workers(walk_constants):
     # workers receive the model itself, so it needs no spec text
     law = Mixture(weights=(0.5, 0.5),
