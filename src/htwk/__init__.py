@@ -19,11 +19,10 @@ from .tailmath import (GridConfig, GridDistribution, IncrementModel,
 from .classlab import (KINDS, PROBES_DEFAULT, RatioDiagnostic, majorant_check,
                        measure_equivalence_check, membership_curve,
                        small_increment_criterion)
-from .walksim import (BARRIER_DEFAULT, CycleResult, CycleStats, LadderBatch,
-                      RenewalEstimate, RngStream, SupBatch, estimate_sup_many,
-                      ks_threshold, ks_two_sample, mtau_tail_estimate,
-                      renewal_estimate, sample_ladder_many, simulate_cycles,
-                      wilson_interval)
+from .walksim import (CycleResult, CycleStats, LadderBatch, RenewalEstimate,
+                      RngStream, SupBatch, estimate_sup_many, ks_threshold,
+                      ks_two_sample, mtau_tail_estimate, renewal_estimate,
+                      sample_ladder_many, simulate_cycles, wilson_interval)
 from .verify import (CheckBlock, VerificationReport, class_reduction_report,
                      cycle_max_report, gplus_tail_report,
                      ladder_identity_report, renewal_bound_report,
@@ -45,11 +44,10 @@ __all__ = [
     "KINDS", "PROBES_DEFAULT", "RatioDiagnostic", "majorant_check",
     "measure_equivalence_check", "membership_curve",
     "small_increment_criterion",
-    "BARRIER_DEFAULT", "CycleResult", "CycleStats", "LadderBatch",
-    "RenewalEstimate", "RngStream", "SupBatch", "estimate_sup_many",
-    "ks_threshold", "ks_two_sample", "mtau_tail_estimate",
-    "renewal_estimate", "sample_ladder_many", "simulate_cycles",
-    "wilson_interval",
+    "CycleResult", "CycleStats", "LadderBatch", "RenewalEstimate",
+    "RngStream", "SupBatch", "estimate_sup_many", "ks_threshold",
+    "ks_two_sample", "mtau_tail_estimate", "renewal_estimate",
+    "sample_ladder_many", "simulate_cycles", "wilson_interval",
     "CheckBlock", "VerificationReport",
     "class_reduction_report", "cycle_max_report", "gplus_tail_report",
     "ladder_identity_report", "renewal_bound_report", "run_verification",

@@ -54,7 +54,6 @@ class RatioDiagnostic:
     diagnostic can always be re-judged.
     """
 
-    kind: str
     probes: tuple[float, ...]
     values: tuple[float, ...]
     target: float | None
@@ -68,10 +67,6 @@ class RatioDiagnostic:
         t = self.target if self.target is not None else float("nan")
         return [(x, v, t, int(ok))
                 for x, v, ok in zip(self.probes, self.values, self.per_probe)]
-
-
-def _deviation_threshold(target: float, tol: float) -> float:
-    return tol * (abs(target) if target != 0.0 else 1.0)
 
 
 def trend_verdict(probes, values, target: float | None, tol: float
@@ -90,7 +85,7 @@ def trend_verdict(probes, values, target: float | None, tol: float
         last = values[-3:]
         lo, hi = min(last), max(last)
         return per, bool(lo > 0 and hi <= lo * (1.0 + tol) and all(per[-3:]))
-    thr = _deviation_threshold(target, tol)
+    thr = tol * (abs(target) if target != 0.0 else 1.0)
     devs = [abs(v - target) for v in values]
     per = tuple(d <= thr for d in devs)
     if len(values) < 3:
@@ -100,9 +95,9 @@ def trend_verdict(probes, values, target: float | None, tol: float
     return per, bool(all(per[-3:]) and shrinking)
 
 
-def _diagnostic(kind, probes, values, target, tol, extras=None) -> RatioDiagnostic:
+def _diagnostic(probes, values, target, tol, extras=None) -> RatioDiagnostic:
     per, verdict = trend_verdict(probes, values, target, tol)
-    return RatioDiagnostic(kind=kind, probes=tuple(float(x) for x in probes),
+    return RatioDiagnostic(probes=tuple(float(x) for x in probes),
                            values=tuple(float(v) for v in values),
                            target=target, tol=tol, per_probe=per,
                            verdict=verdict, extras=extras or {})
@@ -134,12 +129,11 @@ def probe_grid(xs) -> tuple[float, ...]:
 
 def membership_curve(kind: str, F: IncrementModel,
                      G: GridDistribution | None = None,
-                     xs=PROBES_DEFAULT,
-                     grid_cfg: GridConfig = GridConfig()) -> RatioDiagnostic:
+                     xs=PROBES_DEFAULT) -> RatioDiagnostic:
     """Ratio curve and verdict for one class membership test.
 
     Only kind SF takes the grid G, and it requires one; kind S builds
-    its own grid from `grid_cfg`, out to `grid_cfg.horizon(xs)`.
+    its own grid from F, out to `GridConfig().horizon(xs)`.
     """
     xs = probe_grid(xs)
     if kind not in KINDS:
@@ -152,26 +146,25 @@ def membership_curve(kind: str, F: IncrementModel,
 
     if kind == "L":
         shifted = np.asarray(F.tail_pos(arr + 1.0), dtype=float)
-        return _diagnostic("L", xs, shifted / fbar, 1.0, CURVE_TOL)
+        return _diagnostic(xs, shifted / fbar, 1.0, CURVE_TOL)
 
     if kind == "D":
         halved = np.asarray(F.tail_pos(arr / 2.0), dtype=float)
         # boundedness check: plateau tolerance is fixed at 10%
-        return _diagnostic("D", xs, halved / fbar, None, 0.10)
+        return _diagnostic(xs, halved / fbar, None, 0.10)
 
     if kind == "S":
-        grid = GridDistribution.from_model(F, x_max=grid_cfg.horizon(xs),
-                                           ppd=grid_cfg.points_per_decade)
+        grid = GridDistribution.from_model(F, x_max=GridConfig().horizon(xs))
         values = [self_conv_tail(grid, x) / fb for x, fb in zip(xs, fbar)]
-        return _diagnostic("S", xs, values, 2.0, CURVE_TOL)
+        return _diagnostic(xs, values, 2.0, CURVE_TOL)
 
     if kind == "Sstar":
         mu = mu_plus(F)
         values = [sstar_integral(F, x) / fb for x, fb in zip(xs, fbar)]
-        return _diagnostic("Sstar", xs, values, 2.0 * mu, CURVE_TOL,
+        return _diagnostic(xs, values, 2.0 * mu, CURVE_TOL,
                            extras={"mu_plus": mu})
 
-    return _diagnostic("SF", xs, _conv_tails(G, F, xs) / fbar, 1.0, CURVE_TOL)
+    return _diagnostic(xs, _conv_tails(G, F, xs) / fbar, 1.0, CURVE_TOL)
 
 
 def majorant_check(G: GridDistribution, F: IncrementModel, epsilon: float,
@@ -216,7 +209,7 @@ def small_increment_criterion(F: IncrementModel, G: GridDistribution,
     arr = np.asarray(xs)
     strip = (np.asarray(G.tail(arr - 1.0), dtype=float)
              - np.asarray(G.tail(arr), dtype=float)) / fbar
-    small_diag = _diagnostic("unit-increment", xs, strip, 0.0, CURVE_TOL)
+    small_diag = _diagnostic(xs, strip, 0.0, CURVE_TOL)
     return small_diag, membership_curve("SF", F, G=G, xs=xs)
 
 

@@ -561,10 +561,6 @@ class Mixture(Law):
             out.extend(ch.kinks())
         return out
 
-    @cached_property
-    def _cumw(self) -> tuple[float, ...]:
-        return tuple(np.cumsum(self.weights).tolist())
-
 
 # ----------------------------------------------------------------------
 # the draw rules, and the uniforms they read
@@ -609,7 +605,7 @@ def _compile_tape(law: Law, leaves: list, post: tuple = ()) -> Callable:
     `leaves` once, and its rule reads the tape's row 1 + its index
     there."""
     if isinstance(law, Mixture):
-        return partial(_mixture_array, law._cumw[:-1],
+        return partial(_mixture_array, tuple(np.cumsum(law.weights)[:-1].tolist()),
                        [_compile_tape(ch, leaves, post) for ch in law.children])
     if isinstance(law, Neg):
         return _compile_tape(law.child, leaves, (None, *post))
@@ -1333,6 +1329,13 @@ def criterion_K(model: IncrementModel) -> tuple[float, bool]:
     return res.value, res.converged
 
 
+def _normalizing_measure(model: IncrementModel, K: float) -> RenewalMeasure:
+    """The ratio measure of the integrated tail, once K is checked finite and positive."""
+    if not (K > 0 and math.isfinite(K)):
+        raise PreconditionError("integrated tail needs a finite positive criterion constant")
+    return RenewalMeasure.from_ratio(truncated_neg_mean(model))
+
+
 def integrated_tail(model: IncrementModel, K: float, x):
     """Tail at x of the drift-normalized integrated distribution.
 
@@ -1342,9 +1345,7 @@ def integrated_tail(model: IncrementModel, K: float, x):
     in lockstep (`_quad.stieltjes_vs_tail_many`), each with
     `_panel_plan`'s panels and `_route_b`'s value.
     """
-    if not (K > 0 and math.isfinite(K)):
-        raise PreconditionError("integrated tail needs a finite positive criterion constant")
-    H = RenewalMeasure.from_ratio(truncated_neg_mean(model))
+    H = _normalizing_measure(model, K)
     xs = np.atleast_1d(np.asarray(x, dtype=float))
     scalar = np.ndim(x) == 0
     plans = [_panel_plan(model, H, xi) for xi in xs.tolist()]
@@ -1366,9 +1367,7 @@ def integrated_tail_curve(model: IncrementModel, K: float, xs) -> np.ndarray:
     to [0, 1].  Independent of the pointwise route B, which makes the
     pair a cross-check.
     """
-    if not (K > 0 and math.isfinite(K)):
-        raise PreconditionError("integrated tail needs a finite positive criterion constant")
-    H = RenewalMeasure.from_ratio(truncated_neg_mean(model))
+    H = _normalizing_measure(model, K)
     return np.clip(renewal_integrated_tail_curve(model, H, xs) / K, 0.0, 1.0)
 
 
@@ -1651,11 +1650,10 @@ class GridDistribution:
         return cls(knots=knots, tail_cont=vals.copy())
 
     @classmethod
-    def from_model(cls, model: IncrementModel, x_max: float = 1e6,
-                   ppd: int = 64) -> "GridDistribution":
+    def from_model(cls, model: IncrementModel, x_max: float = 1e6) -> "GridDistribution":
         if model.has_negative_part:
             raise PreconditionError("grid discretization needs support in [0, infinity)")
-        knots = geometric_knots(x_max, ppd)
+        knots = geometric_knots(x_max)
         locs, masses = model.pos_atoms
         keep = locs <= x_max
         beyond_atoms = float(masses[~keep].sum())

@@ -267,8 +267,7 @@ def renewal_bound_report(model: IncrementModel, reps: int, seed: int,
         notes = ("zero-maximum probability interval touches {0,1}; "
                  "band is not identified",)
     else:
-        tail_idx = slice(-2, None) if len(xs) >= 2 else slice(-1, None)
-        verdict = bool(np.all(probe_ok[tail_idx]))
+        verdict = bool(np.all(probe_ok[-2:]))
         notes = ()
 
     return CheckBlock(
@@ -523,12 +522,3 @@ def run_verification(model: IncrementModel, seed: int,
         model_spec=model.spec_text, seed=seed, config=config,
         blocks=[calls[name]() for name in CHECK_NAMES if name in checks])
 
-
-DEFAULT_MODEL = ("mix(0.5: pareto(alpha=1.5, kappa=1), "
-                 "0.5: neg(pareto(alpha=0.5, kappa=1)))")
-LIGHT_CONTROL = ("mix(0.5: exponential(rate=1), "
-                 "0.5: neg(exponential(rate=0.5)))")
-K_DIVERGENT = ("mix(0.5: pareto(alpha=0.4, kappa=1), "
-               "0.5: neg(pareto(alpha=0.5, kappa=1)))")
-CASE_B = ("mix(0.5: pareto(alpha=0.8, kappa=1), "
-          "0.5: neg(pareto(alpha=0.3, kappa=1)))")

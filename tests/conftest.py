@@ -3,7 +3,7 @@ import threading
 import pytest
 
 from htwk import spec_to_model, walksim
-from htwk.verify import CASE_B, DEFAULT_MODEL, K_DIVERGENT, LIGHT_CONTROL
+from pinned_models import CASE_B, DEFAULT_MODEL, K_DIVERGENT, LIGHT_CONTROL
 
 
 @pytest.fixture(autouse=True)

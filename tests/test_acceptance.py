@@ -22,7 +22,6 @@ from htwk.classlab import (
 from htwk.distspec import format_spec, parse_spec
 from htwk.errors import SpecSyntaxError
 from htwk.tailmath import (
-    GridConfig,
     GridDistribution,
     RenewalMeasure,
     conv_tail,
@@ -159,8 +158,7 @@ def test_accept_06_class_suite_trio(capsys):
     r_s = two_fold.values[list(two_fold.probes).index(1e3)]
     star = membership_curve("Sstar", pareto15)
     r_star = star.values[-1]
-    light = membership_curve("S", expo, xs=(2.0, 4.0, 7.0, 10.0),
-                             grid_cfg=GridConfig(x_max=1e3))
+    light = membership_curve("S", expo, xs=(2.0, 4.0, 7.0, 10.0))
     r_light = light.values[-1]
 
     ok = (abs(r_s - 2.0) <= 0.05 * 2.0

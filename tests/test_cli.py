@@ -37,9 +37,9 @@ def test_cli_start_up_does_not_import_scipy():
     code = ("import sys, htwk.cli\n"
             "from htwk.distspec import spec_to_model\n"
             "from htwk.tailmath import _UniformTape\n"
-            "from htwk.verify import DEFAULT_MODEL\n"
             "from htwk.walksim import RngStream\n"
-            "model = spec_to_model(DEFAULT_MODEL)\n"
+            "model = spec_to_model('mix(0.5: pareto(alpha=1.5, kappa=1), "
+            "0.5: neg(pareto(alpha=0.5, kappa=1)))')\n"
             "model.sample(RngStream(1, 0).generator(), 1000)\n"
             "tape = _UniformTape(model, RngStream(2, 0).generator(), 1000)\n"
             "model.sample(tape, 1000)\n"

@@ -7,7 +7,7 @@ from hypothesis import given
 from htwk.distspec import format_float, format_spec, parse_spec, spec_to_model
 from htwk.errors import SpecSyntaxError, SpecValidationError
 from htwk.tailmath import Mixture, Neg, Pareto
-from htwk.verify import DEFAULT_MODEL
+from pinned_models import DEFAULT_MODEL
 
 # Every production: all five leaves, named and positional arguments,
 # defaulted parameters, neg, both shift argument forms, nested shift,

@@ -1,15 +1,17 @@
 """Static checks on the package source: every imported name is used,
 every private module-level name is referenced somewhere, every public
-module-level function and class and every public method of a
-module-level class is read by the package or the benchmark, every
-defaulted parameter of those functions and methods is passed by some
-call in the package or the benchmark, no parameter of theirs gets one
-and the same value from every such call (each scan has an explicit
-allow-list), no class in `tailmath` but the increment model defines
-`sample` and `walksim` calls `.sample(` at one site only, the
-package's `__all__` lists exactly what `__init__.py` imports, the
-package reads no environment variable, and the benchmark's tracer
-finds every name it wraps."""
+module-level function, class and constant, every public method of a
+module-level class and every field of a module-level dataclass is read
+by the package or the benchmark (a reader's own module-level name is
+not the package's name of the same spelling), every defaulted
+parameter of those functions and methods is passed by some call in the
+package or the benchmark, no parameter of theirs gets one and the same
+value from every such call (each scan has an explicit allow-list), no
+class in `tailmath` but the increment model defines `sample` and
+`walksim` calls `.sample(` at one site only, the package's `__all__`
+lists exactly what `__init__.py` imports, the package reads no
+environment variable, and the benchmark's tracer finds every name it
+wraps."""
 
 import ast
 import importlib.util
@@ -48,38 +50,58 @@ def test_module_uses_every_name_it_imports(path):
     assert unused_imports(path.read_text()) == []
 
 
-def _private_definitions(tree: ast.Module) -> list[str]:
-    """Module-level functions, classes and constants named _x (not __x__)."""
-    names = []
+def _top_level_names(tree: ast.Module) -> list[tuple[str, str]]:
+    """(kind, name) for each module-level function or class ("def") and
+    each name that a module-level assignment binds ("constant")."""
+    found = []
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            names.append(node.name)
+            found.append(("def", node.name))
         elif isinstance(node, ast.Assign):
-            names += [t.id for t in node.targets if isinstance(t, ast.Name)]
+            found += [("constant", t.id) for t in node.targets if isinstance(t, ast.Name)]
         elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
-            names.append(node.target.id)
-    return [n for n in names if n.startswith("_") and not n.startswith("__")]
+            found.append(("constant", node.target.id))
+    return found
 
 
-def _names_read(trees) -> set[str]:
-    """Every name the trees read, as a bare name or as an attribute."""
-    read = set()
-    for tree in trees:
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                read.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                read.add(node.attr)
-    return read
+def _private_definitions(tree: ast.Module) -> list[str]:
+    """Module-level functions, classes and constants named _x (not __x__)."""
+    return [n for _, n in _top_level_names(tree)
+            if n.startswith("_") and not n.startswith("__")]
+
+
+def _attributes_read(trees) -> set[str]:
+    """Every attribute name the trees load."""
+    return {node.attr for tree in trees for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+
+
+def _name_reads(trees: dict[str, ast.Module], readers=()):
+    """is_read(module, name) for a module-level name of a module of
+    `trees`: some tree of `trees` or `readers` loads it as an attribute,
+    or loads it as a bare name and is its module or binds no
+    module-level name of its own by that name.  A reader's own constant
+    or function is not the package's name of the same spelling."""
+    attributes = _attributes_read([*trees.values(), *readers])
+    bare = [(mod, {n.id for n in ast.walk(tree)
+                   if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)},
+             {n for _, n in _top_level_names(tree)})
+            for mod, tree in [*trees.items(), *((None, r) for r in readers)]]
+
+    def is_read(module, name):
+        return name in attributes or any(
+            name in loads and (mod == module or name not in own)
+            for mod, loads, own in bare)
+    return is_read
 
 
 def unreferenced_private_names(sources: dict[str, str]) -> list[str]:
     """module:name for each private module-level name that no module of
     `sources` reads, as a bare name or as an attribute."""
     trees = {mod: ast.parse(src) for mod, src in sources.items()}
-    read = _names_read(trees.values())
+    is_read = _name_reads(trees)
     return [f"{mod}:{name}" for mod, tree in trees.items()
-            for name in _private_definitions(tree) if name not in read]
+            for name in _private_definitions(tree) if not is_read(mod, name)]
 
 
 def test_the_scan_sees_an_orphaned_private_name():
@@ -93,20 +115,22 @@ def test_every_private_name_is_referenced():
     assert unreferenced_private_names(sources) == []
 
 
-def _public_definitions(tree: ast.Module) -> list[str]:
-    """Module-level functions and classes whose names do not start with _."""
-    return [node.name for node in tree.body
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-            and not node.name.startswith("_")]
+def _public_definitions(tree: ast.Module, kind: str = "def") -> list[str]:
+    """Module-level functions and classes ("def") or constants
+    ("constant") whose names do not start with _."""
+    return [n for k, n in _top_level_names(tree)
+            if k == kind and not n.startswith("_")]
 
 
-def unread_public_names(sources: dict[str, str], readers: dict[str, str]) -> list[str]:
-    """module:name for each public module-level function or class of
-    `sources` that no module of `sources` or `readers` reads."""
+def unread_public_names(sources: dict[str, str], readers: dict[str, str],
+                        kind: str = "def") -> list[str]:
+    """module:name for each public module-level function or class
+    ("def") or constant ("constant") of `sources` that no module of
+    `sources` or `readers` reads (`_name_reads`)."""
     trees = {mod: ast.parse(src) for mod, src in sources.items()}
-    read = _names_read([*trees.values(), *map(ast.parse, readers.values())])
+    is_read = _name_reads(trees, [ast.parse(src) for src in readers.values()])
     return [f"{mod}:{name}" for mod, tree in trees.items()
-            for name in _public_definitions(tree) if name not in read]
+            for name in _public_definitions(tree, kind) if not is_read(mod, name)]
 
 
 # public names that neither the package nor the benchmark reads, each
@@ -119,7 +143,8 @@ UNREAD_PUBLIC_ALLOWED = {
     "cli.py:renewal": "click command, registered by its decorator",
     "serialize.py:read_cycles": "public reader of the cycles.bin format",
     "tailmath.py:renewal_integrated_tail_forms":
-        "the tests' pointwise reference for the integrated-tail curves",
+        "the tests' pointwise reference for the integrated-tail curves "
+        "(ROADMAP direction 12)",
 }
 
 
@@ -127,7 +152,8 @@ def test_the_scan_sees_an_unread_public_name():
     sources = {"a": "def f():\n    return g()\ndef g():\n    pass\n"
                     "class C:\n    pass\nclass D:\n    pass\ndef _h():\n    pass\n",
                "b": "from a import D\nD()\ndef main():\n    pass\n"}
-    readers = {"bench": "import a\na.C()\n"}
+    # the benchmark's own main is not b's
+    readers = {"bench": "import a\na.C()\ndef main():\n    pass\nmain()\n"}
     assert unread_public_names(sources, readers) == ["a:f", "b:main"]
 
 
@@ -139,6 +165,21 @@ def test_every_public_name_is_read_or_allowed():
     assert set(UNREAD_PUBLIC_ALLOWED) <= defined
     unread = unread_public_names(sources, readers)
     assert [n for n in unread if n not in UNREAD_PUBLIC_ALLOWED] == []
+
+
+def test_the_scan_sees_an_unread_public_constant():
+    sources = {"a": "TOL = 1\nMODEL = 'x'\nSEEN: int = 2\n_P = 3\n__all__ = []\n"
+                    "def f():\n    return TOL\n",
+               "b": "from a import SEEN\nLIMIT = SEEN\n"}
+    # the benchmark binds and reads a MODEL of its own, which is not a's
+    readers = {"bench": "import b\nMODEL = 'y'\nprint(MODEL, b.LIMIT)\n"}
+    assert unread_public_names(sources, readers, "constant") == ["a:MODEL"]
+
+
+def test_every_public_constant_is_read():
+    sources = {p.name: p.read_text() for p in MODULES}
+    readers = {p.name: p.read_text() for p in BENCH}
+    assert unread_public_names(sources, readers, "constant") == []
 
 
 def _public_methods(tree: ast.Module) -> list[str]:
@@ -154,8 +195,7 @@ def unread_public_methods(sources: dict[str, str],
     """module:Class.method for each public method of a class in `sources`
     that no module of `sources` or `readers` reads as an attribute."""
     trees = {mod: ast.parse(src) for mod, src in sources.items()}
-    read = {node.attr for tree in [*trees.values(), *map(ast.parse, readers.values())]
-            for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    read = _attributes_read([*trees.values(), *map(ast.parse, readers.values())])
     return [f"{mod}:{name}" for mod, tree in trees.items()
             for name in _public_methods(tree) if name.split(".")[1] not in read]
 
@@ -164,7 +204,7 @@ def unread_public_methods(sources: dict[str, str],
 # kept for the reason given
 UNREAD_METHOD_ALLOWED = {
     "tailmath.py:GridDistribution.from_point":
-        "the tests' point-mass grid for the convolution checks",
+        "the tests' point-mass grid for the convolution checks (ROADMAP direction 7)",
 }
 
 
@@ -185,6 +225,47 @@ def test_every_public_method_is_read_or_allowed():
     assert set(UNREAD_METHOD_ALLOWED) <= defined
     unread = unread_public_methods(sources, readers)
     assert [n for n in unread if n not in UNREAD_METHOD_ALLOWED] == []
+
+
+def _dataclass_fields(tree: ast.Module) -> list[str]:
+    """Class.field for each field of a module-level dataclass."""
+    def dataclass(decorator):
+        f = decorator.func if isinstance(decorator, ast.Call) else decorator
+        return (f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)) == "dataclass"
+
+    return [f"{cls.name}.{node.target.id}" for cls in tree.body
+            if isinstance(cls, ast.ClassDef) and any(map(dataclass, cls.decorator_list))
+            for node in cls.body
+            if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name)
+            and "ClassVar" not in ast.unparse(node.annotation)]
+
+
+def unread_fields(sources: dict[str, str], readers: dict[str, str]) -> list[str]:
+    """module:Class.field for each field of a dataclass in `sources` that
+    no module of `sources` or `readers` loads as an attribute; building a
+    record with keyword arguments reads none of its fields."""
+    trees = {mod: ast.parse(src) for mod, src in sources.items()}
+    read = _attributes_read([*trees.values(), *map(ast.parse, readers.values())])
+    return [f"{mod}:{name}" for mod, tree in trees.items()
+            for name in _dataclass_fields(tree) if name.split(".")[1] not in read]
+
+
+def test_the_scan_sees_an_unread_field():
+    sources = {"a": "import dataclasses\nfrom dataclasses import dataclass\n"
+                    "from typing import ClassVar\n"
+                    "@dataclass(frozen=True)\nclass R:\n    kind: str\n"
+                    "    value: float\n    label: str = ''\n    N: ClassVar[int] = 1\n"
+                    "@dataclasses.dataclass\nclass S:\n    n: int\n"
+                    "class P:\n    m: int\n"
+                    "r = R(kind='x', value=1.0)\nr.value\n"}
+    readers = {"bench": "import a\nkind = 'x'\nprint(kind)\na.S(n=2).n\n"}
+    assert unread_fields(sources, readers) == ["a:R.kind", "a:R.label"]
+
+
+def test_every_dataclass_field_is_read():
+    sources = {p.name: p.read_text() for p in MODULES}
+    readers = {p.name: p.read_text() for p in BENCH}
+    assert unread_fields(sources, readers) == []
 
 
 def classes_defining(source: str, method: str) -> list[str]:
@@ -305,10 +386,9 @@ def unpassed_defaults(sources: dict[str, str], readers: dict[str, str]) -> list[
 UNPASSED_DEFAULT_ALLOWED = {
     "verify.py:ladder_identity_report(p_override)":
         "ACCEPT-09's negative control, a deliberately wrong success probability",
-    "classlab.py:membership_curve(grid_cfg)":
-        "ACCEPT-06 and the class tests run the light law's S curve on a short grid",
     "classlab.py:majorant_check(xs)":
-        "the light law's majorant test needs probes where no anchor exists",
+        "the light law's majorant test needs probes where no anchor exists "
+        "(ROADMAP direction 7)",
 }
 
 

@@ -32,8 +32,8 @@ from htwk.tailmath import (
     sstar_integral,
     truncated_neg_mean,
 )
-from htwk.verify import CASE_B, DEFAULT_MODEL, K_DIVERGENT, LIGHT_CONTROL
 from htwk.walksim import renewal_estimate
+from pinned_models import CASE_B, DEFAULT_MODEL, K_DIVERGENT, LIGHT_CONTROL
 
 # ----------------------------------------------------------------------
 # laws
@@ -857,7 +857,7 @@ def test_grid_from_model_puts_an_atom_beyond_the_horizon_in_mass_beyond():
                          ids=["atom-at-hi", "atom-inside", "atom-past-hi"])
 def test_sub_range_particles_carry_the_range_mass(hi):
     model = spec_to_model("mix(0.5: pareto(alpha=2, kappa=1), 0.5: point(3))")
-    grid = GridDistribution.from_model(model, x_max=1e4, ppd=16)
+    grid = GridDistribution.from_model(model, x_max=1e4)
     locs, masses = grid.particles(refine=4, hi=hi)
     assert masses.sum() == pytest.approx(grid.total_mass - grid.tail(hi), rel=1e-12)
     assert np.all((locs >= 0.0) & (locs <= hi))
@@ -888,7 +888,7 @@ def test_degenerate_convolution_is_exact():
 
 def test_identity_is_convolution_neutral():
     model = spec_to_model("pareto(alpha=1.5, kappa=1)")
-    grid = GridDistribution.from_model(model, x_max=1e4, ppd=32)
+    grid = GridDistribution.from_model(model, x_max=1e4)
     same = grid.convolve(GridDistribution.from_point(0.0))
     xs = np.array([0.7, 13.0, 900.0])
     assert np.allclose(same.tail(xs), grid.tail(xs), rtol=1e-9)
@@ -1023,7 +1023,7 @@ def test_convolve_matches_a_dense_one_shot_evaluation(which, integrated_tail_gri
         grid = GridDistribution.from_model(
             spec_to_model("mix(0.3: point(3), 0.2: point(0.5), "
                           "0.5: shift(2, pareto(alpha=1.5, kappa=1)))"),
-            x_max=1e4, ppd=32)
+            x_max=1e4)
     else:
         grid = integrated_tail_grid
     got = grid.convolve(grid)

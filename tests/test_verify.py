@@ -11,7 +11,6 @@ from htwk import _quad, spec_to_model, walksim
 from htwk.errors import PreconditionError
 from htwk.verify import (
     CHECK_NAMES,
-    DEFAULT_MODEL,
     CheckBlock,
     VerificationReport,
     ladder_identity_report,
@@ -21,6 +20,7 @@ from htwk.verify import (
     run_verification,
     class_reduction_report,
 )
+from pinned_models import DEFAULT_MODEL
 
 ANCHOR = "tail-class-reduction"
 
