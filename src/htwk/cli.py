@@ -64,7 +64,7 @@ def _cast(key: str, value, cast):
 def parse_probes(text: str) -> tuple[float, ...]:
     """Probe grids: "a,b,c" literal, "lo:hi" geometric with 32 points,
     or "lo:hi:n".  A nonpositive lo contributes a leading point with
-    the geometric part spanning [hi/10^4, hi]."""
+    the geometric part spanning [hi/10^4, hi], or hi alone at n = 2."""
     t = text.strip()
     if ":" in t:
         parts = t.split(":")
@@ -77,7 +77,8 @@ def parse_probes(text: str) -> tuple[float, ...]:
         if lo > 0:
             pts = np.geomspace(lo, hi, n)
         else:
-            pts = np.concatenate([[lo], np.geomspace(hi * 1e-4, hi, n - 1)])
+            rest = np.geomspace(hi * 1e-4, hi, n - 1) if n > 2 else [hi]
+            pts = np.concatenate([[lo], rest])
     else:
         pts = np.array([_cast("probe", p, float) for p in t.split(",")])
     if np.any(np.diff(pts) <= 0):

@@ -5,26 +5,23 @@ class HtwkError(Exception):
     """Base class for every error raised by this package."""
 
 
-class SpecSyntaxError(HtwkError):
+class _SpecError(HtwkError):
+    """An error in spec text; a known source span ends the message."""
+
+    def __init__(self, message, span=None):
+        self.span = None if span is None else (int(span[0]), int(span[1]))
+        if self.span is not None:
+            message = f"{message} (at {self.span[0]}:{self.span[1]})"
+        super().__init__(message)
+
+
+class SpecSyntaxError(_SpecError):
     """Malformed distribution spec text; carries the offending source span
     as a plain (start, end) character-offset pair."""
 
-    def __init__(self, message, span):
-        start, end = span
-        self.span = (int(start), int(end))
-        super().__init__(f"{message} (at {self.span[0]}:{self.span[1]})")
 
-
-class SpecValidationError(HtwkError):
+class SpecValidationError(_SpecError):
     """Well-formed spec that violates a semantic constraint."""
-
-    def __init__(self, message, span=None):
-        self.span = None
-        if span is not None:
-            start, end = span
-            self.span = (int(start), int(end))
-            message = f"{message} (at {self.span[0]}:{self.span[1]})"
-        super().__init__(message)
 
 
 class DivergenceError(HtwkError):

@@ -1,11 +1,12 @@
 """Analytic and grid-based tail calculus for signed increment laws.
 
-The increment model exposes the positive tail F-bar(x) = P(xi > x), the
-negative tail N-bar(y) = P(xi < -y), atoms, and a sampler.  On top of it
-sit the truncated negative mean m(x) = integral of N-bar over [0, x],
-the drift criterion constant K = integral of t/m(t) dF over (0, inf),
-integrated tail distributions, and a geometric-grid representation of
-nonnegative distributions supporting Stieltjes sums and convolution.
+The increment model exposes the positive tail F-bar(x) = P(xi > x),
+atoms and a sampler; its law gives the negative tail N-bar(y) =
+P(xi < -y) as `cdf_strict(-y)`.  On top of them sit the truncated
+negative mean m(x) = integral of N-bar over [0, x], the drift criterion
+constant K = integral of t/m(t) dF over (0, inf), integrated tail
+distributions, and a geometric-grid representation of nonnegative
+distributions supporting Stieltjes sums and convolution.
 
 Convention used throughout: t/m(t) tends to 1/c as t drops to 0, where
 c = P(xi < 0); quadratures only ever evaluate the ratio at interior
@@ -62,7 +63,7 @@ class Law:
 
     def cdf_strict(self, t):
         """P(X < t); equals 1 - sf(t) for continuous laws."""
-        return 1.0 - np.asarray(self.sf(t), dtype=float)
+        raise NotImplementedError
 
     def atoms(self) -> tuple[np.ndarray, np.ndarray]:
         return np.empty(0), np.empty(0)
@@ -903,10 +904,6 @@ class IncrementModel:
                 if ch.sf(0.0) > 0]
         return arms if 0 < len(arms) < len(self.law.children) else None
 
-    def tail_neg(self, y):
-        """N-bar(y) = P(xi < -y) = P(xi^- > y) for y >= 0."""
-        return self.law.cdf_strict(-np.asarray(y, dtype=float))
-
     def sample(self, gen: np.random.Generator | _UniformTape, n: int) -> np.ndarray:
         """n draws of the law as a new array, by its draw rule, from a
         generator or from a `_UniformTape` of one, which spends the same
@@ -944,7 +941,7 @@ class IncrementModel:
 
     @cached_property
     def has_negative_part(self) -> bool:
-        return float(self.tail_neg(0.0)) > 0.0
+        return float(self.law.cdf_strict(0.0)) > 0.0
 
     @cached_property
     def truncated_mean(self) -> "TruncatedMean":
@@ -963,7 +960,7 @@ class TruncatedMean:
     no subtraction of near-equal numbers.
     """
 
-    def __init__(self, law: Law, breakpoints=()):
+    def __init__(self, law: Law, breakpoints):
         self._law = law
         self.breakpoints = tuple(sorted(float(p) for p in breakpoints if p > 0))
         self.c0 = float(np.asarray(law.cdf_strict(0.0), dtype=float))
@@ -1440,7 +1437,7 @@ class GridConfig:
 _KNOT_MIN = 1e-3
 
 
-def geometric_knots(x_max: float = 1e6, ppd: int = 64) -> np.ndarray:
+def geometric_knots(x_max: float, ppd: int = 64) -> np.ndarray:
     """0, then `ppd` knots per decade from `_KNOT_MIN` to x_max."""
     decades = math.log10(x_max / _KNOT_MIN)
     count = max(2, int(math.ceil(decades * ppd)))
@@ -1594,7 +1591,7 @@ class GridDistribution:
 
     # -- particle view ----------------------------------------------------
 
-    def particles(self, refine: int = 4,
+    def particles(self, refine: int,
                   hi: float | None = None) -> tuple[np.ndarray, np.ndarray]:
         """Representative locations and masses of the restriction to
         [0, hi], atoms kept exactly and each continuous cell split into
@@ -1644,7 +1641,7 @@ class GridDistribution:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def from_tail(cls, tail_fn: Callable, x_max: float = 1e6) -> "GridDistribution":
+    def from_tail(cls, tail_fn: Callable, x_max: float) -> "GridDistribution":
         knots = geometric_knots(x_max)
         vals = np.asarray(tail_fn(knots), dtype=float)
         return cls(knots=knots, tail_cont=vals.copy())
@@ -1672,7 +1669,7 @@ class GridDistribution:
                    atom_locs=np.array([float(c)]), atom_masses=np.array([1.0]))
 
     @classmethod
-    def from_samples(cls, values, x_max: float = 1e6) -> "GridDistribution":
+    def from_samples(cls, values, x_max: float) -> "GridDistribution":
         v = np.sort(np.asarray(values, dtype=float))
         if v.size == 0 or v[0] < 0:
             raise ValueError("need nonnegative samples")

@@ -111,12 +111,11 @@ class VerificationReport:
     seed: int
     config: dict
     blocks: list[CheckBlock] = field(default_factory=list)
-    schema: str = SCHEMA
 
     @property
     def experiment_id(self) -> str:
         payload = json.dumps(
-            {"schema": self.schema, "model": self.model_spec,
+            {"schema": SCHEMA, "model": self.model_spec,
              "seed": self.seed, "config": self.config}, sort_keys=True)
         return hashlib.sha256(payload.encode()).hexdigest()[:12]
 
@@ -133,7 +132,7 @@ class VerificationReport:
 
     def to_dict(self) -> dict:
         return {
-            "schema": self.schema,
+            "schema": SCHEMA,
             "experiment": self.experiment_id,
             "model": self.model_spec,
             "seed": self.seed,
@@ -245,9 +244,6 @@ def renewal_bound_report(model: IncrementModel, reps: int, seed: int,
     _RENEWAL_XS against the band [p, 2p]; the band ends are widened by
     _TOL_BAND on each side."""
     xs = _RENEWAL_XS
-    if not model.has_negative_part:
-        raise PreconditionError(
-            "descent mean vanishes; the renewal comparison is undefined")
     mneg = truncated_neg_mean(model)
     ren = renewal_estimate(model, xs, reps, seed, workers=workers)
     sup = estimate_sup_many(model, reps, seed, workers=workers)

@@ -79,6 +79,10 @@ class RngStream:
     purpose: int
     index: int = 0
 
+    def __post_init__(self):
+        if self.seed < 0:
+            raise PreconditionError("seed must be nonnegative")
+
     def generator(self) -> np.random.Generator:
         ss = np.random.SeedSequence(entropy=self.seed,
                                     spawn_key=(self.purpose, self.index))
@@ -402,7 +406,9 @@ def _run_sharded(kernel, model: IncrementModel, total: int, seed: int,
     """
     if total < 1:
         raise PreconditionError("replication count must be at least 1")
-    sizes = _shard_sizes(total, min(max(1, int(workers)), total))
+    if workers < 1:
+        raise PreconditionError("worker count must be at least 1")
+    sizes = _shard_sizes(total, min(int(workers), total))
     gens = [RngStream(seed, purpose, i).generator() for i in range(len(sizes))]
     step_budget = STEP_BUDGET_DEFAULT
     shard_kwargs = [{**kwargs, "step_budget": step_budget} for _ in sizes]
@@ -502,6 +508,8 @@ def renewal_estimate(model: IncrementModel, xs, reps: int, seed: int,
     xs = tuple(sorted(float(x) for x in xs))
     if any(x < 0 for x in xs):
         raise PreconditionError("renewal probes must be nonnegative")
+    if raw_reps < 0:
+        raise PreconditionError("raw replication count must be nonnegative")
     _require_negative_part(model)
     results, steps = _run_sharded(_renewal_kernel, model, reps, seed, RENEWAL,
                                   workers, lead={"raw_reps": raw_reps}, xs=xs)

@@ -62,6 +62,9 @@ def test_parse_probes_forms():
     pts = parse_probes("0:1e4:5")
     assert pts[0] == 0.0 and len(pts) == 5 and pts[-1] == pytest.approx(1e4)
     assert pts[1] == pytest.approx(1.0)
+    # two points: lo and hi, not lo and hi/10^4
+    assert parse_probes("0:1e4:2") == (0.0, 1e4)
+    assert parse_probes("-1:10:2") == (-1.0, 10.0)
 
 
 @pytest.mark.parametrize("bad", ["5:1", "1:10:1", "3,2,1", "1:2:3:4", "a:b",
@@ -255,7 +258,13 @@ def test_a_negative_probe_is_a_one_line_error(runner, tmp_path, args):
     ["tails", "--model", LIGHT_SPEC],
     ["simulate", "--model", "pareto(2, 1)", "--seed", "1", "--cycles", "100"],
     ["renewal", "--model", "pareto(2, 1)", "--seed", "1", "--reps", "100"],
-], ids=["classify-later-kind", "classify-probes", "tails", "simulate", "renewal"])
+    ["simulate", "--model", DEFAULT_SPEC, "--seed", "1", "--cycles", "100",
+     "--workers", "0"],
+    ["verify", "--model", DEFAULT_SPEC, "--seed", "-1", "--cycles", "100"],
+    ["renewal", "--model", DEFAULT_SPEC, "--seed", "1", "--reps", "100",
+     "--raw-reps", "-1"],
+], ids=["classify-later-kind", "classify-probes", "tails", "simulate", "renewal",
+        "simulate-workers", "verify-seed", "renewal-raw-reps"])
 def test_a_failed_command_leaves_no_output_behind(runner, tmp_path, args):
     # every result is computed before the output directory is made, so
     # neither a partial file nor an empty directory is left behind

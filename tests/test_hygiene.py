@@ -3,15 +3,16 @@ every private module-level name is referenced somewhere, every public
 module-level function, class and constant, every public method of a
 module-level class and every field of a module-level dataclass is read
 by the package or the benchmark (a reader's own module-level name is
-not the package's name of the same spelling), every defaulted
-parameter of those functions and methods is passed by some call in the
-package or the benchmark, no parameter of theirs gets one and the same
-value from every such call (each scan has an explicit allow-list), no
-class in `tailmath` but the increment model defines `sample` and
-`walksim` calls `.sample(` at one site only, the package's `__all__`
-lists exactly what `__init__.py` imports, the package reads no
-environment variable, and the benchmark's tracer finds every name it
-wraps."""
+not the package's name of the same spelling), every defaulted field
+of such a dataclass is set by some construction or attribute store in
+the package or the benchmark, every defaulted parameter of those
+functions and methods is passed by some call in the package or the
+benchmark, no parameter of theirs gets one and the same value from
+every such call (each scan has an explicit allow-list), no class in
+`tailmath` but the increment model defines `sample` and `walksim`
+calls `.sample(` at one site only, the package's `__all__` lists
+exactly what `__init__.py` imports, the package reads no environment
+variable, and the benchmark's tracer finds every name it wraps."""
 
 import ast
 import importlib.util
@@ -227,17 +228,24 @@ def test_every_public_method_is_read_or_allowed():
     assert [n for n in unread if n not in UNREAD_METHOD_ALLOWED] == []
 
 
-def _dataclass_fields(tree: ast.Module) -> list[str]:
-    """Class.field for each field of a module-level dataclass."""
+def _dataclasses(tree: ast.Module) -> list[tuple[ast.ClassDef, list[ast.AnnAssign]]]:
+    """Each module-level dataclass with the fields of its own body, in
+    declaration order."""
     def dataclass(decorator):
         f = decorator.func if isinstance(decorator, ast.Call) else decorator
         return (f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)) == "dataclass"
 
-    return [f"{cls.name}.{node.target.id}" for cls in tree.body
-            if isinstance(cls, ast.ClassDef) and any(map(dataclass, cls.decorator_list))
-            for node in cls.body
-            if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name)
-            and "ClassVar" not in ast.unparse(node.annotation)]
+    return [(cls, [node for node in cls.body
+                   if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name)
+                   and "ClassVar" not in ast.unparse(node.annotation)])
+            for cls in tree.body
+            if isinstance(cls, ast.ClassDef) and any(map(dataclass, cls.decorator_list))]
+
+
+def _dataclass_fields(tree: ast.Module) -> list[str]:
+    """Class.field for each field of a module-level dataclass."""
+    return [f"{cls.name}.{node.target.id}" for cls, fields in _dataclasses(tree)
+            for node in fields]
 
 
 def unread_fields(sources: dict[str, str], readers: dict[str, str]) -> list[str]:
@@ -266,6 +274,89 @@ def test_every_dataclass_field_is_read():
     sources = {p.name: p.read_text() for p in MODULES}
     readers = {p.name: p.read_text() for p in BENCH}
     assert unread_fields(sources, readers) == []
+
+
+def _calls_by_name(trees) -> dict[str, list[ast.Call]]:
+    """Every call of the trees, keyed by the called name or attribute."""
+    calls = {}
+    for tree in trees:
+        for call in ast.walk(tree):
+            if isinstance(call, ast.Call):
+                f = call.func
+                name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+                calls.setdefault(name, []).append(call)
+    return calls
+
+
+def _forwards(call: ast.Call) -> bool:
+    """Whether a call forwards *args or **kwargs."""
+    return any(isinstance(a, ast.Starred) for a in call.args) \
+        or any(k.arg is None for k in call.keywords)
+
+
+def unset_fields(sources: dict[str, str], readers: dict[str, str]) -> list[str]:
+    """module:Class.field for each defaulted field of a dataclass in
+    `sources` that no code of `sources` or `readers` sets.  A call of the
+    class, by its name or as `cls` in one of its classmethods, sets the
+    fields it passes by keyword or by position, and every field when it
+    forwards *args or **kwargs; a `replace(...)` call sets the fields it
+    names; an attribute store (`x.f = ...`, `x.f += ...`) sets f."""
+    trees = {mod: ast.parse(src) for mod, src in sources.items()}
+    every = [*trees.values(), *map(ast.parse, readers.values())]
+    calls = _calls_by_name(every)
+    stored = {node.attr for tree in every for node in ast.walk(tree)
+              if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)}
+    replaced = {k.arg for call in calls.get("replace", ()) for k in call.keywords}
+    unset = []
+    for mod, tree in trees.items():
+        for cls, fields in _dataclasses(tree):
+            classmethods = [fn for fn in cls.body if isinstance(fn, ast.FunctionDef)
+                            and any(isinstance(d, ast.Name) and d.id == "classmethod"
+                                    for d in fn.decorator_list)]
+            made = [*calls.get(cls.name, ()),
+                    *_calls_by_name(classmethods).get("cls", ())]
+            for pos, node in enumerate(fields):
+                name = node.target.id
+                if node.value is None or name in stored or name in replaced:
+                    continue
+                if not any(_forwards(c) or pos < len(c.args)
+                           or name in {k.arg for k in c.keywords} for c in made):
+                    unset.append(f"{mod}:{cls.name}.{name}")
+    return unset
+
+
+# defaulted dataclass fields that neither the package nor the benchmark
+# sets, each kept for the reason given
+UNSET_FIELD_ALLOWED = {
+    "tailmath.py:Weibull.scale":
+        "a grammar parameter: spec text sets it through `distspec._LAWS`",
+}
+
+
+def test_the_scan_sees_an_unset_field():
+    sources = {"a": "from dataclasses import dataclass, field, replace\n"
+                    "from typing import ClassVar\n"
+                    "@dataclass\nclass R:\n    kind: str\n    n: int = 0\n"
+                    "    label: str = ''\n    tags: list = field(default_factory=list)\n"
+                    "    schema: str = 'v1'\n    total: float = 0.0\n"
+                    "    N: ClassVar[int] = 1\n"
+                    "    @classmethod\n    def make(cls):\n        return cls('x', 1)\n"
+                    "@dataclass\nclass S:\n    m: int = 0\n"
+                    "class P:\n    label: str = ''\n"
+                    "r = replace(R.make(), label='y')\nr.total += 1.0\n"}
+    # the benchmark passes R's tags and forwards keywords to S
+    readers = {"bench": "import a\nkw = {}\na.S(**kw)\na.R('z', tags=[])\n"}
+    assert unset_fields(sources, readers) == ["a:R.schema"]
+
+
+def test_every_defaulted_field_is_set_or_allowed():
+    sources = {p.name: p.read_text() for p in MODULES}
+    readers = {p.name: p.read_text() for p in BENCH}
+    defined = {f"{mod}:{name}" for mod, src in sources.items()
+               for name in _dataclass_fields(ast.parse(src))}
+    assert set(UNSET_FIELD_ALLOWED) <= defined
+    unset = unset_fields(sources, readers)
+    assert [n for n in unset if n not in UNSET_FIELD_ALLOWED] == []
 
 
 def classes_defining(source: str, method: str) -> list[str]:
@@ -358,27 +449,12 @@ def unpassed_defaults(sources: dict[str, str], readers: dict[str, str]) -> list[
     called name, and a call that forwards *args or **kwargs passes
     every parameter."""
     trees = {mod: ast.parse(src) for mod, src in sources.items()}
-    keywords, positions, forwarded = {}, {}, set()
-    for tree in [*trees.values(), *map(ast.parse, readers.values())]:
-        for call in ast.walk(tree):
-            if not isinstance(call, ast.Call):
-                continue
-            f = call.func
-            name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
-            if any(isinstance(a, ast.Starred) for a in call.args) \
-                    or any(k.arg is None for k in call.keywords):
-                forwarded.add(name)
-            keywords.setdefault(name, set()).update(k.arg for k in call.keywords)
-            positions[name] = max(positions.get(name, 0), len(call.args))
-    unpassed = []
-    for mod, tree in trees.items():
-        for name, param, pos in _defaulted_parameters(tree):
-            called = name.split(".")[-1]
-            if called in forwarded or param in keywords.get(called, ()) \
-                    or (pos is not None and pos < positions.get(called, 0)):
-                continue
-            unpassed.append(f"{mod}:{name}({param})")
-    return unpassed
+    calls = _calls_by_name([*trees.values(), *map(ast.parse, readers.values())])
+    return [f"{mod}:{name}({param})" for mod, tree in trees.items()
+            for name, param, pos in _defaulted_parameters(tree)
+            if not any(_forwards(c) or param in {k.arg for k in c.keywords}
+                       or (pos is not None and pos < len(c.args))
+                       for c in calls.get(name.split(".")[-1], ()))]
 
 
 # defaulted parameters that neither the package nor the benchmark passes,
@@ -490,8 +566,7 @@ def fixed_parameters(sources: dict[str, str], readers: dict[str, str]) -> list[s
         for name, param, pos, default in _parameters(tree):
             tokens, explicit = [], False
             for call, scope in by_name.get(name.split(".")[-1], ()):
-                if any(isinstance(a, ast.Starred) for a in call.args) \
-                        or any(k.arg is None for k in call.keywords):
+                if _forwards(call):
                     tokens.append(None)
                     continue
                 arg = next((k.value for k in call.keywords if k.arg == param),
@@ -524,8 +599,6 @@ FIXED_PARAMETER_ALLOWED = {
         "only the benchmark calls it (ROADMAP direction 7)",
     "classlab.py:measure_equivalence_check(xs)":
         "only the benchmark calls it (ROADMAP direction 7)",
-    "tailmath.py:IncrementModel.tail_neg(y)":
-        "N-bar's public vocabulary; the tests read it at y > 0",
 }
 
 

@@ -43,7 +43,7 @@ from pinned_models import CASE_B, DEFAULT_MODEL, K_DIVERGENT, LIGHT_CONTROL
 def test_default_mixture_tails_are_closed_form(default_model):
     # positive arm 0.5 * (1+x)^-1.5, negative arm 0.5 * (1+y)^-0.5
     assert default_model.tail_pos(3.0) == pytest.approx(0.0625, abs=1e-15)
-    assert default_model.tail_neg(3.0) == pytest.approx(0.25, abs=1e-15)
+    assert default_model.law.cdf_strict(-3.0) == pytest.approx(0.25, abs=1e-15)
     assert default_model.tail_pos(0.0) == 0.5
     assert default_model.infinite_neg_mean
     assert default_model.has_negative_part
@@ -63,10 +63,21 @@ def test_point_mass_tail_is_right_continuous():
     assert not model.has_negative_part
 
 
+def test_a_law_states_its_own_strict_cdf():
+    # 1 - sf(t) is P(X <= t), not P(X < t), where the law has an atom at
+    # t; a law that states only its sf gets no strict cdf from the base
+    class PointAtZero(tailmath.Law):
+        def sf(self, t):
+            return np.where(np.asarray(t) < 0.0, 1.0, 0.0)
+
+    with pytest.raises(NotImplementedError):
+        PointAtZero().cdf_strict(0.0)
+
+
 def test_shift_moves_the_tail():
     model = spec_to_model("shift(-2, exponential(rate=1))")
     assert model.tail_pos(1.0) == pytest.approx(math.exp(-3.0), rel=1e-14)
-    assert model.tail_neg(1.0) == pytest.approx(1.0 - math.exp(-1.0), rel=1e-14)
+    assert model.law.cdf_strict(-1.0) == pytest.approx(1.0 - math.exp(-1.0), rel=1e-14)
 
 
 def test_light_control_mean_is_negative(light_model):

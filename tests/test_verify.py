@@ -11,6 +11,7 @@ from htwk import _quad, spec_to_model, walksim
 from htwk.errors import PreconditionError
 from htwk.verify import (
     CHECK_NAMES,
+    SCHEMA,
     CheckBlock,
     VerificationReport,
     ladder_identity_report,
@@ -113,7 +114,7 @@ def test_report_payload_is_json_clean(pinned_report):
 def test_experiment_id_is_a_pure_function_of_the_setup(pinned_report):
     rep = pinned_report
     payload = json.dumps(
-        {"schema": rep.schema, "model": rep.model_spec, "seed": rep.seed,
+        {"schema": SCHEMA, "model": rep.model_spec, "seed": rep.seed,
          "config": rep.config}, sort_keys=True)
     assert rep.experiment_id == hashlib.sha256(
         payload.encode()).hexdigest()[:12]
