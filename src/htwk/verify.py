@@ -493,10 +493,12 @@ def run_verification(model: IncrementModel, seed: int,
                      xs=(50.0, 100.0, 200.0, 500.0), cycles: int = 10 ** 6,
                      reps: int = 10 ** 5, sup_reps: int = 30_000
                      ) -> VerificationReport:
-    """Assemble the requested report blocks for one model."""
+    """Assemble the requested report blocks for one model; a seed below
+    0 or a worker count below 1 is refused before any block runs."""
     unknown = set(checks) - set(CHECK_NAMES)
     if unknown:
         raise PreconditionError(f"unknown checks: {sorted(unknown)}")
+    ws._require_run(seed, workers)
     config = {
         "checks": list(checks), "workers": workers, "xs": list(xs),
         "cycles": cycles, "reps": reps, "sup_reps": sup_reps,

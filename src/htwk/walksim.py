@@ -19,22 +19,27 @@ One stepper, `_walk`, moves every batch of walks: it steps them in
 lockstep and stops each at the first step where the kernel's stop rule
 holds (a first descent for cycles, a fall of `barrier` below the
 running maximum for sup, a strict ascent or a fall to -barrier for
-ladder).  A stopped walk retires, unless the kernel's restart rule
-starts it again from 0 in its slot: the renewal walks each replication
-on through all its cycles, so a run lasts as long as its longest
+ladder).  Each kernel's one hook sees the walks that stop at a step
+and keeps only what its caller reads: cycles keep each cycle's maximum
+and descent height, its length only for raw columns, and how many
+cycles end at each step, which gives the length aggregates as exact
+integers; sup keeps the maxima and ladder the end positions.  The
+renewal's hook restarts a stopped walk from 0 in its slot while its
+replication goes on, so a run lasts as long as its longest
 replication.  Each lockstep step makes exactly one `model.sample` call
 for all live walks, in start order, down to the last live walk, and
 whether a walk is on its first cycle or a later one.  The stream's
 layout is the order in which those calls spend its uniforms, not how
 they are read, so a tape and a bare generator give the same draws and
 leave the generator in the same state.  The steps keep a compact
-active set: finished walks are written to their original slots and
-dropped from the working arrays, so memory tracks the surviving
-population, not the step count.  Finished walks leave the working
-arrays by index gathers (`nonzero`, then `take`), several times
-cheaper than boolean indexing on the random masks that stop rules
-give.  A cycle shard consumes its stream CHUNK cycles at a time and
-returns aggregates, plus raw columns only on request.
+active set: finished walks are dropped from the working arrays, so
+memory tracks the surviving population, not the step count.  They
+leave by index gathers (`nonzero`, then `take`), several times cheaper
+than boolean indexing on the random masks that stop rules give, and
+until the first walk retires a walk's position is its slot.  A cycle
+shard consumes its stream CHUNK cycles at a time and returns
+aggregates, plus raw columns only on request; without them it frees
+each chunk's columns before it walks the next.
 
 Each kernel has one entry, its batch driver (`simulate_cycles`,
 `estimate_sup_many`, `sample_ladder_many`, `renewal_estimate`); a
@@ -108,13 +113,15 @@ class CycleStats:
     probe_hits: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
     zero_m_tau: int = 0
 
-    def absorb(self, tau: np.ndarray, m_tau: np.ndarray, chi: np.ndarray,
-               steps: int) -> None:
-        self.cycles += tau.size
+    def absorb(self, m_tau: np.ndarray, chi: np.ndarray,
+               ends: list[tuple[int, int]], steps: int) -> None:
+        """Add a chunk of cycles: their maxima and descent heights, and
+        (t, count) for each length t that count of them have."""
+        self.cycles += m_tau.size
         self.steps += steps
-        self.tau_sum += int(tau.sum())
-        self.tau_sq_sum += float(np.dot(tau, tau))
-        self.tau_max = max(self.tau_max, int(tau.max(initial=0)))
+        self.tau_sum += sum(t * c for t, c in ends)
+        self.tau_sq_sum += float(sum(t * t * c for t, c in ends))
+        self.tau_max = max(self.tau_max, max((t for t, _ in ends), default=0))
         self.chi_sum += float(chi.sum())
         self.m_tau_max = max(self.m_tau_max, float(m_tau.max(initial=0.0)))
         self.zero_m_tau += int(np.count_nonzero(m_tau == 0.0))
@@ -211,59 +218,59 @@ class RenewalEstimate:
 # ----------------------------------------------------------------------
 
 def _walk(model: IncrementModel, gen: np.random.Generator | _UniformTape,
-          n: int, stop, step_budget: int, restart=None
-          ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+          n: int, stop, stopped, step_budget: int) -> int:
     """Step n walks from 0 in lockstep; each stops at the first step
     where stop(S, M) holds for its position S and running maximum M.
     Each step draws for every live walk, down to the last one, in one
     `model.sample` call, from a Philox generator or from a run's tape
     of one.
 
-    With a restart rule, restart(slots, S) is called once per step on
-    the walks that stop there, in start order, and returns a boolean
-    array: a walk marked True starts again from S = M = 0 in its slot
-    at the next step, and the others retire.
+    stopped(slots, S, M, t) is called once per step on the walks that
+    stop there, with their slots (0 to n-1) in start order, their S and
+    M, and the step t.  It keeps what its kernel reads and returns None,
+    or a boolean array: a walk marked True starts again from S = M = 0
+    in its slot at the next step, and the others retire.  Cycles keep
+    m_tau and chi per slot (tau only for raw columns, and freed per
+    chunk without them) and the count that stops at each step, sup M,
+    ladder S; the renewal's hook is its restart rule.
 
-    Returns (S, M, T) of every walk at the step it retires, in start
-    order, and the number of increments drawn.
+    Returns the number of increments drawn.
     """
-    S_end = np.empty(n)
-    M_end = np.empty(n)
-    T_end = np.empty(n, dtype=np.int64)
     S = np.zeros(n)
     Mx = np.zeros(n)
-    idx = np.arange(n)
+    # the live walks' slots; None until the first walk retires, while
+    # they are 0 to n-1, so a position is its own slot
+    idx = None
     steps = 0
     t = 0  # walks move in lockstep, so every live walk has taken t steps
-    while idx.size:
+    while S.size:
         # in place, so the step's draws are gone before the live set is
         # compacted
-        S += model.sample(gen, idx.size)
-        steps += idx.size
+        S += model.sample(gen, S.size)
+        steps += S.size
         _check_budget(steps, step_budget)
         t += 1
         np.maximum(Mx, S, out=Mx)
         done = stop(S, Mx)
         j = done.nonzero()[0]
-        if j.size and restart is not None:
-            again = restart(idx.take(j), S.take(j))
+        if not j.size:
+            continue
+        again = stopped(j if idx is None else idx.take(j), S.take(j),
+                        Mx.take(j), t)
+        if again is not None:
             r = j[again]
             S[r] = 0.0
             Mx[r] = 0.0
             done[r] = False
-            j = j[~again]
-        if j.size:
-            d = idx.take(j)
-            S_end[d] = S.take(j)
-            M_end[d] = Mx.take(j)
-            T_end[d] = t
-            del d, j
-            k = np.logical_not(done, out=done).nonzero()[0]
-            del done
-            S = S.take(k)
-            Mx = Mx.take(k)
-            idx = idx.take(k)
-    return S_end, M_end, T_end, steps
+            if r.size == j.size:
+                continue
+        del j
+        k = np.logical_not(done, out=done).nonzero()[0]
+        del done
+        S = S.take(k)
+        Mx = Mx.take(k)
+        idx = k if idx is None else idx.take(k)
+    return steps
 
 
 def _check_budget(steps: int, step_budget: int, scope: str = "") -> None:
@@ -275,11 +282,29 @@ def _check_budget(steps: int, step_budget: int, scope: str = "") -> None:
 
 def _cycles_kernel(model: IncrementModel,
                    gen: np.random.Generator | _UniformTape, n: int,
-                   step_budget: int
-                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-    """Simulate n independent cycles; returns (tau, m_tau, chi, steps)."""
-    S, M, T, steps = _walk(model, gen, n, lambda S, M: S < 0.0, step_budget)
-    return T, M, -S, steps
+                   keep_raw: bool, step_budget: int
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None,
+                              list[tuple[int, int]], int]:
+    """Simulate n independent cycles.
+
+    Returns (m_tau, chi, tau, ends, steps): each cycle's maximum and
+    descent height in start order, its length only under keep_raw (else
+    None), and (t, count) for each step t at which count cycles end.
+    """
+    m_tau = np.empty(n)
+    chi = np.empty(n)
+    tau = np.empty(n, dtype=np.int64) if keep_raw else None
+    ends = []
+
+    def stopped(slots, S, M, t):
+        m_tau[slots] = M
+        chi[slots] = -S
+        if keep_raw:
+            tau[slots] = t
+        ends.append((t, slots.size))
+
+    steps = _walk(model, gen, n, lambda S, M: S < 0.0, stopped, step_budget)
+    return m_tau, chi, tau, ends, steps
 
 
 def _cycles_shard(model: IncrementModel,
@@ -289,18 +314,20 @@ def _cycles_shard(model: IncrementModel,
     """n cycles from one stream, CHUNK at a time, under one step budget.
 
     Returns the aggregates, the raw (tau, m_tau, chi) columns of each
-    chunk (an empty list unless keep_raw is set) and the steps.
+    chunk (an empty list unless keep_raw is set) and the steps.  Without
+    keep_raw a chunk's columns are freed before the next chunk is walked.
     """
     stats = CycleStats(probe_xs=probes,
                        probe_hits=np.zeros(len(probes), dtype=np.int64))
     raws = []
     for start in range(0, n, CHUNK):
-        tau, m_tau, chi, used = _cycles_kernel(model, gen,
-                                               min(CHUNK, n - start),
-                                               step_budget - stats.steps)
-        stats.absorb(tau, m_tau, chi, used)
+        m_tau, chi, tau, ends, used = _cycles_kernel(
+            model, gen, min(CHUNK, n - start), keep_raw,
+            step_budget - stats.steps)
+        stats.absorb(m_tau, chi, ends, used)
         if keep_raw:
             raws.append((tau, m_tau, chi))
+        del m_tau, chi, tau
     return stats, raws, stats.steps
 
 
@@ -308,9 +335,14 @@ def _sup_kernel(model: IncrementModel, gen: np.random.Generator | _UniformTape,
                 n: int, barrier: float, step_budget: int
                 ) -> tuple[np.ndarray, int]:
     """Running maxima stopped once the walk falls `barrier` below them."""
-    _, M, _, steps = _walk(model, gen, n, lambda S, M: S <= M - barrier,
-                           step_budget)
-    return M, steps
+    m_values = np.empty(n)
+
+    def stopped(slots, S, M, t):
+        m_values[slots] = M
+
+    steps = _walk(model, gen, n, lambda S, M: S <= M - barrier, stopped,
+                  step_budget)
+    return m_values, steps
 
 
 def _ladder_kernel(model: IncrementModel,
@@ -318,11 +350,15 @@ def _ladder_kernel(model: IncrementModel,
                    barrier: float, step_budget: int
                    ) -> tuple[np.ndarray, np.ndarray, int]:
     """First strict ascent height psi, or censoring at -barrier."""
-    S, _, _, steps = _walk(model, gen, n,
-                           lambda S, M: (S > 0.0) | (S <= -barrier),
-                           step_budget)
-    up = S > 0.0
-    return np.where(up, S, 0.0), ~up, steps
+    end = np.empty(n)
+
+    def stopped(slots, S, M, t):
+        end[slots] = S
+
+    steps = _walk(model, gen, n, lambda S, M: (S > 0.0) | (S <= -barrier),
+                  stopped, step_budget)
+    up = end > 0.0
+    return np.where(up, end, 0.0), ~up, steps
 
 
 def _renewal_kernel(model: IncrementModel,
@@ -350,7 +386,8 @@ def _renewal_kernel(model: IncrementModel,
     flat_hits = hits.reshape(-1)
     raw: list[np.ndarray] = []
 
-    def renew(slots: np.ndarray, S: np.ndarray) -> np.ndarray:
+    def renew(slots: np.ndarray, S: np.ndarray, M: np.ndarray,
+              t: int) -> np.ndarray:
         c = cum[slots] - S
         cum[slots] = c
         level = xs_arr.searchsorted(c)
@@ -362,8 +399,7 @@ def _renewal_kernel(model: IncrementModel,
             raw.append(c[again & (slots < raw_reps)])
         return again
 
-    _, _, _, steps = _walk(model, gen, reps, lambda S, M: S < 0.0,
-                           step_budget, restart=renew)
+    steps = _walk(model, gen, reps, lambda S, M: S < 0.0, renew, step_budget)
     raw_points = np.concatenate(raw) if raw else np.empty(0)
     return hits[:last].cumsum(axis=0), raw_points, min(raw_reps, reps), steps
 
@@ -376,6 +412,14 @@ def _require_negative_part(model: IncrementModel) -> None:
     if not model.has_negative_part:
         raise PreconditionError(
             "increment law has no negative part; the exit time is infinite")
+
+
+def _require_run(seed: int, workers: int) -> None:
+    """Reject a seed below 0 and a worker count below 1."""
+    if seed < 0:
+        raise PreconditionError("seed must be nonnegative")
+    if workers < 1:
+        raise PreconditionError("worker count must be at least 1")
 
 
 def _shard_sizes(total: int, workers: int) -> list[int]:
@@ -406,8 +450,7 @@ def _run_sharded(kernel, model: IncrementModel, total: int, seed: int,
     """
     if total < 1:
         raise PreconditionError("replication count must be at least 1")
-    if workers < 1:
-        raise PreconditionError("worker count must be at least 1")
+    _require_run(seed, workers)
     sizes = _shard_sizes(total, min(int(workers), total))
     gens = [RngStream(seed, purpose, i).generator() for i in range(len(sizes))]
     step_budget = STEP_BUDGET_DEFAULT

@@ -368,6 +368,25 @@ def test_verify_precondition_failure_exits_1(runner, tmp_path):
     assert "PreconditionError" in res.output
 
 
+@pytest.mark.parametrize("seed, workers, message", [
+    (-1, 0, "seed must be nonnegative"),
+    (-1, 1, "seed must be nonnegative"),
+    (1, 0, "worker count must be at least 1"),
+])
+def test_verify_refuses_a_bad_seed_or_worker_count_before_any_block(
+        runner, tmp_path, seed, workers, message):
+    # the classes block draws nothing, so no walk would refuse these;
+    # the run must, with the walk's own one-line error
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"model = {DEFAULT_SPEC}\nchecks = classes\n"
+                   f"seed = {seed}\nworkers = {workers}\n")
+    out = tmp_path / "out"
+    res = runner.invoke(main, ["verify", "--config", str(cfg), "--out", str(out)])
+    assert res.exit_code == 1
+    assert res.output.splitlines() == [f"Error: PreconditionError: {message}"]
+    assert not out.exists()
+
+
 def test_verify_rejects_malformed_spec_text(runner, tmp_path):
     res = runner.invoke(main, ["verify", "--model", "pareto(", "--seed", "1",
                                "--out", str(tmp_path)])

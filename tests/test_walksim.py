@@ -205,6 +205,22 @@ def _reference_walk(law, gen, n, stop):
     return S_end, M_end, T_end, steps
 
 
+def _recorded_walk(model, src, n, stop):
+    """`_walk` with a hook that records each walk's S, M and step T
+    where it retires, checking that each call's slots come in start
+    order and that no slot stops twice.  Returns (S, M, T, steps) as
+    `_reference_walk` does; a slot never recorded keeps S = M = nan."""
+    S_end, M_end = np.full(n, np.nan), np.full(n, np.nan)
+    T_end = np.zeros(n, dtype=np.int64)
+
+    def record(slots, S, M, t):
+        assert np.all(np.diff(slots) > 0) and not T_end[slots].any()
+        S_end[slots], M_end[slots], T_end[slots] = S, M, t
+
+    steps = walksim._walk(model, src, n, stop, record, 10 ** 9)
+    return S_end, M_end, T_end, steps
+
+
 def _reference_renewal(law, gen, reps, xs, raw_reps):
     """The renewal as one continuing walk per replication, spelled out
     with boolean masks and the reference sampler: one draw per live
@@ -350,7 +366,7 @@ def test_walk_matches_the_reference_stepper(rule, text, n, source, monkeypatch):
     gen, ref = RngStream(5, 9, 0).generator(), RngStream(5, 9, 0).generator()
     src = _source(source, model, gen, n, monkeypatch)
     try:
-        got = walksim._walk(model, src, n, STOP_RULES[rule], 10 ** 9)
+        got = _recorded_walk(model, src, n, STOP_RULES[rule])
     finally:
         _close(src)
     want = _reference_walk(model.law, ref, n, STOP_RULES[rule])
@@ -416,7 +432,7 @@ def test_sources_on_threads_of_their_own_keep_every_draw():
         gen = RngStream(seed, 9, 0).generator()
         tape = _UniformTape(model, gen, 20000)
         try:
-            walked = walksim._walk(model, tape, 20000, STOP_RULES["sup"], 10 ** 9)
+            walked = _recorded_walk(model, tape, 20000, STOP_RULES["sup"])
         finally:
             tape.close()
         got[seed] = walked, _plain(gen.bit_generator.state)
@@ -536,11 +552,35 @@ def test_cycle_kernel_peak_memory_is_no_higher(text):
     gen = RngStream(43, CYCLES, 0).generator()
     tracemalloc.start()
     try:
-        walksim._cycles_kernel(model, gen, 1 << 16, 10 ** 9)
+        walksim._cycles_kernel(model, gen, 1 << 16, False, 10 ** 9)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak <= PARENT_PEAKS[text]
+
+
+def test_a_cycle_shard_frees_each_chunk_before_the_next(monkeypatch):
+    # a shard of two chunks peaks no higher than one chunk's kernel alone
+    # plus 8 bytes per cycle of a chunk, a slack fixed before the first
+    # run; a shard that held a chunk's m_tau and chi, let alone its tau,
+    # while it walks the next chunk goes over it
+    chunk = 1 << 14
+    monkeypatch.setattr(walksim, "CHUNK", chunk)
+    model = spec_to_model(LIGHT_CONTROL)
+    model.sample(RngStream(43, CYCLES, 0).generator(), 16)  # fill caches
+    peaks = []
+    for run in (lambda gen: walksim._cycles_kernel(model, gen, chunk, False,
+                                                   10 ** 9),
+                lambda gen: walksim._cycles_shard(model, gen, 2 * chunk,
+                                                  (2.0,), False, 10 ** 9)):
+        gen = RngStream(43, CYCLES, 0).generator()
+        tracemalloc.start()
+        try:
+            run(gen)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= peaks[0] + 8 * chunk
 
 
 def test_a_few_walk_run_drops_its_spent_uniforms():
@@ -634,14 +674,53 @@ def test_replication_count_must_be_positive(default_model):
 # cycle ensembles
 # ----------------------------------------------------------------------
 
-def _assert_stats_match_raw(res, n, probes):
+def _stats_of_raw(res, sizes, probes) -> walksim.CycleStats:
+    """The aggregates of a raw run's columns, each shard (of `sizes`)
+    folding the tau, m_tau and chi columns of its chunks in turn and the
+    shards merged in stream order, so every float sum has the order of
+    the run's own."""
+    shards = []
+    start = 0
+    for size in sizes:
+        st_ = walksim.CycleStats(probe_xs=probes,
+                                 probe_hits=np.zeros(len(probes), dtype=np.int64))
+        for lo in range(start, start + size, walksim.CHUNK):
+            hi = min(lo + walksim.CHUNK, start + size)
+            tau, m_tau, chi = (col[lo:hi].copy()
+                               for col in (res.tau, res.m_tau, res.chi))
+            st_.cycles += tau.size
+            st_.steps += int(tau.sum())
+            st_.tau_sum += int(tau.sum())
+            st_.tau_sq_sum += float(np.dot(tau, tau))
+            st_.tau_max = max(st_.tau_max, int(tau.max()))
+            st_.chi_sum += float(chi.sum())
+            st_.m_tau_max = max(st_.m_tau_max, float(m_tau.max()))
+            st_.zero_m_tau += int(np.count_nonzero(m_tau == 0.0))
+            st_.probe_hits += [np.count_nonzero(m_tau > x) for x in probes]
+        shards.append(st_)
+        start += size
+    for other in shards[1:]:
+        shards[0].merge(other)
+    return shards[0]
+
+
+def _assert_same_stats(got, want):
+    for f in dataclasses.fields(walksim.CycleStats):
+        a, b = getattr(got, f.name), getattr(want, f.name)
+        if isinstance(b, np.ndarray):
+            assert a.tolist() == b.tolist(), f.name
+        else:
+            assert a == b, f.name
+
+
+def _assert_stats_match_raw(res, n, probes, workers):
     st_ = res.stats
     assert st_.cycles == n
     assert np.all(res.tau >= 1) and np.all(res.chi > 0.0)
     assert np.all(res.m_tau >= 0.0)
     assert st_.steps == int(res.tau.sum()) == st_.tau_sum
     assert st_.tau_max == int(res.tau.max())
-    assert np.isclose(st_.chi_sum, res.chi.sum())
+    _assert_same_stats(st_, _stats_of_raw(res, _shard_sizes(n, workers), probes))
     assert st_.m_tau_max == res.m_tau.max()
     assert st_.zero_m_tau == int(np.count_nonzero(res.m_tau == 0.0))
     hits = [(res.m_tau > x).sum() for x in probes]
@@ -654,7 +733,7 @@ def _assert_stats_match_raw(res, n, probes):
 def test_cycle_aggregates_and_raw_columns_agree(default_model, workers):
     res = simulate_cycles(default_model, 20000, seed=7, workers=workers,
                           probes=(2.0, 10.0), keep_raw=True)
-    _assert_stats_match_raw(res, 20000, (2.0, 10.0))
+    _assert_stats_match_raw(res, 20000, (2.0, 10.0), workers)
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -663,7 +742,13 @@ def test_chunked_shards_keep_stats_stream_and_budget(default_model, monkeypatch,
     monkeypatch.setattr(walksim, "CHUNK", 4096)
     res = simulate_cycles(default_model, 10000, seed=7, workers=workers,
                           probes=(2.0, 10.0), keep_raw=True)
-    _assert_stats_match_raw(res, 10000, (2.0, 10.0))
+    _assert_stats_match_raw(res, 10000, (2.0, 10.0), workers)
+    # 3 chunks at 1 worker, 2 per shard at 2: without raw columns the run
+    # never sees a tau array, and its aggregates are the raw run's
+    flat = simulate_cycles(default_model, 10000, seed=7, workers=workers,
+                           probes=(2.0, 10.0))
+    assert flat.tau is None
+    _assert_same_stats(flat.stats, res.stats)
     # the first chunk of shard 0 is a standalone run of CHUNK cycles
     head = simulate_cycles(default_model, 4096, seed=7, keep_raw=True)
     assert np.array_equal(res.tau[:4096], head.tau)
