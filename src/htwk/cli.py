@@ -257,16 +257,16 @@ def simulate(cfg, model, out, seed, cycles, workers, probes_text):
 
     result = ws.simulate_cycles(model, cycles, seed, workers=workers,
                                 probes=xs, keep_raw=True)
-    st = result.stats
+    st, tau, m_tau, chi = result.stats, result.tau, result.m_tau, result.chi
     out_path = _out_dir(out, cfg)
-    write_cycles(out_path / "cycles.bin", seed, result.tau, result.m_tau,
-                 result.chi)
+    write_cycles(out_path / "cycles.bin", seed, tau, m_tau, chi)
     summary = {
         "model": model.spec_text, "seed": seed, "workers": workers,
         "cycles": st.cycles, "steps": st.steps,
         "tau_mean": st.tau_mean, "tau_se": st.tau_se,
-        "tau_max": st.tau_max, "m_tau_max": st.m_tau_max,
-        "zero_m_tau": st.zero_m_tau, "chi_mean": st.chi_sum / st.cycles,
+        "tau_max": int(tau.max()), "m_tau_max": float(m_tau.max()),
+        "zero_m_tau": int(np.count_nonzero(m_tau == 0.0)),
+        "chi_mean": float(chi.sum()) / st.cycles,
         "exceedances": [{"x": x, "hits": int(h)}
                         for x, h in zip(st.probe_xs, st.probe_hits)],
     }
@@ -357,7 +357,7 @@ def renewal(cfg, model, out, seed, reps, workers, probes_text, raw_reps):
     write_curve_csv(out_path / "renewal.csv", ("x", "h", "h_se"),
                     zip(est.xs, est.h_values, est.h_se))
     files = ["renewal.csv"]
-    if est.raw_points is not None:
+    if est.raw_reps:
         write_curve_csv(out_path / "renewal_points.csv", ("u",),
                         ((u,) for u in est.raw_points))
         files.append(f"renewal_points.csv ({est.raw_points.size} points)")

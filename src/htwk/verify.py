@@ -170,14 +170,13 @@ def cycle_max_report(model: IncrementModel, xs, cycles: int, seed: int,
     convolution with the increment's positive tail.
     """
     xs = probe_grid(xs)
-    stats, rows = mtau_tail_estimate(model, xs, cycles, seed, workers=workers)
+    stats, p_lo, p_hi = mtau_tail_estimate(model, xs, cycles, seed,
+                                           workers=workers)
     fbar = np.asarray(model.tail_pos(np.asarray(xs)), dtype=float)
     tau_lo = stats.tau_mean - Z95 * stats.tau_se
     tau_hi = stats.tau_mean + Z95 * stats.tau_se
-    p_hat = np.array([r[1] for r in rows])
-    p_lo = np.array([r[2] for r in rows])
-    p_hi = np.array([r[3] for r in rows])
-    hits = np.array([r[4] for r in rows], dtype=np.int64)
+    hits = stats.probe_hits
+    p_hat = hits / cycles
 
     conclusive = (hits >= _MIN_HITS) & (fbar > 0.0)
     with np.errstate(divide="ignore", invalid="ignore"):

@@ -20,26 +20,26 @@ lockstep and stops each at the first step where the kernel's stop rule
 holds (a first descent for cycles, a fall of `barrier` below the
 running maximum for sup, a strict ascent or a fall to -barrier for
 ladder).  Each kernel's one hook sees the walks that stop at a step
-and keeps only what its caller reads: cycles keep each cycle's maximum
-and descent height, its length only for raw columns, and how many
-cycles end at each step, which gives the length aggregates as exact
-integers; sup keeps the maxima and ladder the end positions.  The
-renewal's hook restarts a stopped walk from 0 in its slot while its
-replication goes on, so a run lasts as long as its longest
-replication.  Each lockstep step makes exactly one `model.sample` call
-for all live walks, in start order, down to the last live walk, and
-whether a walk is on its first cycle or a later one.  The stream's
-layout is the order in which those calls spend its uniforms, not how
-they are read, so a tape and a bare generator give the same draws and
-leave the generator in the same state.  The steps keep a compact
+and keeps only what its caller reads: cycles fold them into the
+shard's aggregates (their count, exact integer length moments and
+probe exceedances) and write per-cycle columns only for a raw run; sup
+keeps the maxima and ladder the end positions.  The renewal's hook
+restarts a stopped walk from 0 in its slot while its replication goes
+on, so a run lasts as long as its longest replication.  Each lockstep
+step makes exactly one `model.sample` call for all live walks, in
+start order, down to the last live walk, and whether a walk is on its
+first cycle or a later one.  The stream's layout is the order in which
+those calls spend its uniforms, not how they are read, so a tape and a
+bare generator give the same draws and leave the generator in the
+same state.  The steps keep a compact
 active set: finished walks are dropped from the working arrays, so
 memory tracks the surviving population, not the step count.  They
 leave by index gathers (`nonzero`, then `take`), several times cheaper
 than boolean indexing on the random masks that stop rules give, and
 until the first walk retires a walk's position is its slot.  A cycle
 shard consumes its stream CHUNK cycles at a time and returns
-aggregates, plus raw columns only on request; without them it frees
-each chunk's columns before it walks the next.
+aggregates, plus raw columns only on request; without them it holds no
+per-cycle array.
 
 Each kernel has one entry, its batch driver (`simulate_cycles`,
 `estimate_sup_many`, `sample_ladder_many`, `renewal_estimate`); a
@@ -100,51 +100,26 @@ class RngStream:
 
 @dataclass
 class CycleStats:
-    """Streaming aggregates over simulated cycles."""
+    """Streaming aggregates over simulated cycles.  A cycle of length
+    tau draws tau increments, so `steps` is also the sum of the tau."""
 
     cycles: int = 0
     steps: int = 0
-    tau_sum: int = 0
-    tau_sq_sum: float = 0.0
-    tau_max: int = 0
-    chi_sum: float = 0.0
-    m_tau_max: float = 0.0
+    tau_sq_sum: int = 0
     probe_xs: tuple[float, ...] = ()
     probe_hits: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
-    zero_m_tau: int = 0
-
-    def absorb(self, m_tau: np.ndarray, chi: np.ndarray,
-               ends: list[tuple[int, int]], steps: int) -> None:
-        """Add a chunk of cycles: their maxima and descent heights, and
-        (t, count) for each length t that count of them have."""
-        self.cycles += m_tau.size
-        self.steps += steps
-        self.tau_sum += sum(t * c for t, c in ends)
-        self.tau_sq_sum += float(sum(t * t * c for t, c in ends))
-        self.tau_max = max(self.tau_max, max((t for t, _ in ends), default=0))
-        self.chi_sum += float(chi.sum())
-        self.m_tau_max = max(self.m_tau_max, float(m_tau.max(initial=0.0)))
-        self.zero_m_tau += int(np.count_nonzero(m_tau == 0.0))
-        if self.probe_xs:
-            self.probe_hits += [np.count_nonzero(m_tau > x)
-                                for x in self.probe_xs]
 
     def merge(self, other: "CycleStats") -> None:
         if self.probe_xs != other.probe_xs:
             raise ValueError("cannot merge stats with different probes")
         self.cycles += other.cycles
         self.steps += other.steps
-        self.tau_sum += other.tau_sum
         self.tau_sq_sum += other.tau_sq_sum
-        self.tau_max = max(self.tau_max, other.tau_max)
-        self.chi_sum += other.chi_sum
-        self.m_tau_max = max(self.m_tau_max, other.m_tau_max)
-        self.zero_m_tau += other.zero_m_tau
         self.probe_hits = self.probe_hits + other.probe_hits
 
     @property
     def tau_mean(self) -> float:
-        return self.tau_sum / self.cycles
+        return self.steps / self.cycles
 
     @property
     def tau_se(self) -> float:
@@ -209,8 +184,8 @@ class RenewalEstimate:
     h_values: np.ndarray
     h_se: np.ndarray
     steps: int
-    raw_points: np.ndarray | None = None
-    raw_reps: int = 0
+    raw_points: np.ndarray
+    raw_reps: int
 
 
 # ----------------------------------------------------------------------
@@ -229,10 +204,11 @@ def _walk(model: IncrementModel, gen: np.random.Generator | _UniformTape,
     stop there, with their slots (0 to n-1) in start order, their S and
     M, and the step t.  It keeps what its kernel reads and returns None,
     or a boolean array: a walk marked True starts again from S = M = 0
-    in its slot at the next step, and the others retire.  Cycles keep
-    m_tau and chi per slot (tau only for raw columns, and freed per
-    chunk without them) and the count that stops at each step, sup M,
-    ladder S; the renewal's hook is its restart rule.
+    in its slot at the next step, and the others retire.  S and M are
+    gathered for the call, so a hook may reorder them.  Cycles add
+    the stopped walks to their aggregates (and to raw columns on
+    request), sup keeps M, ladder S; the renewal's hook is its restart
+    rule.
 
     Returns the number of increments drawn.
     """
@@ -280,55 +256,42 @@ def _check_budget(steps: int, step_budget: int, scope: str = "") -> None:
             f"increments{scope}; the model may not drift to -infinity")
 
 
-def _cycles_kernel(model: IncrementModel,
-                   gen: np.random.Generator | _UniformTape, n: int,
-                   keep_raw: bool, step_budget: int
-                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None,
-                              list[tuple[int, int]], int]:
-    """Simulate n independent cycles.
-
-    Returns (m_tau, chi, tau, ends, steps): each cycle's maximum and
-    descent height in start order, its length only under keep_raw (else
-    None), and (t, count) for each step t at which count cycles end.
-    """
-    m_tau = np.empty(n)
-    chi = np.empty(n)
-    tau = np.empty(n, dtype=np.int64) if keep_raw else None
-    ends = []
-
-    def stopped(slots, S, M, t):
-        m_tau[slots] = M
-        chi[slots] = -S
-        if keep_raw:
-            tau[slots] = t
-        ends.append((t, slots.size))
-
-    steps = _walk(model, gen, n, lambda S, M: S < 0.0, stopped, step_budget)
-    return m_tau, chi, tau, ends, steps
-
-
 def _cycles_shard(model: IncrementModel,
                   gen: np.random.Generator | _UniformTape, n: int,
                   probes: tuple[float, ...], keep_raw: bool, step_budget: int
-                  ) -> tuple[CycleStats, list, int]:
+                  ) -> tuple[CycleStats, tuple | None, int]:
     """n cycles from one stream, CHUNK at a time, under one step budget.
 
-    Returns the aggregates, the raw (tau, m_tau, chi) columns of each
-    chunk (an empty list unless keep_raw is set) and the steps.  Without
-    keep_raw a chunk's columns are freed before the next chunk is walked.
+    Each cycle joins the aggregates at the step t where it ends: t*t to
+    the exact integer `tau_sq_sum`, and its maximum to the probe hits.
+    Returns the aggregates, the raw (tau, m_tau, chi) columns in start
+    order under keep_raw (else None) and the steps.
     """
     stats = CycleStats(probe_xs=probes,
                        probe_hits=np.zeros(len(probes), dtype=np.int64))
-    raws = []
-    for start in range(0, n, CHUNK):
-        m_tau, chi, tau, ends, used = _cycles_kernel(
-            model, gen, min(CHUNK, n - start), keep_raw,
-            step_budget - stats.steps)
-        stats.absorb(m_tau, chi, ends, used)
+    raw = ((np.empty(n, dtype=np.int64), np.empty(n), np.empty(n))
+           if keep_raw else None)
+    start = 0  # the first cycle of the chunk being walked
+
+    def stopped(slots, S, M, t):
+        k = slots.size
+        stats.cycles += k
+        stats.tau_sq_sum += t * t * k
         if keep_raw:
-            raws.append((tau, m_tau, chi))
-        del m_tau, chi, tau
-    return stats, raws, stats.steps
+            tau, m_tau, chi = raw
+            at = slots + start
+            tau[at] = t
+            m_tau[at] = M
+            chi[at] = -S
+        if probes:
+            M.sort()  # the hook's own gather; one search counts every probe
+            stats.probe_hits += k - M.searchsorted(probes, "right")
+
+    for start in range(0, n, CHUNK):
+        stats.steps += _walk(model, gen, min(CHUNK, n - start),
+                             lambda S, M: S < 0.0, stopped,
+                             step_budget - stats.steps)
+    return stats, raw, stats.steps
 
 
 def _sup_kernel(model: IncrementModel, gen: np.random.Generator | _UniformTape,
@@ -494,8 +457,8 @@ def simulate_cycles(model: IncrementModel, cycles: int, seed: int,
         stats.merge(other)
     if not keep_raw:
         return CycleResult(stats=stats)
-    chunks = [c for _, raws, _ in shards for c in raws]
-    tau, m_tau, chi = (np.concatenate(col) for col in zip(*chunks))
+    tau, m_tau, chi = (np.concatenate(col)
+                       for col in zip(*(raw for _, raw, _ in shards)))
     return CycleResult(stats=stats, tau=tau, m_tau=m_tau, chi=chi)
 
 
@@ -562,23 +525,22 @@ def renewal_estimate(model: IncrementModel, xs, reps: int, seed: int,
     se = counts.std(axis=1, ddof=1) / math.sqrt(reps) if reps > 1 \
         else np.zeros(len(xs))
     return RenewalEstimate(xs=xs, h_values=h, h_se=se, steps=steps,
-                           raw_points=raw_points if raw_reps else None,
-                           raw_reps=raw_reps)
+                           raw_points=raw_points, raw_reps=raw_reps)
 
 
 def mtau_tail_estimate(model: IncrementModel, xs, cycles: int, seed: int,
                        workers: int = 1):
-    """Exceedance curve of the cycle maximum with Wilson intervals.
+    """Exceedances of the cycle maximum with Wilson intervals.
 
-    Returns (stats, rows) where rows are (x, p_hat, ci_lo, ci_hi, hits).
+    Returns (stats, p_lo, p_hi): the run's aggregates, whose probe_hits
+    count the maxima above each of xs, and each probe's 95% interval.
     """
     xs = tuple(float(x) for x in xs)
-    result = simulate_cycles(model, cycles, seed, workers=workers, probes=xs)
-    rows = []
-    for x, hits in zip(xs, result.stats.probe_hits):
-        lo, hi = wilson_interval(int(hits), cycles)
-        rows.append((x, hits / cycles, lo, hi, int(hits)))
-    return result.stats, rows
+    stats = simulate_cycles(model, cycles, seed, workers=workers,
+                            probes=xs).stats
+    p_lo, p_hi = np.array([wilson_interval(int(k), cycles)
+                           for k in stats.probe_hits]).reshape(-1, 2).T
+    return stats, p_lo, p_hi
 
 
 # ----------------------------------------------------------------------

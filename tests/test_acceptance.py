@@ -252,14 +252,13 @@ def test_accept_11_property_bundle(default_model, big_run, sup_run, capsys):
     se = math.hypot(p * tau_se, tau_mean * p_se)
     checks["duality"] = abs(tau_mean * p - 1.0) <= 3.0 * se
 
-    a = simulate_cycles(default_model, 10 ** 5, seed=7, workers=2,
-                        probes=(2.0,))
-    b = simulate_cycles(default_model, 10 ** 5, seed=7, workers=2,
-                        probes=(2.0,))
+    a, b = (simulate_cycles(default_model, 10 ** 5, seed=7, workers=2,
+                            probes=(2.0,), keep_raw=True) for _ in range(2))
     checks["bit_identical"] = (
-        a.stats.tau_sum == b.stats.tau_sum
-        and a.stats.chi_sum == b.stats.chi_sum
-        and a.stats.m_tau_max == b.stats.m_tau_max
+        all(np.array_equal(getattr(a, col), getattr(b, col))
+            for col in ("tau", "m_tau", "chi"))
+        and a.stats.steps == b.stats.steps
+        and a.stats.tau_sq_sum == b.stats.tau_sq_sum
         and list(a.stats.probe_hits) == list(b.stats.probe_hits))
 
     failed = [k for k, v in checks.items() if not v]

@@ -300,6 +300,25 @@ def test_simulate_writes_reproducible_artifacts(runner, tmp_path):
     assert summary["exceedances"][0]["hits"] == int((m_tau > 2.0).sum())
 
 
+def test_simulate_summary_is_the_statistics_of_its_columns(runner, tmp_path):
+    res = runner.invoke(main, [
+        "simulate", "--model", DEFAULT_SPEC, "--seed", "5", "--cycles", "3000",
+        "--probes", "0,2,10", "--workers", "2", "--out", str(tmp_path)])
+    assert res.exit_code == 0, res.output
+    _, tau, m_tau, chi = read_cycles(tmp_path / "cycles.bin")
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert summary["cycles"] == tau.size == 3000
+    assert summary["steps"] == int(tau.sum())
+    assert summary["tau_mean"] == int(tau.sum()) / tau.size
+    assert summary["tau_max"] == int(tau.max())
+    assert summary["m_tau_max"] == float(m_tau.max())
+    assert summary["zero_m_tau"] == int(np.count_nonzero(m_tau == 0.0))
+    assert summary["chi_mean"] == float(chi.sum()) / tau.size
+    assert summary["exceedances"] == [
+        {"x": x, "hits": int(np.count_nonzero(m_tau > x))}
+        for x in (0.0, 2.0, 10.0)]
+
+
 def test_simulate_requires_a_seed(runner, tmp_path):
     res = runner.invoke(main, ["simulate", "--model", DEFAULT_SPEC,
                                "--out", str(tmp_path)])

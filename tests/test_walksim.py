@@ -544,43 +544,53 @@ def test_draws_from_a_tape_are_new_arrays(text):
 PARENT_PEAKS = {LIGHT_CONTROL: 4_788_392,
                 "shift(-1.5, exponential(rate=1))": 4_551_432}
 
+# tracemalloc peaks of the per-chunk cycle kernel (commit b168b9e), which
+# held each cycle's m_tau and chi, 16 bytes, until the chunk was done
+COLUMN_KERNEL_PEAKS = {LIGHT_CONTROL: 3_281_584,
+                       "shift(-1.5, exponential(rate=1))": 3_792_984}
 
-@pytest.mark.parametrize("text", PARENT_PEAKS)
-def test_cycle_kernel_peak_memory_is_no_higher(text):
+
+# light-control's probes; a shard counts its hits as cycles stop
+LIGHT_PROBES = (2.0, 4.0, 6.0, 8.0)
+
+
+def _shard_peak(text: str, n: int, probes: tuple[float, ...]) -> int:
+    """tracemalloc peak of a shard of n cycles without raw columns."""
     model = spec_to_model(text)
     model.sample(RngStream(43, CYCLES, 0).generator(), 16)  # fill caches
     gen = RngStream(43, CYCLES, 0).generator()
     tracemalloc.start()
     try:
-        walksim._cycles_kernel(model, gen, 1 << 16, False, 10 ** 9)
-        peak = tracemalloc.get_traced_memory()[1]
+        walksim._cycles_shard(model, gen, n, probes, False, 10 ** 9)
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= PARENT_PEAKS[text]
+
+
+@pytest.mark.parametrize("text", PARENT_PEAKS)
+def test_cycle_kernel_peak_memory_is_no_higher(text):
+    assert _shard_peak(text, 1 << 16, LIGHT_PROBES) <= PARENT_PEAKS[text]
+
+
+@pytest.mark.parametrize("text", COLUMN_KERNEL_PEAKS)
+def test_a_cycle_shard_holds_no_per_cycle_column(text):
+    # a shard that kept even one 8-byte column per cycle, for instance
+    # to count the probe hits from, goes over
+    n = 1 << 16
+    assert (_shard_peak(text, n, LIGHT_PROBES)
+            <= COLUMN_KERNEL_PEAKS[text] - 8 * n)
 
 
 def test_a_cycle_shard_frees_each_chunk_before_the_next(monkeypatch):
-    # a shard of two chunks peaks no higher than one chunk's kernel alone
+    # a shard of two chunks peaks no higher than a shard of one chunk
     # plus 8 bytes per cycle of a chunk, a slack fixed before the first
-    # run; a shard that held a chunk's m_tau and chi, let alone its tau,
-    # while it walks the next chunk goes over it
+    # run; a shard that held a chunk's columns while it walks the next
+    # chunk goes over it
     chunk = 1 << 14
     monkeypatch.setattr(walksim, "CHUNK", chunk)
-    model = spec_to_model(LIGHT_CONTROL)
-    model.sample(RngStream(43, CYCLES, 0).generator(), 16)  # fill caches
-    peaks = []
-    for run in (lambda gen: walksim._cycles_kernel(model, gen, chunk, False,
-                                                   10 ** 9),
-                lambda gen: walksim._cycles_shard(model, gen, 2 * chunk,
-                                                  (2.0,), False, 10 ** 9)):
-        gen = RngStream(43, CYCLES, 0).generator()
-        tracemalloc.start()
-        try:
-            run(gen)
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
-    assert peaks[1] <= peaks[0] + 8 * chunk
+    peak_one, peak_two = (_shard_peak(LIGHT_CONTROL, n, (2.0,))
+                          for n in (chunk, 2 * chunk))
+    assert peak_two <= peak_one + 8 * chunk
 
 
 def test_a_few_walk_run_drops_its_spent_uniforms():
@@ -674,34 +684,15 @@ def test_replication_count_must_be_positive(default_model):
 # cycle ensembles
 # ----------------------------------------------------------------------
 
-def _stats_of_raw(res, sizes, probes) -> walksim.CycleStats:
-    """The aggregates of a raw run's columns, each shard (of `sizes`)
-    folding the tau, m_tau and chi columns of its chunks in turn and the
-    shards merged in stream order, so every float sum has the order of
-    the run's own."""
-    shards = []
-    start = 0
-    for size in sizes:
-        st_ = walksim.CycleStats(probe_xs=probes,
-                                 probe_hits=np.zeros(len(probes), dtype=np.int64))
-        for lo in range(start, start + size, walksim.CHUNK):
-            hi = min(lo + walksim.CHUNK, start + size)
-            tau, m_tau, chi = (col[lo:hi].copy()
-                               for col in (res.tau, res.m_tau, res.chi))
-            st_.cycles += tau.size
-            st_.steps += int(tau.sum())
-            st_.tau_sum += int(tau.sum())
-            st_.tau_sq_sum += float(np.dot(tau, tau))
-            st_.tau_max = max(st_.tau_max, int(tau.max()))
-            st_.chi_sum += float(chi.sum())
-            st_.m_tau_max = max(st_.m_tau_max, float(m_tau.max()))
-            st_.zero_m_tau += int(np.count_nonzero(m_tau == 0.0))
-            st_.probe_hits += [np.count_nonzero(m_tau > x) for x in probes]
-        shards.append(st_)
-        start += size
-    for other in shards[1:]:
-        shards[0].merge(other)
-    return shards[0]
+def _stats_of_raw(res, probes) -> walksim.CycleStats:
+    """The aggregates of a raw run's columns; every sum is an exact
+    integer, so it does not depend on how the run split its cycles."""
+    tau = res.tau
+    return walksim.CycleStats(
+        cycles=tau.size, steps=int(tau.sum()), tau_sq_sum=int(np.dot(tau, tau)),
+        probe_xs=probes,
+        probe_hits=np.array([np.count_nonzero(res.m_tau > x) for x in probes],
+                            dtype=np.int64))
 
 
 def _assert_same_stats(got, want):
@@ -713,27 +704,26 @@ def _assert_same_stats(got, want):
             assert a == b, f.name
 
 
-def _assert_stats_match_raw(res, n, probes, workers):
+def _assert_stats_match_raw(res, n, probes):
     st_ = res.stats
     assert st_.cycles == n
     assert np.all(res.tau >= 1) and np.all(res.chi > 0.0)
     assert np.all(res.m_tau >= 0.0)
-    assert st_.steps == int(res.tau.sum()) == st_.tau_sum
-    assert st_.tau_max == int(res.tau.max())
-    _assert_same_stats(st_, _stats_of_raw(res, _shard_sizes(n, workers), probes))
-    assert st_.m_tau_max == res.m_tau.max()
-    assert st_.zero_m_tau == int(np.count_nonzero(res.m_tau == 0.0))
-    hits = [(res.m_tau > x).sum() for x in probes]
-    assert list(st_.probe_hits) == hits
-    assert st_.tau_mean == st_.tau_sum / n
+    assert isinstance(st_.tau_sq_sum, int)
+    _assert_same_stats(st_, _stats_of_raw(res, probes))
+    assert st_.tau_mean == int(res.tau.sum()) / n
     assert st_.tau_se > 0.0
 
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_cycle_aggregates_and_raw_columns_agree(default_model, workers):
-    res = simulate_cycles(default_model, 20000, seed=7, workers=workers,
-                          probes=(2.0, 10.0), keep_raw=True)
-    _assert_stats_match_raw(res, 20000, (2.0, 10.0), workers)
+    # the second probe set is unsorted and repeats a probe, and its 0.0
+    # ties every cycle whose first step falls: a maximum equal to a
+    # probe does not pass it
+    for probes in ((2.0, 10.0), (10.0, 0.0, 2.0, 2.0)):
+        res = simulate_cycles(default_model, 20000, seed=7, workers=workers,
+                              probes=probes, keep_raw=True)
+        _assert_stats_match_raw(res, 20000, probes)
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -742,7 +732,7 @@ def test_chunked_shards_keep_stats_stream_and_budget(default_model, monkeypatch,
     monkeypatch.setattr(walksim, "CHUNK", 4096)
     res = simulate_cycles(default_model, 10000, seed=7, workers=workers,
                           probes=(2.0, 10.0), keep_raw=True)
-    _assert_stats_match_raw(res, 10000, (2.0, 10.0), workers)
+    _assert_stats_match_raw(res, 10000, (2.0, 10.0))
     # 3 chunks at 1 worker, 2 per shard at 2: without raw columns the run
     # never sees a tau array, and its aggregates are the raw run's
     flat = simulate_cycles(default_model, 10000, seed=7, workers=workers,
@@ -953,8 +943,9 @@ def test_sharded_cycle_runs_are_bit_identical(default_model):
 def test_zero_maximum_frequency_matches_first_step(default_model):
     # m_tau = 0 exactly when the first increment is already negative,
     # which happens with probability 1 - P(xi > 0) = 0.5
-    res = simulate_cycles(default_model, 40000, seed=19)
-    rate = res.stats.zero_m_tau / res.stats.cycles
+    # m_tau >= 0, so the maxima that do not pass the probe at 0 are 0
+    res = simulate_cycles(default_model, 40000, seed=19, probes=(0.0,))
+    rate = (res.stats.cycles - res.stats.probe_hits[0]) / res.stats.cycles
     se = math.sqrt(0.25 / res.stats.cycles)
     assert abs(rate - 0.5) < 4 * se
 
@@ -1096,11 +1087,14 @@ def test_merge_refuses_mismatched_probes(default_model):
 
 
 def test_exceedance_rows_have_wilson_intervals(default_model):
-    stats, rows = mtau_tail_estimate(default_model, (2.0, 10.0, 50.0),
-                                     cycles=30000, seed=13)
+    stats, p_lo, p_hi = mtau_tail_estimate(default_model, (2.0, 10.0, 50.0),
+                                           cycles=30000, seed=13)
     assert stats.cycles == 30000
+    assert stats.probe_xs == (2.0, 10.0, 50.0)
+    assert len(stats.probe_hits) == len(p_lo) == len(p_hi) == 3
     p_prev = 1.0
-    for x, p_hat, lo, hi, hits in rows:
+    for hits, lo, hi in zip(stats.probe_hits.tolist(), p_lo, p_hi):
+        p_hat = hits / 30000
         assert hits == round(p_hat * 30000)
         assert 0.0 <= lo <= p_hat <= hi <= 1.0
         assert (lo, hi) == wilson_interval(hits, 30000)
@@ -1229,7 +1223,7 @@ def test_renewal_curve_shape(default_model):
     assert est.h_values[0] >= 1.0
     assert np.all(np.diff(est.h_values) >= 0.0)
     assert np.all(est.h_se > 0.0)
-    assert est.raw_points is None
+    assert est.raw_reps == 0 and est.raw_points.size == 0
 
 
 def test_renewal_raw_points_live_below_the_last_probe(default_model):
