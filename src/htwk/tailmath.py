@@ -588,12 +588,39 @@ def _mixture_array(cuts, arms, tape, n):
     # the masks are set before the first child reads the tape; each
     # child's draws are scattered through its mask's indices, several
     # times cheaper than a boolean index on a random mask
-    masks = _choice_masks(tape.take(0, n), cuts)
     out = np.empty(n)
-    for mask, arm in zip(masks, arms):
-        ix = mask.nonzero()[0]
-        if ix.size:
-            out[ix] = arm(tape, ix.size)
+    if n <= _GRID_BLOCK:
+        masks = _choice_masks(tape.take(0, n), cuts)
+        for mask, arm in zip(masks, arms):
+            ix = mask.nonzero()[0]
+            if ix.size:
+                out[ix] = arm(tape, ix.size)
+        return out
+    # more draws keep one choice byte each, the child's index (the
+    # number of cuts at or below u: `_choice_masks`' partition), and
+    # take their uniforms and each child's values a block at a time, in
+    # the same stream order
+    blocks = [slice(lo, lo + _GRID_BLOCK) for lo in range(0, n, _GRID_BLOCK)]
+    choice = np.empty(n, dtype=np.min_scalar_type(len(arms) - 1))
+    for b in blocks:
+        c = choice[b]
+        u = tape.take(0, c.size)
+        np.greater_equal(u, cuts[0], out=c)
+        for cut in cuts[1:]:
+            c += u >= cut
+    for a, arm in enumerate(arms):
+        # a mixture child spends all its choice uniforms before its
+        # children's values, so it draws its values at once
+        whole = (arm(tape, sum(int(np.count_nonzero(choice[b] == a)) for b in blocks))
+                 if arm.func is _mixture_array else None)
+        at = 0
+        for b in blocks:
+            ix = (choice[b] == a).nonzero()[0]
+            if ix.size:
+                v = arm(tape, ix.size) if whole is None else whole[at:at + ix.size]
+                at += ix.size
+                ix += b.start
+                out[ix] = v
     return out
 
 

@@ -19,13 +19,15 @@ One stepper, `_walk`, moves every batch of walks: it steps them in
 lockstep and stops each at the first step where the kernel's stop rule
 holds (a first descent for cycles, a fall of `barrier` below the
 running maximum for sup, a strict ascent or a fall to -barrier for
-ladder).  Each kernel's one hook sees the walks that stop at a step
-and keeps only what its caller reads: cycles fold them into the
-shard's aggregates (their count, exact integer length moments and
-probe exceedances) and write per-cycle columns only for a raw run; sup
-keeps the maxima and ladder the end positions.  The renewal's hook
-restarts a stopped walk from 0 in its slot while its replication goes
-on, so a run lasts as long as its longest replication.  Each lockstep
+ladder).  Each kernel's one hook sees the walks that stop at a step,
+gathers only what it reads and keeps only what its caller reads:
+cycles fold them into the shard's aggregates (their count, exact
+integer length moments and probe exceedances) and write per-cycle
+columns only for a raw run; sup keeps the maxima and ladder the end
+positions.  Only cycle and sup walks keep a running maximum.  The
+renewal's hook restarts a stopped walk from 0 in its slot while its
+replication goes on, so a run lasts as long as its longest
+replication.  Each lockstep
 step makes exactly one `model.sample` call for all live walks, in
 start order, down to the last live walk, and whether a walk is on its
 first cycle or a later one.  The stream's layout is the order in which
@@ -36,7 +38,12 @@ active set: finished walks are dropped from the working arrays, so
 memory tracks the surviving population, not the step count.  They
 leave by index gathers (`nonzero`, then `take`), several times cheaper
 than boolean indexing on the random masks that stop rules give, and
-until the first walk retires a walk's position is its slot.  A cycle
+until the first walk retires a walk's position is its slot.  A step of
+more live walks than `_GRID_BLOCK`, the block of the grid layer and
+the quadrature, draws a mixture's arms, tests, calls the hook and
+compacts a block at a time, so that a live walk holds its S, its M
+where it keeps one, its slot and one byte for its mixture choice or
+stop flag, plus one block's scratch.  A cycle
 shard consumes its stream CHUNK cycles at a time and returns
 aggregates, plus raw columns only on request; without them it holds no
 per-cycle array.
@@ -61,7 +68,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BudgetError, PreconditionError
-from .tailmath import IncrementModel, _UniformTape
+from .tailmath import _GRID_BLOCK, IncrementModel, _UniformTape
 
 # stream purposes: one lane per experiment family
 CYCLES, SUP, LADDER, RENEWAL, NU = range(5)
@@ -193,59 +200,118 @@ class RenewalEstimate:
 # ----------------------------------------------------------------------
 
 def _walk(model: IncrementModel, gen: np.random.Generator | _UniformTape,
-          n: int, stop, stopped, step_budget: int) -> int:
+          n: int, stop, stopped, step_budget: int, keep_max: bool) -> int:
     """Step n walks from 0 in lockstep; each stops at the first step
-    where stop(S, M) holds for its position S and running maximum M.
-    Each step draws for every live walk, down to the last one, in one
-    `model.sample` call, from a Philox generator or from a run's tape
-    of one.
+    where stop(S, M) holds for its position S and, under keep_max, its
+    running maximum M (else M is None).  Each step draws for every live
+    walk, down to the last one, in one `model.sample` call, from a
+    Philox generator or from a run's tape of one.  S starts as the first
+    step's draws, and M is built after that step for the walks that go
+    on.
 
-    stopped(slots, S, M, t) is called once per step on the walks that
-    stop there, with their slots (0 to n-1) in start order, their S and
-    M, and the step t.  It keeps what its kernel reads and returns None,
-    or a boolean array: a walk marked True starts again from S = M = 0
-    in its slot at the next step, and the others retire.  S and M are
-    gathered for the call, so a hook may reorder them.  Cycles add
-    the stopped walks to their aggregates (and to raw columns on
-    request), sup keeps M, ladder S; the renewal's hook is its restart
-    rule.
+    A step of more than `_GRID_BLOCK` live walks tests, calls the hook
+    and compacts a block of them at a time.  M and the slots move in
+    place into their live prefix; S moves into a new array of the live
+    walks, so that the next step's draws sit beside an S of the live
+    size, not of the step's.  Beside S, M and the slots such a step
+    holds one stop byte per walk and one block's scratch.  A step of at
+    most one block tests and compacts its whole live set, one numpy call
+    each.
+
+    stopped(slots, t, j, S, M) is called once per block and step on the
+    walks that stop there: their slots (0 to n-1) in start order, the
+    step t, and their positions j in the block's S and M, so a hook
+    gathers only what it reads.  It returns None, or a boolean array: a
+    walk marked True starts again from S = 0 in its slot at the next
+    step, and the others retire; only walks without a maximum restart.
+    Cycles add the stopped walks to their aggregates (and to raw columns
+    on request), sup keeps M, ladder S; the renewal's hook is its
+    restart rule.
 
     Returns the number of increments drawn.
     """
-    S = np.zeros(n)
-    Mx = np.zeros(n)
-    # the live walks' slots; None until the first walk retires, while
-    # they are 0 to n-1, so a position is its own slot
-    idx = None
+    S = M = slots = None  # slots: None while a position is its own slot
     steps = 0
     t = 0  # walks move in lockstep, so every live walk has taken t steps
-    while S.size:
-        # in place, so the step's draws are gone before the live set is
-        # compacted
-        S += model.sample(gen, S.size)
-        steps += S.size
-        _check_budget(steps, step_budget)
-        t += 1
-        np.maximum(Mx, S, out=Mx)
-        done = stop(S, Mx)
+
+    def settle(S, M, slots, lo):
+        """Test the live walks at positions lo on, given their S, M and
+        slots (None while positions are slots), call the hook on those
+        that stop and restart those it marks.  Returns the mask of the
+        walks that leave, or None where none does."""
+        if keep_max:  # within the first step, M is these walks' own max(S, 0)
+            M = np.maximum(S, 0.0) if M is None else np.maximum(M, S, out=M)
+        done = stop(S, M)
         j = done.nonzero()[0]
         if not j.size:
-            continue
-        again = stopped(j if idx is None else idx.take(j), S.take(j),
-                        Mx.take(j), t)
-        if again is not None:
-            r = j[again]
-            S[r] = 0.0
-            Mx[r] = 0.0
-            done[r] = False
-            if r.size == j.size:
-                continue
-        del j
-        k = np.logical_not(done, out=done).nonzero()[0]
+            return None
+        if slots is not None:
+            at = slots.take(j)
+        else:
+            at = j + lo if lo else j
+        again = stopped(at, t, j, S, M)
+        if again is None:
+            return done
+        r = j[again]
+        S[r] = 0.0
+        if r.size == j.size:
+            return None
+        done[r] = False
+        return done
+
+    while S is None or S.size:
+        draws = model.sample(gen, n if S is None else S.size)
+        if S is None:
+            S, draws = draws, 0.0  # as 0.0 + v: a -0.0 draw moves its walk to +0.0
+        # in place, so the step's draws are gone before the stop test
+        S += draws
+        del draws
+        size = S.size
+        steps += size
+        _check_budget(steps, step_budget)
+        t += 1
+        if size <= _GRID_BLOCK:
+            done = settle(S, M, slots, 0)
+            if done is not None:
+                k = np.logical_not(done, out=done).nonzero()[0]
+                S = S.take(k)
+                if M is not None:
+                    M = M.take(k)
+                slots = k if slots is None else slots.take(k)
+        else:
+            done = np.zeros(size, dtype=bool)
+            for lo in range(0, size, _GRID_BLOCK):
+                hi = lo + _GRID_BLOCK
+                d = settle(S[lo:hi], None if M is None else M[lo:hi],
+                           None if slots is None else slots[lo:hi], lo)
+                if d is not None:
+                    done[lo:hi] = d
+            live = size - np.count_nonzero(done)
+            if live < size:
+                fresh = slots is None
+                if fresh:
+                    slots = np.empty(live, dtype=np.int64)
+                old, S = S, np.empty(live)
+                w = 0
+                for lo in range(0, size, _GRID_BLOCK):
+                    hi = lo + _GRID_BLOCK
+                    k = np.logical_not(done[lo:hi]).nonzero()[0]
+                    e = w + k.size
+                    old[lo:hi].take(k, out=S[w:e])
+                    if M is not None:
+                        M[w:e] = M[lo:hi].take(k)
+                    if fresh:
+                        np.add(k, lo, out=slots[w:e])
+                    else:
+                        slots[w:e] = slots[lo:hi].take(k)
+                    w = e
+                del old
+                slots = slots[:live]
+                if M is not None:
+                    M = M[:live]
         del done
-        S = S.take(k)
-        Mx = Mx.take(k)
-        idx = k if idx is None else idx.take(k)
+        if keep_max and M is None:
+            M = np.maximum(S, 0.0)
     return steps
 
 
@@ -273,24 +339,27 @@ def _cycles_shard(model: IncrementModel,
            if keep_raw else None)
     start = 0  # the first cycle of the chunk being walked
 
-    def stopped(slots, S, M, t):
+    def stopped(slots, t, j, S, M):
         k = slots.size
         stats.cycles += k
         stats.tau_sq_sum += t * t * k
+        if not (keep_raw or probes):
+            return
+        m = M.take(j)
         if keep_raw:
             tau, m_tau, chi = raw
             at = slots + start
             tau[at] = t
-            m_tau[at] = M
-            chi[at] = -S
+            m_tau[at] = m
+            chi[at] = -S.take(j)
         if probes:
-            M.sort()  # the hook's own gather; one search counts every probe
-            stats.probe_hits += k - M.searchsorted(probes, "right")
+            m.sort()  # the hook's own gather; one search counts every probe
+            stats.probe_hits += k - m.searchsorted(probes, "right")
 
     for start in range(0, n, CHUNK):
         stats.steps += _walk(model, gen, min(CHUNK, n - start),
                              lambda S, M: S < 0.0, stopped,
-                             step_budget - stats.steps)
+                             step_budget - stats.steps, keep_max=True)
     return stats, raw, stats.steps
 
 
@@ -300,11 +369,11 @@ def _sup_kernel(model: IncrementModel, gen: np.random.Generator | _UniformTape,
     """Running maxima stopped once the walk falls `barrier` below them."""
     m_values = np.empty(n)
 
-    def stopped(slots, S, M, t):
-        m_values[slots] = M
+    def stopped(slots, t, j, S, M):
+        m_values[slots] = M.take(j)
 
     steps = _walk(model, gen, n, lambda S, M: S <= M - barrier, stopped,
-                  step_budget)
+                  step_budget, keep_max=True)
     return m_values, steps
 
 
@@ -315,11 +384,11 @@ def _ladder_kernel(model: IncrementModel,
     """First strict ascent height psi, or censoring at -barrier."""
     end = np.empty(n)
 
-    def stopped(slots, S, M, t):
-        end[slots] = S
+    def stopped(slots, t, j, S, M):
+        end[slots] = S.take(j)
 
     steps = _walk(model, gen, n, lambda S, M: (S > 0.0) | (S <= -barrier),
-                  stopped, step_budget)
+                  stopped, step_budget, keep_max=False)
     up = end > 0.0
     return np.where(up, end, 0.0), ~up, steps
 
@@ -349,9 +418,9 @@ def _renewal_kernel(model: IncrementModel,
     flat_hits = hits.reshape(-1)
     raw: list[np.ndarray] = []
 
-    def renew(slots: np.ndarray, S: np.ndarray, M: np.ndarray,
-              t: int) -> np.ndarray:
-        c = cum[slots] - S
+    def renew(slots: np.ndarray, t: int, j: np.ndarray, S: np.ndarray,
+              M: None) -> np.ndarray:
+        c = cum[slots] - S.take(j)
         cum[slots] = c
         level = xs_arr.searchsorted(c)
         again = level < last  # at or below the last probe
@@ -362,7 +431,8 @@ def _renewal_kernel(model: IncrementModel,
             raw.append(c[again & (slots < raw_reps)])
         return again
 
-    steps = _walk(model, gen, reps, lambda S, M: S < 0.0, renew, step_budget)
+    steps = _walk(model, gen, reps, lambda S, M: S < 0.0, renew, step_budget,
+                  keep_max=False)
     raw_points = np.concatenate(raw) if raw else np.empty(0)
     return hits[:last].cumsum(axis=0), raw_points, min(raw_reps, reps), steps
 

@@ -130,6 +130,14 @@ def test_leaf_quantiles_do_not_depend_on_slice_length_or_offset(text):
         assert np.array_equal(np.concatenate(parts), whole), width
 
 
+def _small_blocks(monkeypatch, block) -> None:
+    """Step and sample in blocks of `block` walks or draws, so that a
+    few thousand cross many block ends; None keeps the block size."""
+    if block:
+        monkeypatch.setattr(walksim, "_GRID_BLOCK", block)
+        monkeypatch.setattr(tailmath, "_GRID_BLOCK", block)
+
+
 def _plain(state):
     """A bit generator's state with its arrays as lists, comparable by ==."""
     if isinstance(state, dict):
@@ -156,9 +164,13 @@ STREAM_SPECS = [
 ]
 
 
-@pytest.mark.parametrize("n", [1, 7, 4096])
+# 4096 draws in blocks of 64 take the sampler's block path, in which a
+# nested mixture draws all of its values at once
+@pytest.mark.parametrize("n, block", [(1, None), (7, None), (4096, None),
+                                      (4096, 64)])
 @pytest.mark.parametrize("text", STREAM_SPECS)
-def test_sampler_keeps_the_stream_contract(text, n):
+def test_sampler_keeps_the_stream_contract(text, n, block, monkeypatch):
+    _small_blocks(monkeypatch, block)
     model = spec_to_model(text)
     gen, ref = RngStream(11, 9, 0).generator(), RngStream(11, 9, 0).generator()
     for _ in range(2):  # the second call on a model whose caches are set
@@ -205,20 +217,30 @@ def _reference_walk(law, gen, n, stop):
     return S_end, M_end, T_end, steps
 
 
-def _recorded_walk(model, src, n, stop):
+def _recorded_walk(model, src, n, stop, keep_max=True):
     """`_walk` with a hook that records each walk's S, M and step T
     where it retires, checking that each call's slots come in start
-    order and that no slot stops twice.  Returns (S, M, T, steps) as
-    `_reference_walk` does; a slot never recorded keeps S = M = nan."""
+    order, that no slot stops twice and that M is None without
+    keep_max.  Returns (S, M, T, steps) as `_reference_walk` does; a
+    slot never recorded, or any slot's M without keep_max, is nan."""
     S_end, M_end = np.full(n, np.nan), np.full(n, np.nan)
     T_end = np.zeros(n, dtype=np.int64)
 
-    def record(slots, S, M, t):
+    def record(slots, t, j, S, M):
         assert np.all(np.diff(slots) > 0) and not T_end[slots].any()
-        S_end[slots], M_end[slots], T_end[slots] = S, M, t
+        assert (M is not None) == keep_max
+        S_end[slots], T_end[slots] = S.take(j), t
+        if keep_max:
+            M_end[slots] = M.take(j)
 
-    steps = walksim._walk(model, src, n, stop, record, 10 ** 9)
+    steps = walksim._walk(model, src, n, stop, record, 10 ** 9, keep_max)
     return S_end, M_end, T_end, steps
+
+
+def _same_bits(a, b) -> bool:
+    """Whether two arrays hold the same values bit for bit, so that
+    -0.0 and +0.0 differ."""
+    return a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
 def _reference_renewal(law, gen, reps, xs, raw_reps):
@@ -267,17 +289,21 @@ def _epoch_renewal(law, gen, reps, xs):
     return counts
 
 
-# the kernels' stop rules, at a barrier of 100
+# the kernels' stop rules, at a barrier of 100, and whether each
+# kernel's walks keep a running maximum
 STOP_RULES = {
     "cycles": lambda S, M: S < 0.0,
     "sup": lambda S, M: S <= M - 100.0,
     "ladder": lambda S, M: (S > 0.0) | (S <= -100.0),
 }
+KEEPS_MAX = {"cycles": True, "sup": True, "ladder": False}
 # n = 1 and 7 walk with few live walks from the start, n = 5000 with
 # thousands first.  STREAM_SPECS[10] has point(c=0); the third spec
 # reaches point, shift, weibull, a nested mix and both negative leaves
 # on steps of a single walk, the fourth a neg over a mix and two steps
-# over a point, and the last a lognormal leaf.
+# over a point, the fifth a lognormal leaf, and the last draws -0.0,
+# which must start its walk at +0.0, as 0.0 + v does (a sup walk that
+# never rises would otherwise keep M = -0.0).
 WALK_SPECS = [
     DEFAULT_MODEL,
     STREAM_SPECS[10],
@@ -286,6 +312,7 @@ WALK_SPECS = [
     "mix(0.5: shift(-1, neg(mix(0.5: shift(0.5, point(c=1)), "
     "0.5: pareto(alpha=0.5, kappa=1)))), 0.5: exponential(rate=1))",
     "mix(0.5: lognormal(mu=0, sigma=1), 0.5: neg(pareto(alpha=0.5, kappa=1)))",
+    "mix(0.5: neg(point(c=0)), 0.5: shift(-3, exponential(rate=1)))",
 ]
 
 
@@ -356,22 +383,30 @@ def _close(src):
 SOURCES = ["generator", "absent", "present", "held"]
 
 
+# (walks, block size): 1 and 7 walks fit in one block; 5000 walks take
+# one block at the shipped size and up to 79 blocks of 64
+WALKS_AND_BLOCKS = [(1, None), (7, None), (5000, None), (5000, 64)]
+
+
 @pytest.mark.parametrize("source", SOURCES)
-@pytest.mark.parametrize("n", [1, 7, 5000])
+@pytest.mark.parametrize("n, block", WALKS_AND_BLOCKS)
 @pytest.mark.parametrize("text", WALK_SPECS)
 @pytest.mark.parametrize("rule", STOP_RULES)
-def test_walk_matches_the_reference_stepper(rule, text, n, source, monkeypatch):
+def test_walk_matches_the_reference_stepper(rule, text, n, block, source,
+                                            monkeypatch):
+    _small_blocks(monkeypatch, block)
     model = spec_to_model(text)
     sources = _sample_sources(monkeypatch)
     gen, ref = RngStream(5, 9, 0).generator(), RngStream(5, 9, 0).generator()
     src = _source(source, model, gen, n, monkeypatch)
     try:
-        got = _recorded_walk(model, src, n, STOP_RULES[rule])
+        got = _recorded_walk(model, src, n, STOP_RULES[rule], KEEPS_MAX[rule])
     finally:
         _close(src)
     want = _reference_walk(model.law, ref, n, STOP_RULES[rule])
-    for a, b in zip(got[:3], want[:3], strict=True):
-        assert np.array_equal(a, b)
+    assert _same_bits(got[0], want[0]) and _same_bits(got[2], want[2])
+    if KEEPS_MAX[rule]:
+        assert _same_bits(got[1], want[1])
     assert got[3] == want[3]
     assert _plain(gen.bit_generator.state) == _plain(ref.bit_generator.state)
     # the source feeds every step, down to the last live walk
@@ -380,13 +415,15 @@ def test_walk_matches_the_reference_stepper(rule, text, n, source, monkeypatch):
 
 @pytest.mark.parametrize("chunk", [None, 256])
 @pytest.mark.parametrize("source", SOURCES)
-@pytest.mark.parametrize("n", [1, 7, 5000])
+@pytest.mark.parametrize("n, block", WALKS_AND_BLOCKS)
 @pytest.mark.parametrize("text", WALK_SPECS)
-def test_renewal_walk_matches_the_reference(text, n, source, chunk, monkeypatch):
+def test_renewal_walk_matches_the_reference(text, n, block, source, chunk,
+                                            monkeypatch):
     # a source serves the whole walk, restarts included; 256-uniform
     # chunks make most reads cross a chunk's end
     if chunk:
         monkeypatch.setattr(tailmath, "_CHUNK_MAX", chunk)
+    _small_blocks(monkeypatch, block)
     model = spec_to_model(text)
     gen, ref = RngStream(5, 9, 0).generator(), RngStream(5, 9, 0).generator()
     src = _source(source, model, gen, n, monkeypatch)
@@ -396,8 +433,8 @@ def test_renewal_walk_matches_the_reference(text, n, source, chunk, monkeypatch)
     finally:
         _close(src)
     want = _reference_renewal(model.law, ref, n, (1.0, 10.0), 3)
-    assert np.array_equal(got[0], want[0])
-    assert np.array_equal(got[1], want[1])
+    assert _same_bits(got[0], want[0])
+    assert _same_bits(got[1], want[1])
     assert got[2:] == want[2:4]
     assert _plain(gen.bit_generator.state) == _plain(ref.bit_generator.state)
 
@@ -581,6 +618,16 @@ def test_a_cycle_shard_holds_no_per_cycle_column(text):
             <= COLUMN_KERNEL_PEAKS[text] - 8 * n)
 
 
+@pytest.mark.parametrize("text", COLUMN_KERNEL_PEAKS)
+def test_a_cycle_shard_steps_in_blocks(text):
+    # 24 bytes per cycle, a bound fixed before the first run: the walk
+    # that gathered and compacted whole arrays peaked at 34.0 and 35.7
+    # here, and one that keeps S, M, the slots and a byte per live walk
+    # beside one block's scratch stays under it
+    n = 1 << 18
+    assert _shard_peak(text, n, LIGHT_PROBES) <= 24 * n
+
+
 def test_a_cycle_shard_frees_each_chunk_before_the_next(monkeypatch):
     # a shard of two chunks peaks no higher than a shard of one chunk
     # plus 8 bytes per cycle of a chunk, a slack fixed before the first
@@ -675,6 +722,41 @@ def test_budget_runs_out_among_few_live_walks_where_the_stepper_does(
     assert _steps(run()) == need
 
 
+@pytest.mark.parametrize("block", [None, 64])
+@pytest.mark.parametrize("kind", ["cycles", "sup", "ladder", "renewal"])
+def test_each_lockstep_step_draws_in_one_sample_call(kind, block, monkeypatch,
+                                                     walk_constants):
+    # the benchmark's tracer counts a kernel's draws by the size of each
+    # `IncrementModel.sample` result: one call per lockstep step, sized
+    # to that step's live walks, whatever the blocks inside it
+    _small_blocks(monkeypatch, block)
+    walk_constants(barrier=100.0)
+    model = spec_to_model(DEFAULT_MODEL)
+    sizes = []
+    sample = IncrementModel.sample
+
+    def recording(self, gen, n):
+        v = sample(self, gen, n)
+        sizes.append(v.size)
+        return v
+    monkeypatch.setattr(IncrementModel, "sample", recording)
+    n, purpose = 3000, {"cycles": CYCLES, "sup": walksim.SUP,
+                        "ladder": walksim.LADDER, "renewal": walksim.RENEWAL}[kind]
+    result = {"cycles": lambda: simulate_cycles(model, n, seed=4),
+              "sup": lambda: estimate_sup_many(model, n, seed=4),
+              "ladder": lambda: sample_ladder_many(model, n, seed=4),
+              "renewal": lambda: renewal_estimate(model, (1.0, 100.0), reps=n,
+                                                  seed=4)}[kind]()
+    ref = RngStream(4, purpose, 0).generator()
+    if kind == "renewal":
+        T = _reference_renewal(model.law, ref, n, (1.0, 100.0), 0)[-1]
+    else:
+        T = _reference_walk(model.law, ref, n, STOP_RULES[kind])[2]
+    counts, live = _step_counts(T)
+    assert sizes == live.tolist()
+    assert sum(sizes) == _steps(result) == counts[-1]
+
+
 def test_replication_count_must_be_positive(default_model):
     with pytest.raises(PreconditionError):
         estimate_sup_many(default_model, 0, seed=1)
@@ -726,10 +808,13 @@ def test_cycle_aggregates_and_raw_columns_agree(default_model, workers):
         _assert_stats_match_raw(res, 20000, probes)
 
 
+@pytest.mark.parametrize("block", [None, 64])
 @pytest.mark.parametrize("workers", [1, 2])
 def test_chunked_shards_keep_stats_stream_and_budget(default_model, monkeypatch,
-                                                     walk_constants, workers):
+                                                     walk_constants, workers,
+                                                     block):
     monkeypatch.setattr(walksim, "CHUNK", 4096)
+    _small_blocks(monkeypatch, block)
     res = simulate_cycles(default_model, 10000, seed=7, workers=workers,
                           probes=(2.0, 10.0), keep_raw=True)
     _assert_stats_match_raw(res, 10000, (2.0, 10.0))
